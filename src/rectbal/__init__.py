@@ -7,16 +7,12 @@ from .exact_quadratic import (
     QuadraticValue,
     floor_n_gamma,
     floor_n_phi,
-    floor_value,
-    frac_value,
 )
 from .numeration import (
+    DigitRep,
     EmptyExpansion,
     FibIndexList,
     InvalidRepresentation,
-    NegaBinRep,
-    TribRep,
-    ZeckRep,
     adjacent_fib,
     fib_index_list,
     is_fibonacci,
@@ -32,11 +28,9 @@ from .numeration import (
 )
 from .words import (
     BudgetExceeded,
-    PrefixCounts,
     SequenceKind,
     Word,
     fib_symbol,
-    prefix_counts,
     sturmian_a_symbol,
     tm_symbol,
     trib2_symbol,
@@ -44,12 +38,9 @@ from .words import (
     word,
 )
 from .rectangles import (
-    LetterCountVector,
-    RectangleQuery,
     delta,
-    rect_letter_counts,
-    rect_sum,
-    rect_transpose_check,
+    word_letter_counts,
+    word_rect_sum,
 )
 from .fib_balance import (
     BalanceStatus,

@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="balance analysis of word rectangles from Fibonacci, "
         "Tribonacci and Thue-Morse words",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     parser.add_argument(
         "--budget", type=int, default=None,
         help="cap on generated word length (default RECTBAL_BUDGET or 10^7)",
@@ -297,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.budget is not None:
-        words.set_budget(args.budget)
     try:
+        if args.budget is not None:
+            words.set_budget(args.budget)
         return args.func(args)
     except (
         words.BudgetExceeded,

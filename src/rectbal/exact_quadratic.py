@@ -142,22 +142,6 @@ ZERO = QuadraticValue(0, 0)
 ONE = QuadraticValue(2, 0)
 
 
-def add(x: QuadraticValue, y: QuadraticValue) -> QuadraticValue:
-    return x + y
-
-
-def sign(x: QuadraticValue) -> int:
-    return x.sign()
-
-
-def floor_value(x: QuadraticValue) -> int:
-    return x.floor()
-
-
-def frac_value(x: QuadraticValue) -> QuadraticValue:
-    return x.frac()
-
-
 def floor_n_phi(n: int) -> int:
     """floor(n*phi) computed two independent ways that must agree.
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact_quadratic import GAMMA, ONE, QuadraticValue
 from .numeration import fib_index_list, fibonacci
-from .rectangles import word_rect_sum
+from .rectangles import check_nonnegative, telescope, window_counts, word_rect_sum
 from .words import BudgetExceeded, SequenceKind, sturmian_a_word, word
 
 
@@ -129,20 +129,17 @@ _TABLES = _GammaTables()
 
 def t_value(i: int, m: int, n: int) -> int:
     """T(i, m, n) on the 0-prefixed Fibonacci word from the floor tables."""
-    G = _TABLES.G(i + m + n)
-    return int(G[i + m + n] - G[i + n] - G[i + m] + G[i])
+    return int(telescope(_TABLES.G(i + m + n), m, n, i, i + 1)[0])
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
     """T(i, m, n) for all i < horizon, via the double-telescoped floor sums."""
-    G = _TABLES.G(horizon + m + n)
-    return G[m + n : m + n + horizon] - G[n : n + horizon] - G[m : m + horizon] + G[:horizon]
+    return telescope(_TABLES.G(horizon + m + n), m, n, 0, horizon)
 
 
 def delta_floor_form(i: int, m: int, n: int) -> int:
     """T(i+1,m,n) - T(i,m,n) as the four-floor combination."""
-    g = _TABLES.g(i + m + n)
-    return int((g[i + m + n] - g[i + n]) - (g[i + m] - g[i]))
+    return int(telescope(_TABLES.g(i + m + n), m, n, i, i + 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +275,8 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
         return BalanceVerdict(
             BalanceStatus.UNKNOWN_UP_TO_HORIZON, "scan", horizon=horizon
         )
-    w = sturmian_a_word()
-    s = w.count_table(1, horizon + m + n + 1)
-    s2 = np.concatenate([[0], np.cumsum(s)])
-
-    def tvec(count: int) -> np.ndarray:
-        return (
-            s2[m + n : m + n + count]
-            - s2[n : n + count]
-            - s2[m : m + count]
-            + s2[:count]
-        )
-
-    t = tvec(horizon + 1)
+    s = sturmian_a_word().count_table(1, horizon + m + n + 1)
+    t = window_counts(s, m, n, 0, horizon + 1)
     d = np.diff(t)
     assert d.size == 0 or (int(d.min()) >= -1 and int(d.max()) <= 1)
     nz = np.flatnonzero(d)
@@ -328,6 +314,7 @@ def zeck_characterization(m: int, n: int) -> bool:
     (d) a1 equals the smallest b and the two smallest b's differ in parity;
     (e) a1 is below the smallest b.
     """
+    check_nonnegative(m=m, n=n)
     if m > n:
         m, n = n, m
     if m <= 1:

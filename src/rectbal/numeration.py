@@ -38,25 +38,9 @@ def tribonacci(j: int) -> int:
 
 
 @dataclass(frozen=True)
-class ZeckRep:
-    digits: str
-    value: int
+class DigitRep:
+    """A digit string (most significant first) and the value it encodes."""
 
-    def __str__(self) -> str:
-        return self.digits or "0"
-
-
-@dataclass(frozen=True)
-class TribRep:
-    digits: str
-    value: int
-
-    def __str__(self) -> str:
-        return self.digits or "0"
-
-
-@dataclass(frozen=True)
-class NegaBinRep:
     digits: str
     value: int
 
@@ -100,23 +84,23 @@ def fib_index_list(n: int) -> FibIndexList:
     return FibIndexList(tuple(out))
 
 
-def zeck_encode(n: int) -> ZeckRep:
+def zeck_encode(n: int) -> DigitRep:
     """Canonical Zeckendorf digits of n (greedy; empty string for 0)."""
     if n < 0:
         raise ValueError("n must be a natural number")
     if n == 0:
-        return ZeckRep("", 0)
+        return DigitRep("", 0)
     idx = fib_index_list(n).indices
     top = idx[0]
     digits = ["0"] * (top - 1)  # positions top, top-1, ..., 2
     for j in idx:
         digits[top - j] = "1"
-    return ZeckRep("".join(digits), n)
+    return DigitRep("".join(digits), n)
 
 
-def zeck_decode(digits: str | ZeckRep) -> int:
+def zeck_decode(digits: str | DigitRep) -> int:
     """Value of a Zeckendorf digit string; rejects adjacent 1 digits."""
-    if isinstance(digits, ZeckRep):
+    if isinstance(digits, DigitRep):
         digits = digits.digits
     if any(c not in "01" for c in digits):
         raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
@@ -155,12 +139,12 @@ def adjacent_fib(u: int, v: int) -> bool:
     return False
 
 
-def trib_encode(n: int) -> TribRep:
+def trib_encode(n: int) -> DigitRep:
     """Greedy Tribonacci digits of n (no three consecutive 1 digits)."""
     if n < 0:
         raise ValueError("n must be a natural number")
     if n == 0:
-        return TribRep("", 0)
+        return DigitRep("", 0)
     j = 0
     while tribonacci(j + 1) <= n:
         j += 1
@@ -173,12 +157,12 @@ def trib_encode(n: int) -> TribRep:
             rem -= w
         else:
             digits.append("0")
-    return TribRep("".join(digits), n)
+    return DigitRep("".join(digits), n)
 
 
-def trib_decode(digits: str | TribRep) -> int:
+def trib_decode(digits: str | DigitRep) -> int:
     """Value of a Tribonacci digit string; rejects three consecutive 1 digits."""
-    if isinstance(digits, TribRep):
+    if isinstance(digits, DigitRep):
         digits = digits.digits
     if any(c not in "01" for c in digits):
         raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
@@ -191,10 +175,10 @@ def trib_decode(digits: str | TribRep) -> int:
     return total
 
 
-def negabin_encode(n: int) -> NegaBinRep:
+def negabin_encode(n: int) -> DigitRep:
     """Base-(-2) digits of any integer (canonical, no leading zeros)."""
     if n == 0:
-        return NegaBinRep("", 0)
+        return DigitRep("", 0)
     value = n
     digits = []
     while n != 0:
@@ -202,12 +186,12 @@ def negabin_encode(n: int) -> NegaBinRep:
         if r < 0:
             n, r = n + 1, r + 2
         digits.append(str(r))
-    return NegaBinRep("".join(reversed(digits)), value)
+    return DigitRep("".join(reversed(digits)), value)
 
 
-def negabin_decode(digits: str | NegaBinRep) -> int:
+def negabin_decode(digits: str | DigitRep) -> int:
     """Value of a base-(-2) digit string."""
-    if isinstance(digits, NegaBinRep):
+    if isinstance(digits, DigitRep):
         digits = digits.digits
     if any(c not in "01" for c in digits):
         raise InvalidRepresentation(f"not a binary digit string: {digits!r}")

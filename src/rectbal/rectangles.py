@@ -1,74 +1,62 @@
 """Word rectangles: m x n blocks whose entry (k, l) is the word symbol at
 index i + k + l, constant along antidiagonals.
 
-All sums and letter counts reduce to prefix-count differences of the
-underlying word, O(m) per query.
+Every rectangle count is a windowed sum of a prefix-count table C: the
+count at i is sum_{k<m} C[i+k+n] - C[i+k], which telescopes twice over the
+running sum of C.  `window_counts` is that kernel, O(m + n) per query.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from .words import SequenceKind, Word, sturmian_a_word, word
-
-
-@dataclass(frozen=True)
-class RectangleQuery:
-    kind: SequenceKind
-    i: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.i < 0 or self.m < 0 or self.n < 0:
-            raise ValueError(f"negative rectangle parameters: {self}")
+from .words import Word, sturmian_a_word
 
 
-@dataclass(frozen=True)
-class LetterCountVector:
-    counts: dict[int, int]
-
-    def __getitem__(self, letter: int) -> int:
-        return self.counts[letter]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+def check_nonnegative(**values: int) -> None:
+    """Raise ValueError naming the first argument that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
-    """Sum of all entries of the rectangle at (i, m, n) over word w."""
-    if m == 0 or n == 0:
-        return 0
-    w.ensure(i + m + n - 1)
-    total = 0
-    for letter in w.alphabet:
-        if letter:
-            total += letter * _letter_count(w, letter, i, m, n)
-    return total
-
-
-def word_letter_counts(w: Word, i: int, m: int, n: int) -> LetterCountVector:
-    if m == 0 or n == 0:
-        return LetterCountVector({c: 0 for c in w.alphabet})
-    w.ensure(i + m + n - 1)
-    return LetterCountVector(
-        {c: _letter_count(w, c, i, m, n) for c in w.alphabet}
+def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """sum_{k<m} C[i+k+n] - C[i+k] for start <= i < stop, where s2 is the
+    running sum of C (s2[j] = C[0] + ... + C[j-1])."""
+    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    return (
+        s2[start + m + n : stop + m + n]
+        - s2[start + n : stop + n]
+        - s2[start + m : stop + m]
+        + s2[start:stop]
     )
+
+
+def window_counts(counts: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """The m x n rectangle counts at start <= i < stop of the letter whose
+    prefix-count table is `counts` (counts[t] = occurrences in [0, t)).
+
+    Only counts[start : stop+m+n-1] is read; it must be there.
+    """
+    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    window = counts[start : stop + m + n - 1]
+    s2 = np.zeros(len(window) + 1, dtype=np.int64)
+    np.cumsum(window, dtype=np.int64, out=s2[1:])
+    return telescope(s2, m, n, 0, stop - start)
 
 
 def _letter_count(w: Word, letter: int, i: int, m: int, n: int) -> int:
     table = w.count_table(letter, i + m + n - 1)
-    return int(sum(table[i + k + n] - table[i + k] for k in range(m)))
+    return int(window_counts(table, m, n, i, i + 1)[0])
 
 
-def rect_sum(q: RectangleQuery) -> int:
-    """T(i, m, n): the sum over all entries of the rectangle."""
-    return word_rect_sum(word(q.kind), q.i, q.m, q.n)
+def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
+    """Sum of all entries of the rectangle at (i, m, n) over word w."""
+    return sum(c * _letter_count(w, c, i, m, n) for c in w.alphabet if c)
 
 
-def rect_letter_counts(q: RectangleQuery) -> LetterCountVector:
+def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
     """Per-letter occurrence counts in the rectangle; they sum to m*n."""
-    return word_letter_counts(word(q.kind), q.i, q.m, q.n)
+    return {c: _letter_count(w, c, i, m, n) for c in w.alphabet}
 
 
 def delta(i: int, m: int, n: int) -> int:
@@ -76,9 +64,3 @@ def delta(i: int, m: int, n: int) -> int:
     {-1, 0, 1}."""
     w = sturmian_a_word()
     return word_rect_sum(w, i + 1, m, n) - word_rect_sum(w, i, m, n)
-
-
-def rect_transpose_check(q: RectangleQuery) -> bool:
-    """Letter counts of the m x n and n x m rectangles at the same i agree."""
-    flipped = RectangleQuery(q.kind, q.i, q.n, q.m)
-    return rect_letter_counts(q) == rect_letter_counts(flipped)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rectangles import window_counts
 from .words import SequenceKind, word
 
 
@@ -44,22 +45,14 @@ def factor_sum(start: int, length: int) -> int:
 
 
 def excess(i: int, m: int, n: int) -> int:
-    """2 * count_1(rectangle at i) - m*n, by direct row sums."""
-    total = sum(factor_sum(i + k, n) for k in range(m))
+    """2 * count_1(rectangle at i) - m*n."""
+    total = int(window_counts(_prefix(i + m + n - 1), m, n, i, i + 1)[0])
     return 2 * total - m * n
 
 
 def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
     """excess(i, m, n) for all i < horizon, vectorized."""
-    s = _prefix(horizon + m + n)
-    s2 = np.concatenate([[0], np.cumsum(s)])
-    t = (
-        s2[m + n : m + n + horizon]
-        - s2[n : n + horizon]
-        - s2[m : m + horizon]
-        + s2[:horizon]
-    )
-    return 2 * t - m * n
+    return 2 * window_counts(_prefix(horizon + m + n), m, n, 0, horizon) - m * n
 
 
 def excess_even_even(i: int, m: int, n: int) -> int:
@@ -99,9 +92,11 @@ def excess_parity_reduced(i: int, m: int, n: int) -> int:
 
 
 def default_horizon(m: int, n: int) -> int:
-    """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles."""
+    """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles,
+    and capped so that the scan stays within the word's symbol budget."""
     scaled = 1 << (int(m * n - 1).bit_length() + 6)
-    return max(100_000, scaled)
+    budget = word(SequenceKind.THUE_MORSE).budget
+    return min(max(100_000, scaled), max(1, budget - (m + n)))
 
 
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rectangles import word_letter_counts
+from .rectangles import window_counts, word_letter_counts
 from .words import SequenceKind, word
 
 
@@ -52,12 +52,6 @@ class CornerWitness:
     j: int
 
 
-def _double_prefix(letter: int, length: int) -> np.ndarray:
-    w = word(SequenceKind.TRIBONACCI)
-    table = w.count_table(letter, length)
-    return np.concatenate([[0], np.cumsum(table)])
-
-
 def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceReport:
     """Per-letter count ranges of the m x n rectangles over i < horizon."""
     if m < 1 or n < 1:
@@ -65,14 +59,9 @@ def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceRepo
     ranges: dict[int, tuple[int, int]] = {}
     bad_letter = None
     witness = None
+    w = word(SequenceKind.TRIBONACCI)
     for letter in (0, 1, 2):
-        q = _double_prefix(letter, horizon + m + n)
-        counts = (
-            q[m + n : m + n + horizon]
-            - q[n : n + horizon]
-            - q[m : m + horizon]
-            + q[:horizon]
-        )
+        counts = window_counts(w.count_table(letter, horizon + m + n), m, n, 0, horizon)
         lo, hi = int(counts.min()), int(counts.max())
         ranges[letter] = (lo, hi)
         if hi - lo > 2 and bad_letter is None:

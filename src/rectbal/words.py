@@ -9,7 +9,6 @@ lookup.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -20,15 +19,24 @@ class BudgetExceeded(RuntimeError):
     """A request would grow a word beyond the configured symbol budget."""
 
 
-DEFAULT_BUDGET = int(os.environ.get("RECTBAL_BUDGET", 10_000_000))
+MAX_BUDGET = 2**31 - 1  # count tables are int32
+
+
+def _checked_budget(budget: int, name: str = "budget") -> int:
+    if not 1 <= budget <= MAX_BUDGET:
+        raise ValueError(f"{name} must be between 1 and {MAX_BUDGET}, got {budget}")
+    return budget
+
+
+DEFAULT_BUDGET = _checked_budget(
+    int(os.environ.get("RECTBAL_BUDGET", 10_000_000)), "RECTBAL_BUDGET"
+)
 
 
 def set_budget(budget: int) -> None:
     """Cap word generation length for new and already-built words."""
     global DEFAULT_BUDGET
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    DEFAULT_BUDGET = budget
+    DEFAULT_BUDGET = _checked_budget(budget)
     for w in _live_words():
         w.budget = budget
 
@@ -72,15 +80,16 @@ class Word:
     """Lazily materialized word with O(1) prefix-count queries.
 
     Immutable once a prefix is built; growing only appends.  Symbol arrays
-    are uint8, count tables int64 cumulative sums of per-letter indicators.
+    are uint8, count tables int32 cumulative sums of per-letter indicators
+    (the budget keeps every count below 2**31).
     """
 
     def __init__(self, kind: SequenceKind, budget: int | None = None, prefix: str = ""):
         self.kind = kind
-        self.budget = DEFAULT_BUDGET if budget is None else budget
+        self.budget = DEFAULT_BUDGET if budget is None else _checked_budget(budget)
         self._prefix = prefix  # fixed symbols glued before the generated word
         self._syms = np.zeros(0, dtype=np.uint8)
-        self._counts: dict[int, np.ndarray] = {}
+        self._counts = {c: np.zeros(1, dtype=np.int32) for c in self.alphabet}
 
     def __len__(self) -> int:
         return len(self._syms)
@@ -100,12 +109,10 @@ class Word:
         body = _generate(self.kind, max(target - len(self._prefix), 0))
         text = (self._prefix + body)[:target]
         self._syms = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        self._counts = {
-            c: np.concatenate(
-                [[0], np.cumsum((self._syms == c).astype(np.int64))]
-            )
-            for c in self.alphabet
-        }
+        for c in self.alphabet:
+            table = np.zeros(len(self._syms) + 1, dtype=np.int32)
+            np.cumsum(self._syms == c, dtype=np.int32, out=table[1:])
+            self._counts[c] = table
 
     def symbols(self, length: int) -> np.ndarray:
         self.ensure(length)
@@ -174,21 +181,3 @@ def tm_symbol(i: int) -> int:
     assert via_popcount == via_morphism, f"thue-morse routes disagree at i={i}"
     return via_popcount
 
-
-@dataclass(frozen=True)
-class PrefixCounts:
-    kind: SequenceKind
-    limit: int
-    tables: dict[int, np.ndarray]
-
-    def count(self, letter: int, k: int) -> int:
-        if k > self.limit:
-            raise IndexError(f"k={k} beyond table limit {self.limit}")
-        return int(self.tables[letter][k])
-
-
-def prefix_counts(kind: SequenceKind, limit: int) -> PrefixCounts:
-    """Exact per-letter counts s_c(k) for all k <= limit."""
-    w = word(kind)
-    tables = {c: w.count_table(c, limit).copy() for c in w.alphabet}
-    return PrefixCounts(kind, limit, tables)

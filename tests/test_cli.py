@@ -89,6 +89,24 @@ def test_tm_excess_and_profile(capsys):
     assert "balance: 3" in out
 
 
+def test_tm_profile_default_horizon_within_budget(capsys):
+    code, out = run_cli(capsys, "tm", "profile", "--m", "1000", "--n", "1000")
+    assert code == 0
+    fields = dict(line.split(": ") for line in out.splitlines())
+    assert int(fields["horizon"]) <= 9_998_000
+
+
+def test_negative_inputs_exit_1(capsys):
+    for argv, name in [
+        (["tm", "excess", "--i", "-1", "--m", "3", "--n", "3"], "i"),
+        (["fib", "bal", "--m", "-3", "--n", "5", "--method", "zeck"], "m"),
+    ]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rectbal: {name} must be >= 0")
+
+
 def test_tm_table(capsys):
     code, out = run_cli(capsys, "tm", "table", "--max", "3", "--horizon", "20000")
     assert code == 0

@@ -8,12 +8,8 @@ from rectbal.exact_quadratic import (
     PHI,
     ZERO,
     QuadraticValue,
-    add,
     floor_n_gamma,
     floor_n_phi,
-    floor_value,
-    frac_value,
-    sign,
 )
 
 
@@ -25,28 +21,28 @@ def test_parity_invariant_enforced():
 
 
 def test_gamma_plus_phi_is_two():
-    assert add(GAMMA, PHI) == QuadraticValue.from_int(2)
+    assert GAMMA + PHI == QuadraticValue.from_int(2)
 
 
 def test_add_identity_and_doubling():
-    assert add(GAMMA, ZERO) == GAMMA
-    assert add(GAMMA, GAMMA) == QuadraticValue(6, -2)  # 3 - sqrt5
+    assert GAMMA + ZERO == GAMMA
+    assert GAMMA + GAMMA == QuadraticValue(6, -2)  # 3 - sqrt5
 
 
 def test_sign_examples():
-    assert sign(GAMMA) == 1
-    assert sign(GAMMA * 2 - 1) == -1  # 2*gamma ~ 0.764
-    assert sign(ZERO) == 0
-    assert sign(PHI - 2) == -1
-    assert sign(PHI - 1) == 1
+    assert GAMMA.sign() == 1
+    assert (GAMMA * 2 - 1).sign() == -1  # 2*gamma ~ 0.764
+    assert ZERO.sign() == 0
+    assert (PHI - 2).sign() == -1
+    assert (PHI - 1).sign() == 1
 
 
 def test_floor_examples():
-    assert floor_value(GAMMA * 4) == 1
-    assert floor_value(ZERO) == 0
-    assert floor_value(GAMMA * 18) == 6
-    assert floor_value(-GAMMA) == -1
-    assert floor_value(QuadraticValue.from_int(-3)) == -3
+    assert (GAMMA * 4).floor() == 1
+    assert ZERO.floor() == 0
+    assert (GAMMA * 18).floor() == 6
+    assert (-GAMMA).floor() == -1
+    assert QuadraticValue.from_int(-3).floor() == -3
 
 
 def test_floor_n_gamma_examples():
@@ -62,9 +58,9 @@ def test_floor_n_phi_examples():
 
 
 def test_frac_examples():
-    assert frac_value(GAMMA * 3) == GAMMA * 3 - 1
-    assert frac_value(QuadraticValue.from_int(2)) == ZERO
-    assert frac_value(GAMMA) == GAMMA
+    assert (GAMMA * 3).frac() == GAMMA * 3 - 1
+    assert QuadraticValue.from_int(2).frac() == ZERO
+    assert GAMMA.frac() == GAMMA
 
 
 def test_phi_routes_agree_up_to_1e5():
@@ -93,8 +89,8 @@ def test_floor_plus_frac_reconstructs():
     rng = random.Random(1)
     for _ in range(10_000):
         x = _random_value(rng)
-        assert QuadraticValue.from_int(floor_value(x)) + frac_value(x) == x
-        f = frac_value(x)
+        assert QuadraticValue.from_int(x.floor()) + x.frac() == x
+        f = x.frac()
         assert f.sign() >= 0 and (f - 1).sign() < 0
 
 
@@ -102,9 +98,9 @@ def test_sign_is_a_total_order():
     rng = random.Random(2)
     for _ in range(10_000):
         x, y, z = (_random_value(rng) for _ in range(3))
-        assert sign(x - y) == -sign(y - x)
-        if sign(x - y) < 0 and sign(y - z) < 0:
-            assert sign(x - z) < 0
+        assert (x - y).sign() == -(y - x).sign()
+        if (x - y).sign() < 0 and (y - z).sign() < 0:
+            assert (x - z).sign() < 0
 
 
 def test_multiplication_closure_and_values():

@@ -150,6 +150,13 @@ def test_zeck_characterization_examples():
     assert zeck_characterization(4, 16)
 
 
+def test_negative_sizes_and_indices_rejected():
+    with pytest.raises(ValueError, match="i must be >= 0, got -1"):
+        t_value(-1, 3, 3)
+    with pytest.raises(ValueError, match="m must be >= 0, got -3"):
+        zeck_characterization(-3, 5)
+
+
 def test_zeck_characterization_matches_exact_to_300():
     table = balance_table(300)
     for m in range(301):

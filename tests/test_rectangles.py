@@ -1,13 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from rectbal.rectangles import (
-    RectangleQuery,
     delta,
-    rect_letter_counts,
-    rect_sum,
-    rect_transpose_check,
+    window_counts,
+    word_letter_counts,
     word_rect_sum,
 )
 from rectbal.words import SequenceKind, sturmian_a_word, word
@@ -29,9 +28,9 @@ def naive_letter_count(kind, letter, i, m, n) -> int:
 
 
 def test_rect_sum_examples():
-    assert rect_sum(RectangleQuery(FIB, 1, 4, 4)) == 7
-    assert rect_sum(RectangleQuery(FIB, 0, 0, 7)) == 0
-    assert rect_sum(RectangleQuery(FIB, 5, 4, 4)) == 5
+    assert word_rect_sum(word(FIB), 1, 4, 4) == 7
+    assert word_rect_sum(word(FIB), 0, 0, 7) == 0
+    assert word_rect_sum(word(FIB), 5, 4, 4) == 5
 
 
 def test_rect_sum_matches_naive_on_random_queries():
@@ -41,27 +40,27 @@ def test_rect_sum_matches_naive_on_random_queries():
         i = rng.randrange(0, 3000)
         m = rng.randrange(0, 12)
         n = rng.randrange(0, 12)
-        assert rect_sum(RectangleQuery(kind, i, m, n)) == naive_rect_sum(kind, i, m, n)
+        assert word_rect_sum(word(kind), i, m, n) == naive_rect_sum(kind, i, m, n)
 
 
 def test_letter_counts_examples():
-    counts = rect_letter_counts(RectangleQuery(TRIB, 0, 2, 2))
+    counts = word_letter_counts(word(TRIB), 0, 2, 2)
     # entries are (0,1;1,0): two 0s, two 1s, no 2s
-    assert counts.counts == {0: 2, 1: 2, 2: 0}
-    zero = rect_letter_counts(RectangleQuery(TRIB, 0, 0, 5))
-    assert zero.counts == {0: 0, 1: 0, 2: 0}
-    fib = rect_letter_counts(RectangleQuery(FIB, 1, 4, 4))
-    assert fib[1] == rect_sum(RectangleQuery(FIB, 1, 4, 4)) == 7
+    assert counts == {0: 2, 1: 2, 2: 0}
+    zero = word_letter_counts(word(TRIB), 0, 0, 5)
+    assert zero == {0: 0, 1: 0, 2: 0}
+    fib = word_letter_counts(word(FIB), 1, 4, 4)
+    assert fib[1] == word_rect_sum(word(FIB), 1, 4, 4) == 7
 
 
 def test_letter_counts_sum_to_area():
     rng = random.Random(11)
     for _ in range(500):
-        q = RectangleQuery(TRIB, rng.randrange(2000), rng.randrange(1, 15), rng.randrange(1, 15))
-        counts = rect_letter_counts(q)
-        assert counts.total == q.m * q.n
+        i, m, n = rng.randrange(2000), rng.randrange(1, 15), rng.randrange(1, 15)
+        counts = word_letter_counts(word(TRIB), i, m, n)
+        assert sum(counts.values()) == m * n
         for letter in (0, 1, 2):
-            assert counts[letter] == naive_letter_count(TRIB, letter, q.i, q.m, q.n)
+            assert counts[letter] == naive_letter_count(TRIB, letter, i, m, n)
 
 
 def test_delta_examples():
@@ -83,22 +82,53 @@ def test_delta_range_and_offset_identity():
         assert word_rect_sum(a, i + 1, m, n) == word_rect_sum(f, i, m, n)
 
 
+def _transposed_counts_agree(kind: SequenceKind, i: int, m: int, n: int) -> bool:
+    w = word(kind)
+    return word_letter_counts(w, i, m, n) == word_letter_counts(w, i, n, m)
+
+
 def test_transpose_examples():
-    assert rect_sum(RectangleQuery(FIB, 0, 4, 3)) == 4
-    assert rect_sum(RectangleQuery(FIB, 0, 3, 4)) == 4
-    assert rect_transpose_check(RectangleQuery(FIB, 0, 4, 3))
-    assert rect_transpose_check(RectangleQuery(TRIB, 3, 5, 5))
+    assert word_rect_sum(word(FIB), 0, 4, 3) == 4
+    assert word_rect_sum(word(FIB), 0, 3, 4) == 4
+    assert _transposed_counts_agree(FIB, 0, 4, 3)
+    assert _transposed_counts_agree(TRIB, 3, 5, 5)
 
 
 def test_transpose_on_random_queries():
     rng = random.Random(13)
     for _ in range(1000):
         kind = rng.choice([FIB, TRIB, SequenceKind.THUE_MORSE])
-        q = RectangleQuery(kind, rng.randrange(4000), rng.randrange(20), rng.randrange(20))
-        assert rect_transpose_check(q)
-        assert rect_sum(q) == rect_sum(RectangleQuery(kind, q.i, q.n, q.m))
+        i, m, n = rng.randrange(4000), rng.randrange(20), rng.randrange(20)
+        assert _transposed_counts_agree(kind, i, m, n)
+        assert word_rect_sum(word(kind), i, m, n) == word_rect_sum(word(kind), i, n, m)
 
 
 def test_negative_parameters_rejected():
-    with pytest.raises(ValueError):
-        RectangleQuery(FIB, -1, 2, 2)
+    with pytest.raises(ValueError, match="i must be >= 0"):
+        word_rect_sum(word(FIB), -1, 2, 2)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        word_rect_sum(word(FIB), 2, -3, 5)
+    with pytest.raises(ValueError, match="i must be >= 0"):
+        word_letter_counts(word(TRIB), -1, 2, 2)
+
+
+def test_window_counts_matches_naive_row_sums():
+    rng = random.Random(14)
+    for q in range(300):
+        length = rng.randrange(30, 200)
+        symbols = [rng.randrange(3) for _ in range(length)]
+        counts = np.concatenate([[0], np.cumsum(np.array(symbols) == 1)])
+        m, n = rng.randrange(12), rng.randrange(12)
+        if q % 10 == 0:
+            m = 0
+        elif q % 10 == 1:
+            n = 0
+        start = rng.randrange(length - m - n + 1)
+        stop = rng.randint(start, length - m - n + 1)
+        want = [
+            sum(symbols[i + k + l] == 1 for k in range(m) for l in range(n))
+            for i in range(start, stop)
+        ]
+        for dtype in (np.int32, np.int64):
+            got = window_counts(counts.astype(dtype), m, n, start, stop)
+            assert got.dtype == np.int64 and got.tolist() == want

@@ -21,6 +21,11 @@ def test_excess_single_cells():
     assert excess(1, 1, 1) == 1
 
 
+def test_excess_rejects_negative_index():
+    with pytest.raises(ValueError, match="i must be >= 0, got -1"):
+        excess(-1, 3, 3)
+
+
 def test_excess_bound_sampled():
     for m in range(1, 33):
         for n in range(m, 33):

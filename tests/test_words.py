@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,6 @@ from rectbal.words import (
     SequenceKind,
     Word,
     fib_symbol,
-    prefix_counts,
     sturmian_a_symbol,
     sturmian_a_word,
     tm_symbol,
@@ -74,17 +77,27 @@ def test_thue_morse_pair_identities():
 
 
 def test_prefix_counts_examples():
-    fib = prefix_counts(SequenceKind.FIBONACCI, 10)
-    assert fib.count(1, 8) == 3
-    assert fib.count(0, 0) == 0 and fib.count(1, 0) == 0
-    tr = prefix_counts(SequenceKind.TRIBONACCI, 10)
-    assert (tr.count(0, 7), tr.count(1, 7), tr.count(2, 7)) == (4, 2, 1)
+    fib = word(SequenceKind.FIBONACCI)
+    assert fib.count_table(1, 10)[8] == 3
+    assert fib.count_table(0, 10)[0] == 0 and fib.count_table(1, 10)[0] == 0
+    tr = word(SequenceKind.TRIBONACCI)
+    assert tuple(tr.count_table(c, 10)[7] for c in (0, 1, 2)) == (4, 2, 1)
 
 
 def test_prefix_counts_sum_to_length():
-    pc = prefix_counts(SequenceKind.TRIBONACCI, 5000)
+    tr = word(SequenceKind.TRIBONACCI)
     for k in (0, 1, 17, 4999):
-        assert sum(pc.count(c, k) for c in (0, 1, 2)) == k
+        assert sum(int(tr.count_table(c, 5000)[k]) for c in (0, 1, 2)) == k
+
+
+def test_count_tables_are_int32():
+    w = Word(SequenceKind.TRIBONACCI)
+    assert all(w.count_table(c, 0).dtype == np.int32 for c in w.alphabet)
+    w.ensure(5000)
+    for c in w.alphabet:
+        table = w.count_table(c, 5000)
+        assert table.dtype == np.int32
+        assert np.array_equal(table[1:], np.cumsum(w.symbols(5000) == c))
 
 
 def test_tribonacci_word_is_two_balanced():
@@ -118,7 +131,7 @@ def test_budget_enforced():
 
 def test_prefix_counts_over_budget():
     with pytest.raises(BudgetExceeded):
-        prefix_counts(SequenceKind.FIBONACCI, 10**9)
+        word(SequenceKind.FIBONACCI).count_table(0, 10**9)
 
 
 def test_set_budget_applies_to_shared_words():
@@ -133,3 +146,30 @@ def test_set_budget_applies_to_shared_words():
             words_mod.set_budget(0)
     finally:
         words_mod.set_budget(old)
+
+
+def test_budget_limited_to_int32_counts():
+    from rectbal import words as words_mod
+
+    old = words_mod.DEFAULT_BUDGET
+    try:
+        words_mod.set_budget(2**31 - 1)
+        with pytest.raises(ValueError, match="budget must be between 1 and 2147483647"):
+            words_mod.set_budget(2**31)
+        assert words_mod.DEFAULT_BUDGET == 2**31 - 1
+    finally:
+        words_mod.set_budget(old)
+    with pytest.raises(ValueError):
+        Word(SequenceKind.FIBONACCI, budget=2**31)
+
+
+def test_oversized_budget_variable_rejected():
+    import rectbal
+
+    src = os.path.dirname(os.path.dirname(rectbal.__file__))
+    env = dict(os.environ, RECTBAL_BUDGET=str(2**31), PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rectbal"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "RECTBAL_BUDGET must be between 1 and 2147483647" in proc.stderr
