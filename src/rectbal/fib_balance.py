@@ -13,10 +13,13 @@ T(i, m, n) take at most two distinct values over all i:
 * ``zeck_characterization`` evaluates a digit-level rule on the Zeckendorf
   expansions of m and n.
 
-The circle route is implemented on integer tables: floor(j*gamma) via
-integer square roots, and the cyclic order of frac(j*gamma) via exact
-integer keys floor(j*Q*gamma) - Q*floor(j*gamma) (distinct and order-true
-because consecutive multiples of gamma stay at circle distance > 1/(3*j)).
+The circle route runs on two integer tables, both built in numpy from
+float64 guesses and certified exactly in int64 arithmetic.  The floor table
+g[j] = floor(j*gamma) takes floor(j*gamma_f) and fixes it by one exactly
+decided +-1 step.  The circle ranks of frac(j*gamma) come from an argsort of
+the float64 fractional parts, whose order is checked exactly on every
+adjacent pair.  Past the sizes where int64 or float64 can no longer
+guarantee either table, a request raises ``BudgetExceeded``.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,60 +69,124 @@ class CirclePartition:
 # integer tables for floor(j*gamma) and the cyclic order of frac(j*gamma)
 
 
-def _floor_gamma_int(n: int) -> int:
-    # floor(n*gamma) = 2n - floor(n*phi) - 1 for n >= 1
-    if n == 0:
-        return 0
-    return 2 * n - (n + isqrt(5 * n * n)) // 2 - 1
+# float64 nearest to gamma (a literal is rounded correctly; the expression
+# (3 - sqrt(5)) / 2 is not), so |_GAMMA_F - gamma| <= 2**-55
+_GAMMA_F = 0.38196601125010515
+_CHUNK = 1 << 16
+# _fill_floor_gamma squares u = 3j - 2k < j*sqrt5 + 4 and takes 5*j*j; both
+# stay below 2**63 for j <= isqrt((2**63 - 1) // 5) - 4.
+_FLOOR_J_MAX = 1_358_187_913 - 4
+# _circle_rank: |j*_GAMMA_F - j*gamma| <= j*2**-55, rounding the product
+# adds at most 2**-53 * j*gamma < j*2**-54, and subtracting the integer g[j]
+# is exact, so each float fractional part for j < N is within 2**-53 * N of
+# the true one.  The true parts at a, b differ by at least ||d*gamma|| =
+# ||d*phi|| with d = |b - a| < N.  With p the integer nearest d*phi,
+# (p - d*phi)(p - d*phibar) = p^2 - p*d - d^2 is a nonzero integer, and
+# |p - d*phibar| <= d*sqrt5 + 1/2, so that gap exceeds 1/(sqrt5 * N).  The
+# float order is therefore exact while 2 * 2**-53 * N <= 1/(sqrt5 * N),
+# that is while 5 * N**4 <= 2**104.
+_RANK_N_MAX = 44_878_402  # isqrt(isqrt(2**104 // 5))
 
 
-def _gamma_array(limit: int) -> np.ndarray:
-    """g[j] = floor(j*gamma) for 0 <= j <= limit, exact int64."""
-    j = np.arange(limit + 1, dtype=np.int64)
-    x = 5 * j * j
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    for _ in range(3):
-        r = np.where(r * r > x, r - 1, r)
-        r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
-    assert bool(np.all((r * r <= x) & ((r + 1) * (r + 1) > x)))
-    g = 2 * j - (j + r) // 2 - 1
-    g[0] = 0
-    return g
+def _fill_floor_gamma(out: np.ndarray, start: int) -> None:
+    """out[t] = floor((start + t)*gamma), exact int64, in chunks.
+
+    k = floor(j*gamma) iff j*sqrt5 <= u < j*sqrt5 + 2 with u = 3j - 2k, that
+    is u >= 0, u^2 >= 5j^2 and (u < 2 or (u - 2)^2 < 5j^2).  The float guess
+    is within 2**-53 * j < 1 of j*gamma, so it is off by at most one, and
+    one step decided by these tests fixes it.
+    """
+    for lo in range(0, len(out), _CHUNK):
+        hi = min(lo + _CHUNK, len(out))
+        j = np.arange(start + lo, start + hi, dtype=np.int64)
+        five_j2 = 5 * j * j
+        k = np.floor(j * _GAMMA_F).astype(np.int64)
+        u = 3 * j - 2 * k
+        k += (u >= 2) & ((u - 2) * (u - 2) >= five_j2)
+        k -= (u < 0) | (u * u < five_j2)
+        u = 3 * j - 2 * k
+        assert bool(
+            np.all((u >= 0) & (u * u >= five_j2) & ((u < 2) | ((u - 2) * (u - 2) < five_j2)))
+        )
+        out[lo:hi] = k
+
+
+def _circle_rank(g: np.ndarray, size: int) -> np.ndarray:
+    """rank[j] = position of frac(j*gamma) in ascending order over j < size.
+
+    The order is an argsort of float64 fractional parts, certified on each
+    adjacent pair (a, b): with d = b - a and u = 3d - 2(g[b] - g[a]),
+    frac(b*gamma) - frac(a*gamma) = (u - d*sqrt5) / 2 must be positive.
+    """
+    frac = np.arange(size, dtype=np.float64) * _GAMMA_F
+    frac -= g[:size]
+    order = np.argsort(frac)
+    a, b = order[:-1], order[1:]
+    d = b - a
+    u = 3 * d - 2 * (g[b] - g[a])
+    u2, five_d2 = u * u, 5 * d * d
+    ok = np.where(d > 0, (u > 0) & (u2 > five_d2), (u >= 0) | (u2 < five_d2))
+    assert order[0] == 0 and bool(ok.all()), "float circle order is not exact"
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    return rank
 
 
 class _GammaTables:
-    """Grow-on-demand caches: g, its running sum G, and circle ranks."""
+    """Grow-on-demand caches: g, its running sum G, and circle ranks.
+
+    A table that must grow grows by at least a quarter; g and G keep their
+    entries and compute only the new tail.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._g = _gamma_array(1 << 12)
-        self._G = np.concatenate([[0], np.cumsum(self._g)])
+        self._g = np.zeros(0, dtype=np.int64)
+        self._G = np.zeros(1, dtype=np.int64)
         self._rank = np.zeros(0, dtype=np.int32)
+        self._grow_g(1 << 12)
+
+    def _grow_g(self, limit: int) -> None:
+        """Make g[limit] and G[limit + 1] exist; the caller holds the lock."""
+        old = len(self._g)
+        if limit < old:
+            return
+        if limit > _FLOOR_J_MAX:
+            raise BudgetExceeded(
+                f"floor(j*gamma) requested at j = {limit}, int64 limit is j = {_FLOOR_J_MAX}"
+            )
+        size = min(max(limit + 1, (5 * old + 3) // 4), _FLOOR_J_MAX + 1)
+        g = np.empty(size, dtype=np.int64)
+        g[:old] = self._g
+        _fill_floor_gamma(g[old:], old)
+        G = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(g, out=G[1:])
+        self._g, self._G = g, G
 
     def g(self, limit: int) -> np.ndarray:
         with self._lock:
-            if limit >= len(self._g):
-                self._g = _gamma_array(max(limit, 2 * len(self._g)))
-                self._G = np.concatenate([[0], np.cumsum(self._g)])
+            self._grow_g(limit)
             return self._g
 
     def G(self, limit: int) -> np.ndarray:
-        self.g(limit)
-        return self._G
+        with self._lock:
+            self._grow_g(limit)
+            return self._G
 
     def rank(self, jmax: int) -> np.ndarray:
         """rank[j] = position of frac(j*gamma) in the sorted order over j <= jmax."""
         with self._lock:
-            if jmax < len(self._rank):
+            old = len(self._rank)
+            if jmax < old:
                 return self._rank
-            size = max(jmax + 1, 2 * len(self._rank), 1 << 10)
-            q = 4 * size
-            keys = np.empty(size, dtype=np.int64)
-            for j in range(size):
-                keys[j] = _floor_gamma_int(j * q) - q * _floor_gamma_int(j)
-            rank = np.empty(size, dtype=np.int32)
-            rank[np.argsort(keys)] = np.arange(size, dtype=np.int32)
-            self._rank = rank
+            if jmax >= _RANK_N_MAX:
+                raise BudgetExceeded(
+                    f"circle ranks requested to j = {jmax}, float64 order is proven "
+                    f"only for j < {_RANK_N_MAX}"
+                )
+            size = min(max(jmax + 1, (5 * old + 3) // 4, 1 << 10), _RANK_N_MAX)
+            self._grow_g(size - 1)
+            self._rank = _circle_rank(self._g, size)
             return self._rank
 
 
@@ -164,6 +230,7 @@ def _sweep(mu: int, nu: int) -> tuple[int, int, int]:
 
 def value_set(m: int, n: int) -> tuple[int, ...]:
     """All values taken by T(i, m, n) over i >= 0, ascending."""
+    check_nonnegative(m=m, n=n)
     if m == 0 or n == 0:
         return (0,)
     mu, nu = min(m, n), max(m, n)
@@ -178,6 +245,7 @@ def distinct_value_count(m: int, n: int) -> int:
 
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction."""
+    check_nonnegative(m=m, n=n)
     if m == 0 or n == 0:
         return True
     mu, nu = min(m, n), max(m, n)

@@ -106,6 +106,8 @@ def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
         raise ValueError("m and n must be >= 1")
     if horizon is None:
         horizon = default_horizon(m, n)
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     v = excess_vector(m, n, horizon)
     return ExcessProfile(m, n, horizon, int(v.min()), int(v.max()))
 

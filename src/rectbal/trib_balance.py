@@ -56,6 +56,8 @@ def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceRepo
     """Per-letter count ranges of the m x n rectangles over i < horizon."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     ranges: dict[int, tuple[int, int]] = {}
     bad_letter = None
     witness = None

@@ -28,9 +28,16 @@ def _checked_budget(budget: int, name: str = "budget") -> int:
     return budget
 
 
-DEFAULT_BUDGET = _checked_budget(
-    int(os.environ.get("RECTBAL_BUDGET", 10_000_000)), "RECTBAL_BUDGET"
-)
+def _env_budget() -> int:
+    text = os.environ.get("RECTBAL_BUDGET", "10000000")
+    try:
+        budget = int(text)
+    except ValueError:
+        raise ValueError(f"RECTBAL_BUDGET must be an integer, got {text!r}") from None
+    return _checked_budget(budget, "RECTBAL_BUDGET")
+
+
+DEFAULT_BUDGET = _env_budget()
 
 
 def set_budget(budget: int) -> None:

@@ -100,11 +100,23 @@ def test_negative_inputs_exit_1(capsys):
     for argv, name in [
         (["tm", "excess", "--i", "-1", "--m", "3", "--n", "3"], "i"),
         (["fib", "bal", "--m", "-3", "--n", "5", "--method", "zeck"], "m"),
+        (["fib", "bal", "--m", "-3", "--n", "5"], "m"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"rectbal: {name} must be >= 0")
+
+
+def test_zero_horizon_exit_1(capsys):
+    for argv in (
+        ["tm", "profile", "--m", "3", "--n", "3", "--horizon", "0"],
+        ["trib", "bal2", "--m", "2", "--n", "3", "--horizon", "0"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rectbal: horizon must be >= 1, got 0\n"
 
 
 def test_tm_table(capsys):

@@ -1,11 +1,20 @@
 import random
+from decimal import Decimal, localcontext
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from rectbal.exact_quadratic import GAMMA, floor_n_gamma
+from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
+    _CHUNK,
+    _FLOOR_J_MAX,
+    _GAMMA_F,
+    _RANK_N_MAX,
     BalanceStatus,
+    _circle_rank,
+    _fill_floor_gamma,
+    _GammaTables,
     balance_table,
     circle_partition,
     delta_block_scan,
@@ -22,7 +31,7 @@ from rectbal.fib_balance import (
     zeck_characterization,
 )
 from rectbal.rectangles import delta, word_rect_sum
-from rectbal.words import sturmian_a_word
+from rectbal.words import BudgetExceeded, sturmian_a_word
 
 
 def brute_value_set(m: int, n: int, horizon: int = 3000) -> set[int]:
@@ -153,8 +162,11 @@ def test_zeck_characterization_examples():
 def test_negative_sizes_and_indices_rejected():
     with pytest.raises(ValueError, match="i must be >= 0, got -1"):
         t_value(-1, 3, 3)
-    with pytest.raises(ValueError, match="m must be >= 0, got -3"):
-        zeck_characterization(-3, 5)
+    for route in (zeck_characterization, value_set, distinct_value_count, is_balanced, exact_balance):
+        with pytest.raises(ValueError, match="m must be >= 0, got -3"):
+            route(-3, 5)
+    with pytest.raises(ValueError, match="n must be >= 0, got -5"):
+        is_balanced(3, -5)
 
 
 def test_zeck_characterization_matches_exact_to_300():
@@ -200,3 +212,117 @@ def test_t_value_vector_matches_scalar():
     vec = t_value_vector(7, 11, 200)
     for i in (0, 1, 50, 199):
         assert int(vec[i]) == t_value(i, 7, 11)
+
+
+# ---------------------------------------------------------------------------
+# floor and circle-rank tables against the former isqrt constructions
+
+
+def _isqrt_floor_gamma(n: int) -> int:
+    return 2 * n - (n + isqrt(5 * n * n)) // 2 - 1 if n else 0
+
+
+def _isqrt_keys(size: int) -> list[int]:
+    # floor(j*q*gamma) - q*floor(j*gamma) = floor(q*frac(j*gamma)): distinct
+    # and in circle order for q >= 4*size
+    q = 4 * size
+    return [_isqrt_floor_gamma(j * q) - q * _isqrt_floor_gamma(j) for j in range(size)]
+
+
+def _rank_of(keys) -> np.ndarray:
+    rank = np.empty(len(keys), dtype=np.int32)
+    rank[np.argsort(np.asarray(keys, dtype=np.int64), kind="stable")] = np.arange(
+        len(keys), dtype=np.int32
+    )
+    return rank
+
+
+def _floor_table(size: int) -> np.ndarray:
+    g = np.empty(size, dtype=np.int64)
+    _fill_floor_gamma(g, 0)
+    return g
+
+
+def test_gamma_float_is_correctly_rounded():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        assert _GAMMA_F == float((3 - Decimal(5).sqrt()) / 2)
+
+
+def test_circle_rank_matches_isqrt_keys_every_size_to_2000():
+    g = _floor_table(2000)
+    keys = _isqrt_keys(2000)
+    for size in range(1, 2001):
+        # keys built for 2000 keep their order for every smaller size
+        assert np.array_equal(_circle_rank(g, size), _rank_of(keys[:size])), size
+    for size in (*range(1, 40), 987, 988, 1597, 1598, 2000):
+        assert np.array_equal(_circle_rank(g, size), _rank_of(_isqrt_keys(size))), size
+
+
+def test_circle_rank_matches_isqrt_keys_large():
+    g = _floor_table(100_000)
+    for size in (46_368, 46_369, 100_000):
+        assert np.array_equal(_circle_rank(g, size), _rank_of(_isqrt_keys(size))), size
+
+
+def test_circle_rank_certificate_rejects_wrong_floor():
+    g = _floor_table(100)
+    g[5] += 1
+    with pytest.raises(AssertionError):
+        _circle_rank(g, 100)
+
+
+def test_floor_table_chunks_and_extended_tail():
+    tables = _GammaTables()
+    head = tables.g(0).copy()
+    g = tables.g(3 * _CHUNK + 10)
+    assert np.array_equal(g[: len(head)], head)
+    assert np.array_equal(g, _floor_table(len(g)))
+    assert g.tolist() == [_isqrt_floor_gamma(j) for j in range(len(g))]
+    assert np.array_equal(tables.G(0), np.concatenate([[0], np.cumsum(g)]))
+    edges = {
+        base + c * _CHUNK + e
+        for base in (0, len(head))
+        for c in range(4)
+        for e in (-1, 0, 1)
+    }
+    for j in sorted(edges & set(range(1, len(g)))):
+        assert g[j] == 2 * j - floor_n_phi(j) - 1, j
+
+
+def test_floor_fill_at_seeded_offsets_and_int64_frontier():
+    rng = random.Random(26)
+    starts = [rng.randrange(10**7) for _ in range(100)] + [_FLOOR_J_MAX - 15]
+    for start in starts:
+        out = np.empty(16, dtype=np.int64)
+        _fill_floor_gamma(out, start)
+        assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
+
+
+def test_one_past_request_grows_tables_by_a_quarter():
+    tables = _GammaTables()
+    size = len(tables.g(0))
+    g = tables.g(size)
+    assert len(g) == (5 * size + 3) // 4
+    assert len(tables.G(0)) == len(g) + 1
+    assert np.array_equal(g, _floor_table(len(g)))
+    size = len(tables.rank(2000))
+    assert size == 2001
+    rank = tables.rank(size)
+    assert len(rank) == (5 * size + 3) // 4
+    assert np.array_equal(rank, _rank_of(_isqrt_keys(len(rank))))
+
+
+def test_scale_frontiers_raise_before_building():
+    assert _FLOOR_J_MAX == isqrt((2**63 - 1) // 5) - 4
+    assert _RANK_N_MAX == isqrt(isqrt(2**104 // 5))
+    tables = _GammaTables()
+    with pytest.raises(BudgetExceeded, match="int64"):
+        tables.g(_FLOOR_J_MAX + 1)
+    with pytest.raises(BudgetExceeded, match="float64"):
+        tables.rank(_RANK_N_MAX)
+    assert len(tables.g(0)) == 1 + (1 << 12)
+    with pytest.raises(BudgetExceeded):
+        t_value(0, 1, _FLOOR_J_MAX)
+    with pytest.raises(BudgetExceeded):
+        is_balanced(1, _RANK_N_MAX)

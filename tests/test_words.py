@@ -173,3 +173,15 @@ def test_oversized_budget_variable_rejected():
     )
     assert proc.returncode != 0
     assert "RECTBAL_BUDGET must be between 1 and 2147483647" in proc.stderr
+
+
+def test_non_integer_budget_variable_rejected():
+    import rectbal
+
+    src = os.path.dirname(os.path.dirname(rectbal.__file__))
+    env = dict(os.environ, RECTBAL_BUDGET="abc", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import rectbal"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "RECTBAL_BUDGET must be an integer, got 'abc'" in proc.stderr
