@@ -4,6 +4,7 @@ PASS line (run with -s to see them; a failed assertion is the FAIL line).
 The exact verdict tables are cached per process, so the expensive builds
 happen once and are shared by the later criteria.
 """
+import hashlib
 import random
 import warnings
 from functools import lru_cache
@@ -232,7 +233,10 @@ def test_a11_parity_formulas_match_naive():
 
 
 def test_a12_dfa_state_count_and_replay():
-    balance_table(fibonacci(18) - 1)  # shared by every sample length below
+    shared = balance_table(fibonacci(18) - 1)  # shared by every sample length below
+    assert hashlib.sha256(shared.tobytes()).hexdigest() == (
+        "7b9c5850fef4a92b8d7c824aab7c72f7ac13385a7acb54d2f1c85d3998f3cb33"
+    )
     counts = state_count_stability([12, 13, 14, 15, 16], depth=10)
     values = [c for _, c in counts]
     if not all(c == 15 for c in values):

@@ -2,7 +2,8 @@
 
 Array and record outputs are normalised to little-endian int64 bytes before
 hashing, so a change of dtype alone does not move a digest; CLI outputs are
-hashed as the bytes written to stdout or to the --out file.
+hashed as the bytes written to stdout or to the --out file.  The verdict
+table is hashed as its raw boolean bytes.
 """
 import contextlib
 import hashlib
@@ -12,7 +13,7 @@ import random
 import numpy as np
 
 from rectbal.cli import main
-from rectbal.fib_balance import BalanceStatus, delta_block_scan, t_value_vector
+from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan, t_value_vector
 from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess_vector
 from rectbal.trib_balance import two_balance_scan
@@ -27,6 +28,7 @@ GOLDEN = {
     "delta_block_scan(4, 4)": "f1ca291ca2e19da9ee9a5e1aea51734c3141169f2d5efd6adaee15b2f8c0e05b",
     "delta_block_scan(4, 18)": "5721fc610522e263978f9200ff6c804fcbb4b6fa62e6d337ec7ed5129a352662",
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
+    "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
 }
 
 # README command-line examples; {tmp} is a fresh directory
@@ -96,6 +98,7 @@ def outputs() -> dict[str, str]:
         "delta_block_scan(4, 4)": _digest(_verdict_record(4, 4)),
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
+        "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
     }
 
 
