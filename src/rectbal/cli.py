@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import dfa_tools, fib_balance, numeration, tm_balance, trib_balance, words
 from .fib_balance import BalanceStatus
+from .rectangles import check_nonnegative
 from .words import SequenceKind
 
 _KINDS = {
@@ -58,15 +59,15 @@ def _cmd_fib_bal(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
+    check_nonnegative(max=args.max)
     rows: dict[int, list[str]] = {}
 
     def run_row(m: int) -> None:
+        lows, highs = fib_balance.row_value_bounds(m, args.max)
         chunk = []
-        for n in range(m, args.max + 1):
-            vals = fib_balance.value_set(m, n)
-            chunk.append(
-                f"{m},{n},{str(len(vals) <= 2).lower()},{'|'.join(map(str, vals))},exact"
-            )
+        for n, lo, hi in zip(range(m, args.max + 1), lows.tolist(), highs.tolist()):
+            vals = "|".join(map(str, range(lo, hi + 1)))
+            chunk.append(f"{m},{n},{str(hi - lo <= 1).lower()},{vals},exact")
         rows[m] = chunk
 
     if args.jobs > 1:

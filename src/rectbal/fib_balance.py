@@ -20,11 +20,16 @@ decided +-1 step.  The circle ranks of frac(j*gamma) come from an argsort of
 the float64 fractional parts, whose order is checked exactly on every
 adjacent pair.  Past the sizes where int64 or float64 can no longer
 guarantee either table, a request raises ``BudgetExceeded``.
+
+``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
+at a time with no sort per window: the window j in [nu, nu+mu) is the block
+[0, mu) rotated by frac(nu*gamma), so its circle order is a cyclic shift of
+the block's (Sos 1957), found by one argmin.  The single-pair sweep keeps
+its argsort as the independent route the rows are checked against.
 """
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -432,62 +437,119 @@ def diverse_identities_check(k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# batched sweeps
+# batched sweeps: one row mu, every nu, no sort per window
+
+
+# The row kernel holds positions, counts and counting-function values of a
+# row in int16 lanes; each lies in [-mu, mu].
+_ROW_MU_MAX = (1 << 15) - 1
+_ROW_BLOCK = 1 << 20  # window entries per block of a row
+
+
+def _check_row_frontier(mu: int) -> None:
+    if mu > _ROW_MU_MAX:
+        raise BudgetExceeded(
+            f"row kernel requested at mu = {mu}, int16 lanes hold mu <= {_ROW_MU_MAX}"
+        )
+
+
+def _dense_rank(size: int) -> np.ndarray:
+    """Circle ranks of frac(j*gamma) among j < size only: a permutation of
+    range(size), so that no row lookup scales with the cached rank table."""
+    order = np.argsort(_TABLES.rank(size - 1)[:size])
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    return rank
+
+
+def _row_extrema(rank: np.ndarray, mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of _sweep's counting function for every nu in [mu, nu_hi].
+
+    ``rank`` is a dense rank of j < nu_hi + mu.  The window j in [nu, nu+mu)
+    is the block A = [0, mu) rotated by frac(nu*gamma), and a rotation keeps
+    cyclic order, so the window's sorted order is A's sorted order shifted
+    to start at the window's smallest point, whose position in A's order is
+    p.  The k-th window point is then the t-th smallest, t = (inv[k] - p)
+    mod mu, and the counting function right after it is
+    c = t + 1 - below_A(rank[nu+k]).  The function is 0 at both ends and
+    rises only at window points, so its max is max c and its min min(c - 1).
+    """
+    a = rank[:mu]
+    inv = np.empty(mu, dtype=np.int16)
+    inv[np.argsort(a)] = np.arange(mu, dtype=np.int16)
+    below = np.zeros(len(rank) + 1, dtype=np.int16)  # below[r] = #{a < r}
+    below[a + 1] = 1
+    np.cumsum(below, out=below)
+    windows = sliding_window_view(rank, mu)
+    below_windows = sliding_window_view(below[rank], mu)
+    lo = np.empty(nu_hi - mu + 1, dtype=np.int32)
+    hi = np.empty_like(lo)
+    step = max(1, _ROW_BLOCK // mu)
+    wrap = np.int16(mu)
+    for nu in range(mu, nu_hi + 1, step):
+        block = slice(nu, min(nu + step, nu_hi + 1))
+        p = inv[np.argmin(windows[block], axis=1)]
+        t = inv - p[:, None]
+        t += (t >> 15) & wrap  # t mod mu without a division
+        t -= below_windows[block]  # c - 1
+        out = slice(nu - mu, block.stop - mu)
+        hi[out] = t.max(axis=1)
+        lo[out] = t.min(axis=1)
+    return lo, hi + 1
+
+
+def _row(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """_row_extrema over the prefix one row needs; all zeros for mu = 0,
+    whose counting function has no events, and empty when nu_hi < mu."""
+    check_nonnegative(mu=mu, nu_hi=nu_hi)
+    _check_row_frontier(mu)
+    if mu == 0 or nu_hi < mu:
+        zeros = np.zeros(max(nu_hi - mu + 1, 0), dtype=np.int32)
+        return zeros, zeros
+    return _row_extrema(_dense_rank(nu_hi + mu), mu, nu_hi)
 
 
 def row_value_spans(mu: int, nu_hi: int) -> np.ndarray:
     """Spans (max - min of the cyclic counting function) for all nu in
     [mu, nu_hi], vectorized.  Balanced iff span <= 1."""
-    if mu == 0:
-        return np.zeros(nu_hi - mu + 1, dtype=np.int32)
-    rank = _TABLES.rank(nu_hi + mu)
-    windows = sliding_window_view(rank, mu)[mu : nu_hi + 1]
-    batch = windows.shape[0]
-    pos = np.empty((batch, 2 * mu), dtype=np.int32)
-    pos[:, :mu] = rank[:mu]
-    pos[:, mu:] = windows
-    sig = np.concatenate(
-        [np.full(mu, -1, dtype=np.int16), np.ones(mu, dtype=np.int16)]
-    )
-    steps = sig[np.argsort(pos, axis=1)]
-    c = np.cumsum(steps, axis=1, dtype=np.int16)
-    return (c.max(axis=1) - c.min(axis=1)).astype(np.int32)
+    lo, hi = _row(mu, nu_hi)
+    return hi - lo
 
 
-_TABLE_CACHE: dict[int, np.ndarray] = {}
-_TABLE_LOCK = threading.Lock()
+def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of T(i, mu, nu) over i for all nu in [mu, nu_hi]; the value
+    set of each pair is every integer between the two."""
+    lo, hi = _row(mu, nu_hi)
+    G = _TABLES.G(nu_hi + mu)
+    nu = np.arange(mu, nu_hi + 1)
+    t0 = G[mu + nu] - G[nu] - G[mu]  # T(0, mu, nu)
+    return t0 - hi, t0 - lo
 
 
-def balance_table(limit: int, jobs: int | None = None) -> np.ndarray:
+_TABLE = np.zeros((0, 0), dtype=bool)  # the largest verdict table built so far
+
+
+def balance_table(limit: int) -> np.ndarray:
     """Symmetric boolean matrix of exact balance verdicts for m, n <= limit.
 
-    Built once per process with the circle sweep batched row by row; rows
-    distribute across threads (argsort releases the GIL) and merge in index
-    order, so the result is deterministic.
+    Built once per process, one row mu at a time by the row kernel over a
+    single dense rank of j < 2*limit; smaller limits are read from it.
     """
-    with _TABLE_LOCK:
-        for have, table in _TABLE_CACHE.items():
-            if have >= limit:
-                return table[: limit + 1, : limit + 1]
+    global _TABLE
+    check_nonnegative(limit=limit)
+    _check_row_frontier(limit)
+    table = _TABLE
+    if len(table) > limit:
+        return table[: limit + 1, : limit + 1]
     out = np.zeros((limit + 1, limit + 1), dtype=bool)
     out[0, :] = True
     out[:, 0] = True
-
-    def fill(mu: int) -> None:
-        out[mu, mu:] = row_value_spans(mu, limit) <= 1
-
-    _TABLES.rank(2 * limit)  # build shared tables before threading
-    _TABLES.G(2 * limit)
-    workers = jobs or 2
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(1, limit + 1)))
-    else:
-        for mu in range(1, limit + 1):
-            fill(mu)
+    rank = _dense_rank(2 * limit)
+    for mu in range(1, limit + 1):
+        lo, hi = _row_extrema(rank, mu, limit)
+        out[mu, mu:] = hi - lo <= 1
     lower = np.tril_indices(limit + 1, -1)
     out[lower] = out.T[lower]
     out.flags.writeable = False
-    with _TABLE_LOCK:
-        _TABLE_CACHE[limit] = out
+    _TABLE = out
     return out

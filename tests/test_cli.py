@@ -101,6 +101,7 @@ def test_negative_inputs_exit_1(capsys):
         (["tm", "excess", "--i", "-1", "--m", "3", "--n", "3"], "i"),
         (["fib", "bal", "--m", "-3", "--n", "5", "--method", "zeck"], "m"),
         (["fib", "bal", "--m", "-3", "--n", "5"], "m"),
+        (["fib", "sweep", "--max", "-2"], "max"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -5,12 +5,17 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from rectbal import fib_balance
+from rectbal.cli import main
 from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
     _CHUNK,
     _FLOOR_J_MAX,
     _GAMMA_F,
     _RANK_N_MAX,
+    _ROW_BLOCK,
+    _ROW_MU_MAX,
+    _TABLES,
     BalanceStatus,
     _circle_rank,
     _fill_floor_gamma,
@@ -23,6 +28,7 @@ from rectbal.fib_balance import (
     diverse_identities_check,
     exact_balance,
     is_balanced,
+    row_value_bounds,
     row_value_spans,
     t_counting_form,
     t_value,
@@ -167,6 +173,13 @@ def test_negative_sizes_and_indices_rejected():
             route(-3, 5)
     with pytest.raises(ValueError, match="n must be >= 0, got -5"):
         is_balanced(3, -5)
+    with pytest.raises(ValueError, match="limit must be >= 0, got -3"):
+        balance_table(-3)
+    for route in (row_value_spans, row_value_bounds):
+        with pytest.raises(ValueError, match="mu must be >= 0, got -2"):
+            route(-2, 10)
+        with pytest.raises(ValueError, match="nu_hi must be >= 0, got -4"):
+            route(0, -4)
 
 
 def test_zeck_characterization_matches_exact_to_300():
@@ -206,6 +219,49 @@ def test_row_value_spans_match_value_sets():
         spans = row_value_spans(mu, 40)
         for offset, nu in enumerate(range(mu, 41)):
             assert int(spans[offset]) + 1 == distinct_value_count(mu, nu)
+    # rows read only the prefix they need once the shared rank table is large
+    _TABLES.rank(10**5)
+    for mu in (1, 2, 3, 8, 13, 21, 30, 60):
+        spans = row_value_spans(mu, 60)
+        assert len(spans) == 61 - mu
+        for offset, nu in enumerate(range(mu, 61)):
+            assert int(spans[offset]) + 1 == distinct_value_count(mu, nu), (mu, nu)
+    # a row long enough to run in several blocks, checked at the block edges
+    mu, nu_hi = 1000, 4000
+    spans = row_value_spans(mu, nu_hi)
+    step = _ROW_BLOCK // mu
+    edges = [mu + b * step + d for b in (1, 2) for d in (-1, 0)]
+    for nu in [mu, nu_hi, *edges, *random.Random(7).sample(range(mu, nu_hi + 1), 20)]:
+        assert int(spans[nu - mu]) + 1 == distinct_value_count(mu, nu), nu
+
+
+def test_fib_sweep_value_sets_match_value_set(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["fib", "sweep", "--max", "30", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "m,n,balanced,value_set,method"
+    assert len(lines) == 1 + 31 * 32 // 2
+    for line in lines[1:]:
+        m, n, balanced, values, method = line.split(",")
+        vals = value_set(int(m), int(n))
+        assert tuple(map(int, values.split("|"))) == vals, line
+        assert balanced == str(len(vals) <= 2).lower() and method == "exact"
+
+
+def test_row_kernel_int16_frontier(monkeypatch):
+    # the widest row the lanes hold, on a few windows only
+    spans = row_value_spans(_ROW_MU_MAX, _ROW_MU_MAX + 2)
+    for offset, nu in enumerate(range(_ROW_MU_MAX, _ROW_MU_MAX + 3)):
+        assert int(spans[offset]) + 1 == distinct_value_count(_ROW_MU_MAX, nu)
+    # one past it raises before any table is touched or allocated
+    monkeypatch.setattr(fib_balance, "_TABLES", None)
+    for call in (
+        lambda: row_value_spans(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
+        lambda: row_value_bounds(_ROW_MU_MAX + 1, 10**9),
+        lambda: balance_table(_ROW_MU_MAX + 1),
+    ):
+        with pytest.raises(BudgetExceeded, match="int16"):
+            call()
 
 
 def test_t_value_vector_matches_scalar():
