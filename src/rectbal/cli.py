@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dfa_tools, fib_balance, numeration, tm_balance, trib_balance, words
 from .fib_balance import BalanceStatus
@@ -60,24 +59,13 @@ def _cmd_fib_bal(args: argparse.Namespace) -> int:
 
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
     check_nonnegative(max=args.max)
-    rows: dict[int, list[str]] = {}
-
-    def run_row(m: int) -> None:
+    rows = []
+    for m in range(args.max + 1):
         lows, highs = fib_balance.row_value_bounds(m, args.max)
-        chunk = []
         for n, lo, hi in zip(range(m, args.max + 1), lows.tolist(), highs.tolist()):
             vals = "|".join(map(str, range(lo, hi + 1)))
-            chunk.append(f"{m},{n},{str(hi - lo <= 1).lower()},{vals},exact")
-        rows[m] = chunk
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run_row, range(args.max + 1)))
-    else:
-        for m in range(args.max + 1):
-            run_row(m)
-    body = "\n".join("\n".join(rows[m]) for m in range(args.max + 1))
-    _emit("m,n,balanced,value_set,method\n" + body + "\n", args.out)
+            rows.append(f"{m},{n},{str(hi - lo <= 1).lower()},{vals},exact")
+    _emit("m,n,balanced,value_set,method\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
 
@@ -220,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fib_bal)
     p = fib.add_parser("sweep")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fib_sweep)
     p = fib.add_parser("diverse")

@@ -13,23 +13,22 @@ T(i, m, n) take at most two distinct values over all i:
 * ``zeck_characterization`` evaluates a digit-level rule on the Zeckendorf
   expansions of m and n.
 
-The circle route runs on two integer tables, both built in numpy from
-float64 guesses and certified exactly in int64 arithmetic.  The floor table
-g[j] = floor(j*gamma) takes floor(j*gamma_f) and fixes it by one exactly
-decided +-1 step.  The circle ranks of frac(j*gamma) come from an argsort of
-the float64 fractional parts, whose order is checked exactly on every
-adjacent pair.  Past the sizes where int64 or float64 can no longer
-guarantee either table, a request raises ``BudgetExceeded``.
+The circle route is exact integer arithmetic on one convergent p/q of
+gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
+(j*p) // q and the circle order of frac(j*gamma) is the order of the keys
+(j*p) mod q.  A verdict scatters the 2*mu event keys over Z_q and takes one
+cumulative sum (or sorts the keys when mu is small), and the witness search
+reads T off that same sum.  Scalar T needs no table: its floor sums come
+from a Euclid-like recursion.  A table past the q where j*p leaves int64,
+or past the word's symbol budget, raises ``BudgetExceeded``.
 
 ``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
 at a time with no sort per window: the window j in [nu, nu+mu) is the block
 [0, mu) rotated by frac(nu*gamma), so its circle order is a cyclic shift of
-the block's (Sos 1957), found by one argmin.  The single-pair sweep keeps
-its argsort as the independent route the rows are checked against.
+the block's (Sos 1957), found by one argmin.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,176 +70,161 @@ class CirclePartition:
 
 
 # ---------------------------------------------------------------------------
-# integer tables for floor(j*gamma) and the cyclic order of frac(j*gamma)
+# convergent arithmetic: floor(j*gamma) and the circle order of frac(j*gamma)
+#
+# p/q = F_{k-2}/F_k is a convergent of gamma = [0; 2, 1, 1, ...] with next
+# denominator F_{k+1}, so eps = gamma - p/q has |eps| < 1/(q*F_{k+1})
+# (Khinchin, Continued Fractions).  For |j| < q, j*eps is below 1/q while
+# j*p/q is an integer (j = 0) or at least 1/q from one (gcd(p, q) = 1).  So
+# over any index range shorter than q, floor(j*gamma) = (j*p) // q and
+# frac(j*gamma) = key(j)/q + j*eps with key(j) = (j*p) mod q: two fractional
+# parts differ by their key difference over q plus less than 1/q, and their
+# circle order is the order of the distinct integer keys.
+
+# The tables hold j*p for |j| < q in int64: F_48 = 4,807,526,976 is the
+# largest Fibonacci q with (q - 1)*F_46 < 2**63.
+_Q_MAX = 4_807_526_976
 
 
-# float64 nearest to gamma (a literal is rounded correctly; the expression
-# (3 - sqrt(5)) / 2 is not), so |_GAMMA_F - gamma| <= 2**-55
-_GAMMA_F = 0.38196601125010515
-_CHUNK = 1 << 16
-# _fill_floor_gamma squares u = 3j - 2k < j*sqrt5 + 4 and takes 5*j*j; both
-# stay below 2**63 for j <= isqrt((2**63 - 1) // 5) - 4.
-_FLOOR_J_MAX = 1_358_187_913 - 4
-# _circle_rank: |j*_GAMMA_F - j*gamma| <= j*2**-55, rounding the product
-# adds at most 2**-53 * j*gamma < j*2**-54, and subtracting the integer g[j]
-# is exact, so each float fractional part for j < N is within 2**-53 * N of
-# the true one.  The true parts at a, b differ by at least ||d*gamma|| =
-# ||d*phi|| with d = |b - a| < N.  With p the integer nearest d*phi,
-# (p - d*phi)(p - d*phibar) = p^2 - p*d - d^2 is a nonzero integer, and
-# |p - d*phibar| <= d*sqrt5 + 1/2, so that gap exceeds 1/(sqrt5 * N).  The
-# float order is therefore exact while 2 * 2**-53 * N <= 1/(sqrt5 * N),
-# that is while 5 * N**4 <= 2**104.
-_RANK_N_MAX = 44_878_402  # isqrt(isqrt(2**104 // 5))
+def _convergent(bound: int) -> tuple[int, int]:
+    """(p, q) = (F_{k-2}, F_k) for the smallest Fibonacci number q > bound."""
+    p, r, q = 0, 1, 1  # F_0, F_1, F_2
+    while q <= bound:
+        p, r, q = r, q, r + q
+    return p, q
 
 
-def _fill_floor_gamma(out: np.ndarray, start: int) -> None:
-    """out[t] = floor((start + t)*gamma), exact int64, in chunks.
-
-    k = floor(j*gamma) iff j*sqrt5 <= u < j*sqrt5 + 2 with u = 3j - 2k, that
-    is u >= 0, u^2 >= 5j^2 and (u < 2 or (u - 2)^2 < 5j^2).  The float guess
-    is within 2**-53 * j < 1 of j*gamma, so it is off by at most one, and
-    one step decided by these tests fixes it.
-    """
-    for lo in range(0, len(out), _CHUNK):
-        hi = min(lo + _CHUNK, len(out))
-        j = np.arange(start + lo, start + hi, dtype=np.int64)
-        five_j2 = 5 * j * j
-        k = np.floor(j * _GAMMA_F).astype(np.int64)
-        u = 3 * j - 2 * k
-        k += (u >= 2) & ((u - 2) * (u - 2) >= five_j2)
-        k -= (u < 0) | (u * u < five_j2)
-        u = 3 * j - 2 * k
-        assert bool(
-            np.all((u >= 0) & (u * u >= five_j2) & ((u < 2) | ((u - 2) * (u - 2) < five_j2)))
-        )
-        out[lo:hi] = k
+def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
+    """_convergent for int64 tables of ``entries`` (default q) entries.  It
+    raises before any allocation past _Q_MAX, or past the symbol budget of
+    the word whose prefix the tables stand for."""
+    p, q = _convergent(bound)
+    if q > _Q_MAX:
+        raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
+    entries = q if entries is None else entries
+    budget = sturmian_a_word().budget
+    if entries > budget:
+        raise BudgetExceeded(f"{entries} table entries requested, budget is {budget}")
+    return p, q
 
 
-def _circle_rank(g: np.ndarray, size: int) -> np.ndarray:
-    """rank[j] = position of frac(j*gamma) in ascending order over j < size.
-
-    The order is an argsort of float64 fractional parts, certified on each
-    adjacent pair (a, b): with d = b - a and u = 3d - 2(g[b] - g[a]),
-    frac(b*gamma) - frac(a*gamma) = (u - d*sqrt5) / 2 must be positive.
-    """
-    frac = np.arange(size, dtype=np.float64) * _GAMMA_F
-    frac -= g[:size]
-    order = np.argsort(frac)
-    a, b = order[:-1], order[1:]
-    d = b - a
-    u = 3 * d - 2 * (g[b] - g[a])
-    u2, five_d2 = u * u, 5 * d * d
-    ok = np.where(d > 0, (u > 0) & (u2 > five_d2), (u >= 0) | (u2 < five_d2))
-    assert order[0] == 0 and bool(ok.all()), "float circle order is not exact"
-    rank = np.empty(size, dtype=np.int32)
-    rank[order] = np.arange(size, dtype=np.int32)
-    return rank
+def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
+    """key(j) = (j*p) mod q for start <= j < stop."""
+    keys = np.arange(start, stop, dtype=np.int64)
+    keys *= p
+    keys %= q
+    return keys
 
 
-class _GammaTables:
-    """Grow-on-demand caches: g, its running sum G, and circle ranks.
-
-    A table that must grow grows by at least a quarter; g and G keep their
-    entries and compute only the new tail.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._g = np.zeros(0, dtype=np.int64)
-        self._G = np.zeros(1, dtype=np.int64)
-        self._rank = np.zeros(0, dtype=np.int32)
-        self._grow_g(1 << 12)
-
-    def _grow_g(self, limit: int) -> None:
-        """Make g[limit] and G[limit + 1] exist; the caller holds the lock."""
-        old = len(self._g)
-        if limit < old:
-            return
-        if limit > _FLOOR_J_MAX:
-            raise BudgetExceeded(
-                f"floor(j*gamma) requested at j = {limit}, int64 limit is j = {_FLOOR_J_MAX}"
-            )
-        size = min(max(limit + 1, (5 * old + 3) // 4), _FLOOR_J_MAX + 1)
-        g = np.empty(size, dtype=np.int64)
-        g[:old] = self._g
-        _fill_floor_gamma(g[old:], old)
-        G = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(g, out=G[1:])
-        self._g, self._G = g, G
-
-    def g(self, limit: int) -> np.ndarray:
-        with self._lock:
-            self._grow_g(limit)
-            return self._g
-
-    def G(self, limit: int) -> np.ndarray:
-        with self._lock:
-            self._grow_g(limit)
-            return self._G
-
-    def rank(self, jmax: int) -> np.ndarray:
-        """rank[j] = position of frac(j*gamma) in the sorted order over j <= jmax."""
-        with self._lock:
-            old = len(self._rank)
-            if jmax < old:
-                return self._rank
-            if jmax >= _RANK_N_MAX:
-                raise BudgetExceeded(
-                    f"circle ranks requested to j = {jmax}, float64 order is proven "
-                    f"only for j < {_RANK_N_MAX}"
-                )
-            size = min(max(jmax + 1, (5 * old + 3) // 4, 1 << 10), _RANK_N_MAX)
-            self._grow_g(size - 1)
-            self._rank = _circle_rank(self._g, size)
-            return self._rank
+def _floor_sum(n: int, m: int, a: int) -> int:
+    """sum_{k<n} floor(k*a/m) on Python ints in O(log m) steps, for n, a >= 0
+    and m >= 1: the Euclid-like reduction of floor_sum in the AtCoder Library
+    (https://github.com/atcoder/ac-library)."""
+    total, b = 0, 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        # count the lattice points under the line from the other axis
+        n, b, m, a = top // m, top % m, a, m
 
 
-_TABLES = _GammaTables()
+def _floor_sums(size: int) -> np.ndarray:
+    """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64."""
+    p, q = _table_convergent(size, size + 1)
+    G = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.arange(size, dtype=np.int64) * p // q, out=G[1:])
+    return G
 
 
 def t_value(i: int, m: int, n: int) -> int:
-    """T(i, m, n) on the 0-prefixed Fibonacci word from the floor tables."""
-    return int(telescope(_TABLES.G(i + m + n), m, n, i, i + 1)[0])
+    """T(i, m, n) on the 0-prefixed Fibonacci word, from four floor sums
+    G(j) = sum_{k<j} floor(k*gamma); no table is built."""
+    check_nonnegative(m=m, n=n, i=i)
+    p, q = _convergent(i + m + n)
+    G = [_floor_sum(j, q, p) for j in (i + m + n, i + n, i + m, i)]
+    return G[0] - G[1] - G[2] + G[3]
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
     """T(i, m, n) for all i < horizon, via the double-telescoped floor sums."""
-    return telescope(_TABLES.G(horizon + m + n), m, n, 0, horizon)
+    check_nonnegative(m=m, n=n, horizon=horizon)
+    return telescope(_floor_sums(horizon + m + n), m, n, 0, horizon)
 
 
 def delta_floor_form(i: int, m: int, n: int) -> int:
     """T(i+1,m,n) - T(i,m,n) as the four-floor combination."""
-    return int(telescope(_TABLES.g(i + m + n), m, n, i, i + 1)[0])
+    check_nonnegative(m=m, n=n, i=i)
+    p, q = _convergent(i + m + n)
+    g = [j * p // q for j in (i + m + n, i + n, i + m, i)]
+    return g[0] - g[1] - g[2] + g[3]
 
 
 # ---------------------------------------------------------------------------
-# circle sweep
+# key sweep
+
+# Sort the 2*mu event keys instead of sweeping all of Z_q once mu is this
+# many times smaller than mu + nu (the two costs cross near there).
+_SPARSE_RATIO = 16
+_SCAN_CHUNK = 1 << 16
 
 
-def _sweep(mu: int, nu: int) -> tuple[int, int, int]:
-    """(min, max, anchor) of the cyclic counting function for mu <= nu.
-
-    Events are -1 at rank of frac(j*gamma) for j < mu and +1 for
-    nu <= j < nu + mu; the cumulative sums in rank order, subtracted from the
-    anchor T(0, mu, nu), enumerate the achieved T values.
+class _Count:
+    """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
+    Z_q, q > mu + nu + reach: window points minus block points up to y, so
+    T(i, mu, nu) = t0 - c((key(-i) - 1) mod q) for i < q - mu - nu, with
+    t0 = T(0, mu, nu).  Dense, c is one array over Z_q (a scatter of -1 and
+    +1, then one cumsum); sparse, the sorted event keys with c after each.
     """
-    rank = _TABLES.rank(nu + mu)
-    pos = np.concatenate([rank[:mu], rank[nu : nu + mu]])
-    sig = np.concatenate(
-        [np.full(mu, -1, dtype=np.int32), np.ones(mu, dtype=np.int32)]
-    )
-    c = np.cumsum(sig[np.argsort(pos)])
-    return int(c.min()), int(c.max()), t_value(0, mu, nu)
+
+    def __init__(self, mu: int, nu: int, reach: int = 0) -> None:
+        sparse = _SPARSE_RATIO * mu < mu + nu
+        self.p, self.q = p, q = _table_convergent(mu + nu + reach, 2 * mu if sparse else None)
+        block, window = _keys(0, mu, p, q), _keys(nu, nu + mu, p, q)
+        if sparse:
+            keys = np.concatenate([block, window])
+            order = np.argsort(keys)
+            self.keys = keys[order]
+            self.c = np.cumsum(np.where(order < mu, np.int32(-1), np.int32(1)))
+        else:
+            self.keys = None
+            c = np.zeros(q, dtype=np.int32)
+            c[block] = -1
+            c[window] = 1
+            self.c = np.cumsum(c, out=c)
+        # key(0) = 0 is an event and c ends at 0, so the extremes of c over
+        # Z_q are extremes at event keys
+        self.lo, self.hi = int(self.c.min()), int(self.c.max())
+        self.t0 = t_value(0, mu, nu)
+
+    def at(self, y: np.ndarray) -> np.ndarray:
+        if self.keys is None:
+            return self.c[y]
+        return self.c[np.searchsorted(self.keys, y, side="right") - 1]
+
+
+def _count(m: int, n: int) -> _Count | None:
+    check_nonnegative(m=m, n=n)
+    if m == 0 or n == 0:
+        return None
+    return _Count(min(m, n), max(m, n))
+
+
+def _values(count: _Count | None) -> tuple[int, ...]:
+    if count is None:  # no events: T is 0 everywhere
+        return (0,)
+    return tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1))
 
 
 def value_set(m: int, n: int) -> tuple[int, ...]:
     """All values taken by T(i, m, n) over i >= 0, ascending."""
-    check_nonnegative(m=m, n=n)
-    if m == 0 or n == 0:
-        return (0,)
-    mu, nu = min(m, n), max(m, n)
-    lo, hi, t0 = _sweep(mu, nu)
-    return tuple(range(t0 - hi, t0 - lo + 1))
+    return _values(_count(m, n))
 
 
 def distinct_value_count(m: int, n: int) -> int:
@@ -250,41 +234,63 @@ def distinct_value_count(m: int, n: int) -> int:
 
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction."""
-    check_nonnegative(m=m, n=n)
-    if m == 0 or n == 0:
-        return True
+    count = _count(m, n)
+    return count is None or count.hi - count.lo <= 1
+
+
+def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
+    """The first i with T(i) = min T and the first with T(i) = max T, in
+    increasing order, with their values; ``count`` is the pair's sweep,
+    rebuilt over a longer range once the scan passes it.
+
+    Every value is taken at some i < F_{k+2}, where F_k <= m+n-1 < F_{k+1}
+    and k >= 2.  For i >= 1, T(i) is fixed by the open arc between event
+    points frac(j*gamma), j in [0, mu) u [nu, nu+mu), that holds
+    frac(-i*gamma).  Each arc is at least min_{0<d<m+n} ||d*gamma|| =
+    ||F_k*gamma|| long, and the orbit points i < F_{k+2} leave gaps of at
+    most ||F_k*gamma|| (three-gap theorem): the orbit's largest gap is not
+    above the partition's smallest arc, so an arc holding no orbit point
+    would be a gap with orbit points at both ends, but the two point sets
+    share only 0.  As F_{k+2} <= 3(m+n-1) < 8(m+n)+64, the first horizon of
+    the former table scan, these are its first argmin and argmax.
+    """
     mu, nu = min(m, n), max(m, n)
-    lo, hi, _ = _sweep(mu, nu)
-    return hi - lo <= 1
-
-
-def _find_witness(m: int, n: int) -> tuple[int, int, int, int]:
-    """Indices (i, j) with |T(i)-T(j)| >= 2 for an unbalanced pair."""
-    horizon = 8 * (m + n) + 64
-    while True:
-        t = t_value_vector(m, n, horizon)
-        i = int(np.argmin(t))
-        j = int(np.argmax(t))
-        if t[j] - t[i] >= 2:
-            if i > j:
-                i, j = j, i
-            return i, j, int(t_value(i, m, n)), int(t_value(j, m, n))
-        if horizon > 1 << 26:  # unreachable for genuinely unbalanced pairs
+    size = mu + nu
+    p, q = _convergent(size - 1)  # F_{k-1}, F_{k+1}
+    cover = 2 * q - p  # F_{k+2}
+    first: dict[int, int] = {}  # value of c -> first i where c takes it
+    i = 0
+    while len(first) < 2:
+        if i == cover:
             raise RuntimeError(f"no witness found for ({m}, {n})")
-        horizon *= 4
+        if i + size >= count.q:  # past the exact range of this sweep
+            count = _Count(mu, nu, cover)
+        stop = min(cover, count.q - size, i + _SCAN_CHUNK)
+        c = count.at((-np.arange(i, stop, dtype=np.int64) * count.p - 1) % count.q)
+        for target in (count.lo, count.hi):
+            if target not in first:
+                hits = np.flatnonzero(c == target)
+                if len(hits):
+                    first[target] = i + int(hits[0])
+        i = stop
+    i, j = sorted(first.values())
+    ti, tj = t_value(i, m, n), t_value(j, m, n)
+    assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
+    return i, j, ti, tj
 
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
     """Decide balance by the circle partition; unbalanced verdicts carry a
     witness pair of rectangle indices."""
-    vals = value_set(m, n)
+    count = _count(m, n)
+    vals = _values(count)
     if len(vals) <= 2:
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=vals)
     return BalanceVerdict(
         BalanceStatus.UNBALANCED,
         "exact",
         value_set=vals,
-        witness=_find_witness(m, n),
+        witness=_find_witness(m, n, count),
     )
 
 
@@ -349,13 +355,16 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
             BalanceStatus.UNKNOWN_UP_TO_HORIZON, "scan", horizon=horizon
         )
     s = sturmian_a_word().count_table(1, horizon + m + n + 1)
-    t = window_counts(s, m, n, 0, horizon + 1)
-    d = np.diff(t)
-    assert d.size == 0 or (int(d.min()) >= -1 and int(d.max()) <= 1)
-    nz = np.flatnonzero(d)
-    if len(nz) >= 2:
-        vals = d[nz]
-        hits = np.flatnonzero(vals[:-1] == vals[1:])
+    # Scan prefixes growing geometrically: every block inside a prefix is a
+    # block of the full scan, so the first one found is the first overall.
+    stop = 0
+    while stop < horizon:
+        stop = min(horizon, 4 * stop + 1024)
+        t = window_counts(s, m, n, 0, stop + 1)
+        d = np.diff(t)
+        assert int(d.min()) >= -1 and int(d.max()) <= 1
+        nz = np.flatnonzero(d)
+        hits = np.flatnonzero(d[nz[:-1]] == d[nz[1:]])
         if len(hits):
             u = int(hits[0])
             i, j = int(nz[u]), int(nz[u + 1]) + 1
@@ -454,16 +463,18 @@ def _check_row_frontier(mu: int) -> None:
 
 
 def _dense_rank(size: int) -> np.ndarray:
-    """Circle ranks of frac(j*gamma) among j < size only: a permutation of
-    range(size), so that no row lookup scales with the cached rank table."""
-    order = np.argsort(_TABLES.rank(size - 1)[:size])
-    rank = np.empty(size, dtype=np.int32)
-    rank[order] = np.arange(size, dtype=np.int32)
-    return rank
+    """Circle ranks of frac(j*gamma) among j < size, a permutation of
+    range(size): a counting sort of the keys, marked in Z_q and summed."""
+    p, q = _table_convergent(size)
+    keys = _keys(0, size, p, q)
+    below = np.zeros(q, dtype=np.int32)
+    below[keys] = 1
+    np.cumsum(below, out=below)
+    return below[keys] - 1
 
 
 def _row_extrema(rank: np.ndarray, mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of _sweep's counting function for every nu in [mu, nu_hi].
+    """(min, max) of the key sweep's counting function, nu in [mu, nu_hi].
 
     ``rank`` is a dense rank of j < nu_hi + mu.  The window j in [nu, nu+mu)
     is the block A = [0, mu) rotated by frac(nu*gamma), and a rotation keeps
@@ -520,7 +531,7 @@ def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of T(i, mu, nu) over i for all nu in [mu, nu_hi]; the value
     set of each pair is every integer between the two."""
     lo, hi = _row(mu, nu_hi)
-    G = _TABLES.G(nu_hi + mu)
+    G = _floor_sums(nu_hi + mu)
     nu = np.arange(mu, nu_hi + 1)
     t0 = G[mu + nu] - G[nu] - G[mu]  # T(0, mu, nu)
     return t0 - hi, t0 - lo

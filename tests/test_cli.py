@@ -43,7 +43,7 @@ def test_fib_sweep_deterministic(capsys, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     assert main(["fib", "sweep", "--max", "12", "--out", str(out1)]) == 0
-    assert main(["fib", "sweep", "--max", "12", "--jobs", "2", "--out", str(out2)]) == 0
+    assert main(["fib", "sweep", "--max", "12", "--out", str(out2)]) == 0
     text = out1.read_text()
     assert text == out2.read_text()
     assert text.splitlines()[0] == "m,n,balanced,value_set,method"

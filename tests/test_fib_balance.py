@@ -1,25 +1,25 @@
 import random
-from decimal import Decimal, localcontext
+import tracemalloc
 from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal import fib_balance
 from rectbal.cli import main
 from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
-    _CHUNK,
-    _FLOOR_J_MAX,
-    _GAMMA_F,
-    _RANK_N_MAX,
+    _Q_MAX,
     _ROW_BLOCK,
     _ROW_MU_MAX,
-    _TABLES,
     BalanceStatus,
-    _circle_rank,
-    _fill_floor_gamma,
-    _GammaTables,
+    _convergent,
+    _Count,
+    _dense_rank,
+    _floor_sums,
+    _table_convergent,
     balance_table,
     circle_partition,
     delta_block_scan,
@@ -36,7 +36,7 @@ from rectbal.fib_balance import (
     value_set,
     zeck_characterization,
 )
-from rectbal.rectangles import delta, word_rect_sum
+from rectbal.rectangles import delta, window_counts, word_rect_sum
 from rectbal.words import BudgetExceeded, sturmian_a_word
 
 
@@ -219,8 +219,6 @@ def test_row_value_spans_match_value_sets():
         spans = row_value_spans(mu, 40)
         for offset, nu in enumerate(range(mu, 41)):
             assert int(spans[offset]) + 1 == distinct_value_count(mu, nu)
-    # rows read only the prefix they need once the shared rank table is large
-    _TABLES.rank(10**5)
     for mu in (1, 2, 3, 8, 13, 21, 30, 60):
         spans = row_value_spans(mu, 60)
         assert len(spans) == 61 - mu
@@ -254,7 +252,7 @@ def test_row_kernel_int16_frontier(monkeypatch):
     for offset, nu in enumerate(range(_ROW_MU_MAX, _ROW_MU_MAX + 3)):
         assert int(spans[offset]) + 1 == distinct_value_count(_ROW_MU_MAX, nu)
     # one past it raises before any table is touched or allocated
-    monkeypatch.setattr(fib_balance, "_TABLES", None)
+    monkeypatch.setattr(fib_balance, "_table_convergent", None)
     for call in (
         lambda: row_value_spans(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
         lambda: row_value_bounds(_ROW_MU_MAX + 1, 10**9),
@@ -270,8 +268,11 @@ def test_t_value_vector_matches_scalar():
         assert int(vec[i]) == t_value(i, 7, 11)
 
 
+
+
 # ---------------------------------------------------------------------------
-# floor and circle-rank tables against the former isqrt constructions
+# convergent tables against the isqrt constructions, and the former routes
+# kept as oracles
 
 
 def _isqrt_floor_gamma(n: int) -> int:
@@ -294,91 +295,230 @@ def _rank_of(keys) -> np.ndarray:
 
 
 def _floor_table(size: int) -> np.ndarray:
-    g = np.empty(size, dtype=np.int64)
-    _fill_floor_gamma(g, 0)
-    return g
+    return np.diff(_floor_sums(size))
 
 
-def test_gamma_float_is_correctly_rounded():
-    with localcontext() as ctx:
-        ctx.prec = 40
-        assert _GAMMA_F == float((3 - Decimal(5).sqrt()) / 2)
+def _argsort_sweep(mu: int, nu: int) -> tuple[int, int, int]:
+    """The former single-pair sweep: (min, max, T(0)) of the counting
+    function, from an argsort of isqrt-key ranks of the 2*mu events."""
+    rank = _rank_of(_isqrt_keys(nu + mu))
+    pos = np.concatenate([rank[:mu], rank[nu : nu + mu]])
+    sig = np.concatenate([np.full(mu, -1), np.ones(mu, dtype=np.int64)])
+    c = np.cumsum(sig[np.argsort(pos)])
+    return int(c.min()), int(c.max()), t_counting_form(0, mu, nu)
+
+
+def _table_witness(m: int, n: int) -> tuple[int, int, int, int]:
+    """The former witness search: first argmin and argmax of T over
+    horizons that grow until they differ by 2."""
+    horizon = 8 * (m + n) + 64
+    while True:
+        t = t_value_vector(m, n, horizon)
+        i, j = sorted((int(np.argmin(t)), int(np.argmax(t))))
+        if abs(int(t[j]) - int(t[i])) >= 2:
+            return i, j, int(t[i]), int(t[j])
+        horizon *= 4
+
+
+def _full_scan(m: int, n: int, horizon: int):
+    """The former delta_block_scan: one pass over every i < horizon."""
+    s = sturmian_a_word().count_table(1, horizon + m + n + 1)
+    t = window_counts(s, m, n, 0, horizon + 1)
+    d = np.diff(t)
+    nz = np.flatnonzero(d)
+    hits = np.flatnonzero(d[nz[:-1]] == d[nz[1:]])
+    if not len(hits):
+        return None
+    u = int(hits[0])
+    i, j = int(nz[u]), int(nz[u + 1]) + 1
+    return i, j, int(t[i]), int(t[j])
+
+
+def test_convergent_error_bound_is_exact():
+    # gamma - p/q = (u - q*sqrt5) / (2q) with u = 3q - 2p.  If
+    # u^2 - 5q^2 = +-4 then |u - q*sqrt5| = 4/(u + q*sqrt5) < 4/(u + 2q), and
+    # 2*q_next <= u + 2q gives |gamma - p/q| < 1/(q*q_next): the bound that
+    # makes floor(j*gamma) = (j*p) // q and the key order exact for |j| < q.
+    bound, seen = 0, []
+    while True:
+        p, q = _convergent(bound)
+        if q > _Q_MAX:
+            break
+        q_next = _convergent(q)[1]
+        u = 3 * q - 2 * p
+        assert u * u - 5 * q * q in (4, -4) and 2 * q_next <= u + 2 * q, q
+        if q >= 3:
+            # a neighbouring numerator is no such convergent
+            for v in (u - 2, u + 2):
+                assert v * v - 5 * q * q not in (4, -4) or 2 * q_next > v + 2 * q, q
+        seen.append(q)
+        bound = q
+    assert len(seen) == 47 and seen[-1] == _Q_MAX
+    # the frontier: (q - 1)*p fits in int64 at _Q_MAX and not one convergent on
+    p, q = _convergent(_Q_MAX - 1)
+    assert q == _Q_MAX and (q - 1) * p < 2**63
+    p, q = _convergent(_Q_MAX)
+    assert (q - 1) * p >= 2**63
 
 
 def test_circle_rank_matches_isqrt_keys_every_size_to_2000():
-    g = _floor_table(2000)
     keys = _isqrt_keys(2000)
     for size in range(1, 2001):
         # keys built for 2000 keep their order for every smaller size
-        assert np.array_equal(_circle_rank(g, size), _rank_of(keys[:size])), size
+        assert np.array_equal(_dense_rank(size), _rank_of(keys[:size])), size
     for size in (*range(1, 40), 987, 988, 1597, 1598, 2000):
-        assert np.array_equal(_circle_rank(g, size), _rank_of(_isqrt_keys(size))), size
+        assert np.array_equal(_dense_rank(size), _rank_of(_isqrt_keys(size))), size
 
 
 def test_circle_rank_matches_isqrt_keys_large():
-    g = _floor_table(100_000)
     for size in (46_368, 46_369, 100_000):
-        assert np.array_equal(_circle_rank(g, size), _rank_of(_isqrt_keys(size))), size
+        assert np.array_equal(_dense_rank(size), _rank_of(_isqrt_keys(size))), size
 
 
-def test_circle_rank_certificate_rejects_wrong_floor():
-    g = _floor_table(100)
-    g[5] += 1
-    with pytest.raises(AssertionError):
-        _circle_rank(g, 100)
-
-
-def test_floor_table_chunks_and_extended_tail():
-    tables = _GammaTables()
-    head = tables.g(0).copy()
-    g = tables.g(3 * _CHUNK + 10)
-    assert np.array_equal(g[: len(head)], head)
-    assert np.array_equal(g, _floor_table(len(g)))
-    assert g.tolist() == [_isqrt_floor_gamma(j) for j in range(len(g))]
-    assert np.array_equal(tables.G(0), np.concatenate([[0], np.cumsum(g)]))
-    edges = {
-        base + c * _CHUNK + e
-        for base in (0, len(head))
-        for c in range(4)
-        for e in (-1, 0, 1)
-    }
-    for j in sorted(edges & set(range(1, len(g)))):
-        assert g[j] == 2 * j - floor_n_phi(j) - 1, j
+def test_floor_table_matches_isqrt_formula():
+    for size in (1, 2, 3, 4, 987, 988, 989, 4181, 4182, 10_000):
+        g = _floor_table(size)
+        assert g.tolist() == [_isqrt_floor_gamma(j) for j in range(size)], size
+    G = _floor_sums(10_000)
+    assert np.array_equal(G, np.concatenate([[0], np.cumsum(_floor_table(10_000))]))
+    # at and around the Fibonacci sizes, where the convergent changes
+    for q in (4181, 6765, 10_946, 832_040):
+        g = _floor_table(q + 2)
+        for j in range(max(1, q - 3), q + 2):
+            assert g[j] == 2 * j - floor_n_phi(j) - 1, j
 
 
 def test_floor_fill_at_seeded_offsets_and_int64_frontier():
     rng = random.Random(26)
-    starts = [rng.randrange(10**7) for _ in range(100)] + [_FLOOR_J_MAX - 15]
+    starts = [rng.randrange(10**7) for _ in range(100)] + [_Q_MAX - 17]
     for start in starts:
-        out = np.empty(16, dtype=np.int64)
-        _fill_floor_gamma(out, start)
+        # the int64 arithmetic of the tables, on a window of indices
+        p, q = _table_convergent(start + 16, 16)
+        out = np.arange(start, start + 16, dtype=np.int64) * p // q
         assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
 
 
-def test_one_past_request_grows_tables_by_a_quarter():
-    tables = _GammaTables()
-    size = len(tables.g(0))
-    g = tables.g(size)
-    assert len(g) == (5 * size + 3) // 4
-    assert len(tables.G(0)) == len(g) + 1
-    assert np.array_equal(g, _floor_table(len(g)))
-    size = len(tables.rank(2000))
-    assert size == 2001
-    rank = tables.rank(size)
-    assert len(rank) == (5 * size + 3) // 4
-    assert np.array_equal(rank, _rank_of(_isqrt_keys(len(rank))))
-
-
 def test_scale_frontiers_raise_before_building():
-    assert _FLOOR_J_MAX == isqrt((2**63 - 1) // 5) - 4
-    assert _RANK_N_MAX == isqrt(isqrt(2**104 // 5))
-    tables = _GammaTables()
-    with pytest.raises(BudgetExceeded, match="int64"):
-        tables.g(_FLOOR_J_MAX + 1)
-    with pytest.raises(BudgetExceeded, match="float64"):
-        tables.rank(_RANK_N_MAX)
-    assert len(tables.g(0)) == 1 + (1 << 12)
-    with pytest.raises(BudgetExceeded):
-        t_value(0, 1, _FLOOR_J_MAX)
-    with pytest.raises(BudgetExceeded):
-        is_balanced(1, _RANK_N_MAX)
+    calls = (
+        lambda: is_balanced(1, _Q_MAX - 1),
+        lambda: value_set(_Q_MAX, 7),
+        lambda: exact_balance(3 * 10**9, 2 * 10**9),
+        lambda: t_value_vector(1, 1, _Q_MAX),
+        lambda: row_value_bounds(3, _Q_MAX),
+    )
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(BudgetExceeded, match="int64"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # right at the frontier, q = _Q_MAX: the sparse sweep sorts two keys
+    assert is_balanced(1, _Q_MAX - 2)
+
+
+def test_tables_obey_the_symbol_budget(monkeypatch):
+    expected = value_set(400, 10**5)
+    monkeypatch.setattr(sturmian_a_word(), "budget", 1000)
+    calls = (
+        lambda: is_balanced(500, 600),  # a dense sweep over q = 1597
+        lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
+        lambda: row_value_spans(30, 1000),  # a dense rank over q = 1597
+    )
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(BudgetExceeded, match="budget is 1000"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # a sparse sweep holds only its 2*mu keys
+    assert value_set(400, 10**5) == expected
+
+
+def test_scalar_t_builds_no_table():
+    tracemalloc.start()
+    try:
+        value = t_value(10**7, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert value == t_counting_form(10**7, 3, 3)
+    for i, m, n in ((10**15, 3, 3), (10**15 + 7, 5, 8), (999_999_999_999_989, 13, 2)):
+        assert t_value(i, m, n) == t_counting_form(i, m, n), (i, m, n)
+
+
+def test_dense_and_sparse_sweeps_agree(monkeypatch):
+    rng = random.Random(27)
+    pairs = [(1, 1), (1, 500), (4, 4), (30, 2000), (700, 900), (987, 1597)]
+    pairs += [tuple(sorted((rng.randint(1, 300), rng.randint(1, 3000)))) for _ in range(40)]
+    for mu, nu in pairs:
+        counts, verdicts = [], []
+        for ratio in (0, 10**9):  # always sparse, always dense
+            monkeypatch.setattr(fib_balance, "_SPARSE_RATIO", ratio)
+            counts.append(_Count(mu, nu, 3 * (mu + nu)))
+            verdicts.append(exact_balance(mu, nu))
+        sparse, dense = counts
+        assert sparse.keys is not None and dense.keys is None
+        assert (sparse.lo, sparse.hi, sparse.q) == (dense.lo, dense.hi, dense.q)
+        y = np.arange(dense.q)
+        assert np.array_equal(sparse.at(y), dense.at(y)), (mu, nu)
+        assert verdicts[0] == verdicts[1], (mu, nu)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.integers(1, 12), n=st.integers(1, 12))
+def test_key_sweep_matches_argsort_sweep_and_counting_form(m, n):
+    lo, hi, t0 = _argsort_sweep(min(m, n), max(m, n))
+    vals = value_set(m, n)
+    assert vals == tuple(range(t0 - hi, t0 - lo + 1))
+    # every value is taken below 3(m + n) (see _find_witness)
+    assert {t_counting_form(i, m, n) for i in range(3 * (m + n))} == set(vals)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=st.integers(1, 1500), n=st.integers(1, 1500))
+def test_key_sweep_matches_argsort_sweep(m, n):
+    lo, hi, t0 = _argsort_sweep(min(m, n), max(m, n))
+    assert value_set(m, n) == tuple(range(t0 - hi, t0 - lo + 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(i=st.integers(0, 10**5), m=st.integers(0, 300), n=st.integers(0, 300))
+def test_floor_sum_t_matches_table_t(i, m, n):
+    assert t_value(i, m, n) == int(t_value_vector(m, n, i + 1)[i])
+
+
+def test_witnesses_match_the_table_search():
+    rng = random.Random(28)
+    pairs = [(m, n) for m in range(1, 61) for n in range(m, 61)]
+    pairs += [(rng.randint(1, 5000), rng.randint(1, 5000)) for _ in range(60)]
+    pairs += [(987, 1597), (1597, 987), (4181, 4182), (30, 4000)]
+    unbalanced = 0
+    for m, n in pairs:
+        verdict = exact_balance(m, n)
+        if verdict.balanced:
+            continue
+        unbalanced += 1
+        assert verdict.witness == _table_witness(m, n), (m, n)
+    assert unbalanced > 1000
+
+
+def test_delta_block_scan_prefixes_match_full_scan():
+    cases = [(m, n, 2000) for m in range(1, 25) for n in range(m, 25)]
+    # witnesses past the first prefixes (1024 and 5120 positions)
+    cases += [(1987, 2575, 3000), (1245, 2581, 6000), (223, 2563, 6000)]
+    for m, n, horizon in cases:
+        verdict = delta_block_scan(m, n, horizon)
+        witness = _full_scan(m, n, horizon)
+        assert verdict.witness == witness, (m, n)
+        assert verdict.horizon == horizon
+        if witness is not None:
+            # one position short of the witness, the scan knows nothing
+            short = delta_block_scan(m, n, witness[1] - 1)
+            assert short.status is BalanceStatus.UNKNOWN_UP_TO_HORIZON, (m, n)
