@@ -116,11 +116,11 @@ def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
     return keys
 
 
-def _floor_sum(n: int, m: int, a: int) -> int:
-    """sum_{k<n} floor(k*a/m) on Python ints in O(log m) steps, for n, a >= 0
-    and m >= 1: the Euclid-like reduction of floor_sum in the AtCoder Library
-    (https://github.com/atcoder/ac-library)."""
-    total, b = 0, 0
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{k<n} floor((a*k + b)/m) on Python ints in O(log m) steps, for
+    n, a, b >= 0 and m >= 1: the Euclid-like reduction of floor_sum in the
+    AtCoder Library (https://github.com/atcoder/ac-library)."""
+    total = 0
     while True:
         if a >= m:
             total += n * (n - 1) // 2 * (a // m)
@@ -144,12 +144,11 @@ def _floor_sums(size: int) -> np.ndarray:
 
 
 def t_value(i: int, m: int, n: int) -> int:
-    """T(i, m, n) on the 0-prefixed Fibonacci word, from four floor sums
-    G(j) = sum_{k<j} floor(k*gamma); no table is built."""
+    """T(i, m, n) = sum_{k<m} floor((i+k+n)*gamma) - floor((i+k)*gamma) on
+    the 0-prefixed Fibonacci word, as two floor sums; no table is built."""
     check_nonnegative(m=m, n=n, i=i)
     p, q = _convergent(i + m + n)
-    G = [_floor_sum(j, q, p) for j in (i + m + n, i + n, i + m, i)]
-    return G[0] - G[1] - G[2] + G[3]
+    return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
