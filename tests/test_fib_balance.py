@@ -334,31 +334,49 @@ def _full_scan(m: int, n: int, horizon: int):
     return i, j, int(t[i]), int(t[j])
 
 
+def _convergents():
+    """Every (p, q, q_next) of the tables' convergents up to _Q_MAX."""
+    bound = 0
+    while True:
+        p, q = _convergent(bound)
+        if q > _Q_MAX:
+            return
+        yield p, q, _convergent(q)[1]
+        bound = q
+
+
 def test_convergent_error_bound_is_exact():
     # gamma - p/q = (u - q*sqrt5) / (2q) with u = 3q - 2p.  If
     # u^2 - 5q^2 = +-4 then |u - q*sqrt5| = 4/(u + q*sqrt5) < 4/(u + 2q), and
     # 2*q_next <= u + 2q gives |gamma - p/q| < 1/(q*q_next): the bound that
     # makes floor(j*gamma) = (j*p) // q and the key order exact for |j| < q.
-    bound, seen = 0, []
-    while True:
-        p, q = _convergent(bound)
-        if q > _Q_MAX:
-            break
-        q_next = _convergent(q)[1]
+    seen = []
+    for p, q, q_next in _convergents():
         u = 3 * q - 2 * p
         assert u * u - 5 * q * q in (4, -4) and 2 * q_next <= u + 2 * q, q
-        if q >= 3:
-            # a neighbouring numerator is no such convergent
-            for v in (u - 2, u + 2):
-                assert v * v - 5 * q * q not in (4, -4) or 2 * q_next > v + 2 * q, q
         seen.append(q)
-        bound = q
     assert len(seen) == 47 and seen[-1] == _Q_MAX
     # the frontier: (q - 1)*p fits in int64 at _Q_MAX and not one convergent on
     p, q = _convergent(_Q_MAX - 1)
     assert q == _Q_MAX and (q - 1) * p < 2**63
     p, q = _convergent(_Q_MAX)
     assert (q - 1) * p >= 2**63
+
+
+def test_convergent_bound_rejects_wrong_numerator():
+    for p, q, q_next in _convergents():
+        if q < 3:
+            continue
+        u = 3 * q - 2 * p
+        # a neighbouring numerator is no such convergent
+        for v in (u - 2, u + 2):
+            assert v * v - 5 * q * q not in (4, -4) or 2 * q_next > v + 2 * q, q
+    # and its floors are wrong below q, against the isqrt oracle
+    p, q = _convergent(100)
+    for wrong in (p - 1, p + 1):
+        assert [j * wrong // q for j in range(q)] != [
+            _isqrt_floor_gamma(j) for j in range(q)
+        ], wrong
 
 
 def test_circle_rank_matches_isqrt_keys_every_size_to_2000():
