@@ -181,6 +181,7 @@ def _cmd_num(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_dump(args: argparse.Namespace) -> int:
+    words.check_nonnegative(limit=args.limit)
     w = words.word(_KINDS[args.kind])
     _emit("".join(str(s) for s in w.symbols(args.limit)) + "\n", args.out)
     return 0

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rectangles import window_counts
-from .words import SequenceKind, word
+from .rectangles import rect_counts, window_counts
+from .words import SequenceKind, check_nonnegative, word
 
 
 class ParityViolation(ValueError):
@@ -40,13 +40,14 @@ def _prefix(length: int) -> np.ndarray:
 
 def factor_sum(start: int, length: int) -> int:
     """Number of 1s among t_start .. t_{start+length-1}."""
+    check_nonnegative(start=start, length=length)
     table = _prefix(start + length)
     return int(table[start + length] - table[start])
 
 
 def excess(i: int, m: int, n: int) -> int:
     """2 * count_1(rectangle at i) - m*n."""
-    total = int(window_counts(_prefix(i + m + n - 1), m, n, i, i + 1)[0])
+    total = int(rect_counts(_prefix(i + m + n - 1), m, n, i, i + 1)[0])
     return 2 * total - m * n
 
 
@@ -108,13 +109,16 @@ def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
         horizon = default_horizon(m, n)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    v = excess_vector(m, n, horizon)
-    return ExcessProfile(m, n, horizon, int(v.min()), int(v.max()))
+    counts = rect_counts(_prefix(horizon + m + n), m, n, 0, horizon)
+    lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))
+    return ExcessProfile(m, n, horizon, lo, hi)
 
 
 def excess_sign_symmetry(m: int, n: int, horizon: int = 100_000) -> bool:
     """Every excess value c seen below the horizon has -c seen below twice
     the horizon (the complemented rectangle realizes it)."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     seen = set(np.unique(excess_vector(m, n, horizon)).tolist())
     mirror = set(np.unique(excess_vector(m, n, 2 * horizon)).tolist())
     return all(-c in mirror for c in seen)

@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rectangles import window_counts, word_letter_counts
-from .words import SequenceKind, word
+from .rectangles import rect_counts, word_letter_counts
+from .words import SequenceKind, check_nonnegative, word
 
 
 class NotFoundWithinLimit(RuntimeError):
@@ -58,20 +58,27 @@ def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceRepo
         raise ValueError("m and n must be >= 1")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    ranges: dict[int, tuple[int, int]] = {}
-    bad_letter = None
-    witness = None
     w = word(SequenceKind.TRIBONACCI)
-    for letter in (0, 1, 2):
-        counts = window_counts(w.count_table(letter, horizon + m + n), m, n, 0, horizon)
-        lo, hi = int(counts.min()), int(counts.max())
-        ranges[letter] = (lo, hi)
-        if hi - lo > 2 and bad_letter is None:
-            i = int(np.argmax(counts))
-            j = int(np.argmin(counts))
-            bad_letter = letter
-            witness = (i, j, hi, lo)
-    return TwoBalanceReport(m, n, horizon, ranges, bad_letter, witness)
+    c0, c1 = (
+        rect_counts(w.count_table(letter, horizon + m + n), m, n, 0, horizon)
+        for letter in (0, 1)
+    )
+    extremes = [_extremes(c0), _extremes(c1)]
+    # letter 2 counts m*n - (c0 + c1): the extremes of c0 + c1, swapped
+    c0 += c1
+    lo, hi, first_lo, first_hi = _extremes(c0)
+    extremes.append((m * n - hi, m * n - lo, first_hi, first_lo))
+    ranges = {letter: (lo, hi) for letter, (lo, hi, _, _) in enumerate(extremes)}
+    for letter, (lo, hi, j, i) in enumerate(extremes):
+        if hi - lo > 2:
+            return TwoBalanceReport(m, n, horizon, ranges, letter, (i, j, hi, lo))
+    return TwoBalanceReport(m, n, horizon, ranges)
+
+
+def _extremes(counts: np.ndarray) -> tuple[int, int, int, int]:
+    """(min, max, first argmin, first argmax)."""
+    first_lo, first_hi = int(np.argmin(counts)), int(np.argmax(counts))
+    return int(counts[first_lo]), int(counts[first_hi]), first_lo, first_hi
 
 
 def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
@@ -80,6 +87,7 @@ def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
     The comparison against the known classification is certified only for
     limit <= 48; larger limits are exploratory scans.
     """
+    check_nonnegative(limit=limit)
     return [
         n
         for n in range(1, limit + 1)
@@ -87,39 +95,53 @@ def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
     ]
 
 
-_CORNER_HI = np.array([0, 0, 2, 0, 0], dtype=np.uint8)
-_CORNER_LO = np.array([0, 0, 0, 0, 0], dtype=np.uint8)
+@lru_cache(maxsize=None)
+def _corner_starts(search_limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of 00200 and of 00000 in the first search_limit recoded
+    symbols."""
+    syms = word(SequenceKind.TRIBONACCI_RECODED).symbols(search_limit)
+    grams = [syms[off : len(syms) - 4 + off] for off in range(5)]
+    zeros = np.logical_and.reduce([gram == 0 for k, gram in enumerate(grams) if k != 2])
+    return np.flatnonzero(zeros & (grams[2] == 2)), np.flatnonzero(zeros & (grams[2] == 0))
 
 
-def _five_gram_positions(syms: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    hits = np.ones(len(syms) - 4, dtype=bool)
-    for off, val in enumerate(pattern):
-        hits &= syms[off : len(syms) - 4 + off] == val
-    return np.flatnonzero(hits)
+@lru_cache(maxsize=None)
+def _factor_ranks(search_limit: int, length: int) -> np.ndarray:
+    """r[x] = rank of the recoded factor at x of the given power-of-two
+    length among those inside the first search_limit symbols (prefix
+    doubling: a factor of length 2L is the pair of its two halves)."""
+    if length == 1:
+        keys = word(SequenceKind.TRIBONACCI_RECODED).symbols(search_limit)
+    else:
+        half = _factor_ranks(search_limit, length // 2)
+        keys = half[: len(half) - length // 2] * (int(half.max()) + 1) + half[length // 2 :]
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _factor_keys(starts: np.ndarray, p: int, search_limit: int) -> np.ndarray:
+    """Integer keys, equal exactly when the length-p factors at `starts` are:
+    a factor of length L <= p < 2L is fixed by its first and last L symbols."""
+    if p == 0:
+        return np.zeros(len(starts), dtype=np.int64)
+    length = 1 << (p.bit_length() - 1)
+    r = _factor_ranks(search_limit, length)
+    return r[starts] * (int(r.max()) + 1) + r[starts + p - length]
 
 
 @lru_cache(maxsize=None)
 def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
     """Smallest (i, j), lexicographically, with equal length-p recoded factors
     followed by 00200 at i+p and 00000 at j+p."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    w = word(SequenceKind.TRIBONACCI_RECODED)
-    syms = w.symbols(search_limit)
-    raw = syms.tobytes()
-    starts_hi = _five_gram_positions(syms, _CORNER_HI)
-    starts_lo = _five_gram_positions(syms, _CORNER_LO)
-    prefix_to_j: dict[bytes, int] = {}
-    for b in starts_lo:
-        if b >= p:
-            key = raw[b - p : b]
-            if key not in prefix_to_j:
-                prefix_to_j[key] = int(b) - p
-    for a in starts_hi:
-        if a >= p:
-            j = prefix_to_j.get(raw[a - p : a])
-            if j is not None:
-                return CornerWitness(p, int(a) - p, j)
+    check_nonnegative(p=p, search_limit=search_limit)
+    if search_limit >= p + 5:
+        his, los = (starts[starts >= p] - p for starts in _corner_starts(search_limit))
+        hi_keys = _factor_keys(his, p, search_limit)
+        lo_keys = _factor_keys(los, p, search_limit)
+        found = np.flatnonzero(np.isin(hi_keys, lo_keys))
+        if len(found):
+            a = found[0]
+            b = np.flatnonzero(lo_keys == hi_keys[a])[0]
+            return CornerWitness(p, int(his[a]), int(los[b]))
     raise NotFoundWithinLimit(
         f"no corner witness for p={p} within {search_limit} symbols"
     )

@@ -1,6 +1,11 @@
 """Generators for the Fibonacci, Tribonacci (plus its 0/2 recoding) and
 Thue-Morse words, with exact per-letter prefix-count tables.
 
+The prefixes S_k = phi^k(0) = S_(k-1) phi^(k-1)(1) of the Fibonacci
+(0 -> 01, 1 -> 0) and Tribonacci (0 -> 01, 1 -> 02, 2 -> 0) words are
+concatenations: S_k = S_(k-1) S_(k-2) from "0", "01", and
+S_k = S_(k-1) S_(k-2) S_(k-3) from "0", "01", "0102".
+
 Words grow lazily in geometric blocks up to a configurable symbol budget
 (RECTBAL_BUDGET environment variable, default 10**7).  Cumulative count
 tables are maintained alongside the symbols so any prefix count is an O(1)
@@ -20,6 +25,13 @@ class BudgetExceeded(RuntimeError):
 
 
 MAX_BUDGET = 2**31 - 1  # count tables are int32
+
+
+def check_nonnegative(**values: int) -> None:
+    """Raise ValueError naming the first argument that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _checked_budget(budget: int, name: str = "budget") -> int:
@@ -62,8 +74,10 @@ ALPHABETS = {
     SequenceKind.THUE_MORSE: (0, 1),
 }
 
-_FIB_RULES = {ord("0"): "01", ord("1"): "0"}
-_TRIB_RULES = {ord("0"): "01", ord("1"): "02", ord("2"): "0"}
+_SEEDS = {
+    SequenceKind.FIBONACCI: ("0", "01"),
+    SequenceKind.TRIBONACCI: ("0", "01", "0102"),
+}
 _TM_COMPLEMENT = {ord("0"): "1", ord("1"): "0"}
 _TRIB2_RECODE = {ord("1"): "0"}
 
@@ -76,11 +90,10 @@ def _generate(kind: SequenceKind, length: int) -> str:
         return s[:length]
     if kind is SequenceKind.TRIBONACCI_RECODED:
         return _generate(SequenceKind.TRIBONACCI, length).translate(_TRIB2_RECODE)
-    rules = _FIB_RULES if kind is SequenceKind.FIBONACCI else _TRIB_RULES
-    s = "0"
-    while len(s) < length:
-        s = s.translate(rules)
-    return s[:length]
+    blocks = _SEEDS[kind]  # S_(k-r+1), ..., S_k
+    while len(blocks[-1]) < length:
+        blocks = blocks[1:] + ("".join(reversed(blocks)),)
+    return blocks[-1][:length]
 
 
 class Word:
@@ -122,20 +135,24 @@ class Word:
             self._counts[c] = table
 
     def symbols(self, length: int) -> np.ndarray:
+        check_nonnegative(length=length)
         self.ensure(length)
         return self._syms[:length]
 
     def symbol(self, i: int) -> int:
+        check_nonnegative(i=i)
         self.ensure(i + 1)
         return int(self._syms[i])
 
     def prefix_count(self, letter: int, k: int) -> int:
         """Occurrences of `letter` among the first k symbols."""
+        check_nonnegative(k=k)
         self.ensure(k)
         return int(self._counts[letter][k])
 
     def count_table(self, letter: int, length: int) -> np.ndarray:
         """Cumulative count array t -> occurrences of letter in [0, t), t <= length."""
+        check_nonnegative(length=length)
         self.ensure(length)
         return self._counts[letter][: length + 1]
 
@@ -161,6 +178,7 @@ def fib_symbol(i: int) -> int:
     """f_i, cross-checked: floor((i+2)*gamma) - floor((i+1)*gamma) vs the morphism."""
     from .exact_quadratic import floor_n_gamma
 
+    check_nonnegative(i=i)
     via_floor = floor_n_gamma(i + 2) - floor_n_gamma(i + 1)
     via_morphism = word(SequenceKind.FIBONACCI).symbol(i)
     assert via_floor == via_morphism, f"fibonacci word routes disagree at i={i}"

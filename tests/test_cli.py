@@ -148,6 +148,13 @@ def test_word_dump(capsys):
     assert code == 0 and out.strip() == "01101001"
 
 
+def test_word_dump_rejects_negative_limit(capsys):
+    assert main(["word", "dump", "--kind", "trib", "--limit", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit must be >= 0, got -5" in captured.err
+
+
 def test_dfa_infer_and_run(capsys, tmp_path):
     path = tmp_path / "bal.dfa"
     code, _ = run_cli(

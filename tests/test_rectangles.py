@@ -5,6 +5,7 @@ import pytest
 
 from rectbal.rectangles import (
     delta,
+    rect_counts,
     window_counts,
     word_letter_counts,
     word_rect_sum,
@@ -132,3 +133,22 @@ def test_window_counts_matches_naive_row_sums():
         for dtype in (np.int32, np.int64):
             got = window_counts(counts.astype(dtype), m, n, start, stop)
             assert got.dtype == np.int64 and got.tolist() == want
+    # the narrow kernel wraps its running sum modulo 2**32: a table lifted
+    # by 2**30 passes 2**32 within a few entries, and every count holds
+    symbols = np.array([rng.randrange(3) for _ in range(100_000)])
+    counts = np.concatenate([[0], np.cumsum(symbols == 1)])
+    lifted = (counts + 2**30).astype(np.int32)
+    assert int(np.sum(lifted, dtype=np.int64)) > 2**32
+    m, n = 37, 52
+    horizon = len(counts) - m - n + 1
+    got = rect_counts(lifted, m, n, 0, horizon)
+    want = sum(counts[k + n : k + n + horizon] - counts[k : k + horizon] for k in range(m))
+    assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert got[77] == sum(symbols[77 + k + l] == 1 for k in range(m) for l in range(n))
+    # all-ones symbols, every count m*n: just below 2**31 in int32, and from
+    # m*n >= 2**31 on through the int64 route
+    for side, dtype in ((46_340, np.int32), (50_000, np.int64)):
+        ones = np.arange(2 * side + 1, dtype=np.int32)
+        got = rect_counts(ones, side, side, 0, 2)
+        assert got.dtype == dtype and got.tolist() == [side * side] * 2
+        assert window_counts(ones, side, side, 1, 2).tolist() == [side * side]

@@ -13,6 +13,7 @@ from rectbal.tm_balance import (
     excess_profile,
     excess_sign_symmetry,
     excess_vector,
+    factor_sum,
 )
 
 
@@ -110,3 +111,16 @@ def test_degenerate_shapes_rejected():
         excess_profile(0, 3)
     with pytest.raises(ValueError):
         excess_class_parity_check(2)
+
+
+def test_sign_symmetry_rejects_empty_horizon():
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        excess_sign_symmetry(3, 3, 0)
+
+
+def test_factor_sum_rejects_negative_arguments():
+    assert factor_sum(0, 4) == 2
+    with pytest.raises(ValueError, match="start must be >= 0, got -3"):
+        factor_sum(-3, 2)
+    with pytest.raises(ValueError, match="length must be >= 0, got -2"):
+        factor_sum(3, -2)

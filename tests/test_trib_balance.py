@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rectbal.rectangles import word_letter_counts
 from rectbal.trib_balance import (
     NotFoundWithinLimit,
+    TwoBalanceReport,
     balanced_2xn_list,
     corner_count_gap,
     find_corner_witness,
@@ -40,6 +42,40 @@ def test_definitive_witness_recounts():
 def test_balanced_2xn_list_prefixes():
     assert balanced_2xn_list(0) == []
     assert balanced_2xn_list(4, horizon=100_000) == [1, 2, 3, 4]
+
+
+def test_balanced_2xn_list_rejects_negative_limit():
+    with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+        balanced_2xn_list(-1)
+
+
+def _three_cumsum_scan(m: int, n: int, horizon: int) -> TwoBalanceReport:
+    """two_balance_scan as one int64 double prefix sum per letter."""
+    w = word(SequenceKind.TRIBONACCI)
+    ranges, bad_letter, witness = {}, None, None
+    for letter in (0, 1, 2):
+        s2 = np.concatenate([[0], np.cumsum(w.count_table(letter, horizon + m + n), dtype=np.int64)])
+        counts = s2[m + n : horizon + m + n] - s2[n : horizon + n] - s2[m : horizon + m] + s2[:horizon]
+        lo, hi = int(counts.min()), int(counts.max())
+        ranges[letter] = (lo, hi)
+        if hi - lo > 2 and bad_letter is None:
+            bad_letter = letter
+            witness = (int(np.argmax(counts)), int(np.argmin(counts)), hi, lo)
+    return TwoBalanceReport(m, n, horizon, ranges, bad_letter, witness)
+
+
+def test_scan_matches_three_cumsums():
+    rng = random.Random(31)
+    # (4, 4) and (3, 28): letter 2 is the first unbalanced letter; (3, 5): 1
+    shapes = [(4, 4), (3, 28), (3, 5), (2, 5), (2, 7), (1, 9)]
+    shapes += [(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(12)]
+    letters = set()
+    for m, n in shapes:
+        horizon = rng.choice([1, 17, 5000, 100_000])
+        report = two_balance_scan(m, n, horizon)
+        assert report == _three_cumsum_scan(m, n, horizon), (m, n, horizon)
+        letters.add(report.unbalanced_letter)
+    assert letters == {None, 0, 1, 2}
 
 
 def test_scan_rejects_degenerate_shapes():
@@ -117,6 +153,57 @@ def test_corner_gap_requires_matching_shape():
 def test_witness_search_limit_is_reported():
     with pytest.raises(NotFoundWithinLimit):
         find_corner_witness(40, search_limit=50)
+
+
+def test_search_limit_out_of_domain():
+    with pytest.raises(ValueError, match="search_limit must be >= 0, got -5"):
+        find_corner_witness(2, -5)
+    # too short for any 00200 or 00000 window after a length-2 factor
+    for limit in (0, 3, 6):
+        with pytest.raises(NotFoundWithinLimit):
+            find_corner_witness(2, limit)
+
+
+@lru_cache(maxsize=None)
+def _pattern_starts(search_limit: int) -> dict[bytes, list[int]]:
+    raw = word(SequenceKind.TRIBONACCI_RECODED).symbols(search_limit).tobytes()
+    starts: dict[bytes, list[int]] = {bytes([0, 0, 2, 0, 0]): [], bytes(5): []}
+    for b in range(len(raw) - 4):
+        starts.get(raw[b : b + 5], []).append(b)
+    return starts
+
+
+def _dict_corner_search(p: int, search_limit: int) -> tuple[int, int] | None:
+    """The corner search keyed on factor bytes: for each 00200 start a in
+    order, the first 00000 start b whose preceding length-p factor equals
+    the one before a."""
+    raw = word(SequenceKind.TRIBONACCI_RECODED).symbols(search_limit).tobytes()
+    starts = _pattern_starts(search_limit)
+    prefix_to_j: dict[bytes, int] = {}
+    for b in starts[bytes(5)]:
+        if b >= p:
+            prefix_to_j.setdefault(raw[b - p : b], b - p)
+    for a in starts[bytes([0, 0, 2, 0, 0])]:
+        j = prefix_to_j.get(raw[a - p : a]) if a >= p else None
+        if j is not None:
+            return a - p, j
+    return None
+
+
+@pytest.mark.parametrize("search_limit", [300, 5_000, 200_000])
+def test_rank_corner_search_matches_dict_search(search_limit):
+    missing = 0
+    for p in range(81):
+        want = _dict_corner_search(p, search_limit)
+        if want is None:
+            missing += 1
+            with pytest.raises(NotFoundWithinLimit):
+                find_corner_witness(p, search_limit)
+        else:
+            wit = find_corner_witness(p, search_limit)
+            assert (wit.p, wit.i, wit.j) == (p, *want)
+    # 300 symbols miss 29 of these p; 5,000 miss none
+    assert (missing > 0) == (search_limit == 300)
 
 
 def test_no_two_balance_for_three_plus_rows():

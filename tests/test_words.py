@@ -9,6 +9,7 @@ from rectbal.words import (
     BudgetExceeded,
     SequenceKind,
     Word,
+    _generate,
     fib_symbol,
     sturmian_a_symbol,
     sturmian_a_word,
@@ -17,6 +18,52 @@ from rectbal.words import (
     trib_symbol,
     word,
 )
+
+
+_MORPHISMS = {
+    SequenceKind.FIBONACCI: {ord("0"): "01", ord("1"): "0"},
+    SequenceKind.TRIBONACCI: {ord("0"): "01", ord("1"): "02", ord("2"): "0"},
+    SequenceKind.THUE_MORSE: {ord("0"): "01", ord("1"): "10"},
+}
+
+
+def _morphism_word(kind: SequenceKind, length: int) -> str:
+    """The word applied as its morphism, symbol by symbol, to "0"."""
+    if kind is SequenceKind.TRIBONACCI_RECODED:
+        return _morphism_word(SequenceKind.TRIBONACCI, length).replace("1", "0")
+    s = "0"
+    while len(s) < length:
+        s = s.translate(_MORPHISMS[kind])
+    return s[:length]
+
+
+def _as_symbols(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_generator_matches_morphism(kind):
+    limit = 2_000_000
+    want = _morphism_word(kind, limit)
+    for length in (0, 1, 2, 3, 4, 5, 7, 13, 24, 44, 1000, limit):
+        assert _generate(kind, length) == want[:length]
+    # regrowth: a word built short, then grown by more than its doubling
+    w = Word(kind)
+    w.ensure(5000)
+    assert len(w) == 5000
+    w.ensure(limit)
+    assert np.array_equal(w.symbols(limit), _as_symbols(want))
+    for c in w.alphabet:
+        assert np.array_equal(w.count_table(c, limit)[1:], np.cumsum(_as_symbols(want) == c))
+
+
+def test_prefixed_word_matches_morphism():
+    limit = 2_000_000
+    a = Word(SequenceKind.FIBONACCI, prefix="0")
+    a.ensure(3000)
+    want = _as_symbols("0" + _morphism_word(SequenceKind.FIBONACCI, limit - 1))
+    assert np.array_equal(a.symbols(limit), want)
+    assert np.array_equal(sturmian_a_word().symbols(10_000), want[:10_000])
 
 
 def test_fibonacci_prefix():
@@ -185,3 +232,25 @@ def test_non_integer_budget_variable_rejected():
     )
     assert proc.returncode != 0
     assert "RECTBAL_BUDGET must be an integer, got 'abc'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda w: w.symbol(-1), "i"),
+        (lambda w: w.symbols(-5), "length"),
+        (lambda w: w.prefix_count(1, -1), "k"),
+        (lambda w: w.count_table(0, -1), "length"),
+        (lambda w: trib_symbol(-3), "i"),
+        (lambda w: trib2_symbol(-3), "i"),
+        (lambda w: tm_symbol(-2), "i"),
+        (lambda w: fib_symbol(-3), "i"),
+    ],
+)
+def test_negative_arguments_rejected_on_built_word(call, name):
+    # numpy would answer these from the end of the built arrays
+    for kind in SequenceKind:
+        word(kind).ensure(100)
+    w = word(SequenceKind.TRIBONACCI)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+        call(w)
