@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact_quadratic import GAMMA, ONE, QuadraticValue
 from .numeration import fib_index_list, fibonacci
-from .rectangles import check_nonnegative, telescope, window_counts, word_rect_sum
+from .rectangles import check_nonnegative, rect_counts, telescope, word_rect_sum
 from .words import BudgetExceeded, SequenceKind, sturmian_a_word, word
 
 
@@ -182,8 +182,9 @@ class _Count:
     +1, then one cumsum); sparse, the sorted event keys with c after each.
     """
 
-    def __init__(self, mu: int, nu: int, reach: int = 0) -> None:
-        sparse = _SPARSE_RATIO * mu < mu + nu
+    def __init__(self, mu: int, nu: int, reach: int = 0, sparse: bool | None = None) -> None:
+        if sparse is None:
+            sparse = _SPARSE_RATIO * mu < mu + nu
         self.p, self.q = p, q = _table_convergent(mu + nu + reach, 2 * mu if sparse else None)
         block, window = _keys(0, mu, p, q), _keys(nu, nu + mu, p, q)
         if sparse:
@@ -240,7 +241,8 @@ def is_balanced(m: int, n: int) -> bool:
 def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
     increasing order, with their values; ``count`` is the pair's sweep,
-    rebuilt over a longer range once the scan passes it.
+    rebuilt over a longer range once the scan passes it (sparse when a
+    dense rebuild would pass the symbol budget).
 
     Every value is taken at some i < F_{k+2}, where F_k <= m+n-1 < F_{k+1}
     and k >= 2.  For i >= 1, T(i) is fixed by the open arc between event
@@ -263,7 +265,10 @@ def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
         if i == cover:
             raise RuntimeError(f"no witness found for ({m}, {n})")
         if i + size >= count.q:  # past the exact range of this sweep
-            count = _Count(mu, nu, cover)
+            try:
+                count = _Count(mu, nu, cover)
+            except BudgetExceeded:  # Z_q is over the budget; 2*mu keys may not be
+                count = _Count(mu, nu, cover, sparse=True)
         stop = min(cover, count.q - size, i + _SCAN_CHUNK)
         c = count.at((-np.arange(i, stop, dtype=np.int64) * count.p - 1) % count.q)
         for target in (count.lo, count.hi):
@@ -353,13 +358,13 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
         return BalanceVerdict(
             BalanceStatus.UNKNOWN_UP_TO_HORIZON, "scan", horizon=horizon
         )
-    s = sturmian_a_word().count_table(1, horizon + m + n + 1)
+    s = sturmian_a_word().running_sum(1, horizon + m + n + 1)
     # Scan prefixes growing geometrically: every block inside a prefix is a
     # block of the full scan, so the first one found is the first overall.
     stop = 0
     while stop < horizon:
         stop = min(horizon, 4 * stop + 1024)
-        t = window_counts(s, m, n, 0, stop + 1)
+        t = rect_counts(s, m, n, 0, stop + 1)
         d = np.diff(t)
         assert int(d.min()) >= -1 and int(d.max()) <= 1
         nz = np.flatnonzero(d)

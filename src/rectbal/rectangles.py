@@ -3,11 +3,13 @@ index i + k + l, constant along antidiagonals.
 
 Every rectangle count is a windowed sum of a prefix-count table C: the
 count at i is sum_{k<m} C[i+k+n] - C[i+k], which telescopes twice over the
-running sum of C.  `rect_counts` is that kernel, O(m + n) per query.
+running sum s of C (s[j] = C[0] + ... + C[j-1]).  Each `Word` stores s per
+letter, so `rect_counts` is four slices of it, O(1) per position.
 
-The running sum outgrows 32 bits, but the kernel only adds and subtracts
-and each count lies in [0, m*n]: taken modulo 2**32 in uint32, its result
-read as int32 is exact while m*n < 2**31.  Larger shapes use int64.
+The stored s outgrows 32 bits and is kept modulo 2**32 in uint32.  The
+telescope only adds and subtracts, and each count lies in [0, m*n]: taken
+in uint32 and read as int32, the count is exact while m*n < 2**31.  Larger
+shapes recover C from s (exact, as C < 2**31) and sum it again in int64.
 """
 from __future__ import annotations
 
@@ -28,30 +30,32 @@ def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarr
     )
 
 
-def rect_counts(counts: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
+def rect_counts(sums: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
     """The m x n rectangle counts at start <= i < stop of the letter whose
-    prefix-count table is `counts` (counts[t] = occurrences in [0, t)), as
-    int32 when m*n < 2**31 and as int64 otherwise.
+    running sum of prefix counts is `sums` (exact or modulo 2**32, as
+    `Word.running_sum` returns it), as int32 when m*n < 2**31 and as int64
+    otherwise; the int64 route needs the prefix counts below 2**31.
 
-    Only counts[start : stop+m+n-1] is read; it must be there.
+    Only sums[start : stop+m+n] is read; it must be there.
     """
+    sums = sums.astype(np.uint32, copy=False)
+    if m * n < 2**31:
+        return telescope(sums, m, n, start, stop).view(np.int32)
     check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
-    window = counts[start : stop + m + n - 1]
-    narrow = m * n < 2**31
-    s2 = np.zeros(len(window) + 1, dtype=np.uint32 if narrow else np.int64)
-    np.cumsum(window, dtype=s2.dtype, out=s2[1:])
-    out = telescope(s2, m, n, 0, stop - start)
-    return out.view(np.int32) if narrow else out
+    counts = np.diff(sums[start : stop + m + n]).view(np.int32)
+    s2 = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=s2[1:])
+    return telescope(s2, m, n, 0, stop - start)
 
 
-def window_counts(counts: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
-    """`rect_counts` as int64."""
-    return rect_counts(counts, m, n, start, stop).astype(np.int64)
+def word_counts(w: Word, letter: int, m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """`rect_counts` of one letter of word w."""
+    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    return rect_counts(w.running_sum(letter, stop + m + n), m, n, start, stop)
 
 
 def _letter_count(w: Word, letter: int, i: int, m: int, n: int) -> int:
-    table = w.count_table(letter, i + m + n - 1)
-    return int(rect_counts(table, m, n, i, i + 1)[0])
+    return int(word_counts(w, letter, m, n, i, i + 1)[0])
 
 
 def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
@@ -60,8 +64,10 @@ def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
 
 
 def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
-    """Per-letter occurrence counts in the rectangle; they sum to m*n."""
-    return {c: _letter_count(w, c, i, m, n) for c in w.alphabet}
+    """Per-letter occurrence counts in the rectangle.  They sum to m*n, so
+    letter 0's is the rest, and its running sum is not built."""
+    counts = {c: _letter_count(w, c, i, m, n) for c in w.alphabet if c}
+    return {0: m * n - sum(counts.values()), **counts}
 
 
 def delta(i: int, m: int, n: int) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rectangles import rect_counts, window_counts
+from .rectangles import word_counts
 from .words import SequenceKind, check_nonnegative, word
 
 
@@ -34,26 +34,28 @@ class ExcessProfile:
         return (self.max_s - self.min_s) // 2
 
 
-def _prefix(length: int) -> np.ndarray:
-    return word(SequenceKind.THUE_MORSE).count_table(1, length)
+def _ones(m: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Counts of 1 in the m x n rectangles at start <= i < stop."""
+    return word_counts(word(SequenceKind.THUE_MORSE), 1, m, n, start, stop)
 
 
 def factor_sum(start: int, length: int) -> int:
     """Number of 1s among t_start .. t_{start+length-1}."""
     check_nonnegative(start=start, length=length)
-    table = _prefix(start + length)
-    return int(table[start + length] - table[start])
+    stop = start + length
+    s = word(SequenceKind.THUE_MORSE).running_sum(1, stop + 2)
+    # C[stop] - C[start], with prefix counts C[t] = s[t+1] - s[t] mod 2**32
+    return (int(s[stop + 1]) - int(s[stop]) - int(s[start + 1]) + int(s[start])) % 2**32
 
 
 def excess(i: int, m: int, n: int) -> int:
     """2 * count_1(rectangle at i) - m*n."""
-    total = int(rect_counts(_prefix(i + m + n - 1), m, n, i, i + 1)[0])
-    return 2 * total - m * n
+    return 2 * int(_ones(m, n, i, i + 1)[0]) - m * n
 
 
 def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
     """excess(i, m, n) for all i < horizon, vectorized."""
-    return 2 * window_counts(_prefix(horizon + m + n), m, n, 0, horizon) - m * n
+    return 2 * _ones(m, n, 0, horizon).astype(np.int64) - m * n
 
 
 def excess_even_even(i: int, m: int, n: int) -> int:
@@ -109,7 +111,7 @@ def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
         horizon = default_horizon(m, n)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    counts = rect_counts(_prefix(horizon + m + n), m, n, 0, horizon)
+    counts = _ones(m, n, 0, horizon)
     lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))
     return ExcessProfile(m, n, horizon, lo, hi)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rectangles import rect_counts, word_letter_counts
+from .rectangles import word_counts, word_letter_counts
 from .words import SequenceKind, check_nonnegative, word
 
 
@@ -59,15 +59,12 @@ def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceRepo
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = word(SequenceKind.TRIBONACCI)
-    c0, c1 = (
-        rect_counts(w.count_table(letter, horizon + m + n), m, n, 0, horizon)
-        for letter in (0, 1)
-    )
-    extremes = [_extremes(c0), _extremes(c1)]
-    # letter 2 counts m*n - (c0 + c1): the extremes of c0 + c1, swapped
-    c0 += c1
-    lo, hi, first_lo, first_hi = _extremes(c0)
-    extremes.append((m * n - hi, m * n - lo, first_hi, first_lo))
+    c1, c2 = (word_counts(w, letter, m, n, 0, horizon) for letter in (1, 2))
+    extremes = [_extremes(c1), _extremes(c2)]
+    # letter 0 counts m*n - (c1 + c2): the extremes of c1 + c2, swapped
+    c1 += c2
+    lo, hi, first_lo, first_hi = _extremes(c1)
+    extremes.insert(0, (m * n - hi, m * n - lo, first_hi, first_lo))
     ranges = {letter: (lo, hi) for letter, (lo, hi, _, _) in enumerate(extremes)}
     for letter, (lo, hi, j, i) in enumerate(extremes):
         if hi - lo > 2:

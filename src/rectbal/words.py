@@ -1,5 +1,5 @@
 """Generators for the Fibonacci, Tribonacci (plus its 0/2 recoding) and
-Thue-Morse words, with exact per-letter prefix-count tables.
+Thue-Morse words, with exact per-letter prefix counts.
 
 The prefixes S_k = phi^k(0) = S_(k-1) phi^(k-1)(1) of the Fibonacci
 (0 -> 01, 1 -> 0) and Tribonacci (0 -> 01, 1 -> 02, 2 -> 0) words are
@@ -7,9 +7,13 @@ concatenations: S_k = S_(k-1) S_(k-2) from "0", "01", and
 S_k = S_(k-1) S_(k-2) S_(k-3) from "0", "01", "0102".
 
 Words grow lazily in geometric blocks up to a configurable symbol budget
-(RECTBAL_BUDGET environment variable, default 10**7).  Cumulative count
-tables are maintained alongside the symbols so any prefix count is an O(1)
-lookup.
+(RECTBAL_BUDGET environment variable, default 10**7).  For each letter that
+is read, a word stores the running sum of its prefix counts C[t] (the
+occurrences among the first t symbols), s[j] = C[0] + ... + C[j-1] modulo
+2**32 in uint32, built over the whole built prefix on the first read and
+again after each growth.  Every rectangle count is a telescope of s (see
+`rectangles`), and any prefix count is an O(1) difference: the budget keeps
+C below 2**31, so C[t] = s[t+1] - s[t] modulo 2**32 is exact.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ class BudgetExceeded(RuntimeError):
     """A request would grow a word beyond the configured symbol budget."""
 
 
-MAX_BUDGET = 2**31 - 1  # count tables are int32
+MAX_BUDGET = 2**31 - 1  # prefix counts fit int32
 
 
 def check_nonnegative(**values: int) -> None:
@@ -100,8 +104,7 @@ class Word:
     """Lazily materialized word with O(1) prefix-count queries.
 
     Immutable once a prefix is built; growing only appends.  Symbol arrays
-    are uint8, count tables int32 cumulative sums of per-letter indicators
-    (the budget keeps every count below 2**31).
+    are uint8; each letter read has its uint32 running sum of prefix counts.
     """
 
     def __init__(self, kind: SequenceKind, budget: int | None = None, prefix: str = ""):
@@ -109,7 +112,7 @@ class Word:
         self.budget = DEFAULT_BUDGET if budget is None else _checked_budget(budget)
         self._prefix = prefix  # fixed symbols glued before the generated word
         self._syms = np.zeros(0, dtype=np.uint8)
-        self._counts = {c: np.zeros(1, dtype=np.int32) for c in self.alphabet}
+        self._sums: dict[int, np.ndarray] = {}  # letter -> s over the built prefix
 
     def __len__(self) -> int:
         return len(self._syms)
@@ -129,10 +132,7 @@ class Word:
         body = _generate(self.kind, max(target - len(self._prefix), 0))
         text = (self._prefix + body)[:target]
         self._syms = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        for c in self.alphabet:
-            table = np.zeros(len(self._syms) + 1, dtype=np.int32)
-            np.cumsum(self._syms == c, dtype=np.int32, out=table[1:])
-            self._counts[c] = table
+        self._sums.clear()
 
     def symbols(self, length: int) -> np.ndarray:
         check_nonnegative(length=length)
@@ -144,17 +144,32 @@ class Word:
         self.ensure(i + 1)
         return int(self._syms[i])
 
+    def running_sum(self, letter: int, size: int) -> np.ndarray:
+        """s[:size] as uint32, s[j] = C[0] + ... + C[j-1] modulo 2**32 with
+        C[t] the occurrences of `letter` in [0, t), so it needs the first
+        size - 2 symbols.  Built over the whole built prefix on first read."""
+        check_nonnegative(size=size)
+        if letter not in self.alphabet:
+            raise ValueError(f"letter must be one of {self.alphabet}, got {letter}")
+        self.ensure(size - 2)
+        s = self._sums.get(letter)
+        if s is None:
+            s = np.zeros(len(self._syms) + 2, dtype=np.uint32)
+            np.cumsum(self._syms == letter, dtype=np.uint32, out=s[2:])  # C[1:]
+            np.cumsum(s[2:], out=s[2:])
+            self._sums[letter] = s
+        return s[:size]
+
     def prefix_count(self, letter: int, k: int) -> int:
         """Occurrences of `letter` among the first k symbols."""
         check_nonnegative(k=k)
-        self.ensure(k)
-        return int(self._counts[letter][k])
+        s = self.running_sum(letter, k + 2)
+        return (int(s[k + 1]) - int(s[k])) % 2**32
 
     def count_table(self, letter: int, length: int) -> np.ndarray:
         """Cumulative count array t -> occurrences of letter in [0, t), t <= length."""
         check_nonnegative(length=length)
-        self.ensure(length)
-        return self._counts[letter][: length + 1]
+        return np.diff(self.running_sum(letter, length + 2)).view(np.int32)
 
 
 @lru_cache(maxsize=None)

@@ -82,6 +82,8 @@ def test_trib_corner_json(capsys):
 def test_tm_excess_and_profile(capsys):
     code, out = run_cli(capsys, "tm", "excess", "--i", "0", "--m", "1", "--n", "1")
     assert code == 0 and out.strip() == "-1"
+    code, out = run_cli(capsys, "tm", "excess", "--i", "0", "--m", "0", "--n", "0")
+    assert code == 0 and out == "0\n"
     code, out = run_cli(
         capsys, "tm", "profile", "--m", "3", "--n", "3", "--horizon", "100000"
     )

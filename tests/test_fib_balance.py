@@ -36,7 +36,7 @@ from rectbal.fib_balance import (
     value_set,
     zeck_characterization,
 )
-from rectbal.rectangles import delta, window_counts, word_rect_sum
+from rectbal.rectangles import delta, rect_counts, word_rect_sum
 from rectbal.words import BudgetExceeded, sturmian_a_word
 
 
@@ -322,8 +322,8 @@ def _table_witness(m: int, n: int) -> tuple[int, int, int, int]:
 
 def _full_scan(m: int, n: int, horizon: int):
     """The former delta_block_scan: one pass over every i < horizon."""
-    s = sturmian_a_word().count_table(1, horizon + m + n + 1)
-    t = window_counts(s, m, n, 0, horizon + 1)
+    s = sturmian_a_word().running_sum(1, horizon + m + n + 1)
+    t = rect_counts(s, m, n, 0, horizon + 1)
     d = np.diff(t)
     nz = np.flatnonzero(d)
     hits = np.flatnonzero(d[nz[:-1]] == d[nz[1:]])
@@ -456,6 +456,16 @@ def test_tables_obey_the_symbol_budget(monkeypatch):
     assert peak < 1 << 16
     # a sparse sweep holds only its 2*mu keys
     assert value_set(400, 10**5) == expected
+
+
+def test_witness_rebuild_goes_sparse_over_the_budget(monkeypatch):
+    pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
+    full = {pair: exact_balance(*pair) for pair in pairs}
+    assert sum(not v.balanced for v in full.values()) >= 5
+    # the verdict sweeps fit 5000 entries; dense rebuilds over 10946 do not
+    monkeypatch.setattr(sturmian_a_word(), "budget", 5000)
+    for pair, verdict in full.items():
+        assert exact_balance(*pair) == verdict, pair
 
 
 def test_scalar_t_builds_no_table():

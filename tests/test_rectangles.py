@@ -6,14 +6,21 @@ import pytest
 from rectbal.rectangles import (
     delta,
     rect_counts,
-    window_counts,
     word_letter_counts,
     word_rect_sum,
 )
-from rectbal.words import SequenceKind, sturmian_a_word, word
+from rectbal.tm_balance import excess
+from rectbal.words import SequenceKind, Word, sturmian_a_word, word
 
 FIB = SequenceKind.FIBONACCI
 TRIB = SequenceKind.TRIBONACCI
+
+
+def _running_sum(counts: np.ndarray) -> np.ndarray:
+    """s[j] = counts[0] + ... + counts[j-1] modulo 2**32, as uint32."""
+    s = np.zeros(len(counts) + 1, dtype=np.uint32)
+    np.cumsum(counts, dtype=np.uint32, out=s[1:])
+    return s
 
 
 def naive_rect_sum(kind: SequenceKind, i: int, m: int, n: int) -> int:
@@ -130,25 +137,40 @@ def test_window_counts_matches_naive_row_sums():
             sum(symbols[i + k + l] == 1 for k in range(m) for l in range(n))
             for i in range(start, stop)
         ]
-        for dtype in (np.int32, np.int64):
-            got = window_counts(counts.astype(dtype), m, n, start, stop)
-            assert got.dtype == np.int64 and got.tolist() == want
-    # the narrow kernel wraps its running sum modulo 2**32: a table lifted
-    # by 2**30 passes 2**32 within a few entries, and every count holds
+        # the stored form (uint32, modulo 2**32) and an exact int64 sum
+        exact = np.concatenate([[0], np.cumsum(counts)])
+        for sums in (_running_sum(counts), exact):
+            got = rect_counts(sums, m, n, start, stop)
+            assert got.dtype == np.int32 and got.tolist() == want
+    # the running sum wraps modulo 2**32: a table lifted by 2**30 passes
+    # 2**32 within a few entries, and every count holds
     symbols = np.array([rng.randrange(3) for _ in range(100_000)])
     counts = np.concatenate([[0], np.cumsum(symbols == 1)])
     lifted = (counts + 2**30).astype(np.int32)
     assert int(np.sum(lifted, dtype=np.int64)) > 2**32
     m, n = 37, 52
     horizon = len(counts) - m - n + 1
-    got = rect_counts(lifted, m, n, 0, horizon)
+    got = rect_counts(_running_sum(lifted), m, n, 0, horizon)
     want = sum(counts[k + n : k + n + horizon] - counts[k : k + horizon] for k in range(m))
     assert got.dtype == np.int32 and np.array_equal(got, want)
     assert got[77] == sum(symbols[77 + k + l] == 1 for k in range(m) for l in range(n))
     # all-ones symbols, every count m*n: just below 2**31 in int32, and from
-    # m*n >= 2**31 on through the int64 route
-    for side, dtype in ((46_340, np.int32), (50_000, np.int64)):
-        ones = np.arange(2 * side + 1, dtype=np.int32)
-        got = rect_counts(ones, side, side, 0, 2)
+    # m*n >= 2**31 on through the int64 route, also where m*n is 2**32 or
+    # more, so that its residue modulo 2**32 is 0 or small
+    for side, dtype in ((46_340, np.int32), (50_000, np.int64), (65_536, np.int64), (70_000, np.int64)):
+        sums = _running_sum(np.arange(2 * side + 1, dtype=np.int32))
+        got = rect_counts(sums, side, side, 0, 2)
         assert got.dtype == dtype and got.tolist() == [side * side] * 2
-        assert window_counts(ones, side, side, 1, 2).tolist() == [side * side]
+        assert rect_counts(sums, side, side, 1, 2).tolist() == [side * side]
+
+
+def test_empty_rectangle_at_zero():
+    for kind in SequenceKind:
+        w = word(kind)
+        assert word_letter_counts(w, 0, 0, 0) == {c: 0 for c in w.alphabet}
+        assert word_rect_sum(w, 0, 0, 0) == 0
+    assert delta(0, 0, 0) == 0
+    assert excess(0, 0, 0) == 0
+    # an unbuilt word answers without growing
+    fresh = Word(FIB)
+    assert word_letter_counts(fresh, 0, 0, 0) == {0: 0, 1: 0} and len(fresh) == 0

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from rectbal import tm_balance
 from rectbal.tm_balance import (
     ParityViolation,
     default_horizon,
@@ -15,6 +16,7 @@ from rectbal.tm_balance import (
     excess_vector,
     factor_sum,
 )
+from rectbal.words import SequenceKind, Word
 
 
 def test_excess_single_cells():
@@ -124,3 +126,13 @@ def test_factor_sum_rejects_negative_arguments():
         factor_sum(-3, 2)
     with pytest.raises(ValueError, match="length must be >= 0, got -2"):
         factor_sum(3, -2)
+
+
+def test_scans_never_build_the_letter_0_sum(monkeypatch):
+    tm = Word(SequenceKind.THUE_MORSE)
+    monkeypatch.setattr(tm_balance, "word", lambda kind: tm)
+    assert excess_class_parity_check(5, 2000)
+    excess_profile(4, 6, 3000)
+    excess_sign_symmetry(3, 3, 1000)
+    assert excess(7, 3, 5) == excess_parity_reduced(7, 3, 5)
+    assert set(tm._sums) == {1}

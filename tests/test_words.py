@@ -57,6 +57,26 @@ def test_generator_matches_morphism(kind):
         assert np.array_equal(w.count_table(c, limit)[1:], np.cumsum(_as_symbols(want) == c))
 
 
+def _double_cumsum(symbols: np.ndarray, letter: int) -> np.ndarray:
+    """s[j] = C[0] + ... + C[j-1] in int64, C the prefix counts of letter."""
+    counts = np.concatenate([[0], np.cumsum(symbols == letter, dtype=np.int64)])
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+@pytest.mark.parametrize("prefix", ["", "0"])
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_running_sums_match_double_cumsum(kind, prefix):
+    w = Word(kind, prefix=prefix)
+    for length in (5000, 300_000):  # the second one regrows the word
+        for c in w.alphabet:
+            got = w.running_sum(c, length + 2)
+            assert got.dtype == np.uint32 and len(w._sums[c]) == len(w) + 2
+            want = _double_cumsum(w.symbols(length), c)
+            assert np.array_equal(got, want % 2**32), (kind, c, length)
+            assert np.array_equal(w.count_table(c, length), np.diff(want))
+    assert int(want[-1]) > 2**32  # the stored sums wrapped
+
+
 def test_prefixed_word_matches_morphism():
     limit = 2_000_000
     a = Word(SequenceKind.FIBONACCI, prefix="0")
@@ -254,3 +274,17 @@ def test_negative_arguments_rejected_on_built_word(call, name):
     w = word(SequenceKind.TRIBONACCI)
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
         call(w)
+
+
+@pytest.mark.parametrize(
+    "kind, call",
+    [
+        (SequenceKind.FIBONACCI, lambda w: w.prefix_count(2, 5)),
+        (SequenceKind.THUE_MORSE, lambda w: w.count_table(3, 5)),
+        (SequenceKind.TRIBONACCI_RECODED, lambda w: w.running_sum(1, 5)),
+    ],
+)
+def test_letters_outside_the_alphabet_rejected(kind, call):
+    # a lazily built sum of a foreign letter would be all zeros
+    with pytest.raises(ValueError, match="^letter must be one of"):
+        call(word(kind))
