@@ -3,7 +3,8 @@
 Array and record outputs are normalised to little-endian int64 bytes before
 hashing, so a change of dtype alone does not move a digest; CLI outputs are
 hashed as the bytes written to stdout or to the --out file.  The verdict
-table is hashed as its raw boolean bytes.
+table is hashed as its raw boolean bytes, and text outputs (decoded values
+with rejection messages, a serialized automaton) as their UTF-8 bytes.
 """
 import contextlib
 import hashlib
@@ -13,7 +14,9 @@ import random
 import numpy as np
 
 from rectbal.cli import main
+from rectbal.dfa_tools import build_sample_table, dfa_to_text, infer_min_dfa
 from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan, t_value_vector
+from rectbal.numeration import InvalidRepresentation, negabin_decode, trib_decode, zeck_decode
 from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess_vector
 from rectbal.trib_balance import two_balance_scan
@@ -29,6 +32,10 @@ GOLDEN = {
     "delta_block_scan(4, 18)": "5721fc610522e263978f9200ff6c804fcbb4b6fa62e6d337ec7ed5129a352662",
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
+    "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
+    "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
+    "negabin_decode over binary strings to length 10": "9aaeba249fc3ff209a6df7c32ba7f840510a0de437f02f350dd26c6f744b0db4",
+    "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
 }
 
 # README command-line examples; {tmp} is a fresh directory
@@ -88,6 +95,23 @@ def _rectangle_records() -> list[int]:
     return out
 
 
+def _decode_text(decode) -> str:
+    """One line per binary string of length <= 10, and per a few non-binary
+    ones: its value or the text of its rejection."""
+    lines = []
+    strings = [format(v, f"0{k}b") if k else "" for k in range(11) for v in range(2**k)]
+    for digits in strings + ["2", "1021", "1 0"]:
+        try:
+            lines.append(f"{digits}:{decode(digits)}")
+        except InvalidRepresentation as err:
+            lines.append(f"{digits}!{err}")
+    return "\n".join(lines)
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def outputs() -> dict[str, str]:
     return {
         "t_value_vector(7, 11, 10**5)": _digest(t_value_vector(7, 11, 10**5)),
@@ -99,6 +123,12 @@ def outputs() -> dict[str, str]:
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
         "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
+        "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
+        "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
+        "negabin_decode over binary strings to length 10": _text_digest(_decode_text(negabin_decode)),
+        "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": _text_digest(
+            dfa_to_text(infer_min_dfa(build_sample_table(13), 10))
+        ),
     }
 
 
