@@ -31,10 +31,7 @@ from .words import (
     SequenceKind,
     Word,
     fib_symbol,
-    sturmian_a_symbol,
     tm_symbol,
-    trib2_symbol,
-    trib_symbol,
     word,
 )
 from .rectangles import (

@@ -13,8 +13,7 @@ import sys
 
 from . import dfa_tools, fib_balance, numeration, tm_balance, trib_balance, words
 from .fib_balance import BalanceStatus
-from .rectangles import check_nonnegative
-from .words import SequenceKind
+from .words import SequenceKind, check_nonnegative
 
 _KINDS = {
     "fib": SequenceKind.FIBONACCI,
@@ -130,6 +129,7 @@ def _cmd_tm_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_tm_table(args: argparse.Namespace) -> int:
+    check_nonnegative(max=args.max)
     lines = ["m,n,min_s,max_s,balance,horizon"]
     for m in range(1, args.max + 1):
         for n in range(m, args.max + 1):
@@ -142,13 +142,9 @@ def _cmd_tm_table(args: argparse.Namespace) -> int:
 def _cmd_dfa_infer(args: argparse.Namespace) -> int:
     table = dfa_tools.build_sample_table(args.max_len)
     dfa = dfa_tools.infer_min_dfa(table, args.depth)
-    text = dfa_tools.dfa_to_text(dfa)
+    _emit(dfa_tools.dfa_to_text(dfa), args.out)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text)
         sys.stdout.write(f"states: {dfa.n_states}\n")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -181,10 +177,18 @@ def _cmd_num(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_dump(args: argparse.Namespace) -> int:
-    words.check_nonnegative(limit=args.limit)
+    check_nonnegative(limit=args.limit)
     w = words.word(_KINDS[args.kind])
     _emit("".join(str(s) for s in w.symbols(args.limit)) + "\n", args.out)
     return 0
+
+
+def _command(group, name: str, func) -> argparse.ArgumentParser:
+    """Register a subcommand with its --out option and handler."""
+    p = group.add_parser(name)
+    p.add_argument("--out")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,85 +204,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="group", required=True)
 
     fib = sub.add_parser("fib").add_subparsers(dest="command", required=True)
-    p = fib.add_parser("bal")
+    p = _command(fib, "bal", _cmd_fib_bal)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("exact", "scan", "zeck"), default="exact")
     p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fib_bal)
-    p = fib.add_parser("sweep")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fib_sweep)
-    p = fib.add_parser("diverse")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_fib_diverse)
+    _command(fib, "sweep", _cmd_fib_sweep).add_argument("--max", type=int, required=True)
+    _command(fib, "diverse", _cmd_fib_diverse).add_argument("--k", type=int, required=True)
 
     trib = sub.add_parser("trib").add_subparsers(dest="command", required=True)
-    p = trib.add_parser("bal2")
+    p = _command(trib, "bal2", _cmd_trib_bal2)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--horizon", type=int, default=1_000_000)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_trib_bal2)
-    p = trib.add_parser("list2")
+    p = _command(trib, "list2", _cmd_trib_list2)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--horizon", type=int, default=1_000_000)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_trib_list2)
-    p = trib.add_parser("corner")
+    p = _command(trib, "corner", _cmd_trib_corner)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--search-limit", type=int, default=200_000)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_trib_corner)
 
     tm = sub.add_parser("tm").add_subparsers(dest="command", required=True)
-    p = tm.add_parser("excess")
+    p = _command(tm, "excess", _cmd_tm_excess)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tm_excess)
-    p = tm.add_parser("profile")
+    p = _command(tm, "profile", _cmd_tm_profile)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tm_profile)
-    p = tm.add_parser("table")
+    p = _command(tm, "table", _cmd_tm_table)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_tm_table)
 
     dfa = sub.add_parser("dfa").add_subparsers(dest="command", required=True)
-    p = dfa.add_parser("infer")
+    p = _command(dfa, "infer", _cmd_dfa_infer)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dfa_infer)
-    p = dfa.add_parser("run")
+    p = _command(dfa, "run", _cmd_dfa_run)
     p.add_argument("--file", required=True)
     p.add_argument("--pair", type=int, nargs=2, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_dfa_run)
 
     num = sub.add_parser("num").add_subparsers(dest="action", required=True)
     for action in ("encode", "decode"):
-        p = num.add_parser(action)
+        p = _command(num, action, _cmd_num)
         p.add_argument("--system", choices=("zeck", "trib", "neg2"), required=True)
         p.add_argument("value")
-        p.add_argument("--out")
-        p.set_defaults(func=_cmd_num)
 
     wd = sub.add_parser("word").add_subparsers(dest="command", required=True)
-    p = wd.add_parser("dump")
+    p = _command(wd, "dump", _cmd_word_dump)
     p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("--limit", type=int, default=80)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_word_dump)
 
     return parser
 
@@ -292,9 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     except (
         words.BudgetExceeded,
         trib_balance.NotFoundWithinLimit,
-        numeration.InvalidRepresentation,
-        numeration.EmptyExpansion,
-        tm_balance.ParityViolation,
+        dfa_tools.InconsistentSample,
+        OSError,
         ValueError,
     ) as err:
         print(f"rectbal: {err}", file=sys.stderr)

@@ -11,6 +11,7 @@ reject, so the reject sink is excluded from state counts.
 """
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,10 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from .fib_balance import balance_table
-from .numeration import fibonacci, pair_encode, zeck_decode
-from .words import BudgetExceeded
+from .numeration import InvalidRepresentation, fibonacci, pair_decode, pair_encode, zeck_encode
+from .words import BudgetExceeded, check_nonnegative
 
 SYMBOLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# dfa_to_text's header lines, then its transition lines
+_DFA_LINES = (r"states \d+", r"start \d+", r"accepting( \d+)*", r"\d+ \[[01],[01]\] -> \d+")
 
 
 class InconsistentSample(RuntimeError):
@@ -35,15 +39,12 @@ class Dfa:
     accepting: frozenset[int]
     transitions: dict[tuple[int, tuple[int, int]], int] = field(hash=False)
 
-    def step(self, state: int, symbol: tuple[int, int]) -> int | None:
-        return self.transitions.get((state, symbol))
-
 
 def dfa_run(dfa: Dfa, word) -> bool:
     """Acceptance of a pair word; undefined transitions reject."""
     state = dfa.start
     for symbol in word:
-        nxt = dfa.step(state, tuple(symbol))
+        nxt = dfa.transitions.get((state, tuple(symbol)))
         if nxt is None:
             return False
         state = nxt
@@ -71,16 +72,14 @@ class SampleTable:
         self.verdicts = verdicts
 
     def label(self, word) -> bool:
-        word = [tuple(sym) for sym in word]
         if len(word) > self.max_len:
             raise IndexError(f"word longer than sampled length {self.max_len}")
-        m = zeck_decode("".join(str(a) for a, _ in word))
-        n = zeck_decode("".join(str(b) for _, b in word))
-        return bool(self.verdicts[m, n])
+        return bool(self.verdicts[pair_decode(word)])
 
     def words(self, length: int):
-        """All valid pair words of exactly the given length."""
-        tracks = [t[0] for t in _tracks(length)]
+        """All valid pair words of exactly the given length: the tracks are
+        the values below F_{length+2}, padded."""
+        tracks = [zeck_encode(v).digits.rjust(length, "0") for v in range(fibonacci(length + 2))]
         for dm in tracks:
             for dn in tracks:
                 yield [(int(a), int(b)) for a, b in zip(dm, dn)]
@@ -88,6 +87,7 @@ class SampleTable:
 
 def build_sample_table(max_len: int) -> SampleTable:
     """Label every valid pair encoding of length <= max_len."""
+    check_nonnegative(max_len=max_len)
     if max_len > 18:
         raise BudgetExceeded(f"max_len {max_len} beyond the value budget (18)")
     limit = fibonacci(max_len + 2) - 1
@@ -99,33 +99,14 @@ def build_sample_table(max_len: int) -> SampleTable:
 
 
 @lru_cache(maxsize=None)
-def _tracks(t: int) -> tuple[tuple[str, int, int, int], ...]:
-    """(digits, value, first digit, last digit) for every length-t track with
-    no adjacent 1 digits; leading zeros allowed."""
-    out: list[tuple[str, int, int, int]] = []
-
-    def rec(prefix: str, last: int, val: int) -> None:
-        if len(prefix) == t:
-            out.append((prefix, val, int(prefix[0]), last))
-            return
-        rec(prefix + "0", 0, val)
-        if last == 0:
-            remaining = t - len(prefix)  # this digit carries weight F_{remaining+1}
-            rec(prefix + "1", 1, val + fibonacci(remaining + 1))
-
-    if t > 0:
-        rec("", 0, 0)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _suffix_pool(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First digits and values of both tracks over all valid pair words of
-    length t, as parallel arrays."""
-    tracks = _tracks(t)
-    vals = np.array([x[1] for x in tracks], dtype=np.int64)
-    firsts = np.array([x[2] for x in tracks], dtype=np.int8)
-    count = len(tracks)
+    length t, as parallel arrays.  The length-t tracks with no adjacent 1
+    digits are the values below F_{t+2} in order, and those from F_{t+1} up
+    start with a 1."""
+    vals = np.arange(fibonacci(t + 2), dtype=np.int64)
+    firsts = (vals >= fibonacci(t + 1)).astype(np.int8)
+    count = len(vals)
     return (
         np.repeat(firsts, count),
         np.tile(firsts, count),
@@ -142,23 +123,22 @@ def _signature(
     verdicts: np.ndarray,
     um: tuple[int, ...],
     un: tuple[int, ...],
-    last_m: int,
-    last_n: int,
     budget: int,
     depth: int,
 ) -> tuple:
     """Labels of every valid suffix continuation up to min(depth, budget).
 
     A suffix whose junction would create adjacent 1 digits is labeled False:
-    the concatenation is not in the language.
+    the concatenation is not in the language.  A track ends in a 1 exactly
+    when its shifted indices hold 2.
     """
     sig: list = [bool(verdicts[_shifted_value(um, 0), _shifted_value(un, 0)])]
     for t in range(1, min(depth, budget) + 1):
         mf, nf, mv, nv = _suffix_pool(t)
         ok = np.ones(len(mf), dtype=bool)
-        if last_m:
+        if 2 in um:
             ok &= mf == 0
-        if last_n:
+        if 2 in un:
             ok &= nf == 0
         labels = np.zeros(len(mf), dtype=bool)
         msh = _shifted_value(um, t)
@@ -182,6 +162,8 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
     the bounded signatures failed to identify and discards states equivalent
     to the reject sink.
     """
+    if distinguish_depth < 1:
+        raise ValueError(f"distinguish_depth must be >= 1, got {distinguish_depth}")
     if distinguish_depth > table.max_len:
         raise ValueError("distinguish_depth must be <= max_len")
     verdicts = table.verdicts
@@ -196,15 +178,15 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
                 return state
         return None
 
-    start_sig = _signature(verdicts, (), (), 0, 0, table.max_len, distinguish_depth)
+    start_sig = _signature(verdicts, (), (), table.max_len, distinguish_depth)
     reps.append(start_sig)
     if start_sig[0]:
         accepting.add(0)
-    queue: deque = deque([(((), (), 0, 0, 0), 0)])
+    queue: deque = deque([(((), (), 0), 0)])
     while queue:
-        (um, un, last_m, last_n, length), state = queue.popleft()
+        (um, un, length), state = queue.popleft()
         for dm, dn in SYMBOLS:
-            if (last_m and dm) or (last_n and dn):
+            if (dm and 2 in um) or (dn and 2 in un):
                 continue  # invalid continuation: reject sink, not a state
             um2 = tuple(j + 1 for j in um) + ((2,) if dm else ())
             un2 = tuple(j + 1 for j in un) + ((2,) if dn else ())
@@ -212,16 +194,14 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
                 raise InconsistentSample(
                     "state exploration exhausted the sampled word length"
                 )
-            sig = _signature(
-                verdicts, um2, un2, dm, dn, table.max_len - length - 1, distinguish_depth
-            )
+            sig = _signature(verdicts, um2, un2, table.max_len - length - 1, distinguish_depth)
             target = match(sig)
             if target is None:
                 target = len(reps)
                 reps.append(sig)
                 if sig[0]:
                     accepting.add(target)
-                queue.append(((um2, un2, dm, dn, length + 1), target))
+                queue.append(((um2, un2, length + 1), target))
             elif len(sig) > len(reps[target]):
                 reps[target] = sig
             transitions[(state, (dm, dn))] = target
@@ -244,10 +224,7 @@ def _minimize(
         keys = {}
         new_part = {}
         for s in states:
-            succ = tuple(
-                part[transitions.get((s, a), sink)] if s != sink else part[sink]
-                for a in SYMBOLS
-            )
+            succ = tuple(part[transitions.get((s, a), sink)] for a in SYMBOLS)
             key = (part[s], succ)
             if key not in keys:
                 keys[key] = len(keys)
@@ -294,12 +271,8 @@ def _minimize(
 def _replay_check(dfa: Dfa, table: SampleTable, max_replay_len: int = 7) -> None:
     """Replay the sampled words of small length; any label mismatch means the
     inference produced a machine inconsistent with its own sample."""
-    for length in range(0, min(table.max_len, max_replay_len) + 1):
-        if length == 0:
-            words = [[]]
-        else:
-            words = table.words(length)
-        for w in words:
+    for length in range(min(table.max_len, max_replay_len) + 1):
+        for w in table.words(length):
             if dfa_run(dfa, w) != table.label(w):
                 raise InconsistentSample(f"replay mismatch on {w}")
 
@@ -309,15 +282,12 @@ def state_count_stability(
 ) -> list[tuple[int, int]]:
     """Inferred state count per sample length; a repeated tail signals
     convergence."""
-    if not lens:
-        return []
-    build_sample_table(max(lens))  # one verdict table serves every length
-    out = []
-    for max_len in lens:
-        table = build_sample_table(max_len)
-        dfa = infer_min_dfa(table, min(depth, max_len))
-        out.append((max_len, dfa.n_states))
-    return out
+    if lens:
+        build_sample_table(max(lens))  # one verdict table serves every length
+    return [
+        (max_len, infer_min_dfa(build_sample_table(max_len), min(depth, max_len)).n_states)
+        for max_len in lens
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +306,20 @@ def dfa_to_text(dfa: Dfa) -> str:
 
 
 def dfa_from_text(text: str) -> Dfa:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    n_states = int(lines[0].split()[1])
-    start = int(lines[1].split()[1])
-    accepting = frozenset(int(x) for x in lines[2].split()[1:])
-    transitions: dict[tuple[int, tuple[int, int]], int] = {}
-    for ln in lines[3:]:
-        state_txt, sym_txt, _, target_txt = ln.split()
-        a, b = sym_txt[1:-1].split(",")
-        transitions[(int(state_txt), (int(a), int(b)))] = int(target_txt)
-    return Dfa(n_states, start, accepting, transitions)
+    """Inverse of dfa_to_text.  A malformed or missing line, or a state
+    outside range(n_states), raises InvalidRepresentation naming the line."""
+    lines = [" ".join(ln.split()) for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3:
+        raise InvalidRepresentation(f"automaton text has {len(lines)} of its 3 header lines")
+    rows = []
+    for k, line in enumerate(lines):
+        if re.fullmatch(_DFA_LINES[min(k, 3)], line) is None:
+            raise InvalidRepresentation(f"bad automaton line: {line!r}")
+        row = [int(x) for x in re.findall(r"\d+", line)]
+        states = row[::3] if k > 2 else row  # a transition's digits are not states
+        if k and any(s >= rows[0][0] for s in states):
+            raise InvalidRepresentation(f"state outside range({rows[0][0]}): {line!r}")
+        rows.append(row)
+    (n_states,), (start,), accepting = rows[:3]
+    transitions = {(s, (a, b)): target for s, a, b, target in rows[3:]}
+    return Dfa(n_states, start, frozenset(accepting), transitions)

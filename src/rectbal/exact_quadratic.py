@@ -123,10 +123,6 @@ class QuadraticValue:
         assert r.sign() >= 0 and (r - 1).sign() < 0
         return r
 
-    def __float__(self) -> float:
-        # debugging convenience only, never used in decisions
-        return (self.num_rational + self.num_surd * 5 ** 0.5) / 2
-
 
 def _coerce(x: object) -> QuadraticValue | None:
     if isinstance(x, QuadraticValue):

@@ -37,8 +37,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact_quadratic import GAMMA, ONE, QuadraticValue
 from .numeration import fib_index_list, fibonacci
-from .rectangles import check_nonnegative, rect_counts, telescope, word_rect_sum
-from .words import BudgetExceeded, SequenceKind, sturmian_a_word, word
+from .rectangles import rect_counts, telescope, word_rect_sum
+from .words import BudgetExceeded, SequenceKind, check_nonnegative, sturmian_a_word, word
 
 
 class BalanceStatus(Enum):
@@ -305,6 +305,7 @@ def circle_partition(m: int, n: int) -> CirclePartition:
     with it.  Arc values are evaluated at each breakpoint with the >= rule,
     i.e. as right limits.
     """
+    check_nonnegative(m=m, n=n)
     if m == 0 or n == 0:
         raise ValueError("partition needs m, n >= 1")
     beta = ONE - (GAMMA * n).frac()
@@ -329,6 +330,7 @@ def t_counting_form(i: int, m: int, n: int) -> int:
     Evaluated on exact quadratic values.  Equality with beta is impossible
     for i + k + n >= 1; a defensive assertion guards that.
     """
+    check_nonnegative(m=m, n=n, i=i)
     if m == 0 or n == 0:
         return 0
     beta = ONE - (GAMMA * n).frac()
@@ -352,6 +354,7 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
     Such a block forces T(j+1) = T(i) + 2a, an unbalance certificate; its
     absence up to the horizon is reported as unknown, not as balanced.
     """
+    check_nonnegative(m=m, n=n)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if m == 0 or n == 0:

@@ -6,6 +6,8 @@ with F_2 = 1, F_3 = 2, so e.g. 4 = F_4 + F_2 = "101" and 18 = "101000".
 """
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -62,10 +64,6 @@ class FibIndexList:
         if idx and idx[-1] < 2:
             raise InvalidRepresentation(f"indices must be >= 2: {idx}")
 
-    @property
-    def value(self) -> int:
-        return sum(fibonacci(j) for j in self.indices)
-
 
 def fib_index_list(n: int) -> FibIndexList:
     """Descending Zeckendorf summand indices of n >= 1 (greedy)."""
@@ -98,19 +96,23 @@ def zeck_encode(n: int) -> DigitRep:
     return DigitRep("".join(digits), n)
 
 
-def zeck_decode(digits: str | DigitRep) -> int:
-    """Value of a Zeckendorf digit string; rejects adjacent 1 digits."""
+def _decode(
+    digits: str | DigitRep, weight: Callable[[int], int], run: str = "", rule: str = ""
+) -> int:
+    """Sum of weight(pos) over the 1 digits of a binary string, pos counted
+    from the least significant digit; rejects the forbidden run of 1s."""
     if isinstance(digits, DigitRep):
         digits = digits.digits
     if any(c not in "01" for c in digits):
         raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
-    if "11" in digits:
-        raise InvalidRepresentation(f"adjacent 1 digits: {digits!r}")
-    total = 0
-    for pos, c in enumerate(reversed(digits)):
-        if c == "1":
-            total += fibonacci(pos + 2)
-    return total
+    if run and run in digits:
+        raise InvalidRepresentation(f"{rule}: {digits!r}")
+    return sum(weight(pos) for pos, c in enumerate(reversed(digits)) if c == "1")
+
+
+def zeck_decode(digits: str | DigitRep) -> int:
+    """Value of a Zeckendorf digit string; rejects adjacent 1 digits."""
+    return _decode(digits, lambda pos: fibonacci(pos + 2), "11", "adjacent 1 digits")
 
 
 def zeck_shift(n: int) -> int:
@@ -162,17 +164,7 @@ def trib_encode(n: int) -> DigitRep:
 
 def trib_decode(digits: str | DigitRep) -> int:
     """Value of a Tribonacci digit string; rejects three consecutive 1 digits."""
-    if isinstance(digits, DigitRep):
-        digits = digits.digits
-    if any(c not in "01" for c in digits):
-        raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
-    if "111" in digits:
-        raise InvalidRepresentation(f"three consecutive 1 digits: {digits!r}")
-    total = 0
-    for pos, c in enumerate(reversed(digits)):
-        if c == "1":
-            total += tribonacci(pos)
-    return total
+    return _decode(digits, tribonacci, "111", "three consecutive 1 digits")
 
 
 def negabin_encode(n: int) -> DigitRep:
@@ -191,25 +183,14 @@ def negabin_encode(n: int) -> DigitRep:
 
 def negabin_decode(digits: str | DigitRep) -> int:
     """Value of a base-(-2) digit string."""
-    if isinstance(digits, DigitRep):
-        digits = digits.digits
-    if any(c not in "01" for c in digits):
-        raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
-    total = 0
-    for pos, c in enumerate(reversed(digits)):
-        if c == "1":
-            total += (-2) ** pos
-    return total
+    return _decode(digits, lambda pos: (-2) ** pos)
 
 
 def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
     """Zip the Zeckendorf digits of m and n msd-first, padding the shorter with 0s."""
-    dm = zeck_encode(m).digits
-    dn = zeck_encode(n).digits
+    dm, dn = zeck_encode(m).digits, zeck_encode(n).digits
     width = max(len(dm), len(dn))
-    dm = dm.rjust(width, "0")
-    dn = dn.rjust(width, "0")
-    return [(int(a), int(b)) for a, b in zip(dm, dn)]
+    return [(int(a), int(b)) for a, b in zip(dm.rjust(width, "0"), dn.rjust(width, "0"))]
 
 
 def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
@@ -225,10 +206,12 @@ def format_pair_word(word: list[tuple[int, int]]) -> str:
 
 
 def parse_pair_word(text: str) -> list[tuple[int, int]]:
+    """Inverse of format_pair_word; a token other than [a,b] with binary
+    digits a and b raises InvalidRepresentation naming it."""
     out = []
     for chunk in text.replace("][", "] [").split():
-        if not (chunk.startswith("[") and chunk.endswith("]")):
+        match = re.fullmatch(r"\[([01]),([01])\]", chunk)
+        if match is None:
             raise InvalidRepresentation(f"bad pair token: {chunk!r}")
-        a, b = chunk[1:-1].split(",")
-        out.append((int(a), int(b)))
+        out.append((int(match[1]), int(match[2])))
     return out

@@ -80,18 +80,14 @@ def excess_parity_reduced(i: int, m: int, n: int) -> int:
         return excess_parity_reduced(i + 1, m - 1, n) + 2 * row - n
     if m % 2 == 0 and n % 2 == 0:
         return excess_even_even(i, m, n)
-    if m % 2 == 0:  # n odd: strip the last column
+    if n % 2:  # strip the last column
         a = excess_parity_reduced(i, m, n - 1)
         b = factor_sum(i + n - 1, m)
         return a + 2 * b - m
-    if n % 2 == 0:  # m odd: strip the last row
-        a = excess_parity_reduced(i, m - 1, n)
-        b = factor_sum(i + m - 1, n)
-        return a + 2 * b - n
-    # both odd: strip the last column, then the last row
-    a = excess_parity_reduced(i, m, n - 1)
-    b = factor_sum(i + n - 1, m)
-    return a + 2 * b - m
+    # m odd, n even: strip the last row
+    a = excess_parity_reduced(i, m - 1, n)
+    b = factor_sum(i + m - 1, n)
+    return a + 2 * b - n
 
 
 def default_horizon(m: int, n: int) -> int:

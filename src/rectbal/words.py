@@ -101,7 +101,7 @@ def _generate(kind: SequenceKind, length: int) -> str:
 
 
 class Word:
-    """Lazily materialized word with O(1) prefix-count queries.
+    """Lazily materialized word.
 
     Immutable once a prefix is built; growing only appends.  Symbol arrays
     are uint8; each letter read has its uint32 running sum of prefix counts.
@@ -160,12 +160,6 @@ class Word:
             self._sums[letter] = s
         return s[:size]
 
-    def prefix_count(self, letter: int, k: int) -> int:
-        """Occurrences of `letter` among the first k symbols."""
-        check_nonnegative(k=k)
-        s = self.running_sum(letter, k + 2)
-        return (int(s[k + 1]) - int(s[k])) % 2**32
-
     def count_table(self, letter: int, length: int) -> np.ndarray:
         """Cumulative count array t -> occurrences of letter in [0, t), t <= length."""
         check_nonnegative(length=length)
@@ -198,20 +192,6 @@ def fib_symbol(i: int) -> int:
     via_morphism = word(SequenceKind.FIBONACCI).symbol(i)
     assert via_floor == via_morphism, f"fibonacci word routes disagree at i={i}"
     return via_floor
-
-
-def sturmian_a_symbol(i: int) -> int:
-    """a_0 = 0 and a_i = f_{i-1} for i >= 1."""
-    return sturmian_a_word().symbol(i)
-
-
-def trib_symbol(i: int) -> int:
-    return word(SequenceKind.TRIBONACCI).symbol(i)
-
-
-def trib2_symbol(i: int) -> int:
-    """Tribonacci word with 0,1 -> 0 and 2 -> 2."""
-    return word(SequenceKind.TRIBONACCI_RECODED).symbol(i)
 
 
 def tm_symbol(i: int) -> int:

@@ -104,6 +104,8 @@ def test_negative_inputs_exit_1(capsys):
         (["fib", "bal", "--m", "-3", "--n", "5", "--method", "zeck"], "m"),
         (["fib", "bal", "--m", "-3", "--n", "5"], "m"),
         (["fib", "sweep", "--max", "-2"], "max"),
+        (["fib", "bal", "--m", "0", "--n", "-3", "--method", "scan"], "n"),
+        (["tm", "table", "--max", "-3"], "max"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -169,6 +171,36 @@ def test_dfa_infer_and_run(capsys, tmp_path):
     code, out = run_cli(capsys, "dfa", "run", "--file", str(path), "--pair", "4", "4")
     assert code == 0
     assert "reject" in out
+
+
+def test_dfa_infer_errors_exit_1(capsys):
+    for argv, err in [
+        (["--max-len", "8", "--depth", "1"], "rectbal: replay mismatch on ["),
+        (["--max-len", "8", "--depth", "2"], "rectbal: replay mismatch on ["),
+        (["--max-len", "8", "--depth", "0"], "rectbal: distinguish_depth must be >= 1, got 0\n"),
+        (["--max-len", "8", "--depth", "-2"], "rectbal: distinguish_depth must be >= 1, got -2\n"),
+        (["--max-len", "-1", "--depth", "1"], "rectbal: max_len must be >= 0, got -1\n"),
+    ]:
+        assert main(["dfa", "infer", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+
+
+def test_dfa_run_rejects_bad_files(capsys, tmp_path):
+    empty = tmp_path / "empty.dfa"
+    empty.write_text("")
+    far = tmp_path / "far.dfa"
+    far.write_text("states 2\nstart 0\naccepting 1\n0 [0,1] -> 7\n")
+    for path, err in [
+        (empty, "rectbal: automaton text has 0 of its 3 header lines\n"),
+        (tmp_path / "missing.dfa", "rectbal: [Errno 2] No such file or directory: "),
+        (far, "rectbal: state outside range(2): '0 [0,1] -> 7'\n"),
+    ]:
+        assert main(["dfa", "run", "--file", str(path), "--pair", "4", "18"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err)
 
 
 def test_usage_error_exit_code():

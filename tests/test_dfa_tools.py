@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rectbal.dfa_tools import (
@@ -11,7 +13,7 @@ from rectbal.dfa_tools import (
     state_count_stability,
 )
 from rectbal.fib_balance import is_balanced
-from rectbal.numeration import fibonacci, pair_encode
+from rectbal.numeration import InvalidRepresentation, fibonacci, pair_encode
 from rectbal.words import BudgetExceeded
 
 
@@ -66,6 +68,33 @@ def test_depth_bounded_by_length():
     table = build_sample_table(4)
     with pytest.raises(ValueError):
         infer_min_dfa(table, 5)
+
+
+def test_out_of_domain_sample_and_depth_rejected():
+    with pytest.raises(ValueError, match="^max_len must be >= 0, got -1$"):
+        build_sample_table(-1)
+    table = build_sample_table(8)
+    for depth in (0, -2):
+        with pytest.raises(ValueError, match=f"^distinguish_depth must be >= 1, got {depth}$"):
+            infer_min_dfa(table, depth)
+
+
+def test_malformed_automaton_text_rejected():
+    good = "states 2\nstart 0\naccepting 1\n0 [0,1] -> 1\n"
+    assert dfa_to_text(dfa_from_text(good)) == good
+    for text, message in [
+        ("", "automaton text has 0 of its 3 header lines"),
+        ("states 2\nstart 0\n", "automaton text has 2 of its 3 header lines"),
+        ("states x\nstart 0\naccepting 1\n", "bad automaton line: 'states x'"),
+        (good + "0 [0,2] -> 1\n", "bad automaton line: '0 [0,2] -> 1'"),
+        (good + "1 [0,0] -> 1 extra\n", "bad automaton line: '1 [0,0] -> 1 extra'"),
+        (good + "1 [0,0] -> 7\n", "state outside range(2): '1 [0,0] -> 7'"),
+        (good + "2 [0,0] -> 1\n", "state outside range(2): '2 [0,0] -> 1'"),
+        (good.replace("start 0", "start 2"), "state outside range(2): 'start 2'"),
+        (good.replace("accepting 1", "accepting 1 5"), "state outside range(2): 'accepting 1 5'"),
+    ]:
+        with pytest.raises(InvalidRepresentation, match=f"^{re.escape(message)}$"):
+            dfa_from_text(text)
 
 
 def test_undefined_transition_rejects():

@@ -180,6 +180,15 @@ def test_negative_sizes_and_indices_rejected():
             route(-2, 10)
         with pytest.raises(ValueError, match="nu_hi must be >= 0, got -4"):
             route(0, -4)
+    # the m = 0 answers must not run before the check
+    with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+        delta_block_scan(0, -3)
+    with pytest.raises(ValueError, match="i must be >= 0, got -1"):
+        t_counting_form(-1, 3, 3)
+    with pytest.raises(ValueError, match="m must be >= 0, got -3"):
+        t_counting_form(0, -3, 3)
+    with pytest.raises(ValueError, match="m must be >= 0, got -1"):
+        circle_partition(-1, 3)
 
 
 def test_zeck_characterization_matches_exact_to_300():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -160,3 +161,9 @@ def test_pair_encoding_round_trip():
 def test_pair_decode_validates_tracks():
     with pytest.raises(InvalidRepresentation):
         pair_decode([(1, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("text, token", [("[0,2]", "[0,2]"), ("[0,1][2]", "[2]"), ("[0,1,1]", "[0,1,1]")])
+def test_parse_pair_word_rejects_bad_tokens(text, token):
+    with pytest.raises(InvalidRepresentation, match=f"^bad pair token: '{re.escape(token)}'$"):
+        parse_pair_word(text)

@@ -11,11 +11,8 @@ from rectbal.words import (
     Word,
     _generate,
     fib_symbol,
-    sturmian_a_symbol,
     sturmian_a_word,
     tm_symbol,
-    trib2_symbol,
-    trib_symbol,
     word,
 )
 
@@ -103,10 +100,11 @@ def test_fibonacci_floor_formula_matches_morphism_bulk():
 
 
 def test_sturmian_a_examples():
-    assert sturmian_a_symbol(0) == 0
-    assert sturmian_a_symbol(1) == 0
-    assert sturmian_a_symbol(3) == 0
-    assert [sturmian_a_symbol(i) for i in range(9)] == [0, 0, 1, 0, 0, 1, 0, 1, 0]
+    a = sturmian_a_word()
+    assert a.symbol(0) == 0
+    assert a.symbol(1) == 0
+    assert a.symbol(3) == 0
+    assert [a.symbol(i) for i in range(9)] == [0, 0, 1, 0, 0, 1, 0, 1, 0]
 
 
 def test_a_word_is_zero_prefixed_f_word():
@@ -117,9 +115,10 @@ def test_a_word_is_zero_prefixed_f_word():
 
 
 def test_tribonacci_prefix():
-    assert [trib_symbol(i) for i in range(7)] == [0, 1, 0, 2, 0, 1, 0]
-    assert trib2_symbol(3) == 2
-    assert trib2_symbol(1) == 0
+    tr, tr2 = word(SequenceKind.TRIBONACCI), word(SequenceKind.TRIBONACCI_RECODED)
+    assert [tr.symbol(i) for i in range(7)] == [0, 1, 0, 2, 0, 1, 0]
+    assert tr2.symbol(3) == 2
+    assert tr2.symbol(1) == 0
 
 
 def test_trib2_is_recoding():
@@ -259,10 +258,10 @@ def test_non_integer_budget_variable_rejected():
     [
         (lambda w: w.symbol(-1), "i"),
         (lambda w: w.symbols(-5), "length"),
-        (lambda w: w.prefix_count(1, -1), "k"),
+        (lambda w: w.count_table(1, -1), "length"),
         (lambda w: w.count_table(0, -1), "length"),
-        (lambda w: trib_symbol(-3), "i"),
-        (lambda w: trib2_symbol(-3), "i"),
+        (lambda w: word(SequenceKind.TRIBONACCI).symbol(-3), "i"),
+        (lambda w: word(SequenceKind.TRIBONACCI_RECODED).symbol(-3), "i"),
         (lambda w: tm_symbol(-2), "i"),
         (lambda w: fib_symbol(-3), "i"),
     ],
@@ -279,7 +278,7 @@ def test_negative_arguments_rejected_on_built_word(call, name):
 @pytest.mark.parametrize(
     "kind, call",
     [
-        (SequenceKind.FIBONACCI, lambda w: w.prefix_count(2, 5)),
+        (SequenceKind.FIBONACCI, lambda w: w.count_table(2, 5)),
         (SequenceKind.THUE_MORSE, lambda w: w.count_table(3, 5)),
         (SequenceKind.TRIBONACCI_RECODED, lambda w: w.running_sum(1, 5)),
     ],
