@@ -16,11 +16,15 @@ T(i, m, n) take at most two distinct values over all i:
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
-(j*p) mod q.  A verdict scatters the 2*mu event keys over Z_q and takes one
-cumulative sum (or sorts the keys when mu is small), and the witness search
-reads T off that same sum.  Scalar T needs no table: its floor sums come
-from a Euclid-like recursion.  A table past the q where j*p leaves int64,
-or past the word's symbol budget, raises ``BudgetExceeded``.
+(j*p) mod q.  A verdict scatters the 2*mu event keys over Z_q, q = F_K >
+m + n, and takes one cumulative sum (or sorts the keys when mu is small).
+The witness search reads T off that same sum for every i < F_{K+1}, which
+holds the first extremes: there the keys of an orbit point frac(-i*gamma)
+and an event point can disagree with their circle order only when they are
+equal, since keys one apart would need i + j to reach the Lucas number L_K.
+Scalar T needs no table: its floor sums come from a Euclid-like recursion.
+A table past the q where j*p leaves int64, or past the word's symbol
+budget, raises ``BudgetExceeded``.
 
 ``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
 at a time with no sort per window: the window j in [nu, nu+mu) is the block
@@ -171,21 +175,25 @@ def delta_floor_form(i: int, m: int, n: int) -> int:
 # Sort the 2*mu event keys instead of sweeping all of Z_q once mu is this
 # many times smaller than mu + nu (the two costs cross near there).
 _SPARSE_RATIO = 16
+# The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
+# witness costs one small chunk, and hold at most this many positions.
 _SCAN_CHUNK = 1 << 16
 
 
 class _Count:
     """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
-    Z_q, q > mu + nu + reach: window points minus block points up to y, so
+    Z_q, q = F_K > mu + nu: window points minus block points up to y, so
     T(i, mu, nu) = t0 - c((key(-i) - 1) mod q) for i < q - mu - nu, with
-    t0 = T(0, mu, nu).  Dense, c is one array over Z_q (a scatter of -1 and
-    +1, then one cumsum); sparse, the sorted event keys with c after each.
+    t0 = T(0, mu, nu); ``drop`` reads T up to F_{K+1}.  Dense, c is one
+    array over Z_q (a scatter of -1 and +1, then one cumsum); sparse, the
+    sorted event keys with c after each.
     """
 
-    def __init__(self, mu: int, nu: int, reach: int = 0, sparse: bool | None = None) -> None:
-        if sparse is None:
-            sparse = _SPARSE_RATIO * mu < mu + nu
-        self.p, self.q = p, q = _table_convergent(mu + nu + reach, 2 * mu if sparse else None)
+    def __init__(self, mu: int, nu: int) -> None:
+        sparse = _SPARSE_RATIO * mu < mu + nu
+        self.mu, self.nu = mu, nu
+        self.p, self.q = p, q = _table_convergent(mu + nu, 2 * mu if sparse else None)
+        self.odd = p * p % q != 1  # p^2 = (-1)^K mod q
         block, window = _keys(0, mu, p, q), _keys(nu, nu + mu, p, q)
         if sparse:
             keys = np.concatenate([block, window])
@@ -207,6 +215,14 @@ class _Count:
         if self.keys is None:
             return self.c[y]
         return self.c[np.searchsorted(self.keys, y, side="right") - 1]
+
+    def drop(self, i: np.ndarray) -> np.ndarray:
+        """t0 - T(i) for 0 <= i < F_{K+1}: c just below key(-i) (K even)
+        or, once i > 0, at key(-i) itself (K odd); see _find_witness."""
+        y = i % self.q * -self.p
+        y -= (i == 0) if self.odd else 1
+        y %= self.q
+        return self.at(y)
 
 
 def _count(m: int, n: int) -> _Count | None:
@@ -238,11 +254,10 @@ def is_balanced(m: int, n: int) -> bool:
     return count is None or count.hi - count.lo <= 1
 
 
-def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
+def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
-    increasing order, with their values; ``count`` is the pair's sweep,
-    rebuilt over a longer range once the scan passes it (sparse when a
-    dense rebuild would pass the symbol budget).
+    increasing order, with their values, read off the pair's own sweep
+    through ``count.drop``.
 
     Every value is taken at some i < F_{k+2}, where F_k <= m+n-1 < F_{k+1}
     and k >= 2.  For i >= 1, T(i) is fixed by the open arc between event
@@ -254,23 +269,33 @@ def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
     would be a gap with orbit points at both ends, but the two point sets
     share only 0.  As F_{k+2} <= 3(m+n-1) < 8(m+n)+64, the first horizon of
     the former table scan, these are its first argmin and argmax.
+
+    The sweep's q = F_K > m+n has K >= k+1, so i < F_{k+2} <= F_{K+1}, and
+    T(i) = t0 - (event weight below frac(-i*gamma)) comes off c.  An event
+    j < m+n sits at key(j)/q + j*eps and the orbit point at key(-i)/q -
+    i*eps mod 1, with q*eps = psi^K = (-1/phi)^K, so the event lies above
+    it iff key(j) - key(-i) + (i+j)*psi^K > 0, and (i+j)*|psi|^K <
+    F_{K+2}/phi^K < 2.  So only keys at most one apart can disagree with
+    the circle order.  Equal keys (j = -i mod q): the event lies above for
+    K even and, once i > 0, below for K odd.  Keys one apart swap only once
+    i + j passes phi^K: i + j >= L_K for the event below key(-i) (K even,
+    floor(phi^K) = L_K - 1), i + j >= L_K + 1 for the one above (K odd),
+    with L_K = 3q - 2p the Lucas number.  But p^2 = (-1)^K mod q puts
+    either neighbour at j = -i - p mod q, so i + j <= 2q - p = F_{K+1} <
+    L_K and no neighbour swaps.  Hence ``drop`` reads c just below key(-i)
+    for K even (a key(-i) of 0 with i > 0 reads as q) and at key(-i) for K
+    odd and i > 0.
     """
-    mu, nu = min(m, n), max(m, n)
-    size = mu + nu
-    p, q = _convergent(size - 1)  # F_{k-1}, F_{k+1}
+    mu, nu = count.mu, count.nu
+    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
     cover = 2 * q - p  # F_{k+2}
-    first: dict[int, int] = {}  # value of c -> first i where c takes it
-    i = 0
+    first: dict[int, int] = {}  # value of t0 - T -> first i where T takes it
+    i, stop = 0, 0
     while len(first) < 2:
         if i == cover:
-            raise RuntimeError(f"no witness found for ({m}, {n})")
-        if i + size >= count.q:  # past the exact range of this sweep
-            try:
-                count = _Count(mu, nu, cover)
-            except BudgetExceeded:  # Z_q is over the budget; 2*mu keys may not be
-                count = _Count(mu, nu, cover, sparse=True)
-        stop = min(cover, count.q - size, i + _SCAN_CHUNK)
-        c = count.at((-np.arange(i, stop, dtype=np.int64) * count.p - 1) % count.q)
+            raise RuntimeError(f"no witness found for ({mu}, {nu})")
+        stop = min(cover, 4 * stop + 1024, i + _SCAN_CHUNK)
+        c = count.drop(np.arange(i, stop, dtype=np.int64))
         for target in (count.lo, count.hi):
             if target not in first:
                 hits = np.flatnonzero(c == target)
@@ -278,7 +303,7 @@ def _find_witness(m: int, n: int, count: _Count) -> tuple[int, int, int, int]:
                     first[target] = i + int(hits[0])
         i = stop
     i, j = sorted(first.values())
-    ti, tj = t_value(i, m, n), t_value(j, m, n)
+    ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
     return i, j, ti, tj
 
@@ -294,7 +319,7 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
         BalanceStatus.UNBALANCED,
         "exact",
         value_set=vals,
-        witness=_find_witness(m, n, count),
+        witness=_find_witness(count),
     )
 
 

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from rectbal.fib_balance import (
     value_set,
     zeck_characterization,
 )
+from rectbal.numeration import fibonacci
 from rectbal.rectangles import delta, rect_counts, word_rect_sum
 from rectbal.words import BudgetExceeded, sturmian_a_word
 
@@ -471,7 +473,8 @@ def test_witness_rebuild_goes_sparse_over_the_budget(monkeypatch):
     pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
     full = {pair: exact_balance(*pair) for pair in pairs}
     assert sum(not v.balanced for v in full.values()) >= 5
-    # the verdict sweeps fit 5000 entries; dense rebuilds over 10946 do not
+    # the verdict sweeps fit 5000 entries and the witnesses are read off
+    # them; a sweep over F_{k+2} = 10946 positions would not fit
     monkeypatch.setattr(sturmian_a_word(), "budget", 5000)
     for pair, verdict in full.items():
         assert exact_balance(*pair) == verdict, pair
@@ -498,7 +501,7 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         counts, verdicts = [], []
         for ratio in (0, 10**9):  # always sparse, always dense
             monkeypatch.setattr(fib_balance, "_SPARSE_RATIO", ratio)
-            counts.append(_Count(mu, nu, 3 * (mu + nu)))
+            counts.append(_Count(mu, nu))
             verdicts.append(exact_balance(mu, nu))
         sparse, dense = counts
         assert sparse.keys is not None and dense.keys is None
@@ -506,6 +509,46 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         y = np.arange(dense.q)
         assert np.array_equal(sparse.at(y), dense.at(y)), (mu, nu)
         assert verdicts[0] == verdicts[1], (mu, nu)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    k=st.integers(5, 19),
+    offset=st.integers(-2, 1),
+    mu=st.sampled_from((1, 2, 3)) | st.integers(4, 2000),
+)
+def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
+    # sizes F_k - 2 ... F_k + 1 put q = F_K at both parities of K; drop
+    # must give T at every i < F_{K+1}, which holds F_{k+2} (_find_witness)
+    size = fibonacci(k) + offset
+    mu = min(mu, size // 2)
+    nu = size - mu
+    for ratio in (0, 10**9):  # always sparse, always dense
+        with mock.patch.object(fib_balance, "_SPARSE_RATIO", ratio):
+            count = _Count(mu, nu)
+        assert (count.keys is None) == (ratio > 0)
+        horizon = _convergent(count.q)[1]  # F_{K+1}
+        t = count.t0 - count.drop(np.arange(horizon, dtype=np.int64))
+        assert np.array_equal(t, t_value_vector(mu, nu, horizon)), (mu, nu, ratio)
+
+
+def test_witness_search_adds_no_memory_to_the_verdict():
+    witnesses = {
+        (10**6, 10**6 + 1): (346269, 1542921, 381966393218, 381966393213),
+        (4 * 10**6, 4 * 10**6 + 1): (49999, 1750298, 6111457707870, 6111457707862),
+    }
+    for (m, n), witness in witnesses.items():
+        tracemalloc.start()
+        try:
+            assert not is_balanced(m, n)
+            verdict_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            verdict = exact_balance(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness == witness
+        assert peak <= verdict_peak + (4 << 20), (m, n, peak, verdict_peak)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
