@@ -13,9 +13,7 @@ from .numeration import (
     EmptyExpansion,
     FibIndexList,
     InvalidRepresentation,
-    adjacent_fib,
     fib_index_list,
-    is_fibonacci,
     negabin_decode,
     negabin_encode,
     pair_decode,
@@ -30,12 +28,9 @@ from .words import (
     BudgetExceeded,
     SequenceKind,
     Word,
-    fib_symbol,
-    tm_symbol,
     word,
 )
 from .rectangles import (
-    delta,
     word_letter_counts,
     word_rect_sum,
 )
@@ -46,7 +41,6 @@ from .fib_balance import (
     balance_table,
     circle_partition,
     delta_block_scan,
-    distinct_value_count,
     diverse_identities_check,
     exact_balance,
     is_balanced,
@@ -78,12 +72,10 @@ from .dfa_tools import (
     InconsistentSample,
     SampleTable,
     build_sample_table,
-    dfa_accepts_pair,
     dfa_from_text,
     dfa_run,
     dfa_to_text,
     infer_min_dfa,
-    state_count_stability,
 )
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fib_balance import balance_table
-from .numeration import InvalidRepresentation, fibonacci, pair_decode, pair_encode, zeck_encode
+from .numeration import InvalidRepresentation, fibonacci, pair_decode, zeck_encode
 from .words import BudgetExceeded, check_nonnegative
 
 SYMBOLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -49,10 +49,6 @@ def dfa_run(dfa: Dfa, word) -> bool:
             return False
         state = nxt
     return state in dfa.accepting
-
-
-def dfa_accepts_pair(dfa: Dfa, m: int, n: int) -> bool:
-    return dfa_run(dfa, pair_encode(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +271,6 @@ def _replay_check(dfa: Dfa, table: SampleTable, max_replay_len: int = 7) -> None
         for w in table.words(length):
             if dfa_run(dfa, w) != table.label(w):
                 raise InconsistentSample(f"replay mismatch on {w}")
-
-
-def state_count_stability(
-    lens: list[int], depth: int = 10
-) -> list[tuple[int, int]]:
-    """Inferred state count per sample length; a repeated tail signals
-    convergence."""
-    if lens:
-        build_sample_table(max(lens))  # one verdict table serves every length
-    return [
-        (max_len, infer_min_dfa(build_sample_table(max_len), min(depth, max_len)).n_states)
-        for max_len in lens
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ holds the first extremes: there the keys of an orbit point frac(-i*gamma)
 and an event point can disagree with their circle order only when they are
 equal, since keys one apart would need i + j to reach the Lucas number L_K.
 Scalar T needs no table: its floor sums come from a Euclid-like recursion.
-A table past the q where j*p leaves int64, or past the word's symbol
-budget, raises ``BudgetExceeded``.
+A table past the q where j*p leaves int64, or past the symbol budget,
+raises ``BudgetExceeded``.
 
 ``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
 at a time with no sort per window: the window j in [nu, nu+mu) is the block
@@ -41,7 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact_quadratic import GAMMA, ONE, QuadraticValue
 from .numeration import fib_index_list, fibonacci
-from .rectangles import rect_counts, telescope, word_rect_sum
+from . import words
+from .rectangles import rect_counts, word_rect_sum
 from .words import BudgetExceeded, SequenceKind, check_nonnegative, sturmian_a_word, word
 
 
@@ -100,15 +101,13 @@ def _convergent(bound: int) -> tuple[int, int]:
 
 def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
     """_convergent for int64 tables of ``entries`` (default q) entries.  It
-    raises before any allocation past _Q_MAX, or past the symbol budget of
-    the word whose prefix the tables stand for."""
+    raises before any allocation past _Q_MAX, or past the symbol budget."""
     p, q = _convergent(bound)
     if q > _Q_MAX:
         raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
     entries = q if entries is None else entries
-    budget = sturmian_a_word().budget
-    if entries > budget:
-        raise BudgetExceeded(f"{entries} table entries requested, budget is {budget}")
+    if entries > words.BUDGET:
+        raise BudgetExceeded(f"{entries} table entries requested, budget is {words.BUDGET}")
     return p, q
 
 
@@ -153,20 +152,6 @@ def t_value(i: int, m: int, n: int) -> int:
     check_nonnegative(m=m, n=n, i=i)
     p, q = _convergent(i + m + n)
     return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
-
-
-def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
-    """T(i, m, n) for all i < horizon, via the double-telescoped floor sums."""
-    check_nonnegative(m=m, n=n, horizon=horizon)
-    return telescope(_floor_sums(horizon + m + n), m, n, 0, horizon)
-
-
-def delta_floor_form(i: int, m: int, n: int) -> int:
-    """T(i+1,m,n) - T(i,m,n) as the four-floor combination."""
-    check_nonnegative(m=m, n=n, i=i)
-    p, q = _convergent(i + m + n)
-    g = [j * p // q for j in (i + m + n, i + n, i + m, i)]
-    return g[0] - g[1] - g[2] + g[3]
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +226,6 @@ def _values(count: _Count | None) -> tuple[int, ...]:
 def value_set(m: int, n: int) -> tuple[int, ...]:
     """All values taken by T(i, m, n) over i >= 0, ascending."""
     return _values(_count(m, n))
-
-
-def distinct_value_count(m: int, n: int) -> int:
-    """Cardinality of the exact T-value set."""
-    return len(value_set(m, n))
 
 
 def is_balanced(m: int, n: int) -> bool:
@@ -468,10 +448,8 @@ def diverse_identities_check(k: int) -> bool:
     j1 = (fibonacci(6 * k + 5) - 1) // 4
     side2 = fibonacci(6 * k + 3) // 2
     need = max(i1, i2, j1) + 2 * max(side, side2)
-    if need > f.budget:
-        raise BudgetExceeded(
-            f"identities at k={k} need {need} symbols, budget {f.budget}"
-        )
+    if need > words.BUDGET:
+        raise BudgetExceeded(f"identities at k={k} need {need} symbols, budget {words.BUDGET}")
     gap1 = word_rect_sum(f, i1, side, side) - word_rect_sum(f, i2, side, side)
     gap2 = word_rect_sum(f, j1, side2, side2) - word_rect_sum(f, i2, side2, side2)
     return gap1 == 2 * k and gap2 == 2 * k + 1
@@ -550,13 +528,6 @@ def _row(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
         zeros = np.zeros(max(nu_hi - mu + 1, 0), dtype=np.int32)
         return zeros, zeros
     return _row_extrema(_dense_rank(nu_hi + mu), mu, nu_hi)
-
-
-def row_value_spans(mu: int, nu_hi: int) -> np.ndarray:
-    """Spans (max - min of the cyclic counting function) for all nu in
-    [mu, nu_hi], vectorized.  Balanced iff span <= 1."""
-    lo, hi = _row(mu, nu_hi)
-    return hi - lo
 
 
 def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:

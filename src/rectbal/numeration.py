@@ -6,9 +6,10 @@ with F_2 = 1, F_3 = 2, so e.g. 4 = F_4 + F_2 = "101" and 18 = "101000".
 """
 from __future__ import annotations
 
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
+
+from .words import check_nonnegative
 
 
 class InvalidRepresentation(ValueError):
@@ -124,23 +125,6 @@ def zeck_shift(n: int) -> int:
     return sum(fibonacci(j + 1) for j in fib_index_list(n).indices)
 
 
-def is_fibonacci(n: int) -> bool:
-    """True iff the canonical Zeckendorf form of n is a 1 followed by zeros."""
-    if n <= 0:
-        return False
-    return len(fib_index_list(n).indices) == 1
-
-
-def adjacent_fib(u: int, v: int) -> bool:
-    """True iff (u, v) = (F_k, F_{k+1}) for some k >= 2."""
-    a, b = 1, 2  # (F_2, F_3)
-    while a <= u:
-        if (a, b) == (u, v):
-            return True
-        a, b = b, a + b
-    return False
-
-
 def trib_encode(n: int) -> DigitRep:
     """Greedy Tribonacci digits of n (no three consecutive 1 digits)."""
     if n < 0:
@@ -188,6 +172,7 @@ def negabin_decode(digits: str | DigitRep) -> int:
 
 def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
     """Zip the Zeckendorf digits of m and n msd-first, padding the shorter with 0s."""
+    check_nonnegative(m=m, n=n)
     dm, dn = zeck_encode(m).digits, zeck_encode(n).digits
     width = max(len(dm), len(dn))
     return [(int(a), int(b)) for a, b in zip(dm.rjust(width, "0"), dn.rjust(width, "0"))]
@@ -203,15 +188,3 @@ def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
 def format_pair_word(word: list[tuple[int, int]]) -> str:
     """Render a pair word as [0,1][0,0]... matching the digit-pair convention."""
     return "".join(f"[{a},{b}]" for a, b in word)
-
-
-def parse_pair_word(text: str) -> list[tuple[int, int]]:
-    """Inverse of format_pair_word; a token other than [a,b] with binary
-    digits a and b raises InvalidRepresentation naming it."""
-    out = []
-    for chunk in text.replace("][", "] [").split():
-        match = re.fullmatch(r"\[([01]),([01])\]", chunk)
-        if match is None:
-            raise InvalidRepresentation(f"bad pair token: {chunk!r}")
-        out.append((int(match[1]), int(match[2])))
-    return out

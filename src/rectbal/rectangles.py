@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import Word, check_nonnegative, sturmian_a_word
+from .words import Word, check_nonnegative
 
 
 def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -68,10 +68,3 @@ def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
     letter 0's is the rest, and its running sum is not built."""
     counts = {c: _letter_count(w, c, i, m, n) for c in w.alphabet if c}
     return {0: m * n - sum(counts.values()), **counts}
-
-
-def delta(i: int, m: int, n: int) -> int:
-    """T(i+1, m, n) - T(i, m, n) on the 0-prefixed Fibonacci word; lies in
-    {-1, 0, 1}."""
-    w = sturmian_a_word()
-    return word_rect_sum(w, i + 1, m, n) - word_rect_sum(w, i, m, n)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import words
 from .rectangles import word_counts
 from .words import SequenceKind, check_nonnegative, word
 
@@ -61,6 +62,7 @@ def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
 def excess_even_even(i: int, m: int, n: int) -> int:
     """s = 2*(b - a) for i, m, n all even, where a sums t over
     [i/2, (i+m)/2) and b over [(i+n)/2, (i+m+n)/2)."""
+    check_nonnegative(i=i, m=m, n=n)
     if i % 2 or m % 2 or n % 2:
         raise ParityViolation(f"all of i, m, n must be even: ({i}, {m}, {n})")
     if m == 0 or n == 0:
@@ -72,6 +74,7 @@ def excess_even_even(i: int, m: int, n: int) -> int:
 
 def excess_parity_reduced(i: int, m: int, n: int) -> int:
     """Excess via the parity-case formulas; odd i peels the first row."""
+    check_nonnegative(i=i, m=m, n=n)
     if m == 0 or n == 0:
         return 0
     if i % 2:
@@ -92,10 +95,9 @@ def excess_parity_reduced(i: int, m: int, n: int) -> int:
 
 def default_horizon(m: int, n: int) -> int:
     """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles,
-    and capped so that the scan stays within the word's symbol budget."""
+    and capped so that the scan stays within the symbol budget."""
     scaled = 1 << (int(m * n - 1).bit_length() + 6)
-    budget = word(SequenceKind.THUE_MORSE).budget
-    return min(max(100_000, scaled), max(1, budget - (m + n)))
+    return min(max(100_000, scaled), max(1, words.BUDGET - (m + n)))
 
 
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:

@@ -53,15 +53,15 @@ def _env_budget() -> int:
     return _checked_budget(budget, "RECTBAL_BUDGET")
 
 
-DEFAULT_BUDGET = _env_budget()
+# The one symbol budget: every word and every table reads it here, by
+# attribute (words.BUDGET), so set_budget reaches them all.
+BUDGET = _env_budget()
 
 
 def set_budget(budget: int) -> None:
-    """Cap word generation length for new and already-built words."""
-    global DEFAULT_BUDGET
-    DEFAULT_BUDGET = _checked_budget(budget)
-    for w in _live_words():
-        w.budget = budget
+    """Cap word generation length, and the size of every table."""
+    global BUDGET
+    BUDGET = _checked_budget(budget)
 
 
 class SequenceKind(Enum):
@@ -107,9 +107,8 @@ class Word:
     are uint8; each letter read has its uint32 running sum of prefix counts.
     """
 
-    def __init__(self, kind: SequenceKind, budget: int | None = None, prefix: str = ""):
+    def __init__(self, kind: SequenceKind, prefix: str = ""):
         self.kind = kind
-        self.budget = DEFAULT_BUDGET if budget is None else _checked_budget(budget)
         self._prefix = prefix  # fixed symbols glued before the generated word
         self._syms = np.zeros(0, dtype=np.uint8)
         self._sums: dict[int, np.ndarray] = {}  # letter -> s over the built prefix
@@ -122,13 +121,12 @@ class Word:
         return ALPHABETS[self.kind]
 
     def ensure(self, length: int) -> None:
+        # checked first, so a request's fate does not depend on what was built
+        if length > BUDGET:
+            raise BudgetExceeded(f"{length} symbols requested, budget is {BUDGET}")
         if length <= len(self._syms):
             return
-        if length > self.budget:
-            raise BudgetExceeded(
-                f"{length} symbols requested, budget is {self.budget}"
-            )
-        target = min(self.budget, max(length, 2 * len(self._syms), 1 << 12))
+        target = min(BUDGET, max(length, 2 * len(self._syms), 1 << 12))
         body = _generate(self.kind, max(target - len(self._prefix), 0))
         text = (self._prefix + body)[:target]
         self._syms = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
@@ -175,29 +173,3 @@ def word(kind: SequenceKind) -> Word:
 def sturmian_a_word() -> Word:
     """The Fibonacci word prefixed with a 0: a_0 = 0, a_i = f_{i-1}."""
     return Word(SequenceKind.FIBONACCI, prefix="0")
-
-
-def _live_words() -> list[Word]:
-    built = [word(kind) for kind in SequenceKind]
-    built.append(sturmian_a_word())
-    return built
-
-
-def fib_symbol(i: int) -> int:
-    """f_i, cross-checked: floor((i+2)*gamma) - floor((i+1)*gamma) vs the morphism."""
-    from .exact_quadratic import floor_n_gamma
-
-    check_nonnegative(i=i)
-    via_floor = floor_n_gamma(i + 2) - floor_n_gamma(i + 1)
-    via_morphism = word(SequenceKind.FIBONACCI).symbol(i)
-    assert via_floor == via_morphism, f"fibonacci word routes disagree at i={i}"
-    return via_floor
-
-
-def tm_symbol(i: int) -> int:
-    """Thue-Morse t_i: parity of popcount(i), cross-checked against the morphism."""
-    via_popcount = bin(i).count("1") & 1
-    via_morphism = word(SequenceKind.THUE_MORSE).symbol(i)
-    assert via_popcount == via_morphism, f"thue-morse routes disagree at i={i}"
-    return via_popcount
-

@@ -12,22 +12,17 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rectbal.dfa_tools import (
-    build_sample_table,
-    dfa_accepts_pair,
-    infer_min_dfa,
-    state_count_stability,
-)
+from rectbal.dfa_tools import build_sample_table, dfa_run, infer_min_dfa
 from rectbal.fib_balance import (
     BalanceStatus,
     balance_table,
     delta_block_scan,
-    distinct_value_count,
     diverse_identities_check,
     exact_balance,
     is_balanced,
-    row_value_spans,
+    row_value_bounds,
     t_value,
+    value_set,
     zeck_characterization,
 )
 from rectbal.numeration import fibonacci, pair_encode, zeck_encode
@@ -73,8 +68,8 @@ def test_a01_worked_example_4x18():
     scan = delta_block_scan(4, 18, horizon=100_000)
     assert scan.status is BalanceStatus.UNKNOWN_UP_TO_HORIZON
     dfa = _inferred_dfa(12, 8)
-    assert dfa_accepts_pair(dfa, 4, 18)
     word_pairs = pair_encode(4, 18)
+    assert dfa_run(dfa, word_pairs)
     assert word_pairs == [(0, 1), (0, 0), (0, 1), (1, 0), (0, 0), (1, 0)]
     _report("worked example 4x18", "exact+digit-rule+scan agree, automaton accepts")
 
@@ -149,9 +144,8 @@ def test_a05_balance_pattern_properties():
     for m in range(2, 234):
         cap = next(f for f in fibs if f >= m)
         qmax = 10_000 + cap + 1
-        balanced_row = np.concatenate(
-            [table[m, :m], row_value_spans(m, qmax) <= 1]
-        )
+        lo, hi = row_value_bounds(m, qmax)
+        balanced_row = np.concatenate([table[m, :m], hi - lo <= 1])
         gaps = (~balanced_row).astype(np.int32)
         sums = np.convolve(gaps, np.ones(cap - 1, dtype=np.int32), mode="valid")
         starts = sums[1 : 10_002]
@@ -178,7 +172,7 @@ def test_a07_distinct_value_growth():
     counts = []
     for k in range(1, 8):
         side = fibonacci(3 * k) // 2
-        count = distinct_value_count(side, side)
+        count = len(value_set(side, side))
         assert count >= k + 1, (k, side, count)
         assert count <= 2 * (k + 1), (k, side, count)  # linear-in-k growth
         counts.append(count)
@@ -237,8 +231,9 @@ def test_a12_dfa_state_count_and_replay():
     assert hashlib.sha256(shared.tobytes()).hexdigest() == (
         "7b9c5850fef4a92b8d7c824aab7c72f7ac13385a7acb54d2f1c85d3998f3cb33"
     )
-    counts = state_count_stability([12, 13, 14, 15, 16], depth=10)
-    values = [c for _, c in counts]
+    lens = [12, 13, 14, 15, 16]
+    values = [_inferred_dfa(max_len, 10).n_states for max_len in lens]
+    counts = list(zip(lens, values))
     if not all(c == 15 for c in values):
         assert all(14 <= c <= 16 for c in values) and len(set(values[-3:])) == 1, counts
         warnings.warn(f"state count off the expected 15 by one: {counts}")

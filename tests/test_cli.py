@@ -203,6 +203,15 @@ def test_dfa_run_rejects_bad_files(capsys, tmp_path):
         assert captured.err.startswith(err)
 
 
+def test_dfa_run_names_the_negative_argument(capsys, tmp_path):
+    path = tmp_path / "toy.dfa"
+    path.write_text("states 1\nstart 0\naccepting 0\n")
+    assert main(["dfa", "run", "--file", str(path), "--pair", "-1", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "rectbal: m must be >= 0, got -1\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["fib", "bal", "--m", "4"])  # missing --n
@@ -212,7 +221,7 @@ def test_usage_error_exit_code():
 def test_budget_flag_limits_generation(capsys):
     from rectbal import words as words_mod
 
-    old = words_mod.DEFAULT_BUDGET
+    old = words_mod.BUDGET
     try:
         code = main(
             ["--budget", "1000", "word", "dump", "--kind", "fib",

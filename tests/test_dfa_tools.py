@@ -5,12 +5,10 @@ import pytest
 from rectbal.dfa_tools import (
     Dfa,
     build_sample_table,
-    dfa_accepts_pair,
     dfa_from_text,
     dfa_run,
     dfa_to_text,
     infer_min_dfa,
-    state_count_stability,
 )
 from rectbal.fib_balance import is_balanced
 from rectbal.numeration import InvalidRepresentation, fibonacci, pair_encode
@@ -45,15 +43,15 @@ def test_inference_small_replays_oracle():
     assert dfa.n_states <= 15
     for m in range(51):
         for n in range(51):
-            assert dfa_accepts_pair(dfa, m, n) == is_balanced(m, n), (m, n)
+            assert dfa_run(dfa, pair_encode(m, n)) == is_balanced(m, n), (m, n)
 
 
 def test_inference_accepts_worked_example():
     table = build_sample_table(8)
     dfa = infer_min_dfa(table, 6)
     assert dfa_run(dfa, [])  # (0, 0) is balanced
-    assert dfa_accepts_pair(dfa, 4, 18)
-    assert not dfa_accepts_pair(dfa, 4, 4)
+    assert dfa_run(dfa, pair_encode(4, 18))
+    assert not dfa_run(dfa, pair_encode(4, 4))
 
 
 def test_padding_invariance():
@@ -114,13 +112,13 @@ def test_serialization_round_trip():
     assert back.transitions == dfa.transitions
     for m in range(25):
         for n in range(25):
-            assert dfa_accepts_pair(back, m, n) == dfa_accepts_pair(dfa, m, n)
+            w = pair_encode(m, n)
+            assert dfa_run(back, w) == dfa_run(dfa, w)
 
 
 def test_state_count_stability_shape():
-    counts = state_count_stability([6, 8], depth=6)
-    assert [length for length, _ in counts] == [6, 8]
-    assert all(c <= 15 for _, c in counts)
+    for max_len in (6, 8):
+        assert infer_min_dfa(build_sample_table(max_len), 6).n_states <= 15
 
 
 def test_sample_table_is_virtual_but_faithful():

@@ -24,22 +24,19 @@ from rectbal.fib_balance import (
     balance_table,
     circle_partition,
     delta_block_scan,
-    delta_floor_form,
-    distinct_value_count,
     diverse_identities_check,
     exact_balance,
     is_balanced,
     row_value_bounds,
-    row_value_spans,
     t_counting_form,
     t_value,
-    t_value_vector,
     value_set,
     zeck_characterization,
 )
 from rectbal.numeration import fibonacci
-from rectbal.rectangles import delta, rect_counts, word_rect_sum
+from rectbal.rectangles import rect_counts, word_rect_sum
 from rectbal.words import BudgetExceeded, sturmian_a_word
+from oracles import delta, delta_floor_form, t_value_vector
 
 
 def brute_value_set(m: int, n: int, horizon: int = 3000) -> set[int]:
@@ -118,13 +115,10 @@ def test_value_sets_match_brute_force():
 
 def test_value_set_unchanged_without_index_zero():
     # dropping i = 0 from the scan never changes the achieved set
-    w = sturmian_a_word()
+    s = sturmian_a_word().running_sum(1, 2500 + 2 * 20)
     for m in range(1, 21):
         for n in range(m, 21):
-            w.ensure(3000 + m + n + 1)
-            from_one = {
-                word_rect_sum(w, i, m, n) for i in range(1, 2500)
-            }
+            from_one = set(rect_counts(s, m, n, 1, 2500).tolist())
             assert from_one == set(value_set(m, n)), (m, n)
 
 
@@ -170,14 +164,14 @@ def test_zeck_characterization_examples():
 def test_negative_sizes_and_indices_rejected():
     with pytest.raises(ValueError, match="i must be >= 0, got -1"):
         t_value(-1, 3, 3)
-    for route in (zeck_characterization, value_set, distinct_value_count, is_balanced, exact_balance):
+    for route in (zeck_characterization, value_set, is_balanced, exact_balance):
         with pytest.raises(ValueError, match="m must be >= 0, got -3"):
             route(-3, 5)
     with pytest.raises(ValueError, match="n must be >= 0, got -5"):
         is_balanced(3, -5)
     with pytest.raises(ValueError, match="limit must be >= 0, got -3"):
         balance_table(-3)
-    for route in (row_value_spans, row_value_bounds):
+    for route in (fib_balance._row, row_value_bounds):
         with pytest.raises(ValueError, match="mu must be >= 0, got -2"):
             route(-2, 10)
         with pytest.raises(ValueError, match="nu_hi must be >= 0, got -4"):
@@ -208,9 +202,9 @@ def test_symmetry_of_exact_balance():
 
 
 def test_distinct_value_count_examples():
-    assert distinct_value_count(4, 4) == 3
-    assert distinct_value_count(1, 1) == 2
-    assert distinct_value_count(0, 5) == 1
+    assert len(value_set(4, 4)) == 3
+    assert len(value_set(1, 1)) == 2
+    assert len(value_set(0, 5)) == 1
 
 
 def test_diverse_identities_small():
@@ -225,23 +219,28 @@ def test_balance_table_agrees_with_single_sweeps():
             assert bool(table[m, n]) == is_balanced(m, n)
 
 
+def _row_spans(mu: int, nu_hi: int) -> np.ndarray:
+    lo, hi = row_value_bounds(mu, nu_hi)
+    return hi - lo
+
+
 def test_row_value_spans_match_value_sets():
     for mu in (1, 2, 5, 9):
-        spans = row_value_spans(mu, 40)
+        spans = _row_spans(mu, 40)
         for offset, nu in enumerate(range(mu, 41)):
-            assert int(spans[offset]) + 1 == distinct_value_count(mu, nu)
+            assert int(spans[offset]) + 1 == len(value_set(mu, nu))
     for mu in (1, 2, 3, 8, 13, 21, 30, 60):
-        spans = row_value_spans(mu, 60)
+        spans = _row_spans(mu, 60)
         assert len(spans) == 61 - mu
         for offset, nu in enumerate(range(mu, 61)):
-            assert int(spans[offset]) + 1 == distinct_value_count(mu, nu), (mu, nu)
+            assert int(spans[offset]) + 1 == len(value_set(mu, nu)), (mu, nu)
     # a row long enough to run in several blocks, checked at the block edges
     mu, nu_hi = 1000, 4000
-    spans = row_value_spans(mu, nu_hi)
+    spans = _row_spans(mu, nu_hi)
     step = _ROW_BLOCK // mu
     edges = [mu + b * step + d for b in (1, 2) for d in (-1, 0)]
     for nu in [mu, nu_hi, *edges, *random.Random(7).sample(range(mu, nu_hi + 1), 20)]:
-        assert int(spans[nu - mu]) + 1 == distinct_value_count(mu, nu), nu
+        assert int(spans[nu - mu]) + 1 == len(value_set(mu, nu)), nu
 
 
 def test_fib_sweep_value_sets_match_value_set(tmp_path):
@@ -259,13 +258,13 @@ def test_fib_sweep_value_sets_match_value_set(tmp_path):
 
 def test_row_kernel_int16_frontier(monkeypatch):
     # the widest row the lanes hold, on a few windows only
-    spans = row_value_spans(_ROW_MU_MAX, _ROW_MU_MAX + 2)
+    spans = _row_spans(_ROW_MU_MAX, _ROW_MU_MAX + 2)
     for offset, nu in enumerate(range(_ROW_MU_MAX, _ROW_MU_MAX + 3)):
-        assert int(spans[offset]) + 1 == distinct_value_count(_ROW_MU_MAX, nu)
+        assert int(spans[offset]) + 1 == len(value_set(_ROW_MU_MAX, nu))
     # one past it raises before any table is touched or allocated
     monkeypatch.setattr(fib_balance, "_table_convergent", None)
     for call in (
-        lambda: row_value_spans(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
+        lambda: fib_balance._row(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
         lambda: row_value_bounds(_ROW_MU_MAX + 1, 10**9),
         lambda: balance_table(_ROW_MU_MAX + 1),
     ):
@@ -448,13 +447,13 @@ def test_scale_frontiers_raise_before_building():
     assert is_balanced(1, _Q_MAX - 2)
 
 
-def test_tables_obey_the_symbol_budget(monkeypatch):
+def test_tables_obey_the_symbol_budget(budget):
     expected = value_set(400, 10**5)
-    monkeypatch.setattr(sturmian_a_word(), "budget", 1000)
+    budget(1000)
     calls = (
         lambda: is_balanced(500, 600),  # a dense sweep over q = 1597
         lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
-        lambda: row_value_spans(30, 1000),  # a dense rank over q = 1597
+        lambda: row_value_bounds(30, 1000),  # a dense rank over q = 1597
     )
     tracemalloc.start()
     try:
@@ -469,13 +468,13 @@ def test_tables_obey_the_symbol_budget(monkeypatch):
     assert value_set(400, 10**5) == expected
 
 
-def test_witness_rebuild_goes_sparse_over_the_budget(monkeypatch):
+def test_witness_rebuild_goes_sparse_over_the_budget(budget):
     pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
     full = {pair: exact_balance(*pair) for pair in pairs}
     assert sum(not v.balanced for v in full.values()) >= 5
     # the verdict sweeps fit 5000 entries and the witnesses are read off
     # them; a sweep over F_{k+2} = 10946 positions would not fit
-    monkeypatch.setattr(sturmian_a_word(), "budget", 5000)
+    budget(5000)
     for pair, verdict in full.items():
         assert exact_balance(*pair) == verdict, pair
 

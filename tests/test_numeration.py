@@ -3,21 +3,19 @@ import re
 
 import pytest
 
+from rectbal.dfa_tools import dfa_from_text
 from rectbal.exact_quadratic import floor_n_phi
 from rectbal.numeration import (
     EmptyExpansion,
     FibIndexList,
     InvalidRepresentation,
-    adjacent_fib,
     fib_index_list,
     fibonacci,
     format_pair_word,
-    is_fibonacci,
     negabin_decode,
     negabin_encode,
     pair_decode,
     pair_encode,
-    parse_pair_word,
     trib_decode,
     trib_encode,
     tribonacci,
@@ -76,7 +74,8 @@ def test_shift_identity_with_phi():
     [(8, True), (0, False), (4, False), (1, True), (2, True), (3, True), (6, False)],
 )
 def test_is_fibonacci(n, expected):
-    assert is_fibonacci(n) is expected
+    # a Fibonacci number is a single Zeckendorf summand
+    assert (n > 0 and len(fib_index_list(n).indices) == 1) is expected
 
 
 def test_is_fibonacci_matches_enumeration():
@@ -85,8 +84,8 @@ def test_is_fibonacci_matches_enumeration():
     while fibonacci(j) <= 10_000:
         fibs.add(fibonacci(j))
         j += 1
-    for n in range(10_001):
-        assert is_fibonacci(n) == (n in fibs)
+    for n in range(1, 10_001):
+        assert (len(fib_index_list(n).indices) == 1) == (n in fibs)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +93,8 @@ def test_is_fibonacci_matches_enumeration():
     [(1, 2, True), (2, 3, True), (3, 4, False), (1, 1, False), (5, 8, True), (8, 13, True)],
 )
 def test_adjacent_fib(u, v, expected):
-    assert adjacent_fib(u, v) is expected
+    # (F_k, F_{k+1}): u is a single summand and v its Zeckendorf shift
+    assert (len(fib_index_list(u).indices) == 1 and zeck_shift(u) == v) is expected
 
 
 def test_fib_index_list_examples():
@@ -148,7 +148,8 @@ def test_pair_encoding_worked_example():
     assert word == [(0, 1), (0, 0), (0, 1), (1, 0), (0, 0), (1, 0)]
     assert format_pair_word(word) == "[0,1][0,0][0,1][1,0][0,0][1,0]"
     assert pair_decode(word) == (4, 18)
-    assert parse_pair_word("[0,1][0,0][0,1][1,0][0,0][1,0]") == word
+    tokens = re.findall(r"\[([01]),([01])\]", format_pair_word(word))
+    assert [(int(a), int(b)) for a, b in tokens] == word
 
 
 def test_pair_encoding_round_trip():
@@ -165,5 +166,16 @@ def test_pair_decode_validates_tracks():
 
 @pytest.mark.parametrize("text, token", [("[0,2]", "[0,2]"), ("[0,1][2]", "[2]"), ("[0,1,1]", "[0,1,1]")])
 def test_parse_pair_word_rejects_bad_tokens(text, token):
-    with pytest.raises(InvalidRepresentation, match=f"^bad pair token: '{re.escape(token)}'$"):
-        parse_pair_word(text)
+    # pair tokens are read only from automaton text, whose parser names the
+    # line that holds a bad one
+    line = f"0 {text} -> 0"
+    with pytest.raises(InvalidRepresentation, match=f"^bad automaton line: '{re.escape(line)}'$") as err:
+        dfa_from_text(f"states 1\nstart 0\naccepting 0\n{line}\n")
+    assert token in str(err.value)
+
+
+def test_pair_encode_names_the_negative_argument():
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        pair_encode(-1, 3)
+    with pytest.raises(ValueError, match="^n must be >= 0, got -2$"):
+        pair_encode(3, -2)

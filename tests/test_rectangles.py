@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rectbal.rectangles import (
-    delta,
     rect_counts,
     word_letter_counts,
     word_rect_sum,
 )
 from rectbal.tm_balance import excess
 from rectbal.words import SequenceKind, Word, sturmian_a_word, word
+from oracles import delta
 
 FIB = SequenceKind.FIBONACCI
 TRIB = SequenceKind.TRIBONACCI

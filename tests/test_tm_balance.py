@@ -27,6 +27,17 @@ def test_excess_single_cells():
 def test_excess_rejects_negative_index():
     with pytest.raises(ValueError, match="i must be >= 0, got -1"):
         excess(-1, 3, 3)
+    # the parity formulas name the argument the caller passed
+    for call, message in [
+        (lambda: excess(-5, 0, 3), "i must be >= 0, got -5"),
+        (lambda: excess_parity_reduced(-5, 0, 3), "i must be >= 0, got -5"),
+        (lambda: excess_even_even(-2, 0, 2), "i must be >= 0, got -2"),
+        (lambda: excess_parity_reduced(1, -2, 2), "m must be >= 0, got -2"),
+        (lambda: excess_even_even(-2, 2, 2), "i must be >= 0, got -2"),
+        (lambda: excess_even_even(0, 2, -4), "n must be >= 0, got -4"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_excess_bound_sampled():

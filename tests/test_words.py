@@ -10,11 +10,10 @@ from rectbal.words import (
     SequenceKind,
     Word,
     _generate,
-    fib_symbol,
     sturmian_a_word,
-    tm_symbol,
     word,
 )
+from oracles import fib_symbol, tm_symbol
 
 
 _MORPHISMS = {
@@ -188,8 +187,9 @@ def test_a_and_f_words_share_factors():
         assert fa == ff
 
 
-def test_budget_enforced():
-    small = Word(SequenceKind.FIBONACCI, budget=100)
+def test_budget_enforced(budget):
+    budget(100)
+    small = Word(SequenceKind.FIBONACCI)
     small.ensure(100)
     with pytest.raises(BudgetExceeded):
         small.ensure(101)
@@ -203,7 +203,7 @@ def test_prefix_counts_over_budget():
 def test_set_budget_applies_to_shared_words():
     from rectbal import words as words_mod
 
-    old = words_mod.DEFAULT_BUDGET
+    old = words_mod.BUDGET
     try:
         words_mod.set_budget(500)
         with pytest.raises(BudgetExceeded):
@@ -214,18 +214,38 @@ def test_set_budget_applies_to_shared_words():
         words_mod.set_budget(old)
 
 
+def test_one_budget_caps_words_and_tables():
+    from rectbal import words as words_mod
+    from rectbal.fib_balance import is_balanced
+
+    tm = word(SequenceKind.THUE_MORSE)
+    tm.ensure(5000)  # built past the budget below
+    old = words_mod.BUDGET
+    try:
+        words_mod.set_budget(1000)
+        for call in (lambda: tm.ensure(1001), lambda: is_balanced(500, 600)):
+            with pytest.raises(BudgetExceeded, match="budget is 1000"):
+                call()
+    finally:
+        words_mod.set_budget(old)
+    assert words_mod.BUDGET == old
+    tm.ensure(1001)
+    assert not is_balanced(500, 600)
+
+
 def test_budget_limited_to_int32_counts():
     from rectbal import words as words_mod
 
-    old = words_mod.DEFAULT_BUDGET
+    old = words_mod.BUDGET
     try:
         words_mod.set_budget(2**31 - 1)
         with pytest.raises(ValueError, match="budget must be between 1 and 2147483647"):
             words_mod.set_budget(2**31)
-        assert words_mod.DEFAULT_BUDGET == 2**31 - 1
+        assert words_mod.BUDGET == 2**31 - 1
     finally:
         words_mod.set_budget(old)
-    with pytest.raises(ValueError):
+    # a word has no budget of its own to set past the limit
+    with pytest.raises(TypeError):
         Word(SequenceKind.FIBONACCI, budget=2**31)
 
 
