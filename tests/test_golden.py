@@ -16,7 +16,19 @@ import numpy as np
 from rectbal.cli import main
 from rectbal.dfa_tools import build_sample_table, dfa_to_text, infer_min_dfa
 from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan
-from rectbal.numeration import InvalidRepresentation, negabin_decode, trib_decode, zeck_decode
+from rectbal.numeration import (
+    EmptyExpansion,
+    InvalidRepresentation,
+    fib_index_list,
+    fibonacci,
+    negabin_decode,
+    pair_encode,
+    trib_decode,
+    trib_encode,
+    zeck_decode,
+    zeck_encode,
+    zeck_shift,
+)
 from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess_vector
 from rectbal.trib_balance import two_balance_scan
@@ -36,6 +48,11 @@ GOLDEN = {
     "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
     "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
     "negabin_decode over binary strings to length 10": "9aaeba249fc3ff209a6df7c32ba7f840510a0de437f02f350dd26c6f744b0db4",
+    "pair_encode over seeded pairs to 10**30": "5cf61d2dd31789b7cc8005ca029e775e0623845ab01ea9a681bba72b8d109dab",
+    "fib_index_list over seeded values to 10**30": "332504f30d9313641b5c4bdf673e18a66eb19c7144edfd0313e6a6e298905ec9",
+    "zeck_encode over seeded values to 10**30": "2a658296d8cfb680ef1088dc0f46bc8986b8f10bd5d94feee4bed33b261f6f1a",
+    "zeck_shift over seeded values to 10**30": "e9d32b0b40ce034c76745ca038a06818f6677c765749b577084ba97202629ed7",
+    "trib_encode over seeded values to 10**30": "5995efef7f7c5a5b1d8b56391d8dfefcbc3c192700075e2b0038309da4d0adfa",
     "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
 }
 
@@ -113,6 +130,39 @@ def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _numeration_values() -> list[int]:
+    """0, F_j - 1, F_j and F_j + 1 for 2 <= j <= 100, and seeded values below 10**30."""
+    rng = random.Random(1212)
+    values = [0]
+    for j in range(2, 101):
+        values += [fibonacci(j) - 1, fibonacci(j), fibonacci(j) + 1]
+    return values + [rng.randrange(10**30) for _ in range(300)]
+
+
+def _numeration_pairs() -> list[tuple[int, int]]:
+    """(0, 0); each value against 0, itself and a seeded partner from the
+    list, in both orders; and seeded pairs below 10**30."""
+    rng = random.Random(1213)
+    values = _numeration_values()
+    pairs = [(0, 0)]
+    for v in values:
+        w = rng.choice(values)
+        pairs += [(0, v), (v, 0), (v, v), (v, w), (w, v)]
+    return pairs + [(rng.randrange(10**30), rng.randrange(10**30)) for _ in range(300)]
+
+
+def _value_text(encode) -> str:
+    """One line per value of _numeration_values: what encode returns, or
+    the name of the error it raises."""
+    lines = []
+    for v in _numeration_values():
+        try:
+            lines.append(f"{v}:{encode(v)!r}")
+        except EmptyExpansion:
+            lines.append(f"{v}!EmptyExpansion")
+    return "\n".join(lines)
+
+
 def outputs() -> dict[str, str]:
     return {
         "t_value_vector(7, 11, 10**5)": _digest(t_value_vector(7, 11, 10**5)),
@@ -127,6 +177,19 @@ def outputs() -> dict[str, str]:
         "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
         "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
         "negabin_decode over binary strings to length 10": _text_digest(_decode_text(negabin_decode)),
+        "pair_encode over seeded pairs to 10**30": _text_digest(
+            "\n".join(f"{m},{n}:{pair_encode(m, n)!r}" for m, n in _numeration_pairs())
+        ),
+        "fib_index_list over seeded values to 10**30": _text_digest(
+            _value_text(lambda v: fib_index_list(v).indices)
+        ),
+        "zeck_encode over seeded values to 10**30": _text_digest(
+            _value_text(lambda v: zeck_encode(v).digits)
+        ),
+        "zeck_shift over seeded values to 10**30": _text_digest(_value_text(zeck_shift)),
+        "trib_encode over seeded values to 10**30": _text_digest(
+            _value_text(lambda v: trib_encode(v).digits)
+        ),
         "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": _text_digest(
             dfa_to_text(infer_min_dfa(build_sample_table(13), 10))
         ),
