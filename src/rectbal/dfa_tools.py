@@ -19,10 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fib_balance import balance_table
-from .numeration import InvalidRepresentation, fibonacci, pair_decode, zeck_encode
+from .numeration import SYMBOLS, InvalidRepresentation, fibonacci, pair_encode
 from .words import BudgetExceeded, check_nonnegative
-
-SYMBOLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # dfa_to_text's header lines, then its transition lines
 _DFA_LINES = (r"states \d+", r"start \d+", r"accepting( \d+)*", r"\d+ \[[01],[01]\] -> \d+")
@@ -57,28 +55,12 @@ def dfa_run(dfa: Dfa, word) -> bool:
 
 class SampleTable:
     """Every valid padded pair encoding of length <= max_len, labeled by the
-    exact balance verdict of the decoded pair.
-
-    Labels are served from the exact verdict matrix rather than stored per
-    word; `words()` enumerates the underlying word set.
-    """
+    exact balance verdict of the decoded pair: the word of (m, n) is labeled
+    verdicts[m, n], and those of length t are the pairs below F_{t+2}."""
 
     def __init__(self, max_len: int, verdicts: np.ndarray):
         self.max_len = max_len
         self.verdicts = verdicts
-
-    def label(self, word) -> bool:
-        if len(word) > self.max_len:
-            raise IndexError(f"word longer than sampled length {self.max_len}")
-        return bool(self.verdicts[pair_decode(word)])
-
-    def words(self, length: int):
-        """All valid pair words of exactly the given length: the tracks are
-        the values below F_{length+2}, padded."""
-        tracks = [zeck_encode(v).digits.rjust(length, "0") for v in range(fibonacci(length + 2))]
-        for dm in tracks:
-            for dn in tracks:
-                yield [(int(a), int(b)) for a, b in zip(dm, dn)]
 
 
 def build_sample_table(max_len: int) -> SampleTable:
@@ -264,13 +246,50 @@ def _minimize(
     )
 
 
+def _track_digits(length: int) -> np.ndarray:
+    """Row k holds digit k (msd first) of the length-`length` Zeckendorf
+    track of every value below F_{length+2}: one compare and subtract per
+    digit position."""
+    vals = np.arange(fibonacci(length + 2), dtype=np.int64)
+    rows = np.empty((length, len(vals)), dtype=np.int8)
+    for k in range(length):
+        f = fibonacci(length + 1 - k)
+        top = vals >= f
+        rows[k] = top
+        vals[top] -= f
+    return rows
+
+
+def _run_pairs(dfa: Dfa, m: np.ndarray, n: np.ndarray, length: int) -> np.ndarray:
+    """dfa_run on the length-`length` padded pair word of every (m[i], n[i]),
+    all below F_{length+2}, at once.  The states are one int array, advanced
+    by one gather per digit position from a (n_states + 1) x 4 transition
+    array whose extra row is the reject sink."""
+    sink = dfa.n_states
+    step = np.full((sink + 1, 4), sink, dtype=np.int32)
+    for (state, (a, b)), target in dfa.transitions.items():
+        step[state, 2 * a + b] = target
+    step = step.ravel()
+    accepting = np.zeros(sink + 1, dtype=bool)
+    accepting[list(dfa.accepting)] = True
+    state = np.full(len(m), dfa.start, dtype=np.int32)
+    for digits in _track_digits(length):
+        state = step[4 * state + 2 * digits[m] + digits[n]]
+    return accepting[state]
+
+
 def _replay_check(dfa: Dfa, table: SampleTable, max_replay_len: int = 7) -> None:
     """Replay the sampled words of small length; any label mismatch means the
-    inference produced a machine inconsistent with its own sample."""
+    inference produced a machine inconsistent with its own sample.  The
+    first mismatch by length, then m, then n is reported."""
     for length in range(min(table.max_len, max_replay_len) + 1):
-        for w in table.words(length):
-            if dfa_run(dfa, w) != table.label(w):
-                raise InconsistentSample(f"replay mismatch on {w}")
+        count = fibonacci(length + 2)
+        m, n = np.divmod(np.arange(count * count), count)
+        bad = np.flatnonzero(_run_pairs(dfa, m, n, length) != table.verdicts[m, n])
+        if len(bad):
+            word = pair_encode(int(m[bad[0]]), int(n[bad[0]]))
+            word = [SYMBOLS[0]] * (length - len(word)) + word
+            raise InconsistentSample(f"replay mismatch on {word}")
 
 
 # ---------------------------------------------------------------------------

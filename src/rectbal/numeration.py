@@ -6,10 +6,11 @@ with F_2 = 1, F_3 = 2, so e.g. 4 = F_4 + F_2 = "101" and 18 = "101000".
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .words import check_nonnegative
+from .words import as_integer, check_nonnegative
 
 
 class InvalidRepresentation(ValueError):
@@ -20,13 +21,20 @@ class EmptyExpansion(ValueError):
     """Requested the summand indices of zero, which has none."""
 
 
-_FIBS = [0, 1]  # _FIBS[j] = F_j
+_FIBS = [0, 1]  # _FIBS[j] = F_j, grown only by _fibs_past
+
+
+def _fibs_past(n: int) -> list[int]:
+    """The cached Fibonacci list, grown until its last entry exceeds n."""
+    while _FIBS[-1] <= n:
+        _FIBS.append(_FIBS[-1] + _FIBS[-2])
+    return _FIBS
 
 
 def fibonacci(j: int) -> int:
     """F_j with F_0 = 0, F_1 = F_2 = 1, F_3 = 2."""
     while len(_FIBS) <= j:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
+        _fibs_past(_FIBS[-1])
     return _FIBS[j]
 
 
@@ -67,26 +75,23 @@ class FibIndexList:
 
 
 def fib_index_list(n: int) -> FibIndexList:
-    """Descending Zeckendorf summand indices of n >= 1 (greedy)."""
+    """Descending Zeckendorf summand indices of n >= 1 (greedy): each is
+    found by bisection in the cached Fibonacci list."""
+    n = as_integer("n", n)
     if n <= 0:
         raise EmptyExpansion("n must be >= 1")
-    j = 2
-    while fibonacci(j + 1) <= n:
-        j += 1
+    fibs = _fibs_past(n)
     out = []
-    while n > 0:
-        while fibonacci(j) > n:
-            j -= 1
+    while n:
+        j = bisect_right(fibs, n) - 1  # the last F_j <= n; for n = 1 that is F_2
         out.append(j)
-        n -= fibonacci(j)
-        j -= 2
+        n -= fibs[j]
     return FibIndexList(tuple(out))
 
 
 def zeck_encode(n: int) -> DigitRep:
     """Canonical Zeckendorf digits of n (greedy; empty string for 0)."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
+    check_nonnegative(n=n)
     if n == 0:
         return DigitRep("", 0)
     idx = fib_index_list(n).indices
@@ -118,17 +123,16 @@ def zeck_decode(digits: str | DigitRep) -> int:
 
 def zeck_shift(n: int) -> int:
     """Value of the Zeckendorf digits of n moved one position up (F_j -> F_{j+1})."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
+    check_nonnegative(n=n)
     if n == 0:
         return 0
-    return sum(fibonacci(j + 1) for j in fib_index_list(n).indices)
+    fibs = _fibs_past(n)  # holds F_{top+1}
+    return sum(fibs[j + 1] for j in fib_index_list(n).indices)
 
 
 def trib_encode(n: int) -> DigitRep:
     """Greedy Tribonacci digits of n (no three consecutive 1 digits)."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
+    check_nonnegative(n=n)
     if n == 0:
         return DigitRep("", 0)
     j = 0
@@ -153,6 +157,7 @@ def trib_decode(digits: str | DigitRep) -> int:
 
 def negabin_encode(n: int) -> DigitRep:
     """Base-(-2) digits of any integer (canonical, no leading zeros)."""
+    n = as_integer("n", n)
     if n == 0:
         return DigitRep("", 0)
     value = n
@@ -170,12 +175,37 @@ def negabin_decode(digits: str | DigitRep) -> int:
     return _decode(digits, lambda pos: (-2) ** pos)
 
 
+SYMBOLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+_S00, _S01, _S10, _S11 = SYMBOLS
+
+
 def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
-    """Zip the Zeckendorf digits of m and n msd-first, padding the shorter with 0s."""
+    """The Zeckendorf digits of m and n, zipped msd-first, the shorter padded
+    with 0s.
+
+    One greedy pass over the positions top, ..., 2 of the larger value takes
+    F_j from each track that is still at least F_j; every element is one of
+    the four shared SYMBOLS tuples.
+    """
     check_nonnegative(m=m, n=n)
-    dm, dn = zeck_encode(m).digits, zeck_encode(n).digits
-    width = max(len(dm), len(dn))
-    return [(int(a), int(b)) for a, b in zip(dm.rjust(width, "0"), dn.rjust(width, "0"))]
+    top = m if m > n else n
+    fibs = _fibs_past(top)
+    word: list[tuple[int, int]] = []
+    append = word.append
+    for f in fibs[bisect_right(fibs, top) - 1 : 1 : -1]:  # empty for top = 0
+        if m >= f:
+            m -= f
+            if n >= f:
+                n -= f
+                append(_S11)
+            else:
+                append(_S10)
+        elif n >= f:
+            n -= f
+            append(_S01)
+        else:
+            append(_S00)
+    return word
 
 
 def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:

@@ -17,6 +17,7 @@ C below 2**31, so C[t] = s[t+1] - s[t] modulo 2**32 is exact.
 """
 from __future__ import annotations
 
+import operator
 import os
 from enum import Enum
 from functools import lru_cache
@@ -31,10 +32,20 @@ class BudgetExceeded(RuntimeError):
 MAX_BUDGET = 2**31 - 1  # prefix counts fit int32
 
 
+def as_integer(name: str, value: int) -> int:
+    """value as an int by operator.index, so Python and NumPy integers pass;
+    ValueError naming the argument for anything else (3.5, 2.0, "7")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_nonnegative(**values: int) -> None:
-    """Raise ValueError naming the first argument that is negative."""
+    """Raise ValueError naming the first argument that is not an integer or
+    is negative."""
     for name, value in values.items():
-        if value < 0:
+        if as_integer(name, value) < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from rectbal.dfa_tools import build_sample_table, dfa_run, infer_min_dfa
+from rectbal.dfa_tools import _run_pairs, build_sample_table, dfa_run, infer_min_dfa
 from rectbal.fib_balance import (
     BalanceStatus,
     balance_table,
@@ -25,7 +25,7 @@ from rectbal.fib_balance import (
     value_set,
     zeck_characterization,
 )
-from rectbal.numeration import fibonacci, pair_encode, zeck_encode
+from rectbal.numeration import fibonacci, pair_encode
 from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess, excess_class_parity_check, excess_parity_reduced, excess_vector
 from rectbal.trib_balance import (
@@ -237,27 +237,8 @@ def test_a12_dfa_state_count_and_replay():
     if not all(c == 15 for c in values):
         assert all(14 <= c <= 16 for c in values) and len(set(values[-3:])) == 1, counts
         warnings.warn(f"state count off the expected 15 by one: {counts}")
-    dfa = _inferred_dfa(16, 10)
-    table = balance_table(1000)
-    digits = [zeck_encode(v).digits for v in range(1001)]
-    trans = dfa.transitions
-    accepting = dfa.accepting
-    for m in range(1001):
-        dm = digits[m]
-        row = table[m]
-        for n in range(1001):
-            dn = digits[n]
-            width = len(dm) if len(dm) > len(dn) else len(dn)
-            state = 0
-            ok = True
-            for pos in range(width):
-                a = dm[pos - width] if pos >= width - len(dm) else "0"
-                b = dn[pos - width] if pos >= width - len(dn) else "0"
-                nxt = trans.get((state, (int(a), int(b))))
-                if nxt is None:
-                    ok = False
-                    break
-                state = nxt
-            accepted = ok and state in accepting
-            assert accepted == bool(row[n]), (m, n)
-    _report("automaton inference", f"state counts {values}, replay exact to 1000")
+    # every pair below F_18 = 2584 has a length-16 word: replay them all at once
+    m, n = np.divmod(np.arange(shared.size, dtype=np.int32), len(shared))
+    bad = np.flatnonzero(_run_pairs(_inferred_dfa(16, 10), m, n, 16) != shared.ravel())
+    assert len(bad) == 0, [(int(m[i]), int(n[i])) for i in bad[:10]]
+    _report("automaton inference", f"state counts {values}, replay exact to {len(shared) - 1}")

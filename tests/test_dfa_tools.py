@@ -1,9 +1,11 @@
 import re
 
+import numpy as np
 import pytest
 
 from rectbal.dfa_tools import (
     Dfa,
+    _run_pairs,
     build_sample_table,
     dfa_from_text,
     dfa_run,
@@ -16,20 +18,26 @@ from rectbal.words import BudgetExceeded
 
 
 def test_sample_table_labels():
+    # the word of (m, n) is labeled verdicts[m, n]
     table = build_sample_table(6)
-    assert table.label(pair_encode(4, 3)) is True
-    assert table.label(pair_encode(0, 0)) is True
-    assert table.label(pair_encode(4, 4)) is False
+    for m, n in [(4, 3), (0, 0), (4, 4)]:
+        assert len(pair_encode(m, n)) <= 6
+    assert table.verdicts[4, 3]
+    assert table.verdicts[0, 0]
+    assert not table.verdicts[4, 4]
 
 
 def test_sample_table_word_counts():
+    # the words of length t are the padded encodings of the pairs below
+    # F_{t+2}; a pair with a track at F_{t+2} needs t + 1 digits
     table = build_sample_table(5)
     for length in (1, 2, 3, 4):
-        words = list(table.words(length))
         tracks = fibonacci(length + 2)
+        assert table.verdicts.shape[0] >= tracks
+        words = {tuple(pair_encode(m, n)) for m in range(tracks) for n in range(tracks)}
         assert len(words) == tracks * tracks
-        for w in words:
-            assert len(w) == length
+        assert max(len(w) for w in words) == length
+        assert len(pair_encode(tracks, 0)) == len(pair_encode(0, tracks)) == length + 1
 
 
 def test_sample_table_budget():
@@ -124,13 +132,37 @@ def test_state_count_stability_shape():
 def test_sample_table_is_virtual_but_faithful():
     table = build_sample_table(5)
     for length in (1, 2, 3):
-        for w in table.words(length):
+        tracks = fibonacci(length + 2)
+        for v in range(tracks * tracks):
+            w = pair_encode(*divmod(v, tracks))
             m = sum(fibonacci(len(w) - pos + 1) for pos, (a, _) in enumerate(w) if a)
             n = sum(fibonacci(len(w) - pos + 1) for pos, (_, b) in enumerate(w) if b)
-            assert table.label(w) == is_balanced(m, n)
+            assert (m, n) == divmod(v, tracks)
+            assert table.verdicts[m, n] == is_balanced(m, n)
 
 
 def test_label_rejects_overlong_words():
+    # max_len 4 samples the values below F_6 = 8; 8 needs five digits
     table = build_sample_table(4)
+    assert table.verdicts.shape == (8, 8)
+    assert len(pair_encode(8, 0)) == 5
     with pytest.raises(IndexError):
-        table.label([(0, 0)] * 5)
+        table.verdicts[8, 0]
+
+
+def test_batch_runner_matches_dfa_run():
+    # the length-11 words hold every pair below F_13 = 233
+    golden = infer_min_dfa(build_sample_table(13), 10)
+    corrupt = Dfa(
+        golden.n_states,
+        golden.start,
+        golden.accepting,
+        {**golden.transitions, (0, (0, 1)): (golden.transitions[(0, (0, 1))] + 1) % golden.n_states},
+    )
+    m, n = np.divmod(np.arange(200 * 200), 200)
+    words = [pair_encode(mi, ni) for mi, ni in zip(m.tolist(), n.tolist())]
+    good = _run_pairs(golden, m, n, 11)
+    bad = _run_pairs(corrupt, m, n, 11)
+    assert good.tolist() == [dfa_run(golden, w) for w in words]
+    assert bad.tolist() == [dfa_run(corrupt, [(0, 0)] * (11 - len(w)) + w) for w in words]
+    assert (good != bad).any()

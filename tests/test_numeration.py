@@ -1,10 +1,14 @@
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.dfa_tools import dfa_from_text
 from rectbal.exact_quadratic import floor_n_phi
+from rectbal.fib_balance import zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     FibIndexList,
@@ -179,3 +183,66 @@ def test_pair_encode_names_the_negative_argument():
         pair_encode(-1, 3)
     with pytest.raises(ValueError, match="^n must be >= 0, got -2$"):
         pair_encode(3, -2)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (fib_index_list, (3.5,), "n must be an integer, got 3.5"),
+        (pair_encode, (3.5, 2), "m must be an integer, got 3.5"),
+        (pair_encode, (2, 3.5), "n must be an integer, got 3.5"),
+        (zeck_shift, (2.5,), "n must be an integer, got 2.5"),
+        (zeck_characterization, (2.5, 7), "m must be an integer, got 2.5"),
+        (zeck_encode, (2.0,), "n must be an integer, got 2.0"),
+        (trib_encode, (2.5,), "n must be an integer, got 2.5"),
+        (negabin_encode, (-1.5,), "n must be an integer, got -1.5"),
+        (zeck_encode, ("7",), "n must be an integer, got '7'"),
+    ],
+)
+def test_non_integral_input_rejected_by_name(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
+
+
+def test_numpy_integers_accepted():
+    assert fib_index_list(np.int32(4)).indices == (4, 2)
+    assert zeck_encode(np.int64(18)).digits == "101000"
+    assert zeck_shift(np.int64(4)) == 7
+    assert pair_encode(np.int64(4), np.uint8(18)) == pair_encode(4, 18)
+    assert trib_encode(np.int16(5)).digits == "101"
+    assert negabin_encode(np.int64(-1)).digits == "11"
+    assert zeck_characterization(np.int64(4), np.int64(18))
+
+
+# Property tests: fixed example streams (derandomize) of bounded size, and
+# no example database written to disk.
+PROPERTY = settings(derandomize=True, max_examples=300, database=None, deadline=None)
+NATURALS = st.integers(min_value=0, max_value=10**40)
+
+
+@PROPERTY
+@given(NATURALS)
+def test_zeck_round_trip_property(n):
+    assert zeck_decode(zeck_encode(n)) == n
+
+
+@PROPERTY
+@given(NATURALS, NATURALS)
+def test_pair_round_trip_property(m, n):
+    word = pair_encode(m, n)
+    assert pair_decode(word) == (m, n)
+    for track in (0, 1):
+        assert "11" not in "".join(str(pair[track]) for pair in word)
+    assert word == [] or word[0] != (0, 0)
+
+
+@PROPERTY
+@given(NATURALS)
+def test_trib_round_trip_property(n):
+    assert trib_decode(trib_encode(n)) == n
+
+
+@PROPERTY
+@given(st.integers(min_value=-(10**40), max_value=10**40))
+def test_negabin_round_trip_property(n):
+    assert negabin_decode(negabin_encode(n)) == n
