@@ -214,19 +214,16 @@ def test_numpy_integers_accepted():
     assert zeck_characterization(np.int64(4), np.int64(18))
 
 
-# Property tests: fixed example streams (derandomize) of bounded size, and
-# no example database written to disk.
-PROPERTY = settings(derandomize=True, max_examples=300, database=None, deadline=None)
 NATURALS = st.integers(min_value=0, max_value=10**40)
 
 
-@PROPERTY
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(NATURALS)
 def test_zeck_round_trip_property(n):
     assert zeck_decode(zeck_encode(n)) == n
 
 
-@PROPERTY
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(NATURALS, NATURALS)
 def test_pair_round_trip_property(m, n):
     word = pair_encode(m, n)
@@ -236,13 +233,13 @@ def test_pair_round_trip_property(m, n):
     assert word == [] or word[0] != (0, 0)
 
 
-@PROPERTY
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(NATURALS)
 def test_trib_round_trip_property(n):
     assert trib_decode(trib_encode(n)) == n
 
 
-@PROPERTY
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(min_value=-(10**40), max_value=10**40))
 def test_negabin_round_trip_property(n):
     assert negabin_decode(negabin_encode(n)) == n
