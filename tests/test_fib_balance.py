@@ -454,6 +454,7 @@ def test_tables_obey_the_symbol_budget(budget):
         lambda: is_balanced(500, 600),  # a dense sweep over q = 1597
         lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
         lambda: row_value_bounds(30, 1000),  # a dense rank over q = 1597
+        lambda: row_value_bounds(0, 5000),  # 5001 floor sums, though no events
     )
     tracemalloc.start()
     try:

@@ -4,7 +4,8 @@ Array and record outputs are normalised to little-endian int64 bytes before
 hashing, so a change of dtype alone does not move a digest; CLI outputs are
 hashed as the bytes written to stdout or to the --out file.  The verdict
 table is hashed as its raw boolean bytes, and text outputs (decoded values
-with rejection messages, a serialized automaton) as their UTF-8 bytes.
+with rejection messages, a serialized automaton, the message of a failed
+replay) as their UTF-8 bytes.
 """
 import contextlib
 import hashlib
@@ -14,8 +15,8 @@ import random
 import numpy as np
 
 from rectbal.cli import main
-from rectbal.dfa_tools import build_sample_table, dfa_to_text, infer_min_dfa
-from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan
+from rectbal.dfa_tools import InconsistentSample, build_sample_table, dfa_to_text, infer_min_dfa
+from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan, row_value_bounds
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -54,7 +55,29 @@ GOLDEN = {
     "zeck_shift over seeded values to 10**30": "e9d32b0b40ce034c76745ca038a06818f6677c765749b577084ba97202629ed7",
     "trib_encode over seeded values to 10**30": "5995efef7f7c5a5b1d8b56391d8dfefcbc3c192700075e2b0038309da4d0adfa",
     "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(10), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(11), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(12), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(16), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(8), 3))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(8), 6))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "dfa_to_text(infer_min_dfa(build_sample_table(6), 6))": "8e0a9420230f08603cac79e49b6e5579a76ffb3e5b00bf346d490f8f1456974a",
+    "dfa_to_text(infer_min_dfa(build_sample_table(12), 4))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
+    "InconsistentSample of infer_min_dfa(build_sample_table(8), 1)": "1c8b4ac84aa37bfb70eda0c5cd5cb2ff74c3bf70946a722b4e47f48c0886556f",
+    "InconsistentSample of infer_min_dfa(build_sample_table(8), 2)": "7616b35aabe7ebb0edd7c68082047972ab8501856b56e35b455c4c249cf8b1ff",
+    "row_value_bounds(0, 10_000)": "0c6a976f97434bc31fa4588c4899bef06330a8e18bc7db1cfe723661567204aa",
+    "row_value_bounds(1, 10_000)": "9f1204fb85afc6e21e76143052d7129ef67b2e9577be3dff82535f19d42a0b2c",
+    "row_value_bounds(2, 10_000)": "0045665878b246ddaa9414db2f0f021dd074345230fd0914c18e6acb9f50d73c",
+    "row_value_bounds(3, 10_000)": "62852b7222a2b4f4706a975333c52893349effb2034ab5f069a25878329faf3f",
+    "row_value_bounds(8, 10_000)": "e7344604a6d00eee2364c793857b276cfeb1773c9ca381f3db9d48b88b7572ee",
+    "row_value_bounds(233, 10_000)": "6b6b46f3d9739f0e9ae7573e4f6b0de6c2132f9a0b64d64d764b4d31fd60daaf",
 }
+
+# (max_len, depth) of the pinned automata, of the samples whose replay
+# fails, and the rows mu of row_value_bounds(mu, 10_000)
+INFERRED = [(10, 10), (11, 10), (12, 10), (13, 10), (16, 10), (8, 3), (8, 6), (6, 6), (12, 4)]
+INCONSISTENT = [(8, 1), (8, 2)]
+ROWS = [0, 1, 2, 3, 8, 233]
 
 # README command-line examples; {tmp} is a fresh directory
 CLI_GOLDEN = {
@@ -163,6 +186,14 @@ def _value_text(encode) -> str:
     return "\n".join(lines)
 
 
+def _inconsistency(max_len: int, depth: int) -> str:
+    try:
+        infer_min_dfa(build_sample_table(max_len), depth)
+    except InconsistentSample as err:
+        return str(err)
+    raise AssertionError(f"the sample ({max_len}, {depth}) replayed")
+
+
 def outputs() -> dict[str, str]:
     return {
         "t_value_vector(7, 11, 10**5)": _digest(t_value_vector(7, 11, 10**5)),
@@ -190,9 +221,22 @@ def outputs() -> dict[str, str]:
         "trib_encode over seeded values to 10**30": _text_digest(
             _value_text(lambda v: trib_encode(v).digits)
         ),
-        "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": _text_digest(
-            dfa_to_text(infer_min_dfa(build_sample_table(13), 10))
-        ),
+        **{
+            f"dfa_to_text(infer_min_dfa(build_sample_table({n}), {d}))": _text_digest(
+                dfa_to_text(infer_min_dfa(build_sample_table(n), d))
+            )
+            for n, d in INFERRED
+        },
+        **{
+            f"InconsistentSample of infer_min_dfa(build_sample_table({n}), {d})": _text_digest(
+                _inconsistency(n, d)
+            )
+            for n, d in INCONSISTENT
+        },
+        **{
+            f"row_value_bounds({mu}, 10_000)": _digest(np.concatenate(row_value_bounds(mu, 10_000)))
+            for mu in ROWS
+        },
     }
 
 
