@@ -70,7 +70,6 @@ from .tm_balance import (
 from .dfa_tools import (
     Dfa,
     InconsistentSample,
-    SampleTable,
     build_sample_table,
     dfa_from_text,
     dfa_run,

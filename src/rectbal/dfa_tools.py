@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,47 +49,17 @@ def dfa_run(dfa: Dfa, word) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the labeled sample
+# the labeled sample: the verdict table itself
 
 
-class SampleTable:
-    """Every valid padded pair encoding of length <= max_len, labeled by the
-    exact balance verdict of the decoded pair: the word of (m, n) is labeled
-    verdicts[m, n], and those of length t are the pairs below F_{t+2}."""
-
-    def __init__(self, max_len: int, verdicts: np.ndarray):
-        self.max_len = max_len
-        self.verdicts = verdicts
-
-
-def build_sample_table(max_len: int) -> SampleTable:
-    """Label every valid pair encoding of length <= max_len."""
+def build_sample_table(max_len: int) -> np.ndarray:
+    """The verdict table balance_table(F_{max_len+2} - 1).  It labels every
+    valid padded pair encoding of length <= max_len: the word of (m, n) is
+    labeled table[m, n], and those of length t are the pairs below F_{t+2}."""
     check_nonnegative(max_len=max_len)
     if max_len > 18:
         raise BudgetExceeded(f"max_len {max_len} beyond the value budget (18)")
-    limit = fibonacci(max_len + 2) - 1
-    return SampleTable(max_len, balance_table(limit))
-
-
-# ---------------------------------------------------------------------------
-# suffix pools: valid single tracks and their pairings, by length
-
-
-@lru_cache(maxsize=None)
-def _suffix_pool(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First digits and values of both tracks over all valid pair words of
-    length t, as parallel arrays.  The length-t tracks with no adjacent 1
-    digits are the values below F_{t+2} in order, and those from F_{t+1} up
-    start with a 1."""
-    vals = np.arange(fibonacci(t + 2), dtype=np.int64)
-    firsts = (vals >= fibonacci(t + 1)).astype(np.int8)
-    count = len(vals)
-    return (
-        np.repeat(firsts, count),
-        np.tile(firsts, count),
-        np.repeat(vals, count),
-        np.tile(vals, count),
-    )
+    return balance_table(fibonacci(max_len + 2) - 1)
 
 
 def _shifted_value(indices: tuple[int, ...], t: int) -> int:
@@ -106,22 +75,20 @@ def _signature(
 ) -> tuple:
     """Labels of every valid suffix continuation up to min(depth, budget).
 
-    A suffix whose junction would create adjacent 1 digits is labeled False:
-    the concatenation is not in the language.  A track ends in a 1 exactly
-    when its shifted indices hold 2.
+    The length-t suffixes of the prefix, in row-major order of the two
+    track values below F_{t+2}, label the table block at the prefix's
+    shifted values.  A suffix whose junction would create adjacent 1 digits
+    is labeled False: the concatenation is not in the language.  A track
+    ends in a 1 exactly when its shifted indices hold 2, and then only its
+    values below F_{t+1} (first digit 0) continue it.
     """
     sig: list = [bool(verdicts[_shifted_value(um, 0), _shifted_value(un, 0)])]
     for t in range(1, min(depth, budget) + 1):
-        mf, nf, mv, nv = _suffix_pool(t)
-        ok = np.ones(len(mf), dtype=bool)
-        if 2 in um:
-            ok &= mf == 0
-        if 2 in un:
-            ok &= nf == 0
-        labels = np.zeros(len(mf), dtype=bool)
-        msh = _shifted_value(um, t)
-        nsh = _shifted_value(un, t)
-        labels[ok] = verdicts[msh + mv[ok], nsh + nv[ok]]
+        msh, nsh = _shifted_value(um, t), _shifted_value(un, t)
+        cm = fibonacci(t + 1 if 2 in um else t + 2)
+        cn = fibonacci(t + 1 if 2 in un else t + 2)
+        labels = np.zeros((fibonacci(t + 2),) * 2, dtype=bool)
+        labels[:cm, :cn] = verdicts[msh : msh + cm, nsh : nsh + cn]
         sig.append(labels.tobytes())
     return tuple(sig)
 
@@ -130,21 +97,25 @@ def _signature(
 # inference
 
 
-def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
+def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
     """Quotient automaton of the sampled language under bounded-depth
     residual equivalence, minimized.
 
+    The sample is a verdict table from build_sample_table; its words have
+    length up to max_len, the largest L with F_{L+2} <= len(verdicts).
     Prefixes are explored breadth-first along valid-encoding transitions
     only.  Deeper prefixes have shorter suffix budgets; signatures compare
     on their common depth.  A final partition refinement merges any states
     the bounded signatures failed to identify and discards states equivalent
     to the reject sink.
     """
+    max_len = 0
+    while fibonacci(max_len + 3) <= len(verdicts):
+        max_len += 1
     if distinguish_depth < 1:
         raise ValueError(f"distinguish_depth must be >= 1, got {distinguish_depth}")
-    if distinguish_depth > table.max_len:
+    if distinguish_depth > max_len:
         raise ValueError("distinguish_depth must be <= max_len")
-    verdicts = table.verdicts
     reps: list[tuple] = []  # signature of each state's canonical prefix
     transitions: dict[tuple[int, tuple[int, int]], int] = {}
     accepting: set[int] = set()
@@ -156,7 +127,7 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
                 return state
         return None
 
-    start_sig = _signature(verdicts, (), (), table.max_len, distinguish_depth)
+    start_sig = _signature(verdicts, (), (), max_len, distinguish_depth)
     reps.append(start_sig)
     if start_sig[0]:
         accepting.add(0)
@@ -168,11 +139,11 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
                 continue  # invalid continuation: reject sink, not a state
             um2 = tuple(j + 1 for j in um) + ((2,) if dm else ())
             un2 = tuple(j + 1 for j in un) + ((2,) if dn else ())
-            if length + 1 > table.max_len:
+            if length + 1 > max_len:
                 raise InconsistentSample(
                     "state exploration exhausted the sampled word length"
                 )
-            sig = _signature(verdicts, um2, un2, table.max_len - length - 1, distinguish_depth)
+            sig = _signature(verdicts, um2, un2, max_len - length - 1, distinguish_depth)
             target = match(sig)
             if target is None:
                 target = len(reps)
@@ -183,55 +154,48 @@ def infer_min_dfa(table: SampleTable, distinguish_depth: int) -> Dfa:
             elif len(sig) > len(reps[target]):
                 reps[target] = sig
             transitions[(state, (dm, dn))] = target
-    dfa = _minimize(len(reps), transitions, accepting)
-    _replay_check(dfa, table)
+    dfa = _minimize(Dfa(len(reps), 0, frozenset(accepting), transitions))
+    _replay_check(dfa, verdicts, max_len)
     return dfa
 
 
-def _minimize(
-    n_states: int,
-    transitions: dict[tuple[int, tuple[int, int]], int],
-    accepting: set[int],
-) -> Dfa:
+def _successors(dfa: Dfa) -> np.ndarray:
+    """The (n_states + 1) x 4 successor array, columns in SYMBOLS order; the
+    extra row is the reject sink, the target of every undefined transition."""
+    sink = dfa.n_states
+    step = np.full((sink + 1, 4), sink, dtype=np.int32)
+    for (state, (a, b)), target in dfa.transitions.items():
+        step[state, 2 * a + b] = target
+    return step
+
+
+def _minimize(dfa: Dfa) -> Dfa:
     """Standard partition refinement with an implicit reject sink; the sink
-    class is dropped from the result (undefined transition = reject)."""
-    sink = n_states
-    states = list(range(n_states + 1))
-    part = {s: (1 if s in accepting else 0) for s in states}
+    class is dropped from the result (undefined transition = reject), and
+    the classes reachable from the start are numbered breadth-first from 0."""
+    step = _successors(dfa)
+    part = np.zeros(len(step), dtype=np.int64)
+    part[list(dfa.accepting)] = 1
+    classes = 0
     while True:
-        keys = {}
-        new_part = {}
-        for s in states:
-            succ = tuple(part[transitions.get((s, a), sink)] for a in SYMBOLS)
-            key = (part[s], succ)
-            if key not in keys:
-                keys[key] = len(keys)
-            new_part[s] = keys[key]
-        if new_part == part:
+        # split classes by (part, part[step]): each class's first state, and
+        # the class of every state
+        keys = np.column_stack([part, part[step]])
+        reps, part = np.unique(keys, axis=0, return_index=True, return_inverse=True)[1:]
+        if len(reps) == classes:
             break
-        part = new_part
-    sink_class = part[sink]
-    # renumber reachable non-sink classes breadth-first from the start class
-    number: dict[int, int] = {}
-    reps: dict[int, int] = {}
-    for s in range(n_states):  # first state of each class in BFS discovery order
-        reps.setdefault(part[s], s)
-    order: deque = deque()
-    if part[0] != sink_class:
-        number[part[0]] = 0
-        order.append(part[0])
+        classes = len(reps)
+    sink_class, start = part[-1], part[dfa.start]
+    number = {} if start == sink_class else {start: 0}
+    order = deque(number)
     new_transitions: dict[tuple[int, tuple[int, int]], int] = {}
     new_accepting: set[int] = set()
     while order:
         cls = order.popleft()
         s = reps[cls]
-        if s in accepting:
+        if s in dfa.accepting:
             new_accepting.add(number[cls])
-        for a in SYMBOLS:
-            target = transitions.get((s, a))
-            if target is None:
-                continue
-            tcls = part[target]
+        for a, tcls in zip(SYMBOLS, part[step[s]]):
             if tcls == sink_class:
                 continue
             if tcls not in number:
@@ -263,14 +227,9 @@ def _track_digits(length: int) -> np.ndarray:
 def _run_pairs(dfa: Dfa, m: np.ndarray, n: np.ndarray, length: int) -> np.ndarray:
     """dfa_run on the length-`length` padded pair word of every (m[i], n[i]),
     all below F_{length+2}, at once.  The states are one int array, advanced
-    by one gather per digit position from a (n_states + 1) x 4 transition
-    array whose extra row is the reject sink."""
-    sink = dfa.n_states
-    step = np.full((sink + 1, 4), sink, dtype=np.int32)
-    for (state, (a, b)), target in dfa.transitions.items():
-        step[state, 2 * a + b] = target
-    step = step.ravel()
-    accepting = np.zeros(sink + 1, dtype=bool)
+    by one gather per digit position from the successor array."""
+    step = _successors(dfa).ravel()
+    accepting = np.zeros(dfa.n_states + 1, dtype=bool)
     accepting[list(dfa.accepting)] = True
     state = np.full(len(m), dfa.start, dtype=np.int32)
     for digits in _track_digits(length):
@@ -278,14 +237,18 @@ def _run_pairs(dfa: Dfa, m: np.ndarray, n: np.ndarray, length: int) -> np.ndarra
     return accepting[state]
 
 
-def _replay_check(dfa: Dfa, table: SampleTable, max_replay_len: int = 7) -> None:
+# The sampled words replayed through every inferred automaton
+_MAX_REPLAY_LEN = 7
+
+
+def _replay_check(dfa: Dfa, verdicts: np.ndarray, max_len: int) -> None:
     """Replay the sampled words of small length; any label mismatch means the
     inference produced a machine inconsistent with its own sample.  The
     first mismatch by length, then m, then n is reported."""
-    for length in range(min(table.max_len, max_replay_len) + 1):
+    for length in range(min(max_len, _MAX_REPLAY_LEN) + 1):
         count = fibonacci(length + 2)
         m, n = np.divmod(np.arange(count * count), count)
-        bad = np.flatnonzero(_run_pairs(dfa, m, n, length) != table.verdicts[m, n])
+        bad = np.flatnonzero(_run_pairs(dfa, m, n, length) != verdicts[m, n])
         if len(bad):
             word = pair_encode(int(m[bad[0]]), int(n[bad[0]]))
             word = [SYMBOLS[0]] * (length - len(word)) + word
@@ -299,7 +262,7 @@ def _replay_check(dfa: Dfa, table: SampleTable, max_replay_len: int = 7) -> None
 def dfa_to_text(dfa: Dfa) -> str:
     lines = [
         f"states {dfa.n_states}",
-        "start 0",
+        f"start {dfa.start}",
         "accepting " + " ".join(str(s) for s in sorted(dfa.accepting)),
     ]
     for (state, (a, b)), target in sorted(dfa.transitions.items()):
@@ -308,8 +271,9 @@ def dfa_to_text(dfa: Dfa) -> str:
 
 
 def dfa_from_text(text: str) -> Dfa:
-    """Inverse of dfa_to_text.  A malformed or missing line, or a state
-    outside range(n_states), raises InvalidRepresentation naming the line."""
+    """Inverse of dfa_to_text.  A malformed or missing line, a state outside
+    range(n_states), or a second transition of one state on one symbol
+    raises InvalidRepresentation naming the line."""
     lines = [" ".join(ln.split()) for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise InvalidRepresentation(f"automaton text has {len(lines)} of its 3 header lines")
@@ -323,5 +287,9 @@ def dfa_from_text(text: str) -> Dfa:
             raise InvalidRepresentation(f"state outside range({rows[0][0]}): {line!r}")
         rows.append(row)
     (n_states,), (start,), accepting = rows[:3]
-    transitions = {(s, (a, b)): target for s, a, b, target in rows[3:]}
+    transitions: dict[tuple[int, tuple[int, int]], int] = {}
+    for line, (s, a, b, target) in zip(lines[3:], rows[3:]):
+        if (s, (a, b)) in transitions:
+            raise InvalidRepresentation(f"second transition on one symbol: {line!r}")
+        transitions[(s, (a, b))] = target
     return Dfa(n_states, start, frozenset(accepting), transitions)

@@ -472,37 +472,30 @@ def _check_row_frontier(mu: int) -> None:
         )
 
 
-def _dense_rank(size: int) -> np.ndarray:
-    """Circle ranks of frac(j*gamma) among j < size, a permutation of
-    range(size): a counting sort of the keys, marked in Z_q and summed."""
-    p, q = _table_convergent(size)
-    keys = _keys(0, size, p, q)
-    below = np.zeros(q, dtype=np.int32)
-    below[keys] = 1
-    np.cumsum(below, out=below)
-    return below[keys] - 1
-
-
-def _row_extrema(rank: np.ndarray, mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_extrema(
+    keys: np.ndarray, q: int, mu: int, nu_hi: int
+) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of the key sweep's counting function, nu in [mu, nu_hi].
 
-    ``rank`` is a dense rank of j < nu_hi + mu.  The window j in [nu, nu+mu)
+    ``keys`` holds the int32 keys (j*p) mod q of j < nu_hi + mu, distinct
+    and in the circle order of frac(j*gamma).  The window j in [nu, nu+mu)
     is the block A = [0, mu) rotated by frac(nu*gamma), and a rotation keeps
     cyclic order, so the window's sorted order is A's sorted order shifted
     to start at the window's smallest point, whose position in A's order is
     p.  The k-th window point is then the t-th smallest, t = (inv[k] - p)
     mod mu, and the counting function right after it is
-    c = t + 1 - below_A(rank[nu+k]).  The function is 0 at both ends and
-    rises only at window points, so its max is max c and its min min(c - 1).
+    c = t + 1 - below_A(keys[nu+k]), where below_A over Z_q counts the keys
+    of A under each key.  The function is 0 at both ends and rises only at
+    window points, so its max is max c and its min min(c - 1).
     """
-    a = rank[:mu]
+    a = keys[:mu]
     inv = np.empty(mu, dtype=np.int16)
     inv[np.argsort(a)] = np.arange(mu, dtype=np.int16)
-    below = np.zeros(len(rank) + 1, dtype=np.int16)  # below[r] = #{a < r}
+    below = np.zeros(q + 1, dtype=np.int16)  # below[y] = #{a < y}
     below[a + 1] = 1
     np.cumsum(below, out=below)
-    windows = sliding_window_view(rank, mu)
-    below_windows = sliding_window_view(below[rank], mu)
+    windows = sliding_window_view(keys, mu)
+    below_windows = sliding_window_view(below[keys], mu)
     lo = np.empty(nu_hi - mu + 1, dtype=np.int32)
     hi = np.empty_like(lo)
     step = max(1, _ROW_BLOCK // mu)
@@ -519,21 +512,21 @@ def _row_extrema(rank: np.ndarray, mu: int, nu_hi: int) -> tuple[np.ndarray, np.
     return lo, hi + 1
 
 
-def _row(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """_row_extrema over the prefix one row needs; all zeros for mu = 0,
-    whose counting function has no events, and empty when nu_hi < mu."""
-    check_nonnegative(mu=mu, nu_hi=nu_hi)
-    _check_row_frontier(mu)
-    if mu == 0 or nu_hi < mu:
-        zeros = np.zeros(max(nu_hi - mu + 1, 0), dtype=np.int32)
-        return zeros, zeros
-    return _row_extrema(_dense_rank(nu_hi + mu), mu, nu_hi)
+def _circle_keys(size: int) -> tuple[np.ndarray, int]:
+    """The int32 keys (j*p) mod q of j < size, and q."""
+    p, q = _table_convergent(size)
+    return _keys(0, size, p, q).astype(np.int32), q
 
 
 def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of T(i, mu, nu) over i for all nu in [mu, nu_hi]; the value
-    set of each pair is every integer between the two."""
-    lo, hi = _row(mu, nu_hi)
+    set of each pair is every integer between the two.  Empty when
+    nu_hi < mu; for mu = 0 the counting function has no events and T = 0."""
+    check_nonnegative(mu=mu, nu_hi=nu_hi)
+    _check_row_frontier(mu)
+    lo = hi = 0
+    if mu and nu_hi >= mu:
+        lo, hi = _row_extrema(*_circle_keys(nu_hi + mu), mu, nu_hi)
     G = _floor_sums(nu_hi + mu)
     nu = np.arange(mu, nu_hi + 1)
     t0 = G[mu + nu] - G[nu] - G[mu]  # T(0, mu, nu)
@@ -547,7 +540,7 @@ def balance_table(limit: int) -> np.ndarray:
     """Symmetric boolean matrix of exact balance verdicts for m, n <= limit.
 
     Built once per process, one row mu at a time by the row kernel over a
-    single dense rank of j < 2*limit; smaller limits are read from it.
+    single key array of j < 2*limit; smaller limits are read from it.
     """
     global _TABLE
     check_nonnegative(limit=limit)
@@ -558,9 +551,9 @@ def balance_table(limit: int) -> np.ndarray:
     out = np.zeros((limit + 1, limit + 1), dtype=bool)
     out[0, :] = True
     out[:, 0] = True
-    rank = _dense_rank(2 * limit)
+    keys, q = _circle_keys(2 * limit)
     for mu in range(1, limit + 1):
-        lo, hi = _row_extrema(rank, mu, limit)
+        lo, hi = _row_extrema(keys, q, mu, limit)
         out[mu, mu:] = hi - lo <= 1
     lower = np.tril_indices(limit + 1, -1)
     out[lower] = out.T[lower]

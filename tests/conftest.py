@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from rectbal import words
+
+# Every property test runs the same examples on every run, with no deadline;
+# each test sets only its own example count.
+settings.register_profile("rectbal", derandomize=True, deadline=None)
+settings.load_profile("rectbal")
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.dfa_tools import (
     Dfa,
+    _minimize,
     _run_pairs,
     build_sample_table,
     dfa_from_text,
@@ -13,18 +17,18 @@ from rectbal.dfa_tools import (
     infer_min_dfa,
 )
 from rectbal.fib_balance import is_balanced
-from rectbal.numeration import InvalidRepresentation, fibonacci, pair_encode
+from rectbal.numeration import SYMBOLS, InvalidRepresentation, fibonacci, pair_encode
 from rectbal.words import BudgetExceeded
 
 
 def test_sample_table_labels():
-    # the word of (m, n) is labeled verdicts[m, n]
+    # the word of (m, n) is labeled table[m, n]
     table = build_sample_table(6)
     for m, n in [(4, 3), (0, 0), (4, 4)]:
         assert len(pair_encode(m, n)) <= 6
-    assert table.verdicts[4, 3]
-    assert table.verdicts[0, 0]
-    assert not table.verdicts[4, 4]
+    assert table[4, 3]
+    assert table[0, 0]
+    assert not table[4, 4]
 
 
 def test_sample_table_word_counts():
@@ -33,7 +37,7 @@ def test_sample_table_word_counts():
     table = build_sample_table(5)
     for length in (1, 2, 3, 4):
         tracks = fibonacci(length + 2)
-        assert table.verdicts.shape[0] >= tracks
+        assert table.shape[0] >= tracks
         words = {tuple(pair_encode(m, n)) for m in range(tracks) for n in range(tracks)}
         assert len(words) == tracks * tracks
         assert max(len(w) for w in words) == length
@@ -98,9 +102,17 @@ def test_malformed_automaton_text_rejected():
         (good + "2 [0,0] -> 1\n", "state outside range(2): '2 [0,0] -> 1'"),
         (good.replace("start 0", "start 2"), "state outside range(2): 'start 2'"),
         (good.replace("accepting 1", "accepting 1 5"), "state outside range(2): 'accepting 1 5'"),
+        (good + "0 [0,1] -> 0\n", "second transition on one symbol: '0 [0,1] -> 0'"),
     ]:
         with pytest.raises(InvalidRepresentation, match=f"^{re.escape(message)}$"):
             dfa_from_text(text)
+
+
+def test_start_state_survives_round_trip():
+    text = "states 2\nstart 1\naccepting 1\n1 [0,0] -> 1\n"
+    dfa = dfa_from_text(text)
+    assert dfa.start == 1 and dfa_run(dfa, [(0, 0)])
+    assert dfa_to_text(dfa) == text
 
 
 def test_undefined_transition_rejects():
@@ -138,16 +150,16 @@ def test_sample_table_is_virtual_but_faithful():
             m = sum(fibonacci(len(w) - pos + 1) for pos, (a, _) in enumerate(w) if a)
             n = sum(fibonacci(len(w) - pos + 1) for pos, (_, b) in enumerate(w) if b)
             assert (m, n) == divmod(v, tracks)
-            assert table.verdicts[m, n] == is_balanced(m, n)
+            assert table[m, n] == is_balanced(m, n)
 
 
 def test_label_rejects_overlong_words():
     # max_len 4 samples the values below F_6 = 8; 8 needs five digits
     table = build_sample_table(4)
-    assert table.verdicts.shape == (8, 8)
+    assert table.shape == (8, 8)
     assert len(pair_encode(8, 0)) == 5
     with pytest.raises(IndexError):
-        table.verdicts[8, 0]
+        table[8, 0]
 
 
 def test_batch_runner_matches_dfa_run():
@@ -166,3 +178,37 @@ def test_batch_runner_matches_dfa_run():
     assert good.tolist() == [dfa_run(golden, w) for w in words]
     assert bad.tolist() == [dfa_run(corrupt, [(0, 0)] * (11 - len(w)) + w) for w in words]
     assert (good != bad).any()
+
+
+@st.composite
+def partial_dfas(draw) -> Dfa:
+    """Automata of 1 to 8 states with any start, accepting set and set of
+    defined transitions."""
+    n_states = draw(st.integers(1, 8))
+    states = st.integers(0, n_states - 1)
+    return Dfa(
+        n_states,
+        draw(states),
+        draw(st.frozensets(states)),
+        draw(st.dictionaries(st.tuples(states, st.sampled_from(SYMBOLS)), states)),
+    )
+
+
+# every word of length <= 6 over the four pair symbols
+WORDS = [w for k in range(7) for w in itertools.product(SYMBOLS, repeat=k)]
+
+
+@settings(max_examples=100)
+@given(partial_dfas())
+def test_text_round_trip_property(dfa):
+    assert dfa_from_text(dfa_to_text(dfa)) == dfa
+
+
+@settings(max_examples=100)
+@given(partial_dfas())
+def test_minimize_keeps_the_language_property(dfa):
+    small = _minimize(dfa)
+    assert small.n_states <= dfa.n_states
+    assert [dfa_run(small, w) for w in WORDS] == [dfa_run(dfa, w) for w in WORDS]
+    # and is a fixed point on its own output
+    assert _minimize(small) == small
