@@ -237,7 +237,7 @@ def _run_pairs(dfa: Dfa, m: np.ndarray, n: np.ndarray, length: int) -> np.ndarra
     return accepting[state]
 
 
-# The sampled words replayed through every inferred automaton
+# sampled words up to this length are replayed through each inferred automaton
 _MAX_REPLAY_LEN = 7
 
 

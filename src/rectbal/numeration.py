@@ -33,7 +33,8 @@ def _fibs_past(n: int) -> list[int]:
 
 def fibonacci(j: int) -> int:
     """F_j with F_0 = 0, F_1 = F_2 = 1, F_3 = 2."""
-    check_nonnegative(j=j)
+    if type(j) is not int or j < 0:  # a plain natural index, the hot case, is valid
+        check_nonnegative(j=j)
     while len(_FIBS) <= j:
         _fibs_past(_FIBS[-1])
     return _FIBS[j]
@@ -44,7 +45,8 @@ _TRIBS = [1, 2, 4]  # _TRIBS[j] = weight of digit position j
 
 def tribonacci(j: int) -> int:
     """Tribonacci weight of position j: 1, 2, 4, 7, 13, 24, ..."""
-    check_nonnegative(j=j)
+    if type(j) is not int or j < 0:  # a plain natural index, the hot case, is valid
+        check_nonnegative(j=j)
     while len(_TRIBS) <= j:
         _TRIBS.append(_TRIBS[-1] + _TRIBS[-2] + _TRIBS[-3])
     return _TRIBS[j]
