@@ -16,7 +16,13 @@ import numpy as np
 
 from rectbal.cli import main
 from rectbal.dfa_tools import InconsistentSample, build_sample_table, dfa_to_text, infer_min_dfa
-from rectbal.fib_balance import BalanceStatus, balance_table, delta_block_scan, row_value_bounds
+from rectbal.fib_balance import (
+    BalanceStatus,
+    balance_table,
+    delta_block_scan,
+    exact_balance,
+    row_value_bounds,
+)
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -45,6 +51,7 @@ GOLDEN = {
     "delta_block_scan(4, 4)": "f1ca291ca2e19da9ee9a5e1aea51734c3141169f2d5efd6adaee15b2f8c0e05b",
     "delta_block_scan(4, 18)": "5721fc610522e263978f9200ff6c804fcbb4b6fa62e6d337ec7ed5129a352662",
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
+    "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": "a9c7750334d409aafa784486f8d68de905d62b32c98741bee6796d1191086195",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
     "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
     "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
@@ -117,6 +124,33 @@ def _verdict_record(m: int, n: int) -> list[int]:
     v = delta_block_scan(m, n)
     assert v.value_set is None
     return [list(BalanceStatus).index(v.status), v.horizon, *(v.witness or (-1,) * 4)]
+
+
+def _exact_pairs() -> list[tuple[int, int]]:
+    """Seeded pairs on both sides of the dense/sparse split, every split
+    mu + nu = F_k - 2 ... F_k + 1 (k = 4..26, so q = F_K at both parities of
+    K) at a seeded mu, and pairs near 10**6."""
+    rng = random.Random(1414)
+    pairs = [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(150)]
+    pairs += [(rng.randint(1, 400), rng.randint(16 * 400, 200_000)) for _ in range(60)]
+    for k in range(4, 27):
+        for size in range(fibonacci(k) - 2, fibonacci(k) + 2):
+            half = max(1, size // 2)
+            mu = rng.randint(1, half)
+            pairs += [(mu, size - mu), (half, size - half)]
+    pairs += [(250_000, 250_001), (10**6, 10**6 + 1), (999_999, 10**6 + 3), (3000, 10**6)]
+    pairs += [(rng.randint(800_000, 10**6), rng.randint(800_000, 10**6)) for _ in range(4)]
+    pairs += [(rng.randint(1, 60_000), rng.randint(900_000, 10**6)) for _ in range(4)]
+    return pairs
+
+
+def _exact_records() -> list[int]:
+    out = []
+    for m, n in _exact_pairs():
+        v = exact_balance(m, n)
+        out += [m, n, list(BalanceStatus).index(v.status), len(v.value_set), *v.value_set]
+        out.extend(v.witness or (-1,) * 4)
+    return out
 
 
 def _rectangle_records() -> list[int]:
@@ -204,6 +238,7 @@ def outputs() -> dict[str, str]:
         "delta_block_scan(4, 4)": _digest(_verdict_record(4, 4)),
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
+        "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records()),
         "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
         "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
         "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
