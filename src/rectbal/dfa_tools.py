@@ -172,7 +172,9 @@ def _successors(dfa: Dfa) -> np.ndarray:
 def _minimize(dfa: Dfa) -> Dfa:
     """Standard partition refinement with an implicit reject sink; the sink
     class is dropped from the result (undefined transition = reject), and
-    the classes reachable from the start are numbered breadth-first from 0."""
+    the classes reachable from the start are numbered breadth-first from 0.
+    An empty language keeps one state, the rejecting start, so that the
+    result stays a valid automaton with a start."""
     step = _successors(dfa)
     part = np.zeros(len(step), dtype=np.int64)
     part[list(dfa.accepting)] = 1
@@ -186,7 +188,7 @@ def _minimize(dfa: Dfa) -> Dfa:
             break
         classes = len(reps)
     sink_class, start = part[-1], part[dfa.start]
-    number = {} if start == sink_class else {start: 0}
+    number = {start: 0}
     order = deque(number)
     new_transitions: dict[tuple[int, tuple[int, int]], int] = {}
     new_accepting: set[int] = set()

@@ -210,5 +210,15 @@ def test_minimize_keeps_the_language_property(dfa):
     small = _minimize(dfa)
     assert small.n_states <= dfa.n_states
     assert [dfa_run(small, w) for w in WORDS] == [dfa_run(dfa, w) for w in WORDS]
-    # and is a fixed point on its own output
+    # and is a fixed point on its own output, which its text round-trips
     assert _minimize(small) == small
+    assert dfa_from_text(dfa_to_text(small)) == small
+
+
+def test_empty_language_minimizes_to_one_rejecting_state():
+    empty = Dfa(1, 0, frozenset(), {})
+    for dfa in (empty, Dfa(3, 1, frozenset({2}), {(1, (0, 1)): 0, (0, (1, 0)): 1})):
+        small = _minimize(dfa)
+        assert small == empty
+        assert dfa_to_text(small) == "states 1\nstart 0\naccepting \n"
+        assert dfa_from_text(dfa_to_text(small)) == small
