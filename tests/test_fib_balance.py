@@ -19,6 +19,7 @@ from rectbal.fib_balance import (
     _convergent,
     _Count,
     _circle_keys,
+    _orbit_index,
     _floor_sums,
     _table_convergent,
     balance_table,
@@ -513,7 +514,14 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         assert sparse.keys is not None and dense.keys is None
         assert (sparse.lo, sparse.hi, sparse.q) == (dense.lo, dense.hi, dense.q)
         y = np.arange(dense.q)
-        assert np.array_equal(sparse.at(y), dense.at(y)), (mu, nu)
+        for chunk in (1 << 16, 97):  # one chunk, then many
+            monkeypatch.setattr(fib_balance, "_SWEEP_CHUNK", chunk)
+            starts, j, c = zip(*dense.sweep())
+            assert starts == tuple(range(0, dense.q, min(chunk, dense.q)))
+            # the chunks joined end to end: j(y) has key y, and c is the count
+            j, c = np.concatenate(j), np.concatenate(c)
+            assert np.array_equal(j.astype(np.int64) * dense.p % dense.q, y), (mu, nu)
+            assert np.array_equal(sparse.at(y), c), (mu, nu)
         assert verdicts[0] == verdicts[1], (mu, nu)
 
 
@@ -533,8 +541,20 @@ def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
         with mock.patch.object(fib_balance, "_SPARSE_RATIO", ratio):
             count = _Count(mu, nu)
         assert (count.keys is None) == (ratio > 0)
-        horizon = _convergent(count.q)[1]  # F_{K+1}
-        t = count.t0 - count.drop(np.arange(horizon, dtype=np.int64))
+        if count.keys is not None:
+            horizon = _convergent(count.q)[1]  # F_{K+1}
+            t = count.t0 - count.drop(np.arange(horizon, dtype=np.int64))
+            assert np.array_equal(t, t_value_vector(mu, nu, horizon)), (mu, nu, ratio)
+            continue
+        # the dense sweep writes t0 - c(y) at the least i(y) reading each y
+        horizon = count.q + 1
+        t = np.full(horizon, np.iinfo(np.int64).min)
+        for y0, j, c in count.sweep():
+            t[_orbit_index(count, y0 + np.arange(len(c)), j)] = count.t0 - c
+        # the one i <= q left out reads the key that i = 0 reads
+        missing = np.flatnonzero(t == np.iinfo(np.int64).min)
+        assert missing.tolist() == [count.q - count.p if count.odd else count.q]
+        t[missing] = t[0]
         assert np.array_equal(t, t_value_vector(mu, nu, horizon)), (mu, nu, ratio)
 
 
@@ -555,6 +575,19 @@ def test_witness_search_adds_no_memory_to_the_verdict():
             tracemalloc.stop()
         assert verdict.witness == witness
         assert peak <= verdict_peak + (4 << 20), (m, n, peak, verdict_peak)
+
+
+def test_dense_sweep_keeps_nothing_of_size_q():
+    # q = F_35 = 9,227,465: one int32 array over Z_q would take 35 MB
+    m, n = 4 * 10**6, 4 * 10**6 + 1
+    for call in (is_balanced, exact_balance):
+        tracemalloc.start()
+        try:
+            call(m, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, (call.__name__, peak)
 
 
 @settings(max_examples=60)
@@ -578,6 +611,35 @@ def test_key_sweep_matches_argsort_sweep(m, n):
 @given(i=st.integers(0, 10**5), m=st.integers(0, 300), n=st.integers(0, 300))
 def test_floor_sum_t_matches_table_t(i, m, n):
     assert t_value(i, m, n) == int(t_value_vector(m, n, i + 1)[i])
+
+
+# sizes reach both sweeps: 16*min(m, n) < m + n goes sparse
+SIZES = st.integers(0, 3000) | st.integers(0, 30_000)
+
+
+@settings(max_examples=60)
+@given(m=SIZES, n=SIZES)
+def test_exact_balance_is_transpose_symmetric(m, n):
+    assert exact_balance(m, n) == exact_balance(n, m)
+
+
+@settings(max_examples=300)
+@given(i=st.integers(0, 10**15), m=st.integers(0, 10**9), n=st.integers(0, 10**9))
+def test_t_steps_by_at_most_one(i, m, n):
+    assert abs(t_value(i + 1, m, n) - t_value(i, m, n)) <= 1
+
+
+@settings(max_examples=60)
+@given(m=SIZES, n=SIZES)
+def test_exact_witness_rechecks_by_t_value(m, n):
+    verdict = exact_balance(m, n)
+    if verdict.balanced:
+        assert verdict.witness is None
+        return
+    i, j, ti, tj = verdict.witness
+    assert i < j
+    assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
+    assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}
 
 
 def test_witnesses_match_the_table_search():
