@@ -163,7 +163,10 @@ def t_value(i: int, m: int, n: int) -> int:
 # key sweep
 
 # Sort the 2*mu event keys instead of sweeping all of Z_q once mu is this
-# many times smaller than mu + nu (the two costs cross near there).
+# many times smaller than mu + nu.  On one CPU the two verdicts cost the same
+# near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and the dense witness pass
+# stays cheaper than the sparse scan up to nu/mu = 32; but only the sparse
+# sweep reaches past q = the symbol budget.
 _SPARSE_RATIO = 16
 # The dense sweep walks Z_q in chunks of this many keys.
 _SWEEP_CHUNK = 1 << 16
@@ -318,31 +321,32 @@ def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     arc holding no orbit point would be a gap with orbit points at both
     ends, but the two point sets share only 0.
     """
-    first = dict.fromkeys((count.lo, count.hi), count.q + 1)
+    mu, nu = count.mu, count.nu
     if count.keys is None:  # a second pass over the dense sweep
+        first = dict.fromkeys((count.lo, count.hi), count.q + 1)
         for y0, j, c in count.sweep():
             for target, best in first.items():
                 y = np.flatnonzero(c == target)
                 if len(y):
                     first[target] = min(best, int(_orbit_index(count, y0 + y, j[y]).min()))
     else:
-        mu, nu = count.mu, count.nu
         p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
         cover = 2 * q - p  # F_{k+2}
-        i, stop, found = 0, 0, set()
-        while len(found) < 2:
+        first = {}  # value of t0 - T -> first i where T takes it
+        i, stop = 0, 0
+        while len(first) < 2:
             if i == cover:
                 raise RuntimeError(f"no witness found for ({mu}, {nu})")
             stop = min(cover, 4 * stop + 1024, i + _SCAN_CHUNK)
             c = count.drop(np.arange(i, stop, dtype=np.int64))
-            for target in first.keys() - found:
-                hits = np.flatnonzero(c == target)
-                if len(hits):
-                    first[target] = i + int(hits[0])
-                    found.add(target)
+            for target in (count.lo, count.hi):
+                if target not in first:
+                    hits = np.flatnonzero(c == target)
+                    if len(hits):
+                        first[target] = i + int(hits[0])
             i = stop
     i, j = sorted(first.values())
-    ti, tj = t_value(i, count.mu, count.nu), t_value(j, count.mu, count.nu)
+    ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
     return i, j, ti, tj
 
