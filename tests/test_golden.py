@@ -21,6 +21,7 @@ from rectbal.fib_balance import (
     balance_table,
     delta_block_scan,
     exact_balance,
+    is_balanced,
     row_value_bounds,
 )
 from rectbal.numeration import (
@@ -52,6 +53,7 @@ GOLDEN = {
     "delta_block_scan(4, 18)": "5721fc610522e263978f9200ff6c804fcbb4b6fa62e6d337ec7ed5129a352662",
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
     "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": "a9c7750334d409aafa784486f8d68de905d62b32c98741bee6796d1191086195",
+    "exact_balance over far sparse pairs": "cc9c2222f3af9b2fe3aca329fda06c9c816c9ee8ed7b507df8ad53a4bd283951",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
     "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
     "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
@@ -144,9 +146,30 @@ def _exact_pairs() -> list[tuple[int, int]]:
     return pairs
 
 
-def _exact_records() -> list[int]:
+def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
+    while is_balanced(mu, nu):
+        nu += 1
+    return mu, nu
+
+
+def _far_sparse_pairs() -> list[tuple[int, int]]:
+    """Sparse pairs far past 10**6: mu + nu near 10**8 and 3*10**9 (where
+    the witness scan's own convergent passes the int64 table frontier) and
+    seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to the first
+    unbalanced nu."""
+    pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
+    pairs += [_first_unbalanced(mu, 3 * 10**9 - mu) for mu in (2, 3, 13, 400)]
+    rng = random.Random(1515)
+    for _ in range(4):
+        size = rng.randint(3_900_000, 4_100_000)
+        mu = size // (1 + rng.randint(17, 32))
+        pairs.append(_first_unbalanced(mu, size - mu))
+    return pairs
+
+
+def _exact_records(pairs: list[tuple[int, int]]) -> list[int]:
     out = []
-    for m, n in _exact_pairs():
+    for m, n in pairs:
         v = exact_balance(m, n)
         out += [m, n, list(BalanceStatus).index(v.status), len(v.value_set), *v.value_set]
         out.extend(v.witness or (-1,) * 4)
@@ -238,7 +261,8 @@ def outputs() -> dict[str, str]:
         "delta_block_scan(4, 4)": _digest(_verdict_record(4, 4)),
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
-        "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records()),
+        "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records(_exact_pairs())),
+        "exact_balance over far sparse pairs": _digest(_exact_records(_far_sparse_pairs())),
         "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
         "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
         "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
