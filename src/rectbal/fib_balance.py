@@ -20,12 +20,10 @@ gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 chunk at a time, and keeps only the extremes of the running event count:
 since p^2 = (-1)^K mod q, the index with key y is y*p or -y*p mod q, so no
 key array is built and nothing is scattered (when mu is small it sorts the
-2*mu event keys instead).  T(i) comes off that count for every i < F_{K+1}:
-there the keys of an orbit point frac(-i*gamma) and an event point can
-disagree with their circle order only when they are equal, since keys one
-apart would need i + j to reach the Lucas number L_K.  Every key is read by
-some i <= q, so the witness search takes the least such i at each extreme
-in a second pass.
+2*mu event keys instead).  A witness is read off T itself, scanned in i
+order from T(0): on a convergent past the scanned indices each step of T
+is three key comparisons, and every value is taken before F_{k+2}, F_k <=
+m + n - 1 < F_{k+1} (three-gap theorem).
 Scalar T needs no table: its floor sums come from a Euclid-like recursion.
 A table past the q where j*p leaves int64, or past the symbol budget,
 raises ``BudgetExceeded``.
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -164,94 +162,75 @@ def t_value(i: int, m: int, n: int) -> int:
 
 # Sort the 2*mu event keys instead of sweeping all of Z_q once mu is this
 # many times smaller than mu + nu.  On one CPU the two verdicts cost the same
-# near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and the dense witness pass
-# stays cheaper than the sparse scan up to nu/mu = 32; but only the sparse
-# sweep reaches past q = the symbol budget.
+# near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and only the sparse sweep
+# reaches past q = the symbol budget.
 _SPARSE_RATIO = 16
 # The dense sweep walks Z_q in chunks of this many keys.
 _SWEEP_CHUNK = 1 << 16
-# The sparse witness scan's chunks end at 1024, 5120, 21504, ..., so an early
+# The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
 # witness costs one small chunk, and hold at most this many positions.
-_SCAN_CHUNK = 1 << 16
+_SCAN_CHUNK = 1 << 15
 
 
-class _Count:
+class _Count(NamedTuple):
     """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
     Z_q, q = F_K > mu + nu: window points minus block points up to y, so
     T(i, mu, nu) = t0 - c((key(-i) - 1) mod q) for i < q - mu - nu, with
-    t0 = T(0, mu, nu); ``_find_witness`` reads T up to F_{K+1}.  The value
-    set is t0 - [lo, hi], the extremes of c.
-
-    Dense, nothing of size q is kept: ``sweep`` walks Z_q in key order.
-    Since p^2 = (-1)^K mod q, the index with key y is j(y) = y*pinv mod q
-    with pinv = p (K even) or q - p (K odd), so the weight of y is
-    [nu <= j(y) < nu+mu] - [j(y) < mu] and c is its running sum.  The
-    symbol budget holds q, which bounds the sweep's time and keeps j(y) in
-    int32.  Sparse (16*mu < mu + nu), ``keys`` holds the 2*mu event keys
-    sorted and ``c`` the count after each.
+    t0 = T(0, mu, nu).  The value set is t0 - [lo, hi], the extremes of c.
     """
 
-    def __init__(self, mu: int, nu: int) -> None:
-        sparse = _SPARSE_RATIO * mu < mu + nu
-        self.mu, self.nu = mu, nu
-        self.p, self.q = p, q = _table_convergent(mu + nu, 2 * mu if sparse else None)
-        self.odd = p * p % q != 1  # p^2 = (-1)^K mod q
-        self.t0 = t_value(0, mu, nu)
-        if not sparse:
-            self.keys = None
-            self.lo = self.hi = 0  # c(q - 1) = 0
-            for _, _, c in self.sweep():
-                self.lo, self.hi = min(self.lo, int(c.min())), max(self.hi, int(c.max()))
-            return
-        keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.c = np.cumsum(np.where(order < mu, np.int32(-1), np.int32(1)))
-        # key(0) = 0 is an event and c ends at 0, so the extremes of c over
-        # Z_q are extremes at event keys
-        self.lo, self.hi = int(self.c.min()), int(self.c.max())
+    mu: int
+    nu: int
+    t0: int
+    lo: int
+    hi: int
 
-    def sweep(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Dense: (y0, j(y), c(y)) in int32 for each chunk y0 <= y < y0 +
-        _SWEEP_CHUNK of Z_q, in order.  j(y) is base[y - y0] + j(y0) mod q
-        with base[t] = t*pinv mod q built once, and c carries over from the
-        chunks before."""
-        mu, nu, q = self.mu, self.nu, self.q
-        pinv = q - self.p if self.odd else self.p
-        size = min(q, _SWEEP_CHUNK)
-        base = (np.arange(size, dtype=np.int64) * pinv % q).astype(np.int32)
-        step = size * pinv % q
-        j0 = carry = 0
-        for y0 in range(0, q, size):
-            j = base[: q - y0] - np.int32(q - j0)  # base + j0 - q, in (-q, q)
-            j += (j >> 31) & np.int32(q)
-            w = ((j - np.int32(nu)).view(np.uint32) < mu).view(np.int8)
-            w -= (j < mu).view(np.int8)
-            c = np.cumsum(w, dtype=np.int32)
-            c += carry
-            carry = int(c[-1])
-            yield y0, j, c
-            j0 = (j0 + step) % q
 
-    def at(self, y: np.ndarray) -> np.ndarray:
-        """Sparse: c(y)."""
-        return self.c[np.searchsorted(self.keys, y, side="right") - 1]
-
-    def drop(self, i: np.ndarray) -> np.ndarray:
-        """Sparse: t0 - T(i) for 0 <= i < F_{K+1}: c just below key(-i)
-        (K even) or, once i > 0, at key(-i) itself (K odd); see
-        _find_witness."""
-        y = i % self.q * -self.p
-        y -= (i == 0) if self.odd else 1
-        y %= self.q
-        return self.at(y)
+def _sweep(mu: int, nu: int, p: int, q: int) -> Iterator[np.ndarray]:
+    """c(y) in int32 for each chunk y0 <= y < y0 + _SWEEP_CHUNK of Z_q, in
+    order, keeping nothing of size q.  Since p^2 = (-1)^K mod q, the index
+    with key y is j(y) = y*pinv mod q with pinv = p (K even) or q - p (K
+    odd): base[y - y0] + j(y0) mod q, with base[t] = t*pinv mod q built
+    once.  The weight of y is [nu <= j(y) < nu+mu] - [j(y) < mu], and c
+    carries over from the chunks before.  The symbol budget holds q, which
+    bounds the sweep's time and keeps j(y) in int32."""
+    pinv = p if p * p % q == 1 else q - p
+    size = min(q, _SWEEP_CHUNK)
+    base = (np.arange(size, dtype=np.int64) * pinv % q).astype(np.int32)
+    step = size * pinv % q
+    j0 = carry = 0
+    for y0 in range(0, q, size):
+        j = base[: q - y0] - np.int32(q - j0)  # base + j0 - q, in (-q, q)
+        j += (j >> 31) & np.int32(q)
+        w = ((j - np.int32(nu)).view(np.uint32) < mu).view(np.int8)
+        w -= (j < mu).view(np.int8)
+        c = np.cumsum(w, dtype=np.int32)
+        c += carry
+        carry = int(c[-1])
+        yield c
+        j0 = (j0 + step) % q
 
 
 def _count(m: int, n: int) -> _Count | None:
+    """The extremes of c, from a sweep of Z_q or, sparse (16*mu < mu + nu),
+    from the 2*mu event keys sorted."""
     check_nonnegative(m=m, n=n)
     if m == 0 or n == 0:
         return None
-    return _Count(min(m, n), max(m, n))
+    mu, nu = min(m, n), max(m, n)
+    sparse = _SPARSE_RATIO * mu < mu + nu
+    p, q = _table_convergent(mu + nu, 2 * mu if sparse else None)
+    if sparse:
+        keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
+        c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
+        # key(0) = 0 is an event and c ends at 0, so the extremes of c over
+        # Z_q are extremes at event keys
+        lo, hi = int(c.min()), int(c.max())
+    else:
+        lo = hi = 0  # c(q - 1) = 0
+        for c in _sweep(mu, nu, p, q):
+            lo, hi = min(lo, int(c.min())), max(hi, int(c.max()))
+    return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
 
 def _values(count: _Count | None) -> tuple[int, ...]:
@@ -271,80 +250,64 @@ def is_balanced(m: int, n: int) -> bool:
     return count is None or count.hi - count.lo <= 1
 
 
-def _orbit_index(count: _Count, y: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The least i that reads c at key y of a dense sweep, from j = j(y);
-    see _find_witness."""
-    if not count.odd:
-        return (-j.astype(np.int64) - count.p) % count.q
-    return np.where(y == count.q - 1, 0, count.q - j.astype(np.int64))
+def _t_scan(mu: int, nu: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, T(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
+    over 0 <= i < F_{k+2}, F_k <= mu+nu-1 < F_{k+1}.
+
+    T(i+1) - T(i) = g(i+mu+nu) - g(i+nu) - g(i+mu) + g(i), g(j) =
+    floor(j*gamma).  On a convergent p/q with q > F_{k+2} + mu + nu every
+    index here is below q, so g(i+s) = g(i) + g(s) + [key(i) + key(s) >= q]
+    and the step is d0 + [key(i) >= q - key(mu+nu)] - [key(i) >= q -
+    key(nu)] - [key(i) >= q - key(mu)], d0 = g(mu+nu) - g(nu) - g(mu).  The
+    keys are base[i - i0] + key(i0) mod q, with base[t] = t*p mod q built
+    once, in int64: q passes 2^31 once mu + nu reaches F_44 ~ 7*10^8."""
+    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
+    cover = 2 * q - p  # F_{k+2}
+    p, q = _convergent(cover + mu + nu)
+    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
+    up, down1, down2 = (q - s * p % q for s in (mu + nu, nu, mu))
+    base = np.arange(min(cover, _SCAN_CHUNK), dtype=np.int64) * p % q
+    i = carry = 0
+    while i < cover:
+        stop = min(cover, 4 * i + 1024, i + _SCAN_CHUNK)
+        key = base[: stop - i] + (i * p % q - q)  # in [-q, q)
+        key += (key >> 63) & q
+        w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
+        w -= (key >= down2).view(np.int8)
+        t = np.empty(stop - i + 1, dtype=np.int32)
+        t[0] = carry
+        np.add(w, d0, out=t[1:])
+        np.cumsum(t, out=t)
+        carry = int(t[-1])
+        yield i, t[:-1]
+        i = stop
 
 
 def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
-    increasing order, with their values, read off the pair's own sweep.
+    increasing order, with their values, read off ``_t_scan``.
 
-    T(i) = t0 - (event weight below frac(-i*gamma)) comes off c for every
-    i < F_{K+1}.  An event j < m+n sits at key(j)/q + j*eps and the orbit
-    point at key(-i)/q - i*eps mod 1, with q*eps = psi^K = (-1/phi)^K, so
-    the event lies above it iff key(j) - key(-i) + (i+j)*psi^K > 0, and
-    (i+j)*|psi|^K < F_{K+2}/phi^K < 2.  So only keys at most one apart can
-    disagree with the circle order.  Equal keys (j = -i mod q): the event
-    lies above for K even and, once i > 0, below for K odd.  Keys one apart
-    swap only once i + j passes phi^K: i + j >= L_K for the event below
-    key(-i) (K even, floor(phi^K) = L_K - 1), i + j >= L_K + 1 for the one
-    above (K odd), with L_K = 3q - 2p the Lucas number.  But p^2 = (-1)^K
-    mod q puts either neighbour at j = -i - p mod q, so i + j <= 2q - p =
-    F_{K+1} < L_K and no neighbour swaps.  Hence T(i) = t0 - c(y) with y
-    just below key(-i) for K even (a key(-i) of 0 with i > 0 reads as q),
-    and y = key(-i) for K odd and i > 0; ``count.drop`` reads it so.
-
-    So every y is read by some i <= q < F_{K+1}, and the first extremes lie
-    there.  With j(y) = y*pinv mod q the index of key y (see _Count):
-    * K even: y = key(-i) - 1 depends on i mod q only, and i in [0, q)
-      meets each y once, where -i*p = y + 1, i.e. at i(y) = (-j(y) - pinv)
-      mod q = (-j(y) - p) mod q.
-    * K odd: i in [1, q] meets each y once, where -i*p = y, i.e. at
-      -j(y) mod q taken in [1, q], which is q - j(y); so y = 0 (j = 0) goes
-      to i = q.  And i = 0 reads y = q - 1, which i = q - p also reads, so
-      i(q - 1) = 0.
-    The first i with t0 - T(i) = v is then the least i(y) over c(y) = v: a
-    dense sweep takes it in a second pass over Z_q (``_orbit_index``).
-
-    A sparse sweep scans i upward through ``count.drop`` instead, which
-    finds both by F_{k+2}, where F_k <= m+n-1 < F_{k+1} and k >= 2: the
-    sweep's q = F_K > m+n has K >= k+1, so F_{k+2} <= F_{K+1}.  For i >= 1,
-    T(i) is fixed by the open arc between event points frac(j*gamma), j in
-    [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).  Each arc is at least
-    min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and the orbit points
-    i < F_{k+2} leave gaps of at most ||F_k*gamma|| (three-gap theorem): the
-    orbit's largest gap is not above the partition's smallest arc, so an
-    arc holding no orbit point would be a gap with orbit points at both
-    ends, but the two point sets share only 0.
+    The scan finds both by F_{k+2}, where F_k <= m+n-1 < F_{k+1} and
+    k >= 2.  For i >= 1, T(i) is fixed by the open arc between event points
+    frac(j*gamma), j in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).
+    Each arc is at least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and
+    the orbit points i < F_{k+2} leave gaps of at most ||F_k*gamma||
+    (three-gap theorem): the orbit's largest gap is not above the
+    partition's smallest arc, so an arc holding no orbit point would be a
+    gap with orbit points at both ends, but the two point sets share only 0.
     """
     mu, nu = count.mu, count.nu
-    if count.keys is None:  # a second pass over the dense sweep
-        first = dict.fromkeys((count.lo, count.hi), count.q + 1)
-        for y0, j, c in count.sweep():
-            for target, best in first.items():
-                y = np.flatnonzero(c == target)
-                if len(y):
-                    first[target] = min(best, int(_orbit_index(count, y0 + y, j[y]).min()))
+    first = {}  # value of T - t0 -> first i where T takes it
+    for i0, t in _t_scan(mu, nu):
+        for target in (-count.hi, -count.lo):
+            if target not in first:
+                hits = np.flatnonzero(t == target)
+                if len(hits):
+                    first[target] = i0 + int(hits[0])
+        if len(first) == 2:
+            break
     else:
-        p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-        cover = 2 * q - p  # F_{k+2}
-        first = {}  # value of t0 - T -> first i where T takes it
-        i, stop = 0, 0
-        while len(first) < 2:
-            if i == cover:
-                raise RuntimeError(f"no witness found for ({mu}, {nu})")
-            stop = min(cover, 4 * stop + 1024, i + _SCAN_CHUNK)
-            c = count.drop(np.arange(i, stop, dtype=np.int64))
-            for target in (count.lo, count.hi):
-                if target not in first:
-                    hits = np.flatnonzero(c == target)
-                    if len(hits):
-                        first[target] = i + int(hits[0])
-            i = stop
+        raise RuntimeError(f"no witness found for ({mu}, {nu})")
     i, j = sorted(first.values())
     ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}

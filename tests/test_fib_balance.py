@@ -17,10 +17,12 @@ from rectbal.fib_balance import (
     _ROW_MU_MAX,
     BalanceStatus,
     _convergent,
-    _Count,
+    _count,
     _circle_keys,
-    _orbit_index,
     _floor_sums,
+    _keys,
+    _sweep,
+    _t_scan,
     _table_convergent,
     balance_table,
     circle_partition,
@@ -508,20 +510,21 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         counts, verdicts = [], []
         for ratio in (0, 10**9):  # always sparse, always dense
             monkeypatch.setattr(fib_balance, "_SPARSE_RATIO", ratio)
-            counts.append(_Count(mu, nu))
+            counts.append(_count(mu, nu))
             verdicts.append(exact_balance(mu, nu))
-        sparse, dense = counts
-        assert sparse.keys is not None and dense.keys is None
-        assert (sparse.lo, sparse.hi, sparse.q) == (dense.lo, dense.hi, dense.q)
-        y = np.arange(dense.q)
+        assert counts[0] == counts[1], (mu, nu)
+        # the count at every y from the sorted event keys: key(0) = 0 is the
+        # smallest, and c holds from each key to the next
+        p, q = _table_convergent(mu + nu)
+        keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
+        order = np.argsort(keys)
+        after = np.cumsum(np.where(order < mu, -1, 1))
+        expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
         for chunk in (1 << 16, 97):  # one chunk, then many
             monkeypatch.setattr(fib_balance, "_SWEEP_CHUNK", chunk)
-            starts, j, c = zip(*dense.sweep())
-            assert starts == tuple(range(0, dense.q, min(chunk, dense.q)))
-            # the chunks joined end to end: j(y) has key y, and c is the count
-            j, c = np.concatenate(j), np.concatenate(c)
-            assert np.array_equal(j.astype(np.int64) * dense.p % dense.q, y), (mu, nu)
-            assert np.array_equal(sparse.at(y), c), (mu, nu)
+            chunks = list(_sweep(mu, nu, p, q))
+            assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+            assert np.array_equal(np.concatenate(chunks), expected), (mu, nu)
         assert verdicts[0] == verdicts[1], (mu, nu)
 
 
@@ -532,30 +535,19 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
     mu=st.sampled_from((1, 2, 3)) | st.integers(4, 2000),
 )
 def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
-    # sizes F_k - 2 ... F_k + 1 put q = F_K at both parities of K; drop
-    # must give T at every i < F_{K+1}, which holds F_{k+2} (_find_witness)
+    # sizes F_k - 2 ... F_k + 1 put the scan's q at both parities of its
+    # index; the scan must give T at every i < F_{j+2}, F_j <= mu+nu-1 <
+    # F_{j+1} (_find_witness), far past the verdict's q
     size = fibonacci(k) + offset
     mu = min(mu, size // 2)
     nu = size - mu
-    for ratio in (0, 10**9):  # always sparse, always dense
-        with mock.patch.object(fib_balance, "_SPARSE_RATIO", ratio):
-            count = _Count(mu, nu)
-        assert (count.keys is None) == (ratio > 0)
-        if count.keys is not None:
-            horizon = _convergent(count.q)[1]  # F_{K+1}
-            t = count.t0 - count.drop(np.arange(horizon, dtype=np.int64))
-            assert np.array_equal(t, t_value_vector(mu, nu, horizon)), (mu, nu, ratio)
-            continue
-        # the dense sweep writes t0 - c(y) at the least i(y) reading each y
-        horizon = count.q + 1
-        t = np.full(horizon, np.iinfo(np.int64).min)
-        for y0, j, c in count.sweep():
-            t[_orbit_index(count, y0 + np.arange(len(c)), j)] = count.t0 - c
-        # the one i <= q left out reads the key that i = 0 reads
-        missing = np.flatnonzero(t == np.iinfo(np.int64).min)
-        assert missing.tolist() == [count.q - count.p if count.odd else count.q]
-        t[missing] = t[0]
-        assert np.array_equal(t, t_value_vector(mu, nu, horizon)), (mu, nu, ratio)
+    p, q = _convergent(size - 1)
+    cover = 2 * q - p
+    with mock.patch.object(fib_balance, "_SCAN_CHUNK", 97):
+        starts, t = zip(*_t_scan(mu, nu))
+    assert starts == tuple(range(0, cover, 97))
+    t = np.concatenate(t) + t_value(0, mu, nu)
+    assert np.array_equal(t, t_value_vector(mu, nu, cover)), (mu, nu)
 
 
 def test_witness_search_adds_no_memory_to_the_verdict():
@@ -574,7 +566,7 @@ def test_witness_search_adds_no_memory_to_the_verdict():
         finally:
             tracemalloc.stop()
         assert verdict.witness == witness
-        assert peak <= verdict_peak + (4 << 20), (m, n, peak, verdict_peak)
+        assert peak <= verdict_peak + (64 << 10), (m, n, peak, verdict_peak)
 
 
 def test_dense_sweep_keeps_nothing_of_size_q():
