@@ -46,7 +46,7 @@ from .exact_quadratic import GAMMA, ONE, QuadraticValue
 from .numeration import fib_index_list, fibonacci
 from . import words
 from .rectangles import rect_counts, word_rect_sum
-from .words import BudgetExceeded, SequenceKind, check_nonnegative, sturmian_a_word, word
+from .words import BudgetExceeded, SequenceKind, as_integer, check_nonnegative, sturmian_a_word, word
 
 
 class BalanceStatus(Enum):
@@ -386,7 +386,7 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
     absence up to the horizon is reported as unknown, not as balanced.
     """
     check_nonnegative(m=m, n=n)
-    if horizon < 1:
+    if as_integer("horizon", horizon) < 1:
         raise ValueError("horizon must be >= 1")
     if m == 0 or n == 0:
         return BalanceVerdict(
@@ -465,7 +465,7 @@ def diverse_identities_check(k: int) -> bool:
     """Verify the two square-rectangle sum gaps at the k-th scale by direct
     computation on the plain Fibonacci word: the gap at side F_{6k}/2 is 2k
     and at side F_{6k+3}/2 is 2k+1."""
-    if k < 1:
+    if as_integer("k", k) < 1:
         raise ValueError("k must be >= 1")
     f = word(SequenceKind.FIBONACCI)
     i1 = (fibonacci(6 * k - 1) - 1) // 4

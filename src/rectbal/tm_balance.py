@@ -14,7 +14,7 @@ import numpy as np
 
 from . import words
 from .rectangles import word_counts
-from .words import SequenceKind, check_nonnegative, word
+from .words import SequenceKind, as_integer, check_nonnegative, word
 
 
 class ParityViolation(ValueError):
@@ -130,7 +130,8 @@ def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:
     Odd m*n makes the excess odd (so at most 3 in absolute value); the scan
     confirms both that 3 is achieved there and never elsewhere.
     """
-    if max_dim < 3:
+    as_integer("horizon", horizon)
+    if as_integer("max_dim", max_dim) < 3:
         raise ValueError("max_dim must be >= 3")
     for m in range(3, max_dim + 1):
         for n in range(3, max_dim + 1):

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rectangles import word_counts, word_letter_counts
-from .words import SequenceKind, check_nonnegative, word
+from .words import SequenceKind, as_integer, check_nonnegative, word
 
 
 class NotFoundWithinLimit(RuntimeError):
@@ -157,7 +157,7 @@ def corner_count_gap(witness: CornerWitness, m: int, n: int) -> tuple[int, int]:
 def verify_no_2balance_3plus(max_dim: int) -> bool:
     """For every 3 <= m <= n <= max_dim, produce a corner witness whose two
     rectangles differ by exactly 3 in their letter-2 counts."""
-    if max_dim < 3:
+    if as_integer("max_dim", max_dim) < 3:
         raise ValueError("max_dim must be >= 3")
     for m in range(3, max_dim + 1):
         for n in range(m, max_dim + 1):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rectbal.dfa_tools import dfa_from_text
 from rectbal.exact_quadratic import floor_n_phi
-from rectbal.fib_balance import zeck_characterization
+from rectbal.fib_balance import delta_block_scan, diverse_identities_check, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     FibIndexList,
@@ -27,6 +27,8 @@ from rectbal.numeration import (
     zeck_encode,
     zeck_shift,
 )
+from rectbal.tm_balance import excess_class_parity_check
+from rectbal.trib_balance import verify_no_2balance_3plus
 
 
 @pytest.mark.parametrize(
@@ -199,6 +201,11 @@ def test_pair_encode_names_the_negative_argument():
         (zeck_encode, ("7",), "n must be an integer, got '7'"),
         (fibonacci, (2.5,), "j must be an integer, got 2.5"),
         (tribonacci, (2.5,), "j must be an integer, got 2.5"),
+        (diverse_identities_check, (2.5,), "k must be an integer, got 2.5"),
+        (delta_block_scan, (3, 4, 2.5), "horizon must be an integer, got 2.5"),
+        (excess_class_parity_check, (3.5,), "max_dim must be an integer, got 3.5"),
+        (excess_class_parity_check, (5, 2.5), "horizon must be an integer, got 2.5"),
+        (verify_no_2balance_3plus, (3.5,), "max_dim must be an integer, got 3.5"),
     ],
 )
 def test_non_integral_input_rejected_by_name(fn, args, message):
