@@ -535,9 +535,9 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
     mu=st.sampled_from((1, 2, 3)) | st.integers(4, 2000),
 )
 def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
-    # sizes F_k - 2 ... F_k + 1 put the scan's q at both parities of its
-    # index; the scan must give T at every i < F_{j+2}, F_j <= mu+nu-1 <
-    # F_{j+1} (_find_witness), far past the verdict's q
+    # the scan must give T at every i below the cover F_{j+2}, F_j <=
+    # mu+nu-1 < F_{j+1} (_find_witness), far past the verdict's q; sizes
+    # F_k - 2 ... F_k + 1 put mu + nu on both sides of a step of j
     size = fibonacci(k) + offset
     mu = min(mu, size // 2)
     nu = size - mu
