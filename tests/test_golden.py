@@ -94,6 +94,7 @@ CLI_GOLDEN = {
     "fib bal --m 4 --n 4 --method scan": "d682eca365b21d099f3eda7696fc1f8707004609a45df2d4b4a67b565c5f076c",
     "fib sweep --max 100 --out {tmp}/sweep.csv": "1cc4cc2c6b791b14605cdb293cde84245520f24347172ac7f1c2d7ff21434351",
     "fib diverse --k 2": "a5ebff8a8f1a7974b2803e3ff973a8e477a83a8dba6961142b7b8c34b4201cb0",
+    "trib bal2 --m 2 --n 4": "fce80e78d8276135004a2a51083114fe836f356b627792ca09716c164f27a808",
     "trib bal2 --m 2 --n 5": "b448c99c39426ff0c2385cc727600a26311aa6f6410d10d769ab631cf7e90cf1",
     "trib list2 --limit 48": "7fffbe5a2d1654ca65d14e5915ad6500624a5a9e1abb6277d278570a6b905f3d",
     "trib corner --p 7": "36ee7d53247a51ced082836da751cc89b594015372c32ac3d615cccbae34a49f",
