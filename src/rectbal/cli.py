@@ -83,12 +83,12 @@ def _cmd_trib_bal2(args: argparse.Namespace) -> int:
     ]
     for letter, (lo, hi) in sorted(report.letter_ranges.items()):
         lines.append(f"letter {letter}: min {lo} max {hi}")
-    if report.definitive:
+    if report.two_balanced:
+        lines.append(f"verdict: 2-balanced up to horizon {report.horizon}")
+    else:
         i, j, ci, cj = report.witness
         lines.append(f"verdict: unbalanced (letter {report.unbalanced_letter})")
         lines.append(f"witness: {i},{j},{ci},{cj}")
-    else:
-        lines.append(f"verdict: 2-balanced up to horizon {report.horizon}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact_quadratic import GAMMA, ONE, QuadraticValue
+from .exact_quadratic import GAMMA, ONE
 from .numeration import fib_index_list, fibonacci
 from . import words
 from .rectangles import rect_counts, word_rect_sum
@@ -66,15 +66,6 @@ class BalanceVerdict:
     @property
     def balanced(self) -> bool:
         return self.status is BalanceStatus.BALANCED
-
-
-@dataclass(frozen=True)
-class CirclePartition:
-    """Breakpoints frac(-j*gamma), j in [0, m) u [n, n+m), with the value of
-    the arc counting function immediately to the right of each breakpoint."""
-
-    breakpoints: tuple[QuadraticValue, ...]
-    arc_values: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +202,14 @@ def _sweep(mu: int, nu: int, p: int, q: int) -> Iterator[np.ndarray]:
         j0 = (j0 + step) % q
 
 
-def _count(m: int, n: int) -> _Count | None:
+def _count(m: int, n: int) -> _Count:
     """The extremes of c, from a sweep of Z_q or, sparse (16*mu < mu + nu),
-    from the 2*mu event keys sorted."""
+    from the 2*mu event keys sorted.  With a zero side there are no events,
+    and T is 0 everywhere."""
     check_nonnegative(m=m, n=n)
-    if m == 0 or n == 0:
-        return None
     mu, nu = min(m, n), max(m, n)
+    if mu == 0:
+        return _Count(mu, nu, 0, 0, 0)
     sparse = _SPARSE_RATIO * mu < mu + nu
     p, q = _table_convergent(mu + nu, 2 * mu if sparse else None)
     if sparse:
@@ -233,9 +225,7 @@ def _count(m: int, n: int) -> _Count | None:
     return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
 
-def _values(count: _Count | None) -> tuple[int, ...]:
-    if count is None:  # no events: T is 0 everywhere
-        return (0,)
+def _values(count: _Count) -> tuple[int, ...]:
     return tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1))
 
 
@@ -247,7 +237,7 @@ def value_set(m: int, n: int) -> tuple[int, ...]:
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction."""
     count = _count(m, n)
-    return count is None or count.hi - count.lo <= 1
+    return count.hi - count.lo <= 1
 
 
 def _t_scan(mu: int, nu: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -327,32 +317,6 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
         value_set=vals,
         witness=_find_witness(count),
     )
-
-
-def circle_partition(m: int, n: int) -> CirclePartition:
-    """Exact-arithmetic construction of the breakpoints and arc values.
-
-    Slow reference route on QuadraticValue; the integer sweep must agree
-    with it.  Arc values are evaluated at each breakpoint with the >= rule,
-    i.e. as right limits.
-    """
-    check_nonnegative(m=m, n=n)
-    if m == 0 or n == 0:
-        raise ValueError("partition needs m, n >= 1")
-    beta = ONE - (GAMMA * n).frac()
-    # the two index ranges overlap when m > n; keep each point once
-    points = sorted(
-        {(GAMMA * (-j)).frac() for j in [*range(m), *range(n, n + m)]}
-    )
-    arc_values = []
-    for p in points:
-        count = 0
-        for k in range(m):
-            diff = (p + GAMMA * k).frac() - beta
-            if diff.sign() >= 0:
-                count += 1
-        arc_values.append(count)
-    return CirclePartition(tuple(points), tuple(arc_values))
 
 
 def t_counting_form(i: int, m: int, n: int) -> int:

@@ -54,11 +54,6 @@ def excess(i: int, m: int, n: int) -> int:
     return 2 * int(_ones(m, n, i, i + 1)[0]) - m * n
 
 
-def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
-    """excess(i, m, n) for all i < horizon, vectorized."""
-    return 2 * _ones(m, n, 0, horizon).astype(np.int64) - m * n
-
-
 def excess_even_even(i: int, m: int, n: int) -> int:
     """s = 2*(b - a) for i, m, n all even, where a sums t over
     [i/2, (i+m)/2) and b over [(i+n)/2, (i+m+n)/2)."""
@@ -112,16 +107,6 @@ def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
     counts = _ones(m, n, 0, horizon)
     lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))
     return ExcessProfile(m, n, horizon, lo, hi)
-
-
-def excess_sign_symmetry(m: int, n: int, horizon: int = 100_000) -> bool:
-    """Every excess value c seen below the horizon has -c seen below twice
-    the horizon (the complemented rectangle realizes it)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    seen = set(np.unique(excess_vector(m, n, horizon)).tolist())
-    mirror = set(np.unique(excess_vector(m, n, 2 * horizon)).tolist())
-    return all(-c in mirror for c in seen)
 
 
 def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:

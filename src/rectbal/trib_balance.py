@@ -40,10 +40,6 @@ class TwoBalanceReport:
         """2-balanced as far as the scan saw; definitive only when False."""
         return self.unbalanced_letter is None
 
-    @property
-    def definitive(self) -> bool:
-        return self.unbalanced_letter is not None
-
 
 @dataclass(frozen=True)
 class CornerWitness:

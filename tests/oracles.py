@@ -2,16 +2,21 @@
 
 Each computes a quantity the package also computes, by a different method:
 floor-form T and the four-floor difference on the floor sums, the
-difference of two rectangle sums on the morphism-generated word, and the
-Fibonacci and Thue-Morse symbols by their closed forms.
+difference of two rectangle sums on the morphism-generated word, the
+Fibonacci and Thue-Morse symbols by their closed forms, the circle
+partition on exact quadratic values, and the Thue-Morse excess at every
+position below a horizon.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from rectbal.exact_quadratic import floor_n_gamma
+from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
 from rectbal.fib_balance import _convergent, _floor_sums
 from rectbal.rectangles import telescope, word_rect_sum
+from rectbal.tm_balance import _ones
 from rectbal.words import SequenceKind, check_nonnegative, sturmian_a_word, word
 
 
@@ -51,3 +56,53 @@ def tm_symbol(i: int) -> int:
     via_morphism = word(SequenceKind.THUE_MORSE).symbol(i)
     assert via_popcount == via_morphism, f"thue-morse routes disagree at i={i}"
     return via_popcount
+
+
+@dataclass(frozen=True)
+class CirclePartition:
+    """Breakpoints frac(-j*gamma), j in [0, m) u [n, n+m), with the value of
+    the arc counting function immediately to the right of each breakpoint."""
+
+    breakpoints: tuple[QuadraticValue, ...]
+    arc_values: tuple[int, ...]
+
+
+def circle_partition(m: int, n: int) -> CirclePartition:
+    """Exact-arithmetic construction of the breakpoints and arc values.
+
+    Slow reference route on QuadraticValue; the integer sweep must agree
+    with it.  Arc values are evaluated at each breakpoint with the >= rule,
+    i.e. as right limits.
+    """
+    check_nonnegative(m=m, n=n)
+    if m == 0 or n == 0:
+        raise ValueError("partition needs m, n >= 1")
+    beta = ONE - (GAMMA * n).frac()
+    # the two index ranges overlap when m > n; keep each point once
+    points = sorted(
+        {(GAMMA * (-j)).frac() for j in [*range(m), *range(n, n + m)]}
+    )
+    arc_values = []
+    for p in points:
+        count = 0
+        for k in range(m):
+            diff = (p + GAMMA * k).frac() - beta
+            if diff.sign() >= 0:
+                count += 1
+        arc_values.append(count)
+    return CirclePartition(tuple(points), tuple(arc_values))
+
+
+def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
+    """excess(i, m, n) for all i < horizon, vectorized."""
+    return 2 * _ones(m, n, 0, horizon).astype(np.int64) - m * n
+
+
+def excess_sign_symmetry(m: int, n: int, horizon: int = 100_000) -> bool:
+    """Every excess value c seen below the horizon has -c seen below twice
+    the horizon (the complemented rectangle realizes it)."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    seen = set(np.unique(excess_vector(m, n, horizon)).tolist())
+    mirror = set(np.unique(excess_vector(m, n, 2 * horizon)).tolist())
+    return all(-c in mirror for c in seen)

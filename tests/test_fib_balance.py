@@ -25,7 +25,6 @@ from rectbal.fib_balance import (
     _t_scan,
     _table_convergent,
     balance_table,
-    circle_partition,
     delta_block_scan,
     diverse_identities_check,
     exact_balance,
@@ -39,7 +38,7 @@ from rectbal.fib_balance import (
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
 from rectbal.words import BudgetExceeded, sturmian_a_word
-from oracles import delta, delta_floor_form, t_value_vector
+from oracles import circle_partition, delta, delta_floor_form, t_value_vector
 
 
 def brute_value_set(m: int, n: int, horizon: int = 3000) -> set[int]:

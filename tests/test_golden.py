@@ -38,10 +38,9 @@ from rectbal.numeration import (
     zeck_shift,
 )
 from rectbal.rectangles import word_letter_counts, word_rect_sum
-from rectbal.tm_balance import excess_vector
 from rectbal.trib_balance import two_balance_scan
 from rectbal.words import SequenceKind, sturmian_a_word, word
-from oracles import t_value_vector
+from oracles import excess_vector, t_value_vector
 
 GOLDEN = {
     "t_value_vector(7, 11, 10**5)": "257f1210bd12b43497e7f46a0e997ef1744c8691a120e58a46810f0d5c10fed2",

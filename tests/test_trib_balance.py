@@ -30,7 +30,7 @@ def test_scan_examples():
 
 def test_definitive_witness_recounts():
     report = two_balance_scan(2, 5, horizon=1_000_000)
-    assert report.definitive
+    assert not report.two_balanced
     i, j, ci, cj = report.witness
     letter = report.unbalanced_letter
     w = word(SequenceKind.TRIBONACCI)
