@@ -19,7 +19,7 @@ import numpy as np
 
 from .fib_balance import balance_table
 from .numeration import SYMBOLS, InvalidRepresentation, fibonacci, pair_encode
-from .words import BudgetExceeded, check_nonnegative
+from .words import BudgetExceeded, as_integer, check_nonnegative
 
 # dfa_to_text's header lines, then its transition lines
 _DFA_LINES = (r"states \d+", r"start \d+", r"accepting( \d+)*", r"\d+ \[[01],[01]\] -> \d+")
@@ -112,7 +112,7 @@ def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
     max_len = 0
     while fibonacci(max_len + 3) <= len(verdicts):
         max_len += 1
-    if distinguish_depth < 1:
+    if as_integer("distinguish_depth", distinguish_depth) < 1:
         raise ValueError(f"distinguish_depth must be >= 1, got {distinguish_depth}")
     if distinguish_depth > max_len:
         raise ValueError("distinguish_depth must be <= max_len")

@@ -10,6 +10,8 @@ from __future__ import annotations
 from functools import total_ordering
 from math import isqrt
 
+from .words import check_nonnegative
+
 
 @total_ordering
 class QuadraticValue:
@@ -144,8 +146,7 @@ def floor_n_phi(n: int) -> int:
     Route one is the integer square root form floor((n + isqrt(5 n^2)) / 2);
     route two lifts the Zeckendorf digits of n-1 one position and adds 1.
     """
-    if n < 0:
-        raise ValueError("n must be a natural number")
+    check_nonnegative(n=n)
     if n == 0:
         return 0
     via_isqrt = (n + isqrt(5 * n * n)) // 2
@@ -158,6 +159,5 @@ def floor_n_phi(n: int) -> int:
 
 def floor_n_gamma(n: int) -> int:
     """floor(n*gamma), evaluated on the exact quadratic value."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
+    check_nonnegative(n=n)
     return (GAMMA * n).floor()

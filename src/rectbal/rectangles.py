@@ -60,11 +60,13 @@ def _letter_count(w: Word, letter: int, i: int, m: int, n: int) -> int:
 
 def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
     """Sum of all entries of the rectangle at (i, m, n) over word w."""
+    check_nonnegative(m=m, n=n, i=i)
     return sum(c * _letter_count(w, c, i, m, n) for c in w.alphabet if c)
 
 
 def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
     """Per-letter occurrence counts in the rectangle.  They sum to m*n, so
     letter 0's is the rest, and its running sum is not built."""
+    check_nonnegative(m=m, n=n, i=i)
     counts = {c: _letter_count(w, c, i, m, n) for c in w.alphabet if c}
     return {0: m * n - sum(counts.values()), **counts}

@@ -51,6 +51,7 @@ def factor_sum(start: int, length: int) -> int:
 
 def excess(i: int, m: int, n: int) -> int:
     """2 * count_1(rectangle at i) - m*n."""
+    check_nonnegative(i=i, m=m, n=n)
     return 2 * int(_ones(m, n, i, i + 1)[0]) - m * n
 
 
@@ -91,6 +92,8 @@ def excess_parity_reduced(i: int, m: int, n: int) -> int:
 def default_horizon(m: int, n: int) -> int:
     """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles,
     and capped so that the scan stays within the symbol budget."""
+    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
+        raise ValueError("m and n must be >= 1")
     scaled = 1 << (int(m * n - 1).bit_length() + 6)
     return min(max(100_000, scaled), max(1, words.BUDGET - (m + n)))
 
@@ -98,11 +101,11 @@ def default_horizon(m: int, n: int) -> int:
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
     """Min/max excess over i < horizon; the derived balance class is a
     horizon-bounded estimate of the true supremum spread."""
-    if m < 1 or n < 1:
+    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
         raise ValueError("m and n must be >= 1")
     if horizon is None:
         horizon = default_horizon(m, n)
-    if horizon < 1:
+    if as_integer("horizon", horizon) < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     counts = _ones(m, n, 0, horizon)
     lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))

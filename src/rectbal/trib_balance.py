@@ -50,9 +50,9 @@ class CornerWitness:
 
 def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceReport:
     """Per-letter count ranges of the m x n rectangles over i < horizon."""
-    if m < 1 or n < 1:
+    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
         raise ValueError("m and n must be >= 1")
-    if horizon < 1:
+    if as_integer("horizon", horizon) < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     w = word(SequenceKind.TRIBONACCI)
     c1, c2 = (word_counts(w, letter, m, n, 0, horizon) for letter in (1, 2))
@@ -81,6 +81,7 @@ def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
     limit <= 48; larger limits are exploratory scans.
     """
     check_nonnegative(limit=limit)
+    as_integer("horizon", horizon)
     return [
         n
         for n in range(1, limit + 1)

@@ -50,6 +50,7 @@ def check_nonnegative(**values: int) -> None:
 
 
 def _checked_budget(budget: int, name: str = "budget") -> int:
+    budget = as_integer(name, budget)
     if not 1 <= budget <= MAX_BUDGET:
         raise ValueError(f"{name} must be between 1 and {MAX_BUDGET}, got {budget}")
     return budget

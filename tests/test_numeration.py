@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectbal.dfa_tools import dfa_from_text
-from rectbal.exact_quadratic import floor_n_phi
+from rectbal.dfa_tools import build_sample_table, dfa_from_text, infer_min_dfa
+from rectbal.exact_quadratic import floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import delta_block_scan, diverse_identities_check, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
@@ -27,8 +27,12 @@ from rectbal.numeration import (
     zeck_encode,
     zeck_shift,
 )
-from rectbal.tm_balance import excess_class_parity_check
-from rectbal.trib_balance import verify_no_2balance_3plus
+from rectbal.rectangles import word_letter_counts, word_rect_sum
+from rectbal.tm_balance import default_horizon, excess, excess_class_parity_check, excess_profile
+from rectbal.trib_balance import balanced_2xn_list, two_balance_scan, verify_no_2balance_3plus
+from rectbal.words import SequenceKind, set_budget, word
+
+TRIB = word(SequenceKind.TRIBONACCI)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +210,22 @@ def test_pair_encode_names_the_negative_argument():
         (excess_class_parity_check, (3.5,), "max_dim must be an integer, got 3.5"),
         (excess_class_parity_check, (5, 2.5), "horizon must be an integer, got 2.5"),
         (verify_no_2balance_3plus, (3.5,), "max_dim must be an integer, got 3.5"),
+        (set_budget, (2.5,), "budget must be an integer, got 2.5"),
+        (set_budget, ("7",), "budget must be an integer, got '7'"),
+        (default_horizon, (2.5, 3), "m must be an integer, got 2.5"),
+        (default_horizon, (-1, 3), "m and n must be >= 1"),
+        (two_balance_scan, ("7", 3), "m must be an integer, got '7'"),
+        (two_balance_scan, (2, "7"), "n must be an integer, got '7'"),
+        (two_balance_scan, (2, 3, "7"), "horizon must be an integer, got '7'"),
+        (balanced_2xn_list, (3, "7"), "horizon must be an integer, got '7'"),
+        (excess_profile, ("7", 3), "m must be an integer, got '7'"),
+        (excess_profile, (3, 3, "7"), "horizon must be an integer, got '7'"),
+        (excess, ("7", 2, 3), "i must be an integer, got '7'"),
+        (word_rect_sum, (TRIB, "7", 3, 4), "i must be an integer, got '7'"),
+        (word_letter_counts, (TRIB, "7", 3, 4), "i must be an integer, got '7'"),
+        (floor_n_phi, (2.5,), "n must be an integer, got 2.5"),
+        (floor_n_gamma, (2.5,), "n must be an integer, got 2.5"),
+        (infer_min_dfa, (build_sample_table(5), 2.5), "distinguish_depth must be an integer, got 2.5"),
     ],
 )
 def test_non_integral_input_rejected_by_name(fn, args, message):
