@@ -87,7 +87,8 @@ INFERRED = [(10, 10), (11, 10), (12, 10), (13, 10), (16, 10), (8, 3), (8, 6), (6
 INCONSISTENT = [(8, 1), (8, 2)]
 ROWS = [0, 1, 2, 3, 8, 233]
 
-# README command-line examples; {tmp} is a fresh directory
+# README command-line examples, and trib bal2 --m 2 --n 4 for the
+# 2-balanced branch of that report; {tmp} is a fresh directory
 CLI_GOLDEN = {
     "fib bal --m 4 --n 18": "f9f1da6557cf8dffcb769bfa415e44728d56479030cff9f2bfb56fb08c7993e0",
     "fib bal --m 4 --n 4 --method scan": "d682eca365b21d099f3eda7696fc1f8707004609a45df2d4b4a67b565c5f076c",
