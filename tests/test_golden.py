@@ -30,6 +30,7 @@ from rectbal.numeration import (
     fib_index_list,
     fibonacci,
     negabin_decode,
+    negabin_encode,
     pair_encode,
     trib_decode,
     trib_encode,
@@ -62,6 +63,7 @@ GOLDEN = {
     "zeck_encode over seeded values to 10**30": "2a658296d8cfb680ef1088dc0f46bc8986b8f10bd5d94feee4bed33b261f6f1a",
     "zeck_shift over seeded values to 10**30": "e9d32b0b40ce034c76745ca038a06818f6677c765749b577084ba97202629ed7",
     "trib_encode over seeded values to 10**30": "5995efef7f7c5a5b1d8b56391d8dfefcbc3c192700075e2b0038309da4d0adfa",
+    "negabin_encode over seeded values in [-10**30, 10**30]": "64d8d0a1e46fc8e9d511b743cdaf3bf1d3c1d1f63a05c968dee2749e8ffe94aa",
     "dfa_to_text(infer_min_dfa(build_sample_table(13), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
     "dfa_to_text(infer_min_dfa(build_sample_table(10), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
     "dfa_to_text(infer_min_dfa(build_sample_table(11), 10))": "0ef38ef6e48f5d330f295170833375b4b28e6e79b0e80253b1ab1223356e8b12",
@@ -87,8 +89,9 @@ INFERRED = [(10, 10), (11, 10), (12, 10), (13, 10), (16, 10), (8, 3), (8, 6), (6
 INCONSISTENT = [(8, 1), (8, 2)]
 ROWS = [0, 1, 2, 3, 8, 233]
 
-# README command-line examples, and trib bal2 --m 2 --n 4 for the
-# 2-balanced branch of that report; {tmp} is a fresh directory
+# README command-line examples, trib bal2 --m 2 --n 4 for the 2-balanced
+# branch of that report, and num encode of 0 (printed "0") and 18 in each
+# system; {tmp} is a fresh directory
 CLI_GOLDEN = {
     "fib bal --m 4 --n 18": "f9f1da6557cf8dffcb769bfa415e44728d56479030cff9f2bfb56fb08c7993e0",
     "fib bal --m 4 --n 4 --method scan": "d682eca365b21d099f3eda7696fc1f8707004609a45df2d4b4a67b565c5f076c",
@@ -104,6 +107,11 @@ CLI_GOLDEN = {
     "dfa infer --max-len 12 --depth 10 --out {tmp}/bal.dfa": "e809865a472a8e4bb675a68d8ae7b1177e8d7da05e756c4ddbb8ec772cef77c7",
     "dfa run --file {tmp}/bal.dfa --pair 4 18": "81d512d6a998baffe6bc712140bdae759025f72c8b8b788001f72104c5f186b1",
     "num encode --system zeck 18": "3be4a81b822f3c850ac84e078a0953c47a46e4a618695017147917bcbf93d10d",
+    "num encode --system trib 18": "d3c03b7d97c971bf5dd36d90e162451b0ccd4a85a34769c159f0e6d966faddec",
+    "num encode --system neg2 18": "136712be50948e2e85058a97c177220c977adbe01130b9426c713247b5f7d22d",
+    "num encode --system zeck 0": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "num encode --system trib 0": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    "num encode --system neg2 0": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
     "num decode --system neg2 11010": "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
     "word dump --kind trib --limit 40": "1861355a1888342cf74152f94d7a42524e9b103434a88c63a8034bd610777250",
 }
@@ -232,11 +240,17 @@ def _numeration_pairs() -> list[tuple[int, int]]:
     return pairs + [(rng.randrange(10**30), rng.randrange(10**30)) for _ in range(300)]
 
 
-def _value_text(encode) -> str:
-    """One line per value of _numeration_values: what encode returns, or
-    the name of the error it raises."""
+def _negabin_values() -> list[int]:
+    """-64 ... 64, and seeded values in [-10**30, 10**30]."""
+    rng = random.Random(1214)
+    return list(range(-64, 65)) + [rng.randint(-(10**30), 10**30) for _ in range(300)]
+
+
+def _value_text(encode, values=None) -> str:
+    """One line per value (default: of _numeration_values): what encode
+    returns, or the name of the error it raises."""
     lines = []
-    for v in _numeration_values():
+    for v in _numeration_values() if values is None else values:
         try:
             lines.append(f"{v}:{encode(v)!r}")
         except EmptyExpansion:
@@ -280,6 +294,9 @@ def outputs() -> dict[str, str]:
         "zeck_shift over seeded values to 10**30": _text_digest(_value_text(zeck_shift)),
         "trib_encode over seeded values to 10**30": _text_digest(
             _value_text(lambda v: trib_encode(v).digits)
+        ),
+        "negabin_encode over seeded values in [-10**30, 10**30]": _text_digest(
+            _value_text(lambda v: negabin_encode(v).digits, _negabin_values())
         ),
         **{
             f"dfa_to_text(infer_min_dfa(build_sample_table({n}), {d}))": _text_digest(
