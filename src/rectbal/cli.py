@@ -170,7 +170,7 @@ def _cmd_num(args: argparse.Namespace) -> int:
     }
     encode, decode = codecs[args.system]
     if args.action == "encode":
-        _emit(str(encode(int(args.value))) + "\n", args.out)
+        _emit((encode(int(args.value)) or "0") + "\n", args.out)
     else:
         _emit(str(decode(args.value)) + "\n", args.out)
     return 0

@@ -403,8 +403,8 @@ def zeck_characterization(m: int, n: int) -> bool:
         m, n = n, m
     if m <= 1:
         return True
-    a = fib_index_list(m).indices
-    b = fib_index_list(n).indices
+    a = fib_index_list(m)
+    b = fib_index_list(n)
     a1 = a[0]
     b_smallest = b[-1]
     if len(a) == 1 and a1 in b:

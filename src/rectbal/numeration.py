@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .words import as_integer, check_nonnegative
 
@@ -52,35 +51,10 @@ def tribonacci(j: int) -> int:
     return _TRIBS[j]
 
 
-@dataclass(frozen=True)
-class DigitRep:
-    """A digit string (most significant first) and the value it encodes."""
-
-    digits: str
-    value: int
-
-    def __str__(self) -> str:
-        return self.digits or "0"
-
-
-@dataclass(frozen=True)
-class FibIndexList:
-    """Zeckendorf summand indices a_1 > a_2 > ... >= 2, no two consecutive."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        idx = self.indices
-        for prev, nxt in zip(idx, idx[1:]):
-            if nxt >= prev - 1:
-                raise InvalidRepresentation(f"indices not sparse-decreasing: {idx}")
-        if idx and idx[-1] < 2:
-            raise InvalidRepresentation(f"indices must be >= 2: {idx}")
-
-
-def fib_index_list(n: int) -> FibIndexList:
-    """Descending Zeckendorf summand indices of n >= 1 (greedy): each is
-    found by bisection in the cached Fibonacci list."""
+def fib_index_list(n: int) -> tuple[int, ...]:
+    """Descending Zeckendorf summand indices a_1 > a_2 > ... >= 2 of n >= 1,
+    no two consecutive (greedy): each is found by bisection in the cached
+    Fibonacci list."""
     n = as_integer("n", n)
     if n <= 0:
         raise EmptyExpansion("n must be >= 1")
@@ -90,29 +64,19 @@ def fib_index_list(n: int) -> FibIndexList:
         j = bisect_right(fibs, n) - 1  # the last F_j <= n; for n = 1 that is F_2
         out.append(j)
         n -= fibs[j]
-    return FibIndexList(tuple(out))
+    return tuple(out)
 
 
-def zeck_encode(n: int) -> DigitRep:
-    """Canonical Zeckendorf digits of n (greedy; empty string for 0)."""
-    check_nonnegative(n=n)
-    if n == 0:
-        return DigitRep("", 0)
-    idx = fib_index_list(n).indices
-    top = idx[0]
-    digits = ["0"] * (top - 1)  # positions top, top-1, ..., 2
-    for j in idx:
-        digits[top - j] = "1"
-    return DigitRep("".join(digits), n)
+def zeck_encode(n: int) -> str:
+    """Canonical Zeckendorf digits of n: its track of pair_encode(0, n)."""
+    return "".join("1" if b else "0" for _, b in pair_encode(0, n))
 
 
-def _decode(
-    digits: str | DigitRep, weight: Callable[[int], int], run: str = "", rule: str = ""
-) -> int:
+def _decode(digits: str, weight: Callable[[int], int], run: str = "", rule: str = "") -> int:
     """Sum of weight(pos) over the 1 digits of a binary string, pos counted
     from the least significant digit; rejects the forbidden run of 1s."""
-    if isinstance(digits, DigitRep):
-        digits = digits.digits
+    if not isinstance(digits, str):
+        raise ValueError(f"digits must be a string, got {digits!r}")
     if any(c not in "01" for c in digits):
         raise InvalidRepresentation(f"not a binary digit string: {digits!r}")
     if run and run in digits:
@@ -120,7 +84,7 @@ def _decode(
     return sum(weight(pos) for pos, c in enumerate(reversed(digits)) if c == "1")
 
 
-def zeck_decode(digits: str | DigitRep) -> int:
+def zeck_decode(digits: str) -> int:
     """Value of a Zeckendorf digit string; rejects adjacent 1 digits."""
     return _decode(digits, lambda pos: fibonacci(pos + 2), "11", "adjacent 1 digits")
 
@@ -131,14 +95,14 @@ def zeck_shift(n: int) -> int:
     if n == 0:
         return 0
     fibs = _fibs_past(n)  # holds F_{top+1}
-    return sum(fibs[j + 1] for j in fib_index_list(n).indices)
+    return sum(fibs[j + 1] for j in fib_index_list(n))
 
 
-def trib_encode(n: int) -> DigitRep:
+def trib_encode(n: int) -> str:
     """Greedy Tribonacci digits of n (no three consecutive 1 digits)."""
     check_nonnegative(n=n)
     if n == 0:
-        return DigitRep("", 0)
+        return ""
     j = 0
     while tribonacci(j + 1) <= n:
         j += 1
@@ -151,30 +115,27 @@ def trib_encode(n: int) -> DigitRep:
             rem -= w
         else:
             digits.append("0")
-    return DigitRep("".join(digits), n)
+    return "".join(digits)
 
 
-def trib_decode(digits: str | DigitRep) -> int:
+def trib_decode(digits: str) -> int:
     """Value of a Tribonacci digit string; rejects three consecutive 1 digits."""
     return _decode(digits, tribonacci, "111", "three consecutive 1 digits")
 
 
-def negabin_encode(n: int) -> DigitRep:
+def negabin_encode(n: int) -> str:
     """Base-(-2) digits of any integer (canonical, no leading zeros)."""
     n = as_integer("n", n)
-    if n == 0:
-        return DigitRep("", 0)
-    value = n
     digits = []
-    while n != 0:
+    while n:
         n, r = divmod(n, -2)
         if r < 0:
             n, r = n + 1, r + 2
         digits.append(str(r))
-    return DigitRep("".join(reversed(digits)), value)
+    return "".join(reversed(digits))
 
 
-def negabin_decode(digits: str | DigitRep) -> int:
+def negabin_decode(digits: str) -> int:
     """Value of a base-(-2) digit string."""
     return _decode(digits, lambda pos: (-2) ** pos)
 

@@ -11,7 +11,6 @@ from rectbal.exact_quadratic import floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import delta_block_scan, diverse_identities_check, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
-    FibIndexList,
     InvalidRepresentation,
     fib_index_list,
     fibonacci,
@@ -40,9 +39,7 @@ TRIB = word(SequenceKind.TRIBONACCI)
     [(4, "101"), (18, "101000"), (0, ""), (19, "101001"), (1, "1"), (2, "10")],
 )
 def test_zeck_encode_examples(n, digits):
-    rep = zeck_encode(n)
-    assert rep.digits == digits
-    assert rep.value == n
+    assert zeck_encode(n) == digits
 
 
 def test_zeck_decode_rejects_adjacent_ones():
@@ -65,7 +62,7 @@ def test_zeck_round_trip():
 
 def test_zeck_greedy_takes_largest_fibonacci():
     for n in range(1, 20_000):
-        top = fib_index_list(n).indices[0]
+        top = fib_index_list(n)[0]
         assert fibonacci(top) <= n < fibonacci(top + 1)
 
 
@@ -85,7 +82,7 @@ def test_shift_identity_with_phi():
 )
 def test_is_fibonacci(n, expected):
     # a Fibonacci number is a single Zeckendorf summand
-    assert (n > 0 and len(fib_index_list(n).indices) == 1) is expected
+    assert (n > 0 and len(fib_index_list(n)) == 1) is expected
 
 
 def test_is_fibonacci_matches_enumeration():
@@ -95,7 +92,7 @@ def test_is_fibonacci_matches_enumeration():
         fibs.add(fibonacci(j))
         j += 1
     for n in range(1, 10_001):
-        assert (len(fib_index_list(n).indices) == 1) == (n in fibs)
+        assert (len(fib_index_list(n)) == 1) == (n in fibs)
 
 
 @pytest.mark.parametrize(
@@ -104,27 +101,20 @@ def test_is_fibonacci_matches_enumeration():
 )
 def test_adjacent_fib(u, v, expected):
     # (F_k, F_{k+1}): u is a single summand and v its Zeckendorf shift
-    assert (len(fib_index_list(u).indices) == 1 and zeck_shift(u) == v) is expected
+    assert (len(fib_index_list(u)) == 1 and zeck_shift(u) == v) is expected
 
 
 def test_fib_index_list_examples():
-    assert fib_index_list(4).indices == (4, 2)
-    assert fib_index_list(1).indices == (2,)
-    assert fib_index_list(18).indices == (7, 5)
+    assert fib_index_list(4) == (4, 2)
+    assert fib_index_list(1) == (2,)
+    assert fib_index_list(18) == (7, 5)
     with pytest.raises(EmptyExpansion):
         fib_index_list(0)
 
 
-def test_fib_index_list_rejects_bad_indices():
-    with pytest.raises(InvalidRepresentation):
-        FibIndexList((4, 3))
-    with pytest.raises(InvalidRepresentation):
-        FibIndexList((3, 1))
-
-
 @pytest.mark.parametrize("n,digits", [(5, "101"), (0, ""), (7, "1000"), (6, "110")])
 def test_trib_encode_examples(n, digits):
-    assert trib_encode(n).digits == digits
+    assert trib_encode(n) == digits
 
 
 def test_trib_round_trip_and_errors():
@@ -137,7 +127,7 @@ def test_trib_round_trip_and_errors():
 
 @pytest.mark.parametrize("n,digits", [(3, "111"), (-1, "11"), (0, ""), (6, "11010")])
 def test_negabin_encode_examples(n, digits):
-    assert negabin_encode(n).digits == digits
+    assert negabin_encode(n) == digits
 
 
 def test_negabin_round_trip():
@@ -149,7 +139,7 @@ def test_negabin_canonical_no_leading_zero():
     rng = random.Random(3)
     for _ in range(500):
         n = rng.randrange(-10**6, 10**6)
-        digits = negabin_encode(n).digits
+        digits = negabin_encode(n)
         assert n == 0 or digits[0] == "1"
 
 
@@ -241,12 +231,12 @@ def test_negative_sequence_index_rejected():
 
 
 def test_numpy_integers_accepted():
-    assert fib_index_list(np.int32(4)).indices == (4, 2)
-    assert zeck_encode(np.int64(18)).digits == "101000"
+    assert fib_index_list(np.int32(4)) == (4, 2)
+    assert zeck_encode(np.int64(18)) == "101000"
     assert zeck_shift(np.int64(4)) == 7
     assert pair_encode(np.int64(4), np.uint8(18)) == pair_encode(4, 18)
-    assert trib_encode(np.int16(5)).digits == "101"
-    assert negabin_encode(np.int64(-1)).digits == "11"
+    assert trib_encode(np.int16(5)) == "101"
+    assert negabin_encode(np.int64(-1)) == "11"
     assert zeck_characterization(np.int64(4), np.int64(18))
 
 
@@ -257,6 +247,10 @@ NATURALS = st.integers(min_value=0, max_value=10**40)
 @given(NATURALS)
 def test_zeck_round_trip_property(n):
     assert zeck_decode(zeck_encode(n)) == n
+    if n:
+        # summand indices strictly decreasing, no two consecutive, all >= 2
+        idx = fib_index_list(n)
+        assert all(a - b >= 2 for a, b in zip(idx, idx[1:])) and idx[-1] >= 2
 
 
 @settings(max_examples=300)
