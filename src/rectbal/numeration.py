@@ -175,8 +175,11 @@ def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
 
 def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
     """Values of both tracks of a padded pair word; each track is validated."""
-    dm = "".join(str(a) for a, _ in word)
-    dn = "".join(str(b) for _, b in word)
+    try:
+        dm = "".join(str(a) for a, _ in word)
+        dn = "".join(str(b) for _, b in word)
+    except (TypeError, ValueError):
+        raise ValueError(f"word must be a list of digit pairs, got {word!r}") from None
     return zeck_decode(dm), zeck_decode(dn)
 
 

@@ -143,6 +143,7 @@ def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
 
 def corner_count_gap(witness: CornerWitness, m: int, n: int) -> tuple[int, int]:
     """Letter-2 counts of the two m x n rectangles anchored at the witness."""
+    check_nonnegative(m=m, n=n)
     if m + n - 6 != witness.p:
         raise ValueError("rectangle shape does not match the witness length")
     w = word(SequenceKind.TRIBONACCI)

@@ -28,7 +28,13 @@ from rectbal.numeration import (
 )
 from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import default_horizon, excess, excess_class_parity_check, excess_profile
-from rectbal.trib_balance import balanced_2xn_list, two_balance_scan, verify_no_2balance_3plus
+from rectbal.trib_balance import (
+    CornerWitness,
+    balanced_2xn_list,
+    corner_count_gap,
+    two_balance_scan,
+    verify_no_2balance_3plus,
+)
 from rectbal.words import SequenceKind, set_budget, word
 
 TRIB = word(SequenceKind.TRIBONACCI)
@@ -216,6 +222,13 @@ def test_pair_encode_names_the_negative_argument():
         (floor_n_phi, (2.5,), "n must be an integer, got 2.5"),
         (floor_n_gamma, (2.5,), "n must be an integer, got 2.5"),
         (infer_min_dfa, (build_sample_table(5), 2.5), "distinguish_depth must be an integer, got 2.5"),
+        (zeck_decode, (5,), "digits must be a string, got 5"),
+        (trib_decode, (5,), "digits must be a string, got 5"),
+        (negabin_decode, (None,), "digits must be a string, got None"),
+        (pair_decode, ("x",), "word must be a list of digit pairs, got 'x'"),
+        (pair_decode, (5,), "word must be a list of digit pairs, got 5"),
+        (corner_count_gap, (CornerWitness(1, 0, 0), "7", 3), "m must be an integer, got '7'"),
+        (corner_count_gap, (CornerWitness(1, 0, 0), 4, 2.5), "n must be an integer, got 2.5"),
     ],
 )
 def test_non_integral_input_rejected_by_name(fn, args, message):
