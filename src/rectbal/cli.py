@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget", type=int, default=None,
-        help="cap on generated word length (default RECTBAL_BUDGET or 10^7)",
+        help="cap on generated word length and table size (default RECTBAL_BUDGET or 10^7)",
     )
     sub = parser.add_subparsers(dest="group", required=True)
 

@@ -530,11 +530,16 @@ def balance_table(limit: int) -> np.ndarray:
     """Symmetric boolean matrix of exact balance verdicts for m, n <= limit.
 
     Built once per process, one row mu at a time by the row kernel over a
-    single key array of j < 2*limit; smaller limits are read from it.
+    single key array of j < 2*limit; smaller limits are read from it.  Its
+    (limit+1)**2 entries are held to the symbol budget even when cached, so
+    a request's fate does not depend on what was built.
     """
     global _TABLE
     check_nonnegative(limit=limit)
     _check_row_frontier(limit)
+    entries = (limit + 1) ** 2
+    if entries > words.BUDGET:
+        raise BudgetExceeded(f"{entries} table entries requested, budget is {words.BUDGET}")
     table = _TABLE
     if len(table) > limit:
         return table[: limit + 1, : limit + 1]

@@ -463,6 +463,7 @@ def test_tables_obey_the_symbol_budget(budget):
         lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
         lambda: row_value_bounds(30, 1000),  # circle keys over q = 1597
         lambda: row_value_bounds(0, 5000),  # 5001 floor sums, though no events
+        lambda: balance_table(100),  # 10201 verdicts
     )
     tracemalloc.start()
     try:
