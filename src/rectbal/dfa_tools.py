@@ -116,7 +116,9 @@ def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
         raise ValueError(f"distinguish_depth must be >= 1, got {distinguish_depth}")
     if distinguish_depth > max_len:
         raise ValueError("distinguish_depth must be <= max_len")
-    reps: list[tuple] = []  # signature of each state's canonical prefix
+    # signature of each state's first prefix: BFS meets it first, and being
+    # the shortest it has the longest signature, so it is never replaced
+    reps: list[tuple] = []
     transitions: dict[tuple[int, tuple[int, int]], int] = {}
     accepting: set[int] = set()
 
@@ -151,8 +153,6 @@ def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
                 if sig[0]:
                     accepting.add(target)
                 queue.append(((um2, un2, length + 1), target))
-            elif len(sig) > len(reps[target]):
-                reps[target] = sig
             transitions[(state, (dm, dn))] = target
     dfa = _minimize(Dfa(len(reps), 0, frozenset(accepting), transitions))
     _replay_check(dfa, verdicts, max_len)
