@@ -16,14 +16,14 @@ T(i, m, n) take at most two distinct values over all i:
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
-(j*p) mod q.  A verdict walks Z_q, q = F_K > m + n, in key order, one
-chunk at a time, and keeps only the extremes of the running event count:
-since p^2 = (-1)^K mod q, the index with key y is y*p or -y*p mod q, so no
-key array is built and nothing is scattered (when mu is small it sorts the
-2*mu event keys instead).  A witness is read off T itself, scanned in i
-order from T(0): on a convergent past the scanned indices each step of T
-is three key comparisons, and every value is taken before F_{k+2}, F_k <=
-m + n - 1 < F_{k+1} (three-gap theorem).
+(j*p) mod q.  The verdict and the witness both read T in i order from T(0),
+one chunk at a time, each step three key comparisons.  A verdict reads
+T_q, T with (j*p) // q in place of floor(j*gamma) on q = F_K > m + n: T_q
+has period q and one period takes every value of T, so the scan keeps only
+its running extremes (when mu is small it sorts the 2*mu event keys
+instead).  A witness reads T itself on a convergent past the scanned
+indices, and every value is taken before F_{k+2}, F_k <= m + n - 1 <
+F_{k+1} (three-gap theorem).
 Scalar T needs no table: its floor sums come from a Euclid-like recursion.
 A table past the q where j*p leaves int64, or past the symbol budget,
 raises ``BudgetExceeded``.
@@ -149,25 +149,28 @@ def t_value(i: int, m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# key sweep
+# the scan of T in i order
 
-# Sort the 2*mu event keys instead of sweeping all of Z_q once mu is this
-# many times smaller than mu + nu.  On one CPU the two verdicts cost the same
-# near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and only the sparse sweep
-# reaches past q = the symbol budget.
+# Sort the 2*mu event keys instead of scanning one period of T_q once mu is
+# this many times smaller than mu + nu.  On one CPU the two verdicts cost the
+# same near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and only the sparse
+# verdict reaches past q = the symbol budget.
 _SPARSE_RATIO = 16
-# The dense sweep walks Z_q in chunks of this many keys.
-_SWEEP_CHUNK = 1 << 16
-# The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
-# witness costs one small chunk, and hold at most this many positions.
+# The scan's chunks end at 1024, 5120, 21504, ..., so an early witness costs
+# one small chunk, and hold at most this many positions.
 _SCAN_CHUNK = 1 << 15
 
 
 class _Count(NamedTuple):
     """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
-    Z_q, q = F_K > mu + nu: window points minus block points up to y, so
-    T(i, mu, nu) = t0 - c((key(-i) - 1) mod q) for i < q - mu - nu, with
-    t0 = T(0, mu, nu).  The value set is t0 - [lo, hi], the extremes of c.
+    Z_q, q = F_K > mu + nu: window points minus block points up to y.  The
+    value set is t0 - [lo, hi], the extremes of c, with t0 = T(0, mu, nu).
+
+    Let T_q be T on g_q(j) = (j*p) // q in place of floor(j*gamma): g_q(i+j)
+    = g_q(i) + g_q(j) + [key(j) >= key(-i)] for i not 0 mod q, so T_q(i) =
+    t0 - c((key(-i) - 1) mod q) at every i of Z_q, and T_q(i) = T(i) for i <
+    q - mu - nu.  T_q has period q and i -> key(-i) - 1 is a bijection of
+    Z_q, so one period of T_q takes exactly the values t0 - c(y).
     """
 
     mu: int
@@ -177,35 +180,44 @@ class _Count(NamedTuple):
     hi: int
 
 
-def _sweep(mu: int, nu: int, p: int, q: int) -> Iterator[np.ndarray]:
-    """c(y) in int32 for each chunk y0 <= y < y0 + _SWEEP_CHUNK of Z_q, in
-    order, keeping nothing of size q.  Since p^2 = (-1)^K mod q, the index
-    with key y is j(y) = y*pinv mod q with pinv = p (K even) or q - p (K
-    odd): base[y - y0] + j(y0) mod q, with base[t] = t*pinv mod q built
-    once.  The weight of y is [nu <= j(y) < nu+mu] - [j(y) < mu], and c
-    carries over from the chunks before.  The symbol budget holds q, which
-    bounds the sweep's time and keeps j(y) in int32."""
-    pinv = p if p * p % q == 1 else q - p
-    size = min(q, _SWEEP_CHUNK)
-    base = (np.arange(size, dtype=np.int64) * pinv % q).astype(np.int32)
-    step = size * pinv % q
-    j0 = carry = 0
-    for y0 in range(0, q, size):
-        j = base[: q - y0] - np.int32(q - j0)  # base + j0 - q, in (-q, q)
-        j += (j >> 31) & np.int32(q)
-        w = ((j - np.int32(nu)).view(np.uint32) < mu).view(np.int8)
-        w -= (j < mu).view(np.int8)
-        c = np.cumsum(w, dtype=np.int32)
-        c += carry
-        carry = int(c[-1])
-        yield c
-        j0 = (j0 + step) % q
+def _t_scan(
+    mu: int, nu: int, p: int, q: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
+    over 0 <= i < stop, on the convergent p/q (see ``_Count``).
+
+    T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
+    g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
+    [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
+    key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu).  The keys are base[i - i0]
+    + key(i0) mod q, with base[t] = t*p mod q built once: int32 while q <
+    2^31, which the symbol budget keeps for every verdict, and int64 past it,
+    which only far witness scans reach."""
+    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
+    up, down1, down2 = (q - s * p % q for s in (mu + nu, nu, mu))
+    dtype = np.int32 if q < 1 << 31 else np.int64
+    base = (np.arange(min(stop, _SCAN_CHUNK), dtype=np.int64) * p % q).astype(dtype)
+    sign = 8 * base.itemsize - 1
+    i = carry = 0
+    while i < stop:
+        end = min(stop, 4 * i + 1024, i + _SCAN_CHUNK)
+        key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
+        key += (key >> sign) & dtype(q)
+        w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
+        w -= (key >= down2).view(np.int8)
+        t = np.empty(end - i + 1, dtype=np.int32)
+        t[0] = carry
+        np.add(w, d0, out=t[1:])
+        np.cumsum(t, out=t)
+        carry = int(t[-1])
+        yield i, t[:-1]
+        i = end
 
 
 def _count(m: int, n: int) -> _Count:
-    """The extremes of c, from a sweep of Z_q or, sparse (16*mu < mu + nu),
-    from the 2*mu event keys sorted.  With a zero side there are no events,
-    and T is 0 everywhere."""
+    """The extremes of c, from one period of T_q or, sparse (16*mu < mu +
+    nu), from the 2*mu event keys sorted.  With a zero side there are no
+    events, and T is 0 everywhere."""
     check_nonnegative(m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
@@ -219,9 +231,9 @@ def _count(m: int, n: int) -> _Count:
         # Z_q are extremes at event keys
         lo, hi = int(c.min()), int(c.max())
     else:
-        lo = hi = 0  # c(q - 1) = 0
-        for c in _sweep(mu, nu, p, q):
-            lo, hi = min(lo, int(c.min())), max(hi, int(c.max()))
+        lo = hi = 0  # T_q(0) = t0
+        for _, t in _t_scan(mu, nu, p, q, q):
+            lo, hi = min(lo, -int(t.max())), max(hi, -int(t.min()))
     return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
 
@@ -240,39 +252,6 @@ def is_balanced(m: int, n: int) -> bool:
     return count.hi - count.lo <= 1
 
 
-def _t_scan(mu: int, nu: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i0, T(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
-    over 0 <= i < F_{k+2}, F_k <= mu+nu-1 < F_{k+1}.
-
-    T(i+1) - T(i) = g(i+mu+nu) - g(i+nu) - g(i+mu) + g(i), g(j) =
-    floor(j*gamma).  On a convergent p/q with q > F_{k+2} + mu + nu every
-    index here is below q, so g(i+s) = g(i) + g(s) + [key(i) + key(s) >= q]
-    and the step is d0 + [key(i) >= q - key(mu+nu)] - [key(i) >= q -
-    key(nu)] - [key(i) >= q - key(mu)], d0 = g(mu+nu) - g(nu) - g(mu).  The
-    keys are base[i - i0] + key(i0) mod q, with base[t] = t*p mod q built
-    once, in int64: q passes 2^31 once mu + nu reaches F_44 ~ 7*10^8."""
-    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-    cover = 2 * q - p  # F_{k+2}
-    p, q = _convergent(cover + mu + nu)
-    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
-    up, down1, down2 = (q - s * p % q for s in (mu + nu, nu, mu))
-    base = np.arange(min(cover, _SCAN_CHUNK), dtype=np.int64) * p % q
-    i = carry = 0
-    while i < cover:
-        stop = min(cover, 4 * i + 1024, i + _SCAN_CHUNK)
-        key = base[: stop - i] + (i * p % q - q)  # in [-q, q)
-        key += (key >> 63) & q
-        w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
-        w -= (key >= down2).view(np.int8)
-        t = np.empty(stop - i + 1, dtype=np.int32)
-        t[0] = carry
-        np.add(w, d0, out=t[1:])
-        np.cumsum(t, out=t)
-        carry = int(t[-1])
-        yield i, t[:-1]
-        i = stop
-
-
 def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
     increasing order, with their values, read off ``_t_scan``.
@@ -287,8 +266,10 @@ def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     gap with orbit points at both ends, but the two point sets share only 0.
     """
     mu, nu = count.mu, count.nu
+    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
+    cover = 2 * q - p  # F_{k+2}
     first = {}  # value of T - t0 -> first i where T takes it
-    for i0, t in _t_scan(mu, nu):
+    for i0, t in _t_scan(mu, nu, *_convergent(cover + mu + nu), cover):
         for target in (-count.hi, -count.lo):
             if target not in first:
                 hits = np.flatnonzero(t == target)
@@ -479,11 +460,10 @@ def _row_extrema(
     window points, so its max is max c and its min min(c - 1).
     """
     a = keys[:mu]
-    inv = np.empty(mu, dtype=np.int16)
-    inv[np.argsort(a)] = np.arange(mu, dtype=np.int16)
     below = np.zeros(q + 1, dtype=np.int16)  # below[y] = #{a < y}
     below[a + 1] = 1
     np.cumsum(below, out=below)
+    inv = below[a]  # the rank of each key of A, which are distinct
     windows = sliding_window_view(keys, mu)
     below_windows = sliding_window_view(below[keys], mu)
     lo = np.empty(nu_hi - mu + 1, dtype=np.int32)

@@ -21,7 +21,6 @@ from rectbal.fib_balance import (
     _circle_keys,
     _floor_sums,
     _keys,
-    _sweep,
     _t_scan,
     _table_convergent,
     balance_table,
@@ -520,11 +519,13 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         order = np.argsort(keys)
         after = np.cumsum(np.where(order < mu, -1, 1))
         expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
-        for chunk in (1 << 16, 97):  # one chunk, then many
-            monkeypatch.setattr(fib_balance, "_SWEEP_CHUNK", chunk)
-            chunks = list(_sweep(mu, nu, p, q))
-            assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-            assert np.array_equal(np.concatenate(chunks), expected), (mu, nu)
+        # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_Count)
+        period = -expected[(_keys(0, q, q - p, q) - 1) % q]
+        for chunk in (1 << 15, 97):  # geometric chunks, then many small ones
+            monkeypatch.setattr(fib_balance, "_SCAN_CHUNK", chunk)
+            starts, t = zip(*_t_scan(mu, nu, p, q, q))
+            assert starts[0] == 0 and max(map(len, t)) <= chunk
+            assert np.array_equal(np.concatenate(t), period), (mu, nu)
         assert verdicts[0] == verdicts[1], (mu, nu)
 
 
@@ -544,10 +545,23 @@ def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
     p, q = _convergent(size - 1)
     cover = 2 * q - p
     with mock.patch.object(fib_balance, "_SCAN_CHUNK", 97):
-        starts, t = zip(*_t_scan(mu, nu))
+        starts, t = zip(*_t_scan(mu, nu, *_convergent(cover + size), cover))
     assert starts == tuple(range(0, cover, 97))
     t = np.concatenate(t) + t_value(0, mu, nu)
     assert np.array_equal(t, t_value_vector(mu, nu, cover)), (mu, nu)
+
+
+def test_witness_scan_holds_keys_in_int64_past_2_31():
+    # a far witness scan: its convergent passes 2^31, where int32 keys wrap
+    mu, nu = 3, 3 * 10**9
+    p, q = _convergent(mu + nu - 1)
+    cover = 2 * q - p
+    p, q = _convergent(cover + mu + nu)
+    assert q >= 1 << 31
+    scan = _t_scan(mu, nu, p, q, cover)
+    t = np.concatenate([next(scan)[1], next(scan)[1]])  # chunks end at 1024, 5120
+    t0 = t_value(0, mu, nu)
+    assert list(t) == [t_value(i, mu, nu) - t0 for i in range(5120)]
 
 
 def test_witness_search_adds_no_memory_to_the_verdict():
