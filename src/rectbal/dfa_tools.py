@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fib_balance import balance_table
-from .numeration import SYMBOLS, InvalidRepresentation, fibonacci, pair_encode
+from .numeration import SYMBOLS, InvalidRepresentation, check_pair_word, fibonacci, pair_encode
 from .words import BudgetExceeded, as_integer, check_nonnegative
 
 # dfa_to_text's header lines, then its transition lines
@@ -38,13 +38,20 @@ class Dfa:
 
 
 def dfa_run(dfa: Dfa, word) -> bool:
-    """Acceptance of a pair word; undefined transitions reject."""
+    """Acceptance of a pair word; undefined transitions reject.  A word that
+    is not a list of digit pairs raises ValueError.  Only a word that meets
+    an undefined transition is checked: a defined one is on a digit pair."""
     state = dfa.start
-    for symbol in word:
-        nxt = dfa.transitions.get((state, tuple(symbol)))
-        if nxt is None:
-            return False
-        state = nxt
+    try:
+        for symbol in word:
+            state = dfa.transitions.get((state, tuple(symbol)))
+            if state is None:
+                break
+    except TypeError:  # word, or one of its symbols, is not iterable
+        state = None
+    if state is None:
+        check_pair_word(word)
+        return False
     return state in dfa.accepting
 
 
@@ -109,6 +116,11 @@ def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
     the bounded signatures failed to identify and discards states equivalent
     to the reject sink.
     """
+    array = isinstance(verdicts, np.ndarray)
+    square = array and verdicts.ndim == 2 and verdicts.shape[0] == verdicts.shape[1]
+    if not (square and verdicts.dtype == bool):
+        got = f"{verdicts.dtype} array of shape {verdicts.shape}" if array else repr(verdicts)
+        raise ValueError(f"verdicts must be a square 2-D boolean array, got {got}")
     max_len = 0
     while fibonacci(max_len + 3) <= len(verdicts):
         max_len += 1
@@ -276,6 +288,8 @@ def dfa_from_text(text: str) -> Dfa:
     """Inverse of dfa_to_text.  A malformed or missing line, a state outside
     range(n_states), or a second transition of one state on one symbol
     raises InvalidRepresentation naming the line."""
+    if not isinstance(text, str):
+        raise InvalidRepresentation(f"text must be a string, got {text!r}")
     lines = [" ".join(ln.split()) for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise InvalidRepresentation(f"automaton text has {len(lines)} of its 3 header lines")

@@ -183,6 +183,18 @@ def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
     return zeck_decode(dm), zeck_decode(dn)
 
 
+def check_pair_word(word) -> None:
+    """Raise ValueError naming ``word`` unless each of its symbols is one of
+    the four SYMBOLS pairs."""
+    try:
+        if all(map(SYMBOLS.__contains__, map(tuple, word))):
+            return
+    except TypeError:  # word, or one of its symbols, is not iterable
+        pass
+    raise ValueError(f"word must be a list of digit pairs, got {word!r}")
+
+
 def format_pair_word(word: list[tuple[int, int]]) -> str:
     """Render a pair word as [0,1][0,0]... matching the digit-pair convention."""
+    check_pair_word(word)
     return "".join(f"[{a},{b}]" for a, b in word)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectbal.dfa_tools import build_sample_table, dfa_from_text, infer_min_dfa
+from rectbal.dfa_tools import build_sample_table, dfa_from_text, dfa_run, infer_min_dfa
 from rectbal.exact_quadratic import floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import delta_block_scan, diverse_identities_check, zeck_characterization
 from rectbal.numeration import (
@@ -38,6 +38,7 @@ from rectbal.trib_balance import (
 from rectbal.words import SequenceKind, set_budget, word
 
 TRIB = word(SequenceKind.TRIBONACCI)
+ONE_STATE = dfa_from_text("states 1\nstart 0\naccepting 0\n0 [0,0] -> 0\n")
 
 
 @pytest.mark.parametrize(
@@ -229,6 +230,14 @@ def test_pair_encode_names_the_negative_argument():
         (pair_decode, (5,), "word must be a list of digit pairs, got 5"),
         (corner_count_gap, (CornerWitness(1, 0, 0), "7", 3), "m must be an integer, got '7'"),
         (corner_count_gap, (CornerWitness(1, 0, 0), 4, 2.5), "n must be an integer, got 2.5"),
+        (infer_min_dfa, (np.ones((3, 5), bool), 1), "verdicts must be a square 2-D boolean array, got bool array of shape (3, 5)"),
+        (infer_min_dfa, ("x", 2), "verdicts must be a square 2-D boolean array, got 'x'"),
+        (infer_min_dfa, (np.ones((3, 3), np.int64), 1), "verdicts must be a square 2-D boolean array, got int64 array of shape (3, 3)"),
+        (dfa_run, (ONE_STATE, "x"), "word must be a list of digit pairs, got 'x'"),
+        (dfa_run, (ONE_STATE, [(0, 2)]), "word must be a list of digit pairs, got [(0, 2)]"),
+        (dfa_run, (ONE_STATE, 5), "word must be a list of digit pairs, got 5"),
+        (dfa_from_text, (5,), "text must be a string, got 5"),
+        (format_pair_word, ("x",), "word must be a list of digit pairs, got 'x'"),
     ],
 )
 def test_non_integral_input_rejected_by_name(fn, args, message):
