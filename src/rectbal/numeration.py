@@ -173,16 +173,6 @@ def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
     return word
 
 
-def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
-    """Values of both tracks of a padded pair word; each track is validated."""
-    try:
-        dm = "".join(str(a) for a, _ in word)
-        dn = "".join(str(b) for _, b in word)
-    except (TypeError, ValueError):
-        raise ValueError(f"word must be a list of digit pairs, got {word!r}") from None
-    return zeck_decode(dm), zeck_decode(dn)
-
-
 def check_pair_word(word) -> None:
     """Raise ValueError naming ``word`` unless each of its symbols is one of
     the four SYMBOLS pairs."""
@@ -192,6 +182,13 @@ def check_pair_word(word) -> None:
     except TypeError:  # word, or one of its symbols, is not iterable
         pass
     raise ValueError(f"word must be a list of digit pairs, got {word!r}")
+
+
+def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
+    """Values of both tracks of a padded pair word; each track is validated."""
+    check_pair_word(word)
+    dm, dn = ("".join(str(pair[track]) for pair in word) for track in (0, 1))
+    return zeck_decode(dm), zeck_decode(dn)
 
 
 def format_pair_word(word: list[tuple[int, int]]) -> str:
