@@ -267,7 +267,7 @@ def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     """
     mu, nu = count.mu, count.nu
     p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-    cover = 2 * q - p  # F_{k+2}
+    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
     first = {}  # value of T - t0 -> first i where T takes it
     for i0, t in _t_scan(mu, nu, *_convergent(cover + mu + nu), cover):
         for target in (-count.hi, -count.lo):

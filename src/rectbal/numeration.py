@@ -142,6 +142,7 @@ def negabin_decode(digits: str) -> int:
 
 SYMBOLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 _S00, _S01, _S10, _S11 = SYMBOLS
+_PAIRS = frozenset(SYMBOLS)
 
 
 def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
@@ -177,9 +178,9 @@ def check_pair_word(word) -> None:
     """Raise ValueError naming ``word`` unless each of its symbols is one of
     the four SYMBOLS pairs."""
     try:
-        if all(map(SYMBOLS.__contains__, map(tuple, word))):
+        if _PAIRS.issuperset(map(tuple, word)):
             return
-    except TypeError:  # word, or one of its symbols, is not iterable
+    except TypeError:  # word, or one of its symbols, is not iterable or hashable
         pass
     raise ValueError(f"word must be a list of digit pairs, got {word!r}")
 
