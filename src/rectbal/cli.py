@@ -13,7 +13,7 @@ import sys
 
 from . import dfa_tools, fib_balance, numeration, tm_balance, trib_balance, words
 from .fib_balance import BalanceStatus
-from .words import SequenceKind, check_nonnegative
+from .words import SequenceKind, check_at_least
 
 _KINDS = {
     "fib": SequenceKind.FIBONACCI,
@@ -57,7 +57,7 @@ def _cmd_fib_bal(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
-    check_nonnegative(max=args.max)
+    check_at_least(0, max=args.max)
     rows = []
     for m in range(args.max + 1):
         lows, highs = fib_balance.row_value_bounds(m, args.max)
@@ -129,7 +129,7 @@ def _cmd_tm_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_tm_table(args: argparse.Namespace) -> int:
-    check_nonnegative(max=args.max)
+    check_at_least(0, max=args.max)
     lines = ["m,n,min_s,max_s,balance,horizon"]
     for m in range(1, args.max + 1):
         for n in range(m, args.max + 1):
@@ -177,7 +177,7 @@ def _cmd_num(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_dump(args: argparse.Namespace) -> int:
-    check_nonnegative(limit=args.limit)
+    check_at_least(0, limit=args.limit)
     w = words.word(_KINDS[args.kind])
     _emit("".join(str(s) for s in w.symbols(args.limit)) + "\n", args.out)
     return 0

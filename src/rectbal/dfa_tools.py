@@ -19,7 +19,7 @@ import numpy as np
 
 from .fib_balance import balance_table
 from .numeration import SYMBOLS, InvalidRepresentation, check_pair_word, fibonacci, pair_encode
-from .words import BudgetExceeded, as_integer, check_nonnegative
+from .words import BudgetExceeded, check_at_least
 
 # dfa_to_text's header lines, then its transition lines
 _DFA_LINES = (r"states \d+", r"start \d+", r"accepting( \d+)*", r"\d+ \[[01],[01]\] -> \d+")
@@ -39,19 +39,13 @@ class Dfa:
 
 def dfa_run(dfa: Dfa, word) -> bool:
     """Acceptance of a pair word; undefined transitions reject.  A word that
-    is not a list of digit pairs raises ValueError.  Only a word that meets
-    an undefined transition is checked: a defined one is on a digit pair."""
+    is not a list of digit pairs raises ValueError.  The word is read once,
+    by the check, so a one-shot iterator is walked as checked."""
     state = dfa.start
-    try:
-        for symbol in word:
-            state = dfa.transitions.get((state, tuple(symbol)))
-            if state is None:
-                break
-    except TypeError:  # word, or one of its symbols, is not iterable
-        state = None
-    if state is None:
-        check_pair_word(word)
-        return False
+    for symbol in check_pair_word(word):
+        state = dfa.transitions.get((state, symbol))
+        if state is None:
+            return False
     return state in dfa.accepting
 
 
@@ -63,7 +57,7 @@ def build_sample_table(max_len: int) -> np.ndarray:
     """The verdict table balance_table(F_{max_len+2} - 1).  It labels every
     valid padded pair encoding of length <= max_len: the word of (m, n) is
     labeled table[m, n], and those of length t are the pairs below F_{t+2}."""
-    check_nonnegative(max_len=max_len)
+    check_at_least(0, max_len=max_len)
     if max_len > 18:
         raise BudgetExceeded(f"max_len {max_len} beyond the value budget (18)")
     return balance_table(fibonacci(max_len + 2) - 1)
@@ -124,8 +118,7 @@ def infer_min_dfa(verdicts: np.ndarray, distinguish_depth: int) -> Dfa:
     max_len = 0
     while fibonacci(max_len + 3) <= len(verdicts):
         max_len += 1
-    if as_integer("distinguish_depth", distinguish_depth) < 1:
-        raise ValueError(f"distinguish_depth must be >= 1, got {distinguish_depth}")
+    check_at_least(1, distinguish_depth=distinguish_depth)
     if distinguish_depth > max_len:
         raise ValueError("distinguish_depth must be <= max_len")
     # signature of each state's first prefix: BFS meets it first, and being

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import total_ordering
 from math import isqrt
 
-from .words import check_nonnegative
+from .words import check_at_least
 
 
 @total_ordering
@@ -95,29 +95,22 @@ class QuadraticValue:
     __rmul__ = __mul__
 
     def sign(self) -> int:
-        """Sign of the represented real number: -1, 0 or +1, computed exactly."""
-        a, b = self.num_rational, self.num_surd
-        if a >= 0 and b >= 0:
-            return 0 if a == 0 and b == 0 else 1
-        if a <= 0 and b <= 0:
-            return 0 if a == 0 and b == 0 else -1
-        # opposite signs: |a| vs sqrt5*|b|; equality impossible since 5b^2
-        # is never a nonzero perfect square times a^2 match
-        if a > 0:
-            return 1 if a * a > 5 * b * b else -1
-        return 1 if 5 * b * b > a * a else -1
+        """Sign of the represented real number: -1, 0 or +1, computed exactly.
+        A nonzero value is positive exactly when its floor is >= 0."""
+        if self.num_rational == self.num_surd == 0:
+            return 0
+        return 1 if self.floor() >= 0 else -1
 
     def floor(self) -> int:
-        """Largest integer <= self, by bracketing then binary search on exact signs."""
-        bound = (abs(self.num_rational) + 3 * abs(self.num_surd)) // 2 + 1
-        lo, hi = -bound, bound  # lo <= self < hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Largest integer <= self, by one integer square root.
+
+        r = floor(b*sqrt5) is isqrt(5b^2) for b >= 0 and -isqrt(5b^2) - 1
+        for b < 0, as 5b^2 is a square only at b = 0.  With a + b*sqrt5 in
+        [a + r, a + r + 1), the floor of its half is (a + r) // 2.
+        """
+        b = self.num_surd
+        r = isqrt(5 * b * b)
+        return (self.num_rational + (r if b >= 0 else -r - 1)) // 2
 
     def frac(self) -> QuadraticValue:
         """self - floor(self), always in [0, 1)."""
@@ -143,21 +136,21 @@ ONE = QuadraticValue(2, 0)
 def floor_n_phi(n: int) -> int:
     """floor(n*phi) computed two independent ways that must agree.
 
-    Route one is the integer square root form floor((n + isqrt(5 n^2)) / 2);
-    route two lifts the Zeckendorf digits of n-1 one position and adds 1.
+    Route one is the exact quadratic floor of n*phi; route two lifts the
+    Zeckendorf digits of n-1 one position and adds 1.
     """
-    check_nonnegative(n=n)
+    check_at_least(0, n=n)
     if n == 0:
         return 0
-    via_isqrt = (n + isqrt(5 * n * n)) // 2
+    via_floor = (PHI * n).floor()
     from .numeration import zeck_shift
 
     via_shift = zeck_shift(n - 1) + 1
-    assert via_isqrt == via_shift, f"floor(n*phi) routes disagree at n={n}"
-    return via_isqrt
+    assert via_floor == via_shift, f"floor(n*phi) routes disagree at n={n}"
+    return via_floor
 
 
 def floor_n_gamma(n: int) -> int:
     """floor(n*gamma), evaluated on the exact quadratic value."""
-    check_nonnegative(n=n)
+    check_at_least(0, n=n)
     return (GAMMA * n).floor()

@@ -45,8 +45,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .exact_quadratic import GAMMA, ONE
 from .numeration import fib_index_list, fibonacci
 from . import words
-from .rectangles import rect_counts, word_rect_sum
-from .words import BudgetExceeded, SequenceKind, as_integer, check_nonnegative, sturmian_a_word, word
+from .rectangles import word_counts, word_rect_sum
+from .words import BudgetExceeded, SequenceKind, check_at_least, sturmian_a_word, word
 
 
 class BalanceStatus(Enum):
@@ -99,9 +99,7 @@ def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]
     p, q = _convergent(bound)
     if q > _Q_MAX:
         raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
-    entries = q if entries is None else entries
-    if entries > words.BUDGET:
-        raise BudgetExceeded(f"{entries} table entries requested, budget is {words.BUDGET}")
+    words.check_budget(q if entries is None else entries, "table entries")
     return p, q
 
 
@@ -143,7 +141,7 @@ def _floor_sums(size: int) -> np.ndarray:
 def t_value(i: int, m: int, n: int) -> int:
     """T(i, m, n) = sum_{k<m} floor((i+k+n)*gamma) - floor((i+k)*gamma) on
     the 0-prefixed Fibonacci word, as two floor sums; no table is built."""
-    check_nonnegative(m=m, n=n, i=i)
+    check_at_least(0, m=m, n=n, i=i)
     p, q = _convergent(i + m + n)
     return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
 
@@ -218,7 +216,7 @@ def _count(m: int, n: int) -> _Count:
     """The extremes of c, from one period of T_q or, sparse (16*mu < mu +
     nu), from the 2*mu event keys sorted.  With a zero side there are no
     events, and T is 0 everywhere."""
-    check_nonnegative(m=m, n=n)
+    check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
         return _Count(mu, nu, 0, 0, 0)
@@ -239,11 +237,6 @@ def _count(m: int, n: int) -> _Count:
 
 def _values(count: _Count) -> tuple[int, ...]:
     return tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1))
-
-
-def value_set(m: int, n: int) -> tuple[int, ...]:
-    """All values taken by T(i, m, n) over i >= 0, ascending."""
-    return _values(_count(m, n))
 
 
 def is_balanced(m: int, n: int) -> bool:
@@ -306,9 +299,7 @@ def t_counting_form(i: int, m: int, n: int) -> int:
     Evaluated on exact quadratic values.  Equality with beta is impossible
     for i + k + n >= 1; a defensive assertion guards that.
     """
-    check_nonnegative(m=m, n=n, i=i)
-    if m == 0 or n == 0:
-        return 0
+    check_at_least(0, m=m, n=n, i=i)
     beta = ONE - (GAMMA * n).frac()
     count = 0
     for k in range(m):
@@ -330,20 +321,20 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
     Such a block forces T(j+1) = T(i) + 2a, an unbalance certificate; its
     absence up to the horizon is reported as unknown, not as balanced.
     """
-    check_nonnegative(m=m, n=n)
-    if as_integer("horizon", horizon) < 1:
-        raise ValueError("horizon must be >= 1")
+    check_at_least(0, m=m, n=n)
+    check_at_least(1, horizon=horizon)
     if m == 0 or n == 0:
         return BalanceVerdict(
             BalanceStatus.UNKNOWN_UP_TO_HORIZON, "scan", horizon=horizon
         )
-    s = sturmian_a_word().running_sum(1, horizon + m + n + 1)
+    w = sturmian_a_word()
+    w.ensure(horizon + m + n - 1)  # the whole scan's budget, checked first
     # Scan prefixes growing geometrically: every block inside a prefix is a
     # block of the full scan, so the first one found is the first overall.
     stop = 0
     while stop < horizon:
         stop = min(horizon, 4 * stop + 1024)
-        t = rect_counts(s, m, n, 0, stop + 1)
+        t = word_counts(w, 1, m, n, 0, stop + 1)
         d = np.diff(t)
         assert int(d.min()) >= -1 and int(d.max()) <= 1
         nz = np.flatnonzero(d)
@@ -379,7 +370,7 @@ def zeck_characterization(m: int, n: int) -> bool:
     (d) a1 equals the smallest b and the two smallest b's differ in parity;
     (e) a1 is below the smallest b.
     """
-    check_nonnegative(m=m, n=n)
+    check_at_least(0, m=m, n=n)
     if m > n:
         m, n = n, m
     if m <= 1:
@@ -393,9 +384,8 @@ def zeck_characterization(m: int, n: int) -> bool:
     if a1 < b_smallest:
         return True
     if len(a) == 1 and a1 not in b:
-        above = [x for x in b if x > a1]
-        # m = F_a1 <= n forces some b above a1, but guard anyway
-        if above and (min(above) - a1) % 2 == 0:
+        # m = F_a1 <= n forces some b above a1
+        if (min(x for x in b if x > a1) - a1) % 2 == 0:
             return True
     if a1 == b_smallest and len(b) >= 2 and (b[-2] - b[-1]) % 2 == 1:
         return True
@@ -410,17 +400,14 @@ def diverse_identities_check(k: int) -> bool:
     """Verify the two square-rectangle sum gaps at the k-th scale by direct
     computation on the plain Fibonacci word: the gap at side F_{6k}/2 is 2k
     and at side F_{6k+3}/2 is 2k+1."""
-    if as_integer("k", k) < 1:
-        raise ValueError("k must be >= 1")
+    check_at_least(1, k=k)
     f = word(SequenceKind.FIBONACCI)
     i1 = (fibonacci(6 * k - 1) - 1) // 4
     i2 = (fibonacci(6 * k + 2) - 1) // 4
     side = fibonacci(6 * k) // 2
     j1 = (fibonacci(6 * k + 5) - 1) // 4
     side2 = fibonacci(6 * k + 3) // 2
-    need = max(i1, i2, j1) + 2 * max(side, side2)
-    if need > words.BUDGET:
-        raise BudgetExceeded(f"identities at k={k} need {need} symbols, budget {words.BUDGET}")
+    words.check_budget(max(i1, i2, j1) + 2 * max(side, side2), "symbols")
     gap1 = word_rect_sum(f, i1, side, side) - word_rect_sum(f, i2, side, side)
     gap2 = word_rect_sum(f, j1, side2, side2) - word_rect_sum(f, i2, side2, side2)
     return gap1 == 2 * k and gap2 == 2 * k + 1
@@ -492,7 +479,7 @@ def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of T(i, mu, nu) over i for all nu in [mu, nu_hi]; the value
     set of each pair is every integer between the two.  Empty when
     nu_hi < mu; for mu = 0 the counting function has no events and T = 0."""
-    check_nonnegative(mu=mu, nu_hi=nu_hi)
+    check_at_least(0, mu=mu, nu_hi=nu_hi)
     _check_row_frontier(mu)
     lo = hi = 0
     if mu and nu_hi >= mu:
@@ -515,11 +502,9 @@ def balance_table(limit: int) -> np.ndarray:
     a request's fate does not depend on what was built.
     """
     global _TABLE
-    check_nonnegative(limit=limit)
+    check_at_least(0, limit=limit)
     _check_row_frontier(limit)
-    entries = (limit + 1) ** 2
-    if entries > words.BUDGET:
-        raise BudgetExceeded(f"{entries} table entries requested, budget is {words.BUDGET}")
+    words.check_budget((limit + 1) ** 2, "table entries")
     table = _TABLE
     if len(table) > limit:
         return table[: limit + 1, : limit + 1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 
-from .words import as_integer, check_nonnegative
+from .words import as_integer, check_at_least
 
 
 class InvalidRepresentation(ValueError):
@@ -33,7 +33,7 @@ def _fibs_past(n: int) -> list[int]:
 def fibonacci(j: int) -> int:
     """F_j with F_0 = 0, F_1 = F_2 = 1, F_3 = 2."""
     if type(j) is not int or j < 0:  # a plain natural index, the hot case, is valid
-        check_nonnegative(j=j)
+        check_at_least(0, j=j)
     while len(_FIBS) <= j:
         _fibs_past(_FIBS[-1])
     return _FIBS[j]
@@ -45,7 +45,7 @@ _TRIBS = [1, 2, 4]  # _TRIBS[j] = weight of digit position j
 def tribonacci(j: int) -> int:
     """Tribonacci weight of position j: 1, 2, 4, 7, 13, 24, ..."""
     if type(j) is not int or j < 0:  # a plain natural index, the hot case, is valid
-        check_nonnegative(j=j)
+        check_at_least(0, j=j)
     while len(_TRIBS) <= j:
         _TRIBS.append(_TRIBS[-1] + _TRIBS[-2] + _TRIBS[-3])
     return _TRIBS[j]
@@ -91,7 +91,7 @@ def zeck_decode(digits: str) -> int:
 
 def zeck_shift(n: int) -> int:
     """Value of the Zeckendorf digits of n moved one position up (F_j -> F_{j+1})."""
-    check_nonnegative(n=n)
+    check_at_least(0, n=n)
     if n == 0:
         return 0
     fibs = _fibs_past(n)  # holds F_{top+1}
@@ -100,15 +100,13 @@ def zeck_shift(n: int) -> int:
 
 def trib_encode(n: int) -> str:
     """Greedy Tribonacci digits of n (no three consecutive 1 digits)."""
-    check_nonnegative(n=n)
-    if n == 0:
-        return ""
-    j = 0
-    while tribonacci(j + 1) <= n:
-        j += 1
+    check_at_least(0, n=n)
+    length = 0
+    while tribonacci(length) <= n:
+        length += 1
     digits = []
     rem = n
-    for pos in range(j, -1, -1):
+    for pos in range(length - 1, -1, -1):
         w = tribonacci(pos)
         if w <= rem:
             digits.append("1")
@@ -153,7 +151,7 @@ def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
     F_j from each track that is still at least F_j; every element is one of
     the four shared SYMBOLS tuples.
     """
-    check_nonnegative(m=m, n=n)
+    check_at_least(0, m=m, n=n)
     top = m if m > n else n
     fibs = _fibs_past(top)
     word: list[tuple[int, int]] = []
@@ -174,12 +172,13 @@ def pair_encode(m: int, n: int) -> list[tuple[int, int]]:
     return word
 
 
-def check_pair_word(word) -> None:
-    """Raise ValueError naming ``word`` unless each of its symbols is one of
-    the four SYMBOLS pairs."""
+def check_pair_word(word) -> tuple[tuple[int, int], ...]:
+    """The symbols of ``word`` as a tuple of pairs, read once; ValueError
+    naming ``word`` unless each is one of the four SYMBOLS pairs."""
     try:
-        if _PAIRS.issuperset(map(tuple, word)):
-            return
+        pairs = tuple(map(tuple, word))
+        if _PAIRS.issuperset(pairs):
+            return pairs
     except TypeError:  # word, or one of its symbols, is not iterable or hashable
         pass
     raise ValueError(f"word must be a list of digit pairs, got {word!r}")
@@ -187,12 +186,11 @@ def check_pair_word(word) -> None:
 
 def pair_decode(word: list[tuple[int, int]]) -> tuple[int, int]:
     """Values of both tracks of a padded pair word; each track is validated."""
-    check_pair_word(word)
-    dm, dn = ("".join(str(pair[track]) for pair in word) for track in (0, 1))
+    pairs = check_pair_word(word)
+    dm, dn = ("".join(str(pair[track]) for pair in pairs) for track in (0, 1))
     return zeck_decode(dm), zeck_decode(dn)
 
 
 def format_pair_word(word: list[tuple[int, int]]) -> str:
     """Render a pair word as [0,1][0,0]... matching the digit-pair convention."""
-    check_pair_word(word)
-    return "".join(f"[{a},{b}]" for a, b in word)
+    return "".join(f"[{a},{b}]" for a, b in check_pair_word(word))

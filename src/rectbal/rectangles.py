@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import Word, check_nonnegative
+from .words import Word, check_at_least
 
 
 def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
     """sum_{k<m} C[i+k+n] - C[i+k] for start <= i < stop, where s2 is the
     running sum of C (s2[j] = C[0] + ... + C[j-1])."""
-    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    check_at_least(0, m=m, n=n, i=start, horizon=stop - start)
     return (
         s2[start + m + n : stop + m + n]
         - s2[start + n : stop + n]
@@ -41,7 +41,7 @@ def rect_counts(sums: np.ndarray, m: int, n: int, start: int, stop: int) -> np.n
     sums = sums.astype(np.uint32, copy=False)
     if m * n < 2**31:
         return telescope(sums, m, n, start, stop).view(np.int32)
-    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    check_at_least(0, m=m, n=n, i=start, horizon=stop - start)
     counts = np.diff(sums[start : stop + m + n]).view(np.int32)
     s2 = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=s2[1:])
@@ -50,7 +50,7 @@ def rect_counts(sums: np.ndarray, m: int, n: int, start: int, stop: int) -> np.n
 
 def word_counts(w: Word, letter: int, m: int, n: int, start: int, stop: int) -> np.ndarray:
     """`rect_counts` of one letter of word w."""
-    check_nonnegative(m=m, n=n, i=start, horizon=stop - start)
+    check_at_least(0, m=m, n=n, i=start, horizon=stop - start)
     return rect_counts(w.running_sum(letter, stop + m + n), m, n, start, stop)
 
 
@@ -60,13 +60,13 @@ def _letter_count(w: Word, letter: int, i: int, m: int, n: int) -> int:
 
 def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
     """Sum of all entries of the rectangle at (i, m, n) over word w."""
-    check_nonnegative(m=m, n=n, i=i)
+    check_at_least(0, m=m, n=n, i=i)
     return sum(c * _letter_count(w, c, i, m, n) for c in w.alphabet if c)
 
 
 def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
     """Per-letter occurrence counts in the rectangle.  They sum to m*n, so
     letter 0's is the rest, and its running sum is not built."""
-    check_nonnegative(m=m, n=n, i=i)
+    check_at_least(0, m=m, n=n, i=i)
     counts = {c: _letter_count(w, c, i, m, n) for c in w.alphabet if c}
     return {0: m * n - sum(counts.values()), **counts}

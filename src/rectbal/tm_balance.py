@@ -14,7 +14,7 @@ import numpy as np
 
 from . import words
 from .rectangles import word_counts
-from .words import SequenceKind, as_integer, check_nonnegative, word
+from .words import SequenceKind, check_at_least, word
 
 
 class ParityViolation(ValueError):
@@ -42,27 +42,22 @@ def _ones(m: int, n: int, start: int, stop: int) -> np.ndarray:
 
 def factor_sum(start: int, length: int) -> int:
     """Number of 1s among t_start .. t_{start+length-1}."""
-    check_nonnegative(start=start, length=length)
-    stop = start + length
-    s = word(SequenceKind.THUE_MORSE).running_sum(1, stop + 2)
-    # C[stop] - C[start], with prefix counts C[t] = s[t+1] - s[t] mod 2**32
-    return (int(s[stop + 1]) - int(s[stop]) - int(s[start + 1]) + int(s[start])) % 2**32
+    check_at_least(0, start=start, length=length)
+    return int(_ones(1, length, start, start + 1)[0])
 
 
 def excess(i: int, m: int, n: int) -> int:
     """2 * count_1(rectangle at i) - m*n."""
-    check_nonnegative(i=i, m=m, n=n)
+    check_at_least(0, i=i, m=m, n=n)
     return 2 * int(_ones(m, n, i, i + 1)[0]) - m * n
 
 
 def excess_even_even(i: int, m: int, n: int) -> int:
     """s = 2*(b - a) for i, m, n all even, where a sums t over
     [i/2, (i+m)/2) and b over [(i+n)/2, (i+m+n)/2)."""
-    check_nonnegative(i=i, m=m, n=n)
+    check_at_least(0, i=i, m=m, n=n)
     if i % 2 or m % 2 or n % 2:
         raise ParityViolation(f"all of i, m, n must be even: ({i}, {m}, {n})")
-    if m == 0 or n == 0:
-        return 0
     a = factor_sum(i // 2, (i + m) // 2 - i // 2)
     b = factor_sum((i + n) // 2, (i + m + n) // 2 - (i + n) // 2)
     return 2 * (b - a)
@@ -70,7 +65,7 @@ def excess_even_even(i: int, m: int, n: int) -> int:
 
 def excess_parity_reduced(i: int, m: int, n: int) -> int:
     """Excess via the parity-case formulas; odd i peels the first row."""
-    check_nonnegative(i=i, m=m, n=n)
+    check_at_least(0, i=i, m=m, n=n)
     if m == 0 or n == 0:
         return 0
     if i % 2:
@@ -92,8 +87,7 @@ def excess_parity_reduced(i: int, m: int, n: int) -> int:
 def default_horizon(m: int, n: int) -> int:
     """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles,
     and capped so that the scan stays within the symbol budget."""
-    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
-        raise ValueError("m and n must be >= 1")
+    check_at_least(1, m=m, n=n)
     scaled = 1 << (int(m * n - 1).bit_length() + 6)
     return min(max(100_000, scaled), max(1, words.BUDGET - (m + n)))
 
@@ -101,12 +95,10 @@ def default_horizon(m: int, n: int) -> int:
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
     """Min/max excess over i < horizon; the derived balance class is a
     horizon-bounded estimate of the true supremum spread."""
-    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
-        raise ValueError("m and n must be >= 1")
+    check_at_least(1, m=m, n=n)
     if horizon is None:
         horizon = default_horizon(m, n)
-    if as_integer("horizon", horizon) < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_at_least(1, horizon=horizon)
     counts = _ones(m, n, 0, horizon)
     lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))
     return ExcessProfile(m, n, horizon, lo, hi)
@@ -116,13 +108,13 @@ def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:
     """Balance class equals 3 exactly for odd m and odd n, 3 <= m, n <= max_dim.
 
     Odd m*n makes the excess odd (so at most 3 in absolute value); the scan
-    confirms both that 3 is achieved there and never elsewhere.
+    confirms both that 3 is achieved there and never elsewhere.  Counts are
+    symmetric under transpose, so only n >= m is scanned.
     """
-    as_integer("horizon", horizon)
-    if as_integer("max_dim", max_dim) < 3:
-        raise ValueError("max_dim must be >= 3")
+    check_at_least(3, max_dim=max_dim)
+    check_at_least(1, horizon=horizon)
     for m in range(3, max_dim + 1):
-        for n in range(3, max_dim + 1):
+        for n in range(m, max_dim + 1):
             profile = excess_profile(m, n, horizon)
             if (profile.balance == 3) != (m % 2 == 1 and n % 2 == 1):
                 return False

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .rectangles import word_counts, word_letter_counts
-from .words import SequenceKind, as_integer, check_nonnegative, word
+from .words import SequenceKind, check_at_least, word
 
 
 class NotFoundWithinLimit(RuntimeError):
@@ -50,10 +50,7 @@ class CornerWitness:
 
 def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceReport:
     """Per-letter count ranges of the m x n rectangles over i < horizon."""
-    if as_integer("m", m) < 1 or as_integer("n", n) < 1:
-        raise ValueError("m and n must be >= 1")
-    if as_integer("horizon", horizon) < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_at_least(1, m=m, n=n, horizon=horizon)
     w = word(SequenceKind.TRIBONACCI)
     c1, c2 = (word_counts(w, letter, m, n, 0, horizon) for letter in (1, 2))
     extremes = [_extremes(c1), _extremes(c2)]
@@ -80,8 +77,8 @@ def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
     The comparison against the known classification is certified only for
     limit <= 48; larger limits are exploratory scans.
     """
-    check_nonnegative(limit=limit)
-    as_integer("horizon", horizon)
+    check_at_least(0, limit=limit)
+    check_at_least(1, horizon=horizon)
     return [
         n
         for n in range(1, limit + 1)
@@ -126,7 +123,7 @@ def _factor_keys(starts: np.ndarray, p: int, search_limit: int) -> np.ndarray:
 def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
     """Smallest (i, j), lexicographically, with equal length-p recoded factors
     followed by 00200 at i+p and 00000 at j+p."""
-    check_nonnegative(p=p, search_limit=search_limit)
+    check_at_least(0, p=p, search_limit=search_limit)
     if search_limit >= p + 5:
         his, los = (starts[starts >= p] - p for starts in _corner_starts(search_limit))
         hi_keys = _factor_keys(his, p, search_limit)
@@ -143,7 +140,7 @@ def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
 
 def corner_count_gap(witness: CornerWitness, m: int, n: int) -> tuple[int, int]:
     """Letter-2 counts of the two m x n rectangles anchored at the witness."""
-    check_nonnegative(m=m, n=n)
+    check_at_least(0, m=m, n=n)
     if m + n - 6 != witness.p:
         raise ValueError("rectangle shape does not match the witness length")
     w = word(SequenceKind.TRIBONACCI)
@@ -155,8 +152,7 @@ def corner_count_gap(witness: CornerWitness, m: int, n: int) -> tuple[int, int]:
 def verify_no_2balance_3plus(max_dim: int) -> bool:
     """For every 3 <= m <= n <= max_dim, produce a corner witness whose two
     rectangles differ by exactly 3 in their letter-2 counts."""
-    if as_integer("max_dim", max_dim) < 3:
-        raise ValueError("max_dim must be >= 3")
+    check_at_least(3, max_dim=max_dim)
     for m in range(3, max_dim + 1):
         for n in range(m, max_dim + 1):
             wit = find_corner_witness(m + n - 6)

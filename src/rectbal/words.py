@@ -41,12 +41,12 @@ def as_integer(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_nonnegative(**values: int) -> None:
+def check_at_least(bound: int, /, **values: int) -> None:
     """Raise ValueError naming the first argument that is not an integer or
-    is negative."""
+    is below bound."""
     for name, value in values.items():
-        if as_integer(name, value) < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+        if as_integer(name, value) < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
 
 
 def _checked_budget(budget: int, name: str = "budget") -> int:
@@ -65,8 +65,8 @@ def _env_budget() -> int:
     return _checked_budget(budget, "RECTBAL_BUDGET")
 
 
-# The one symbol budget: every word and every table reads it here, by
-# attribute (words.BUDGET), so set_budget reaches them all.
+# The one symbol budget: every word and every table is held to it by
+# check_budget, which reads it here, so set_budget reaches them all.
 BUDGET = _env_budget()
 
 
@@ -74,6 +74,13 @@ def set_budget(budget: int) -> None:
     """Cap word generation length, and the size of every table."""
     global BUDGET
     BUDGET = _checked_budget(budget)
+
+
+def check_budget(size: int, what: str) -> None:
+    """Raise BudgetExceeded, naming `what`, if `size` passes the symbol
+    budget."""
+    if size > BUDGET:
+        raise BudgetExceeded(f"{size} {what} requested, budget is {BUDGET}")
 
 
 class SequenceKind(Enum):
@@ -134,8 +141,7 @@ class Word:
 
     def ensure(self, length: int) -> None:
         # checked first, so a request's fate does not depend on what was built
-        if length > BUDGET:
-            raise BudgetExceeded(f"{length} symbols requested, budget is {BUDGET}")
+        check_budget(length, "symbols")
         if length <= len(self._syms):
             return
         target = min(BUDGET, max(length, 2 * len(self._syms), 1 << 12))
@@ -145,12 +151,12 @@ class Word:
         self._sums.clear()
 
     def symbols(self, length: int) -> np.ndarray:
-        check_nonnegative(length=length)
+        check_at_least(0, length=length)
         self.ensure(length)
         return self._syms[:length]
 
     def symbol(self, i: int) -> int:
-        check_nonnegative(i=i)
+        check_at_least(0, i=i)
         self.ensure(i + 1)
         return int(self._syms[i])
 
@@ -158,7 +164,7 @@ class Word:
         """s[:size] as uint32, s[j] = C[0] + ... + C[j-1] modulo 2**32 with
         C[t] the occurrences of `letter` in [0, t), so it needs the first
         size - 2 symbols.  Built over the whole built prefix on first read."""
-        check_nonnegative(size=size)
+        check_at_least(0, size=size)
         if letter not in self.alphabet:
             raise ValueError(f"letter must be one of {self.alphabet}, got {letter}")
         self.ensure(size - 2)
@@ -172,7 +178,7 @@ class Word:
 
     def count_table(self, letter: int, length: int) -> np.ndarray:
         """Cumulative count array t -> occurrences of letter in [0, t), t <= length."""
-        check_nonnegative(length=length)
+        check_at_least(0, length=length)
         return np.diff(self.running_sum(letter, length + 2)).view(np.int32)
 
 

@@ -17,18 +17,18 @@ from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
 from rectbal.fib_balance import _convergent, _floor_sums
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
-from rectbal.words import SequenceKind, check_nonnegative, sturmian_a_word, word
+from rectbal.words import SequenceKind, check_at_least, sturmian_a_word, word
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
     """T(i, m, n) for all i < horizon, via the double-telescoped floor sums."""
-    check_nonnegative(m=m, n=n, horizon=horizon)
+    check_at_least(0, m=m, n=n, horizon=horizon)
     return telescope(_floor_sums(horizon + m + n), m, n, 0, horizon)
 
 
 def delta_floor_form(i: int, m: int, n: int) -> int:
     """T(i+1,m,n) - T(i,m,n) as the four-floor combination."""
-    check_nonnegative(m=m, n=n, i=i)
+    check_at_least(0, m=m, n=n, i=i)
     p, q = _convergent(i + m + n)
     g = [j * p // q for j in (i + m + n, i + n, i + m, i)]
     return g[0] - g[1] - g[2] + g[3]
@@ -43,7 +43,7 @@ def delta(i: int, m: int, n: int) -> int:
 
 def fib_symbol(i: int) -> int:
     """f_i, cross-checked: floor((i+2)*gamma) - floor((i+1)*gamma) vs the morphism."""
-    check_nonnegative(i=i)
+    check_at_least(0, i=i)
     via_floor = floor_n_gamma(i + 2) - floor_n_gamma(i + 1)
     via_morphism = word(SequenceKind.FIBONACCI).symbol(i)
     assert via_floor == via_morphism, f"fibonacci word routes disagree at i={i}"
@@ -74,7 +74,7 @@ def circle_partition(m: int, n: int) -> CirclePartition:
     with it.  Arc values are evaluated at each breakpoint with the >= rule,
     i.e. as right limits.
     """
-    check_nonnegative(m=m, n=n)
+    check_at_least(0, m=m, n=n)
     if m == 0 or n == 0:
         raise ValueError("partition needs m, n >= 1")
     beta = ONE - (GAMMA * n).frac()
@@ -101,8 +101,7 @@ def excess_vector(m: int, n: int, horizon: int) -> np.ndarray:
 def excess_sign_symmetry(m: int, n: int, horizon: int = 100_000) -> bool:
     """Every excess value c seen below the horizon has -c seen below twice
     the horizon (the complemented rectangle realizes it)."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_at_least(1, horizon=horizon)
     seen = set(np.unique(excess_vector(m, n, horizon)).tolist())
     mirror = set(np.unique(excess_vector(m, n, 2 * horizon)).tolist())
     return all(-c in mirror for c in seen)

@@ -22,7 +22,6 @@ from rectbal.fib_balance import (
     is_balanced,
     row_value_bounds,
     t_value,
-    value_set,
     zeck_characterization,
 )
 from rectbal.numeration import fibonacci, pair_encode
@@ -173,7 +172,7 @@ def test_a07_distinct_value_growth():
     counts = []
     for k in range(1, 8):
         side = fibonacci(3 * k) // 2
-        count = len(value_set(side, side))
+        count = len(exact_balance(side, side).value_set)
         assert count >= k + 1, (k, side, count)
         assert count <= 2 * (k + 1), (k, side, count)  # linear-in-k growth
         counts.append(count)

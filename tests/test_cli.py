@@ -117,6 +117,8 @@ def test_zero_horizon_exit_1(capsys):
     for argv in (
         ["tm", "profile", "--m", "3", "--n", "3", "--horizon", "0"],
         ["trib", "bal2", "--m", "2", "--n", "3", "--horizon", "0"],
+        ["trib", "list2", "--limit", "0", "--horizon", "0"],
+        ["fib", "bal", "--m", "3", "--n", "4", "--method", "scan", "--horizon", "0"],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()

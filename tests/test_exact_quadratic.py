@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.exact_quadratic import (
     GAMMA,
@@ -114,3 +116,23 @@ def test_comparisons_with_ints():
     assert 0 < GAMMA
     assert PHI > 1
     assert ONE == 1
+
+
+def _at_most_b_sqrt5(x: int, b: int) -> bool:
+    """x <= b*sqrt5, by comparing squares."""
+    if b >= 0:
+        return x <= 0 or x * x <= 5 * b * b
+    return x < 0 and x * x >= 5 * b * b
+
+
+@settings(max_examples=2000)
+@given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+def test_floor_and_sign_match_an_integer_bracket(a, b):
+    a += (a - b) % 2  # equal parity
+    x = QuadraticValue(a, b)
+    k = x.floor()
+    # k <= (a + b*sqrt5)/2 < k + 1, that is 2k - a <= b*sqrt5 < 2k + 2 - a
+    assert _at_most_b_sqrt5(2 * k - a, b)
+    assert not _at_most_b_sqrt5(2 * k + 2 - a, b)
+    # a + b*sqrt5 > 0 exactly when -a <= b*sqrt5 and the value is not 0
+    assert x.sign() == (0 if a == b == 0 else 1 if _at_most_b_sqrt5(-a, b) else -1)

@@ -31,7 +31,6 @@ from rectbal.fib_balance import (
     row_value_bounds,
     t_counting_form,
     t_value,
-    value_set,
     zeck_characterization,
 )
 from rectbal.numeration import fibonacci
@@ -111,7 +110,7 @@ def test_unbalanced_witness_is_checkable():
 def test_value_sets_match_brute_force():
     for m in range(0, 26):
         for n in range(m, 26):
-            assert set(value_set(m, n)) == brute_value_set(m, n), (m, n)
+            assert set(exact_balance(m, n).value_set) == brute_value_set(m, n), (m, n)
 
 
 def test_value_set_unchanged_without_index_zero():
@@ -120,7 +119,7 @@ def test_value_set_unchanged_without_index_zero():
     for m in range(1, 21):
         for n in range(m, 21):
             from_one = set(rect_counts(s, m, n, 1, 2500).tolist())
-            assert from_one == set(value_set(m, n)), (m, n)
+            assert from_one == set(exact_balance(m, n).value_set), (m, n)
 
 
 def test_circle_partition_structure():
@@ -135,7 +134,7 @@ def test_circle_partition_structure():
         for u, v in zip(part.arc_values, part.arc_values[1:]):
             assert abs(u - v) <= 1
         base = m * floor_n_gamma(n)
-        assert {base + v for v in part.arc_values} == set(value_set(m, n))
+        assert {base + v for v in part.arc_values} == set(exact_balance(m, n).value_set)
 
 
 def test_delta_block_scan_examples():
@@ -165,7 +164,7 @@ def test_zeck_characterization_examples():
 def test_negative_sizes_and_indices_rejected():
     with pytest.raises(ValueError, match="i must be >= 0, got -1"):
         t_value(-1, 3, 3)
-    for route in (zeck_characterization, value_set, is_balanced, exact_balance):
+    for route in (zeck_characterization, is_balanced, exact_balance):
         with pytest.raises(ValueError, match="m must be >= 0, got -3"):
             route(-3, 5)
     with pytest.raises(ValueError, match="n must be >= 0, got -5"):
@@ -202,9 +201,9 @@ def test_symmetry_of_exact_balance():
 
 
 def test_distinct_value_count_examples():
-    assert len(value_set(4, 4)) == 3
-    assert len(value_set(1, 1)) == 2
-    assert len(value_set(0, 5)) == 1
+    assert len(exact_balance(4, 4).value_set) == 3
+    assert len(exact_balance(1, 1).value_set) == 2
+    assert len(exact_balance(0, 5).value_set) == 1
 
 
 def test_diverse_identities_small():
@@ -228,19 +227,19 @@ def test_row_value_spans_match_value_sets():
     for mu in (1, 2, 5, 9):
         spans = _row_spans(mu, 40)
         for offset, nu in enumerate(range(mu, 41)):
-            assert int(spans[offset]) + 1 == len(value_set(mu, nu))
+            assert int(spans[offset]) + 1 == len(exact_balance(mu, nu).value_set)
     for mu in (1, 2, 3, 8, 13, 21, 30, 60):
         spans = _row_spans(mu, 60)
         assert len(spans) == 61 - mu
         for offset, nu in enumerate(range(mu, 61)):
-            assert int(spans[offset]) + 1 == len(value_set(mu, nu)), (mu, nu)
+            assert int(spans[offset]) + 1 == len(exact_balance(mu, nu).value_set), (mu, nu)
     # a row long enough to run in several blocks, checked at the block edges
     mu, nu_hi = 1000, 4000
     spans = _row_spans(mu, nu_hi)
     step = _ROW_BLOCK // mu
     edges = [mu + b * step + d for b in (1, 2) for d in (-1, 0)]
     for nu in [mu, nu_hi, *edges, *random.Random(7).sample(range(mu, nu_hi + 1), 20)]:
-        assert int(spans[nu - mu]) + 1 == len(value_set(mu, nu)), nu
+        assert int(spans[nu - mu]) + 1 == len(exact_balance(mu, nu).value_set), nu
 
 
 def test_fib_sweep_value_sets_match_value_set(tmp_path):
@@ -251,7 +250,7 @@ def test_fib_sweep_value_sets_match_value_set(tmp_path):
     assert len(lines) == 1 + 31 * 32 // 2
     for line in lines[1:]:
         m, n, balanced, values, method = line.split(",")
-        vals = value_set(int(m), int(n))
+        vals = exact_balance(int(m), int(n)).value_set
         assert tuple(map(int, values.split("|"))) == vals, line
         assert balanced == str(len(vals) <= 2).lower() and method == "exact"
 
@@ -260,7 +259,7 @@ def test_row_kernel_int16_frontier(monkeypatch):
     # the widest row the lanes hold, on a few windows only
     spans = _row_spans(_ROW_MU_MAX, _ROW_MU_MAX + 2)
     for offset, nu in enumerate(range(_ROW_MU_MAX, _ROW_MU_MAX + 3)):
-        assert int(spans[offset]) + 1 == len(value_set(_ROW_MU_MAX, nu))
+        assert int(spans[offset]) + 1 == len(exact_balance(_ROW_MU_MAX, nu).value_set)
     # one past it raises before any table is touched or allocated
     monkeypatch.setattr(fib_balance, "_table_convergent", None)
     for call in (
@@ -436,7 +435,7 @@ def test_floor_fill_at_seeded_offsets_and_int64_frontier():
 def test_scale_frontiers_raise_before_building():
     calls = (
         lambda: is_balanced(1, _Q_MAX - 1),
-        lambda: value_set(_Q_MAX, 7),
+        lambda: exact_balance(_Q_MAX, 7).value_set,
         lambda: exact_balance(3 * 10**9, 2 * 10**9),
         lambda: t_value_vector(1, 1, _Q_MAX),
         lambda: row_value_bounds(3, _Q_MAX),
@@ -455,7 +454,7 @@ def test_scale_frontiers_raise_before_building():
 
 
 def test_tables_obey_the_symbol_budget(budget):
-    expected = value_set(400, 10**5)
+    expected = exact_balance(400, 10**5).value_set
     budget(1000)
     calls = (
         lambda: is_balanced(500, 600),  # a dense sweep over q = 1597
@@ -474,7 +473,7 @@ def test_tables_obey_the_symbol_budget(budget):
         tracemalloc.stop()
     assert peak < 1 << 16
     # a sparse sweep holds only its 2*mu keys
-    assert value_set(400, 10**5) == expected
+    assert exact_balance(400, 10**5).value_set == expected
 
 
 def test_witness_rebuild_goes_sparse_over_the_budget(budget):
@@ -600,7 +599,7 @@ def test_dense_sweep_keeps_nothing_of_size_q():
 @given(m=st.integers(1, 12), n=st.integers(1, 12))
 def test_key_sweep_matches_argsort_sweep_and_counting_form(m, n):
     lo, hi, t0 = _argsort_sweep(min(m, n), max(m, n))
-    vals = value_set(m, n)
+    vals = exact_balance(m, n).value_set
     assert vals == tuple(range(t0 - hi, t0 - lo + 1))
     # every value is taken below 3(m + n) (see _find_witness)
     assert {t_counting_form(i, m, n) for i in range(3 * (m + n))} == set(vals)
@@ -610,7 +609,7 @@ def test_key_sweep_matches_argsort_sweep_and_counting_form(m, n):
 @given(m=st.integers(1, 1500), n=st.integers(1, 1500))
 def test_key_sweep_matches_argsort_sweep(m, n):
     lo, hi, t0 = _argsort_sweep(min(m, n), max(m, n))
-    assert value_set(m, n) == tuple(range(t0 - hi, t0 - lo + 1))
+    assert exact_balance(m, n).value_set == tuple(range(t0 - hi, t0 - lo + 1))
 
 
 @settings(max_examples=200)

@@ -210,7 +210,7 @@ def test_pair_encode_names_the_negative_argument():
         (set_budget, (2.5,), "budget must be an integer, got 2.5"),
         (set_budget, ("7",), "budget must be an integer, got '7'"),
         (default_horizon, (2.5, 3), "m must be an integer, got 2.5"),
-        (default_horizon, (-1, 3), "m and n must be >= 1"),
+        (default_horizon, (-1, 3), "m must be >= 1, got -1"),
         (two_balance_scan, ("7", 3), "m must be an integer, got '7'"),
         (two_balance_scan, (2, "7"), "n must be an integer, got '7'"),
         (two_balance_scan, (2, 3, "7"), "horizon must be an integer, got '7'"),
@@ -243,6 +243,34 @@ def test_pair_encode_names_the_negative_argument():
 def test_non_integral_input_rejected_by_name(fn, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (diverse_identities_check, (0,), "k must be >= 1, got 0"),
+        (delta_block_scan, (3, 4, 0), "horizon must be >= 1, got 0"),
+        (verify_no_2balance_3plus, (2,), "max_dim must be >= 3, got 2"),
+        (excess_class_parity_check, (2,), "max_dim must be >= 3, got 2"),
+        (excess_class_parity_check, (5, 0), "horizon must be >= 1, got 0"),
+        (balanced_2xn_list, (0, -5), "horizon must be >= 1, got -5"),
+        (two_balance_scan, (2, 0), "n must be >= 1, got 0"),
+        (default_horizon, (3, 0), "n must be >= 1, got 0"),
+    ],
+)
+def test_lower_bound_rejected_by_name(fn, args, message):
+    # even where nothing would be scanned, as for balanced_2xn_list(0, -5)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*args)
+
+
+def test_pair_word_read_once_from_one_shot_iterators():
+    word = pair_encode(4, 18)
+    assert pair_decode(iter(word)) == (4, 18)
+    assert format_pair_word(iter(word)) == "[0,1][0,0][0,1][1,0][0,0][1,0]"
+    assert dfa_run(ONE_STATE, iter([(0, 0), (0, 0)]))
+    with pytest.raises(ValueError, match="^word must be a list of digit pairs"):
+        dfa_run(ONE_STATE, iter([(0, 2), (0, 0)]))
 
 
 def test_negative_sequence_index_rejected():

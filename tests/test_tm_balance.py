@@ -118,6 +118,25 @@ def test_class_three_parity_small():
     assert excess_class_parity_check(15, horizon=100_000)
 
 
+def test_counts_symmetric_under_transpose():
+    for m in range(1, 20):
+        for n in range(m + 1, 40):
+            assert np.array_equal(tm_balance._ones(m, n, 0, 3000), tm_balance._ones(n, m, 0, 3000))
+
+
+def test_parity_check_scans_each_shape_once(monkeypatch):
+    shapes = []
+    profile = tm_balance.excess_profile
+
+    def counted(m, n, horizon):
+        shapes.append((m, n))
+        return profile(m, n, horizon)
+
+    monkeypatch.setattr(tm_balance, "excess_profile", counted)
+    assert excess_class_parity_check(9, 2000)
+    assert shapes == [(m, n) for m in range(3, 10) for n in range(m, 10)]
+
+
 def test_degenerate_shapes_rejected():
     with pytest.raises(ValueError):
         excess_profile(0, 3)

@@ -233,6 +233,22 @@ def test_one_budget_caps_words_and_tables():
     assert not is_balanced(500, 600)
 
 
+def test_budget_checks_share_one_message(budget):
+    from rectbal.fib_balance import balance_table, delta_block_scan, diverse_identities_check, is_balanced
+
+    budget(1000)
+    for call, size, what in [
+        (lambda: Word(SequenceKind.FIBONACCI).ensure(1001), 1001, "symbols"),
+        (lambda: is_balanced(500, 600), 1597, "table entries"),  # q = F_17
+        (lambda: balance_table(40), 41 * 41, "table entries"),
+        (lambda: diverse_identities_check(2), 399 + 610, "symbols"),  # j1 + F_15
+        # the whole scan's symbols, before its first 1024-position chunk
+        (lambda: delta_block_scan(3, 4, 5000), 5000 + 3 + 4 - 1, "symbols"),
+    ]:
+        with pytest.raises(BudgetExceeded, match=f"^{size} {what} requested, budget is 1000$"):
+            call()
+
+
 def test_budget_limited_to_int32_counts():
     from rectbal import words as words_mod
 
