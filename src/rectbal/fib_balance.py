@@ -155,7 +155,8 @@ def t_value(i: int, m: int, n: int) -> int:
 # verdict reaches past q = the symbol budget.
 _SPARSE_RATIO = 16
 # The scan's chunks end at 1024, 5120, 21504, ..., so an early witness costs
-# one small chunk, and hold at most this many positions.
+# one small chunk, and hold at most this many positions, or the symbol
+# budget's worth when that is smaller.
 _SCAN_CHUNK = 1 << 15
 
 
@@ -194,21 +195,22 @@ def _t_scan(
     d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
     up, down1, down2 = (q - s * p % q for s in (mu + nu, nu, mu))
     dtype = np.int32 if q < 1 << 31 else np.int64
-    base = (np.arange(min(stop, _SCAN_CHUNK), dtype=np.int64) * p % q).astype(dtype)
+    chunk = min(_SCAN_CHUNK, words.BUDGET)
+    base = (np.arange(min(stop, chunk), dtype=np.int64) * p % q).astype(dtype)
     sign = 8 * base.itemsize - 1
     i = carry = 0
     while i < stop:
-        end = min(stop, 4 * i + 1024, i + _SCAN_CHUNK)
+        end = min(stop, 4 * i + 1024, i + chunk)
         key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
         key += (key >> sign) & dtype(q)
         w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
         w -= (key >= down2).view(np.int8)
-        t = np.empty(end - i + 1, dtype=np.int32)
+        t = np.empty(end - i, dtype=np.int32)
         t[0] = carry
-        np.add(w, d0, out=t[1:])
+        np.add(w[:-1], d0, out=t[1:])
         np.cumsum(t, out=t)
-        carry = int(t[-1])
-        yield i, t[:-1]
+        carry = int(t[-1]) + int(w[-1]) + d0
+        yield i, t
         i = end
 
 

@@ -476,6 +476,39 @@ def test_tables_obey_the_symbol_budget(budget):
     assert exact_balance(400, 10**5).value_set == expected
 
 
+class _ArraySizes:
+    """numpy for fib_balance, recording the size of every array that a
+    numpy function or ufunc returns."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def recorded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.sizes.append(out.size)
+            return out
+
+        return recorded
+
+
+def test_witness_scan_obeys_the_symbol_budget(budget, monkeypatch):
+    expected = exact_balance(400, 10**5)
+    assert expected.witness == (0, 114, 15278639, 15278642)
+    budget(1000)
+    arrays = _ArraySizes()
+    monkeypatch.setattr(fib_balance, "np", arrays)
+    # the sparse verdict's 800 keys, then the witness scan in chunks of at
+    # most 1000 positions, though F_{k+2} is 317,811
+    assert exact_balance(400, 10**5) == expected
+    assert arrays.sizes and max(arrays.sizes) <= 1000
+
+
 def test_witness_rebuild_goes_sparse_over_the_budget(budget):
     pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
     full = {pair: exact_balance(*pair) for pair in pairs}
