@@ -10,12 +10,17 @@ The stored s outgrows 32 bits and is kept modulo 2**32 in uint32.  The
 telescope only adds and subtracts, and each count lies in [0, m*n]: taken
 in uint32 and read as int32, the count is exact while m*n < 2**31.  Larger
 shapes recover C from s (exact, as C < 2**31) and sum it again in int64.
+
+The rectangle at i is a function of the length-(m+n-1) factor at i, so a
+scan over i can stop at that length's factor cover (`scan_stop`): past it
+every rectangle repeats one at a smaller i, and the scan's ranges and first
+extremes are those of any longer horizon.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .words import Word, check_at_least
+from .words import SequenceKind, Word, check_at_least, factor_cover
 
 
 def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -46,6 +51,15 @@ def rect_counts(sums: np.ndarray, m: int, n: int, start: int, stop: int) -> np.n
     s2 = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=s2[1:])
     return telescope(s2, m, n, 0, stop - start)
+
+
+def scan_stop(kind: SequenceKind, m: int, n: int, horizon: int) -> tuple[int, bool]:
+    """(stop, exhaustive) for a scan of the m x n rectangles of word(kind)
+    over i < horizon: the factor cover of length m + n - 1 and True when
+    its search fits in the horizon + m + n - 2 symbols the full scan reads
+    (and in the budget), else the horizon and False."""
+    cover = factor_cover(kind, m + n - 1, horizon + m + n - 2)
+    return (horizon, False) if cover is None else (cover, True)
 
 
 def word_counts(w: Word, letter: int, m: int, n: int, start: int, stop: int) -> np.ndarray:

@@ -3,8 +3,10 @@
 Adjacent positions pair to sum 1 (t at 2k and 2k+1 differ), so all but at
 most four entries of any rectangle cancel and |s| <= 4.  Parity-split
 formulas evaluate s from half-index prefix sums; they are cross-checked
-against the direct count.  Suprema over all i are approximated by horizon
-scans and reported with their horizon.
+against the direct count.  Extremes come from horizon scans that stop at the
+factor cover of length m + n - 1 when it fits (`rectangles.scan_stop`): an
+exhaustive scan's extremes are those over all i, and any other scan's are
+reported with their horizon.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words
-from .rectangles import word_counts
+from .rectangles import scan_stop, word_counts
 from .words import SequenceKind, check_at_least, word
 
 
@@ -28,6 +30,7 @@ class ExcessProfile:
     horizon: int
     min_s: int
     max_s: int
+    exhaustive: bool = False  # the scan saw every factor of length m + n - 1
 
     @property
     def balance(self) -> int:
@@ -93,23 +96,28 @@ def default_horizon(m: int, n: int) -> int:
 
 
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
-    """Min/max excess over i < horizon; the derived balance class is a
-    horizon-bounded estimate of the true supremum spread."""
+    """Min/max excess over i < horizon, scanned up to the cover when it
+    fits (`scan_stop`).  The derived balance class is the true supremum
+    spread when the scan was exhaustive, and a horizon-bounded estimate
+    otherwise."""
     check_at_least(1, m=m, n=n)
     if horizon is None:
         horizon = default_horizon(m, n)
     check_at_least(1, horizon=horizon)
-    counts = _ones(m, n, 0, horizon)
+    stop, exhaustive = scan_stop(SequenceKind.THUE_MORSE, m, n, horizon)
+    counts = _ones(m, n, 0, stop)
     lo, hi = (2 * int(c) - m * n for c in (counts.min(), counts.max()))
-    return ExcessProfile(m, n, horizon, lo, hi)
+    return ExcessProfile(m, n, horizon, lo, hi, exhaustive)
 
 
 def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:
     """Balance class equals 3 exactly for odd m and odd n, 3 <= m, n <= max_dim.
 
     Odd m*n makes the excess odd (so at most 3 in absolute value); the scan
-    confirms both that 3 is achieved there and never elsewhere.  Counts are
-    symmetric under transpose, so only n >= m is scanned.
+    confirms both that 3 is achieved there and never elsewhere.  Each shape
+    is decided when its profile is exhaustive, as every shape with
+    max_dim <= 33 is at the default horizon.  Counts are symmetric under
+    transpose, so only n >= m is scanned.
     """
     check_at_least(3, max_dim=max_dim)
     check_at_least(1, horizon=horizon)

@@ -2,14 +2,17 @@
 
 For each letter c, the count of c in the rectangle at i is an O(1)
 combination of double prefix sums, so a horizon scan over i is a handful of
-vectorized array operations.  Unbalance verdicts are definitive certificates
-(two concrete rectangles whose counts differ by 3); balance verdicts are
-semi-decisions labeled with the horizon.
+vectorized array operations, up to the factor cover of length m + n - 1
+when it fits under the horizon (`rectangles.scan_stop`).  Unbalance
+verdicts are definitive certificates (two concrete rectangles whose counts
+differ by 3); balance verdicts are decisions when the scan was exhaustive,
+and semi-decisions labeled with the horizon otherwise.
 
 For m, n >= 3 the unbalance witness comes from a corner pattern in the 0/2
 recoding of the word: two equal factors of length p followed by 00200 and
 00000 respectively force a letter-2 count gap of exactly 3 between the two
-rectangles with p = m + n - 6.
+rectangles with p = m + n - 6.  Equal factors are found by their
+prefix-doubling ranks (`words.factor_keys`).
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rectangles import word_counts, word_letter_counts
-from .words import SequenceKind, check_at_least, word
+from .rectangles import scan_stop, word_counts, word_letter_counts
+from .words import SequenceKind, check_at_least, factor_keys, word
 
 
 class NotFoundWithinLimit(RuntimeError):
@@ -34,10 +37,12 @@ class TwoBalanceReport:
     letter_ranges: dict[int, tuple[int, int]]  # letter -> (min, max) count
     unbalanced_letter: int | None = None
     witness: tuple[int, int, int, int] | None = None  # (i, j, count_i, count_j)
+    exhaustive: bool = False  # the scan saw every factor of length m + n - 1
 
     @property
     def two_balanced(self) -> bool:
-        """2-balanced as far as the scan saw; definitive only when False."""
+        """2-balanced as far as the scan saw; a decision when False, or when
+        the scan was exhaustive."""
         return self.unbalanced_letter is None
 
 
@@ -49,10 +54,14 @@ class CornerWitness:
 
 
 def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceReport:
-    """Per-letter count ranges of the m x n rectangles over i < horizon."""
+    """Per-letter count ranges of the m x n rectangles over i < horizon,
+    and the first argmax and argmin of the first letter whose range passes
+    2.  The scan stops at the cover when it fits (`scan_stop`), with the
+    same ranges and first extremes as a scan of the whole horizon."""
     check_at_least(1, m=m, n=n, horizon=horizon)
+    stop, exhaustive = scan_stop(SequenceKind.TRIBONACCI, m, n, horizon)
     w = word(SequenceKind.TRIBONACCI)
-    c1, c2 = (word_counts(w, letter, m, n, 0, horizon) for letter in (1, 2))
+    c1, c2 = (word_counts(w, letter, m, n, 0, stop) for letter in (1, 2))
     extremes = [_extremes(c1), _extremes(c2)]
     # letter 0 counts m*n - (c1 + c2): the extremes of c1 + c2, swapped
     c1 += c2
@@ -61,8 +70,8 @@ def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceRepo
     ranges = {letter: (lo, hi) for letter, (lo, hi, _, _) in enumerate(extremes)}
     for letter, (lo, hi, j, i) in enumerate(extremes):
         if hi - lo > 2:
-            return TwoBalanceReport(m, n, horizon, ranges, letter, (i, j, hi, lo))
-    return TwoBalanceReport(m, n, horizon, ranges)
+            return TwoBalanceReport(m, n, horizon, ranges, letter, (i, j, hi, lo), exhaustive)
+    return TwoBalanceReport(m, n, horizon, ranges, exhaustive=exhaustive)
 
 
 def _extremes(counts: np.ndarray) -> tuple[int, int, int, int]:
@@ -74,8 +83,10 @@ def _extremes(counts: np.ndarray) -> tuple[int, int, int, int]:
 def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
     """All n <= limit whose 2 x n rectangles stay 2-balanced up to the horizon.
 
-    The comparison against the known classification is certified only for
-    limit <= 48; larger limits are exploratory scans.
+    Each n is decided when its scan is exhaustive
+    (``two_balance_scan(2, n, horizon).exhaustive``), as it is for every
+    n <= 48 at the default horizon; an n whose cover does not fit under the
+    horizon is listed as far as its scan saw.
     """
     check_at_least(0, limit=limit)
     check_at_least(1, horizon=horizon)
@@ -97,37 +108,14 @@ def _corner_starts(search_limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _factor_ranks(search_limit: int, length: int) -> np.ndarray:
-    """r[x] = rank of the recoded factor at x of the given power-of-two
-    length among those inside the first search_limit symbols (prefix
-    doubling: a factor of length 2L is the pair of its two halves)."""
-    if length == 1:
-        keys = word(SequenceKind.TRIBONACCI_RECODED).symbols(search_limit)
-    else:
-        half = _factor_ranks(search_limit, length // 2)
-        keys = half[: len(half) - length // 2] * (int(half.max()) + 1) + half[length // 2 :]
-    return np.unique(keys, return_inverse=True)[1]
-
-
-def _factor_keys(starts: np.ndarray, p: int, search_limit: int) -> np.ndarray:
-    """Integer keys, equal exactly when the length-p factors at `starts` are:
-    a factor of length L <= p < 2L is fixed by its first and last L symbols."""
-    if p == 0:
-        return np.zeros(len(starts), dtype=np.int64)
-    length = 1 << (p.bit_length() - 1)
-    r = _factor_ranks(search_limit, length)
-    return r[starts] * (int(r.max()) + 1) + r[starts + p - length]
-
-
-@lru_cache(maxsize=None)
 def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
     """Smallest (i, j), lexicographically, with equal length-p recoded factors
     followed by 00200 at i+p and 00000 at j+p."""
     check_at_least(0, p=p, search_limit=search_limit)
     if search_limit >= p + 5:
         his, los = (starts[starts >= p] - p for starts in _corner_starts(search_limit))
-        hi_keys = _factor_keys(his, p, search_limit)
-        lo_keys = _factor_keys(los, p, search_limit)
+        kind = SequenceKind.TRIBONACCI_RECODED
+        hi_keys, lo_keys = (factor_keys(kind, search_limit, p, x) for x in (his, los))
         found = np.flatnonzero(np.isin(hi_keys, lo_keys))
         if len(found):
             a = found[0]

@@ -1,5 +1,6 @@
 """Generators for the Fibonacci, Tribonacci (plus its 0/2 recoding) and
-Thue-Morse words, with exact per-letter prefix counts.
+Thue-Morse words, with exact per-letter prefix counts and certified factor
+covers.
 
 The prefixes S_k = phi^k(0) = S_(k-1) phi^(k-1)(1) of the Fibonacci
 (0 -> 01, 1 -> 0) and Tribonacci (0 -> 01, 1 -> 02, 2 -> 0) words are
@@ -10,10 +11,17 @@ Words grow lazily in geometric blocks up to a configurable symbol budget
 (RECTBAL_BUDGET environment variable, default 10**7).  For each letter that
 is read, a word stores the running sum of its prefix counts C[t] (the
 occurrences among the first t symbols), s[j] = C[0] + ... + C[j-1] modulo
-2**32 in uint32, built over the whole built prefix on the first read and
-again after each growth.  Every rectangle count is a telescope of s (see
-`rectangles`), and any prefix count is an O(1) difference: the budget keeps
-C below 2**31, so C[t] = s[t+1] - s[t] modulo 2**32 is exact.
+2**32 in uint32.  The stored s grows geometrically and only as far as it is
+read, and a growing word only appends, so a stored s stays valid.  Every
+rectangle count is a telescope of s (see `rectangles`), and any prefix
+count is an O(1) difference: the budget keeps C below 2**31, so C[t] =
+s[t+1] - s[t] modulo 2**32 is exact.
+
+`factor_cover` gives the least P such that every factor of length L starts
+below P.  It counts distinct factors in prefixes, by prefix-doubling ranks,
+until the count reaches the word's known factor complexity p(L)
+(`factor_complexity`).  A horizon scan of a function of the length-L factor
+at i sees every value once it passes P.
 """
 from __future__ import annotations
 
@@ -130,7 +138,7 @@ class Word:
         self.kind = kind
         self._prefix = prefix  # fixed symbols glued before the generated word
         self._syms = np.zeros(0, dtype=np.uint8)
-        self._sums: dict[int, np.ndarray] = {}  # letter -> s over the built prefix
+        self._sums: dict[int, np.ndarray] = {}  # letter -> s as far as it was read
 
     def __len__(self) -> int:
         return len(self._syms)
@@ -148,7 +156,6 @@ class Word:
         body = _generate(self.kind, max(target - len(self._prefix), 0))
         text = (self._prefix + body)[:target]
         self._syms = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-        self._sums.clear()
 
     def symbols(self, length: int) -> np.ndarray:
         check_at_least(0, length=length)
@@ -163,17 +170,25 @@ class Word:
     def running_sum(self, letter: int, size: int) -> np.ndarray:
         """s[:size] as uint32, s[j] = C[0] + ... + C[j-1] modulo 2**32 with
         C[t] the occurrences of `letter` in [0, t), so it needs the first
-        size - 2 symbols.  Built over the whole built prefix on first read."""
+        size - 2 symbols.  The stored s of length k grows to at least twice
+        k, within the built word, by continuing both cumsums from C[k-2] =
+        s[k-1] - s[k-2] and s[k-1], in uint32 array arithmetic (it wraps
+        modulo 2**32 without a warning on every numpy version)."""
         check_at_least(0, size=size)
         if letter not in self.alphabet:
             raise ValueError(f"letter must be one of {self.alphabet}, got {letter}")
         self.ensure(size - 2)
-        s = self._sums.get(letter)
-        if s is None:
-            s = np.zeros(len(self._syms) + 2, dtype=np.uint32)
-            np.cumsum(self._syms == letter, dtype=np.uint32, out=s[2:])  # C[1:]
-            np.cumsum(s[2:], out=s[2:])
-            self._sums[letter] = s
+        s = self._sums.setdefault(letter, np.zeros(2, dtype=np.uint32))
+        k = len(s)
+        if size > k:
+            grown = np.empty(min(max(size, 2 * k, 1 << 12), len(self._syms) + 2), dtype=np.uint32)
+            grown[:k] = s
+            tail = grown[k:]  # tail[x]: C[k-1+x] - C[k-2], then C[k-1+x], then s[k+x]
+            np.cumsum(self._syms[k - 2 : len(grown) - 2] == letter, dtype=np.uint32, out=tail)
+            tail += s[k - 1 :] - s[k - 2 : k - 1]
+            np.cumsum(tail, dtype=np.uint32, out=tail)
+            tail += s[k - 1 :]
+            self._sums[letter] = s = grown
         return s[:size]
 
     def count_table(self, letter: int, length: int) -> np.ndarray:
@@ -191,3 +206,92 @@ def word(kind: SequenceKind) -> Word:
 def sturmian_a_word() -> Word:
     """The Fibonacci word prefixed with a 0: a_0 = 0, a_i = f_{i-1}."""
     return Word(SequenceKind.FIBONACCI, prefix="0")
+
+
+def factor_complexity(kind: SequenceKind, length: int) -> int:
+    """p(L), the number of distinct factors of length L >= 1 of word(kind):
+
+    * Fibonacci (Sturmian): L + 1 (Morse and Hedlund, 1940);
+    * Tribonacci (Arnoux-Rauzy): 2L + 1 (Arnoux and Rauzy, 1991);
+    * Thue-Morse: p(1) = 2, p(2) = 4, and for L = 2^r + q + 1 with
+      0 < q <= 2^r, p(L) = 6*2^(r-1) + 4q if q <= 2^(r-1), else
+      8*2^(r-1) + 2q (Brlek, 1989; de Luca and Varricchio, 1989).
+    """
+    check_at_least(1, length=length)
+    if kind is SequenceKind.FIBONACCI:
+        return length + 1
+    if kind is SequenceKind.TRIBONACCI:
+        return 2 * length + 1
+    if kind is not SequenceKind.THUE_MORSE:
+        raise ValueError(f"no factor complexity for {kind.value}")
+    if length <= 2:
+        return 2 * length
+    r = (length - 2).bit_length() - 1
+    q = length - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
+
+
+@lru_cache(maxsize=None)
+def _factor_ranks(kind: SequenceKind, limit: int, length: int) -> np.ndarray:
+    """r[x] = rank of the factor of word(kind) of the given power-of-two
+    length at x among those inside the first `limit` symbols (prefix
+    doubling: a factor of length 2L is the pair of its two halves)."""
+    if length == 1:
+        keys = word(kind).symbols(limit)
+    else:
+        half = _factor_ranks(kind, limit, length // 2)
+        keys = half[: len(half) - length // 2] * (int(half.max()) + 1) + half[length // 2 :]
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def factor_keys(kind: SequenceKind, limit: int, length: int, starts: np.ndarray) -> np.ndarray:
+    """Integer keys, equal exactly when the length-`length` factors of
+    word(kind) at `starts`, all inside the first `limit` symbols, are: a
+    factor of length L <= length < 2L is fixed by its first and last L
+    symbols."""
+    if length == 0:
+        return np.zeros(len(starts), dtype=np.int64)
+    half = 1 << (length.bit_length() - 1)
+    r = _factor_ranks(kind, limit, half)
+    return r[starts] * (int(r.max()) + 1) + r[starts + length - half]
+
+
+_COVERS: dict[tuple[SequenceKind, int], tuple[int, int]] = {}  # -> (P, prefix searched)
+# A cover search runs only where its rank tables, one entry per prefix
+# symbol for each power-of-two length up to L, hold at most a quarter as
+# many entries as the symbols it may read.  On one CPU a rank entry costs
+# about 20 ns and a scanned position 6 to 20 ns, so the search costs no more
+# than the scan it cuts short, and its cached tables stay within two bytes
+# per symbol read.
+_SEARCH_SHARE = 4
+
+
+def factor_cover(kind: SequenceKind, length: int, limit: int | None = None) -> int | None:
+    """The least P such that every factor of word(kind) of the given length
+    starts at some i < P, or None when the search does not fit in `limit`
+    symbols and the budget (see `_SEARCH_SHARE`).
+
+    The search takes prefixes of 8*length symbols rounded up to a power of
+    two, doubling while they fit, and finds the first start of each distinct
+    factor by `factor_keys`.  It accepts a prefix only when the distinct
+    count equals `factor_complexity`, so P is certified by a theorem and one
+    exact count.  The cover and the prefix it took are cached per (kind,
+    length), so the answer never depends on earlier calls."""
+    want = factor_complexity(kind, length)
+    reach = BUDGET if limit is None else min(limit, BUDGET)
+    top = reach // (_SEARCH_SHARE * length.bit_length())  # the longest prefix searched
+    if (kind, length) not in _COVERS:
+        size = 1 << (8 * length - 1).bit_length()
+        while True:
+            if size > top:
+                return None
+            keys = factor_keys(kind, size, length, np.arange(size - length + 1))
+            first = np.unique(keys, return_index=True)[1]
+            if len(first) > want:
+                raise RuntimeError(f"{len(first)} factors of length {length} exceed p = {want}")
+            if len(first) == want:
+                break
+            size *= 2
+        _COVERS[kind, length] = int(first.max()) + 1, size
+    cover, size = _COVERS[kind, length]
+    return cover if size <= top else None

@@ -26,7 +26,7 @@ from rectbal.fib_balance import (
 )
 from rectbal.numeration import fibonacci, pair_encode
 from rectbal.rectangles import word_letter_counts, word_rect_sum
-from rectbal.tm_balance import excess, excess_class_parity_check, excess_parity_reduced
+from rectbal.tm_balance import excess, excess_class_parity_check, excess_parity_reduced, excess_profile
 from rectbal.trib_balance import (
     balanced_2xn_list,
     corner_count_gap,
@@ -182,6 +182,8 @@ def test_a07_distinct_value_growth():
 def test_a08_two_row_tribonacci_classification():
     got = balanced_2xn_list(48, horizon=1_000_000)
     assert got == TWO_ROW_BALANCED_TO_48
+    # every scan saw all factors of length n + 1, so the list is a decision
+    assert all(two_balance_scan(2, n, horizon=1_000_000).exhaustive for n in range(1, 49))
     trib = word(SequenceKind.TRIBONACCI)
     excluded = [n for n in range(1, 49) if n not in TWO_ROW_BALANCED_TO_48]
     for n in excluded:
@@ -213,6 +215,8 @@ def test_a10_excess_bounds_and_classes():
             assert worst <= 4, (m, n)
             assert spread // 2 in (1, 2, 3, 4), (m, n)
     assert excess_class_parity_check(33, horizon=100_000)
+    # and each of its profiles is exhaustive, so the check is a decision
+    assert all(excess_profile(m, n, 100_000).exhaustive for m in range(3, 34) for n in range(m, 34))
     _report("excess bounds and classes", f"|s| <= {worst}, classes in 1..4, class 3 iff odd shape")
 
 

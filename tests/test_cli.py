@@ -233,3 +233,11 @@ def test_budget_flag_limits_generation(capsys):
         assert "budget" in capsys.readouterr().err
     finally:
         words_mod.set_budget(old)
+
+
+def test_budget_below_the_horizon_lists_the_same_two_row_shapes(capsys, budget):
+    # each scan reads only its factor cover, not the default horizon of 10^6
+    code, default = run_cli(capsys, "trib", "list2", "--limit", "48")
+    assert code == 0
+    code, small = run_cli(capsys, "--budget", "100000", "trib", "list2", "--limit", "48")
+    assert (code, small) == (0, default)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal import tm_balance
 from rectbal.tm_balance import (
@@ -14,7 +16,7 @@ from rectbal.tm_balance import (
     excess_profile,
     factor_sum,
 )
-from rectbal.words import SequenceKind, Word
+from rectbal.words import BudgetExceeded, SequenceKind, Word, factor_cover
 from oracles import excess_sign_symmetry, excess_vector
 
 
@@ -164,3 +166,28 @@ def test_scans_never_build_the_letter_0_sum(monkeypatch):
     excess_profile(4, 6, 3000)
     assert excess(7, 3, 5) == excess_parity_reduced(7, 3, 5)
     assert set(tm._sums) == {1}
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 40_000))
+def test_profile_to_the_cover_equals_the_full_scan(m, n, extra):
+    length = m + n - 1
+    horizon = factor_cover(SequenceKind.THUE_MORSE, length) + extra
+    profile = excess_profile(m, n, horizon)
+    v = excess_vector(m, n, horizon)
+    assert (profile.min_s, profile.max_s) == (int(v.min()), int(v.max()))
+    assert (profile.m, profile.n, profile.horizon) == (m, n, horizon)
+    if horizon >= 4 * 1024 * 7:  # the search of every length here fits
+        assert profile.exhaustive
+
+
+def test_profiles_answer_within_a_budget_below_the_horizon(budget):
+    shapes = [(3, 3), (4, 6), (99, 101)]
+    profiles = [excess_profile(m, n, 4_000_000) for m, n in shapes]
+    assert all(p.exhaustive for p in profiles)
+    assert not excess_profile(3, 3, 10).exhaustive  # no search prefix fits in 14 symbols
+    budget(100_000)
+    assert [excess_profile(m, n, 4_000_000) for m, n in shapes] == profiles
+    assert excess_class_parity_check(9, 1_000_000)
+    with pytest.raises(BudgetExceeded, match="budget is 100000"):
+        excess_profile(20_000, 20_000, 4_000_000)

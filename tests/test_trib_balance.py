@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.rectangles import word_letter_counts
 from rectbal.trib_balance import (
@@ -14,7 +17,7 @@ from rectbal.trib_balance import (
     two_balance_scan,
     verify_no_2balance_3plus,
 )
-from rectbal.words import SequenceKind, word
+from rectbal.words import BudgetExceeded, SequenceKind, factor_cover, word
 
 
 def test_single_row_rectangles_are_two_balanced():
@@ -73,9 +76,40 @@ def test_scan_matches_three_cumsums():
     for m, n in shapes:
         horizon = rng.choice([1, 17, 5000, 100_000])
         report = two_balance_scan(m, n, horizon)
-        assert report == _three_cumsum_scan(m, n, horizon), (m, n, horizon)
+        want = dataclasses.replace(_three_cumsum_scan(m, n, horizon), exhaustive=report.exhaustive)
+        assert report == want, (m, n, horizon)
+        if report.exhaustive:
+            assert factor_cover(SequenceKind.TRIBONACCI, m + n - 1) <= horizon
+        if horizon == 100_000:  # every cover search of m + n - 1 < 64 fits
+            assert report.exhaustive
         letters.add(report.unbalanced_letter)
     assert letters == {None, 0, 1, 2}
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 20_000))
+def test_scan_to_the_cover_equals_the_full_scan(m, n, extra):
+    length = m + n - 1
+    horizon = factor_cover(SequenceKind.TRIBONACCI, length) + extra
+    report = two_balance_scan(m, n, horizon)
+    assert dataclasses.replace(report, exhaustive=False) == _three_cumsum_scan(m, n, horizon)
+    if horizon >= 4 * 512 * 6:  # the search of every length here fits
+        assert report.exhaustive
+
+
+def test_scans_answer_within_a_budget_below_the_horizon(budget):
+    listed = balanced_2xn_list(48)
+    reports = [two_balance_scan(2, n) for n in range(1, 49)]
+    assert all(r.exhaustive for r in reports)
+    # the default horizon of 10^6 no longer has to fit: each scan reads its
+    # cover plus n + 1 symbols
+    budget(100_000)
+    assert balanced_2xn_list(48) == listed
+    assert [two_balance_scan(2, n) for n in range(1, 49)] == reports
+    # a shape whose cover search does not fit scans the whole horizon, and
+    # raises as before
+    with pytest.raises(BudgetExceeded, match="budget is 100000"):
+        two_balance_scan(2, 20_000)
 
 
 def test_scan_rejects_degenerate_shapes():

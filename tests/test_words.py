@@ -1,15 +1,20 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.words import (
     BudgetExceeded,
     SequenceKind,
     Word,
     _generate,
+    factor_complexity,
+    factor_cover,
     sturmian_a_word,
     word,
 )
@@ -65,12 +70,74 @@ def test_running_sums_match_double_cumsum(kind, prefix):
     w = Word(kind, prefix=prefix)
     for length in (5000, 300_000):  # the second one regrows the word
         for c in w.alphabet:
-            got = w.running_sum(c, length + 2)
-            assert got.dtype == np.uint32 and len(w._sums[c]) == len(w) + 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy overflow warning
+                got = w.running_sum(c, length + 2)
+            # the stored sum reaches what was read, and no further than the word
+            assert got.dtype == np.uint32 and length + 2 <= len(w._sums[c]) <= len(w) + 2
             want = _double_cumsum(w.symbols(length), c)
             assert np.array_equal(got, want % 2**32), (kind, c, length)
             assert np.array_equal(w.count_table(c, length), np.diff(want))
     assert int(want[-1]) > 2**32  # the stored sums wrapped
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(list(SequenceKind)),
+    st.sampled_from(["", "0"]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60_000)), min_size=1, max_size=8),
+)
+def test_lazy_running_sums_match_double_cumsum(kind, prefix, reads):
+    # reads of random sizes in random order, past the first 4096-symbol
+    # build, so the word grows between extensions of the stored sums
+    w = Word(kind, prefix=prefix)
+    for pick, size in reads:
+        c = w.alphabet[pick % len(w.alphabet)]
+        got = w.running_sum(c, size)
+        assert size <= len(w._sums[c]) <= len(w) + 2
+        assert np.array_equal(got, _double_cumsum(w.symbols(max(size - 2, 0)), c)[:size])
+    for c, s in w._sums.items():
+        assert np.array_equal(s, _double_cumsum(w.symbols(len(s) - 2), c))
+
+
+_COMPLEXITIES = [SequenceKind.FIBONACCI, SequenceKind.TRIBONACCI, SequenceKind.THUE_MORSE]
+
+
+@pytest.mark.parametrize("kind", _COMPLEXITIES)
+def test_factor_complexity_and_cover_match_first_occurrences(kind):
+    # the first 8L + 1 starts hold every factor of length L <= 300: a missed
+    # one would leave the count below p(L)
+    raw = word(kind).symbols(9 * 300 + 1).tobytes()
+    for length in range(1, 301):
+        first = {}
+        for i in range(8 * length + 1):
+            first.setdefault(raw[i : i + length], i)
+        assert len(first) == factor_complexity(kind, length), length
+        assert factor_cover(kind, length) == max(first.values()) + 1, length
+
+
+def test_factor_cover_within_limit_and_budget(budget):
+    trib, tm = SequenceKind.TRIBONACCI, SequenceKind.THUE_MORSE
+    # found in the first 512 symbols, with rank tables of lengths 1, 2, 4,
+    # 8, 16 and 32: 6 * 512 entries, which fit in a quarter of 12288 symbols
+    cover = factor_cover(trib, 40)
+    assert cover == factor_cover(trib, 40, 12288)
+    # the cached cover is not returned where its search would not fit
+    assert factor_cover(trib, 40, 12287) is None
+    budget(12287)
+    assert factor_cover(trib, 40) is None
+    assert factor_cover(trib, 40, 10**12) is None
+    # a search that would pass the budget stops without raising
+    assert factor_cover(tm, 777) is None
+    budget(12288)
+    assert factor_cover(trib, 40, 10**12) == cover
+
+
+def test_factor_complexity_domain():
+    with pytest.raises(ValueError, match="^no factor complexity for tribonacci2$"):
+        factor_complexity(SequenceKind.TRIBONACCI_RECODED, 3)
+    with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
+        factor_cover(SequenceKind.FIBONACCI, 0)
 
 
 def test_prefixed_word_matches_morphism():
