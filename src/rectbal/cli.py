@@ -100,7 +100,8 @@ def _cmd_trib_list2(args: argparse.Namespace) -> int:
 
 
 def _cmd_trib_corner(args: argparse.Namespace) -> int:
-    witness = trib_balance.find_corner_witness(args.p, args.search_limit)
+    limit = {} if args.search_limit is None else {"search_limit": args.search_limit}
+    witness = trib_balance.find_corner_witness(args.p, **limit)
     w = words.word(SequenceKind.TRIBONACCI)
     span = args.p + 5
     counts = {
@@ -222,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1_000_000)
     p = _command(trib, "corner", _cmd_trib_corner)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--search-limit", type=int, default=200_000)
+    p.add_argument(
+        "--search-limit", type=int, default=None,
+        help="cap on the recoded prefix the doubling witness search may reach "
+        "(default find_corner_witness's)",
+    )
 
     tm = sub.add_parser("tm").add_subparsers(dest="command", required=True)
     p = _command(tm, "excess", _cmd_tm_excess)

@@ -15,6 +15,11 @@ The rectangle at i is a function of the length-(m+n-1) factor at i, so a
 scan over i can stop at that length's factor cover (`scan_stop`): past it
 every rectangle repeats one at a smaller i, and the scan's ranges and first
 extremes are those of any longer horizon.
+
+Scalar queries read no running sum: symbol d of the length-(m+n-1) factor
+at i fills min(d+1, m, n, m+n-1-d) cells of the rectangle, so
+`word_letter_counts` and `word_rect_sum` weigh that factor, in int64.
+Scans keep `word_counts` on the stored sums.
 """
 from __future__ import annotations
 
@@ -68,19 +73,30 @@ def word_counts(w: Word, letter: int, m: int, n: int, start: int, stop: int) -> 
     return rect_counts(w.running_sum(letter, stop + m + n), m, n, start, stop)
 
 
-def _letter_count(w: Word, letter: int, i: int, m: int, n: int) -> int:
-    return int(word_counts(w, letter, m, n, i, i + 1)[0])
+def _factor_weights(m: int, n: int) -> np.ndarray:
+    """w[d] = min(d+1, m, n, m+n-1-d) for d < m + n - 1, in int64: the
+    number of cells (k, l) of an m x n rectangle with k + l = d, all of
+    which hold symbol d of the length-(m+n-1) factor at the rectangle's i."""
+    weights = np.arange(1, m + n, dtype=np.int64)
+    np.minimum(weights, weights[::-1], out=weights)
+    return np.minimum(weights, min(m, n), out=weights)
 
 
 def word_rect_sum(w: Word, i: int, m: int, n: int) -> int:
     """Sum of all entries of the rectangle at (i, m, n) over word w."""
     check_at_least(0, m=m, n=n, i=i)
-    return sum(c * _letter_count(w, c, i, m, n) for c in w.alphabet if c)
+    if not m or not n:
+        return 0
+    return int(_factor_weights(m, n) @ w.symbols(i + m + n - 1)[i:])
 
 
 def word_letter_counts(w: Word, i: int, m: int, n: int) -> dict[int, int]:
-    """Per-letter occurrence counts in the rectangle.  They sum to m*n, so
-    letter 0's is the rest, and its running sum is not built."""
+    """Per-letter occurrence counts in the rectangle, read off the
+    weighted factor at i; no running sum is built.  They sum to m*n, so
+    letter 0's is the rest."""
     check_at_least(0, m=m, n=n, i=i)
-    counts = {c: _letter_count(w, c, i, m, n) for c in w.alphabet if c}
+    if not m or not n:
+        return dict.fromkeys(w.alphabet, 0)
+    weights, factor = _factor_weights(m, n), w.symbols(i + m + n - 1)[i:]
+    counts = {c: int(weights @ (factor == c)) for c in w.alphabet if c}
     return {0: m * n - sum(counts.values()), **counts}

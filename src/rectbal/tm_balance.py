@@ -1,12 +1,18 @@
 """Thue-Morse rectangle balance via the signed excess s = 2*count_1 - m*n.
 
 Adjacent positions pair to sum 1 (t at 2k and 2k+1 differ), so all but at
-most four entries of any rectangle cancel and |s| <= 4.  Parity-split
-formulas evaluate s from half-index prefix sums; they are cross-checked
-against the direct count.  Extremes come from horizon scans that stop at the
-factor cover of length m + n - 1 when it fits (`rectangles.scan_stop`): an
-exhaustive scan's extremes are those over all i, and any other scan's are
-reported with their horizon.
+most four entries of any rectangle cancel and |s| <= 4.  The same pairing
+gives the prefix count C(y) = floor(y/2) + [y odd] * t_{y-1} (Allouche and
+Shallit, *Automatic Sequences*, 2003) and its running sum S(x) in closed
+form, so the scalar queries `factor_sum`, `excess` and the parity-split
+formulas built on `factor_sum` read no word and answer at any i.
+`excess_profile` scans the stored running sums of the generated word
+instead, a route of its own that the tests check the closed forms against.
+
+Extremes come from horizon scans that stop at the factor cover of length
+m + n - 1 when it fits (`rectangles.scan_stop`): an exhaustive scan's
+extremes are those over all i, and any other scan's are reported with their
+horizon.
 """
 from __future__ import annotations
 
@@ -43,16 +49,33 @@ def _ones(m: int, n: int, start: int, stop: int) -> np.ndarray:
     return word_counts(word(SequenceKind.THUE_MORSE), 1, m, n, start, stop)
 
 
+def _ones_before(y: int) -> int:
+    """C(y), the number of 1s among t_0 .. t_{y-1}: each pair t_{2k} t_{2k+1}
+    holds one 1, so C(y) = floor(y/2) + [y odd] * t_{y-1}, with t_j the
+    parity of popcount(j)."""
+    return y // 2 + (y % 2) * ((y - 1).bit_count() % 2)
+
+
+def _ones_sum(x: int) -> int:
+    """S(x) = C(0) + ... + C(x-1) = a(a-1) + b*a + C(a), a = floor(x/2) and
+    b = x mod 2: C(2k) + C(2k+1) = 2k + t_{2k}, and t_{2k} = t_k."""
+    a, b = divmod(x, 2)
+    return a * (a - 1) + b * a + _ones_before(a)
+
+
 def factor_sum(start: int, length: int) -> int:
-    """Number of 1s among t_start .. t_{start+length-1}."""
+    """Number of 1s among t_start .. t_{start+length-1}; reads no word."""
     check_at_least(0, start=start, length=length)
-    return int(_ones(1, length, start, start + 1)[0])
+    return _ones_before(int(start) + int(length)) - _ones_before(int(start))
 
 
 def excess(i: int, m: int, n: int) -> int:
-    """2 * count_1(rectangle at i) - m*n."""
+    """2 * count_1(rectangle at i) - m*n, the count telescoped over S; reads
+    no word, so it answers at any i."""
     check_at_least(0, i=i, m=m, n=n)
-    return 2 * int(_ones(m, n, i, i + 1)[0]) - m * n
+    i, m, n = int(i), int(m), int(n)
+    ones = _ones_sum(i + m + n) - _ones_sum(i + n) - _ones_sum(i + m) + _ones_sum(i)
+    return 2 * ones - m * n
 
 
 def excess_even_even(i: int, m: int, n: int) -> int:

@@ -12,7 +12,8 @@ For m, n >= 3 the unbalance witness comes from a corner pattern in the 0/2
 recoding of the word: two equal factors of length p followed by 00200 and
 00000 respectively force a letter-2 count gap of exactly 3 between the two
 rectangles with p = m + n - 6.  Equal factors are found by their
-prefix-doubling ranks (`words.factor_keys`).
+prefix-doubling ranks (`words.factor_keys`), in prefixes that double from
+8(p + 5) symbols until one holds a witness.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rectangles import scan_stop, word_counts, word_letter_counts
+from .rectangles import scan_stop, word_counts, word_rect_sum
 from .words import SequenceKind, check_at_least, factor_keys, word
 
 
@@ -107,34 +108,51 @@ def _corner_starts(search_limit: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(zeros & (grams[2] == 2)), np.flatnonzero(zeros & (grams[2] == 0))
 
 
+def _corner_pair(p: int, size: int) -> tuple[int, int] | None:
+    """The least (i, j) with equal length-p factors followed by 00200 at
+    i+p and 00000 at j+p, all inside the first size >= p + 5 recoded
+    symbols, or None."""
+    his, los = (starts[starts >= p] - p for starts in _corner_starts(size))
+    kind = SequenceKind.TRIBONACCI_RECODED
+    hi_keys, lo_keys = (factor_keys(kind, size, p, x) for x in (his, los))
+    found = np.flatnonzero(np.isin(hi_keys, lo_keys))
+    if not len(found):
+        return None
+    a = found[0]
+    return int(his[a]), int(los[np.flatnonzero(lo_keys == hi_keys[a])[0]])
+
+
 @lru_cache(maxsize=None)
 def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
-    """Smallest (i, j), lexicographically, with equal length-p recoded factors
-    followed by 00200 at i+p and 00000 at j+p."""
+    """The lexicographically least (i, j) with equal length-p recoded factors
+    followed by 00200 at i+p and 00000 at j+p, where "least" means least
+    within the first prefix searched that holds a witness.
+
+    Prefixes start at 8(p + 5) symbols rounded up to a power of two and
+    double up to the cap search_limit, which is searched last; every p < 400
+    finds its witness in the first prefix.  Power-of-two prefixes share
+    their pattern starts and rank tables across p."""
     check_at_least(0, p=p, search_limit=search_limit)
-    if search_limit >= p + 5:
-        his, los = (starts[starts >= p] - p for starts in _corner_starts(search_limit))
-        kind = SequenceKind.TRIBONACCI_RECODED
-        hi_keys, lo_keys = (factor_keys(kind, search_limit, p, x) for x in (his, los))
-        found = np.flatnonzero(np.isin(hi_keys, lo_keys))
-        if len(found):
-            a = found[0]
-            b = np.flatnonzero(lo_keys == hi_keys[a])[0]
-            return CornerWitness(p, int(his[a]), int(los[b]))
-    raise NotFoundWithinLimit(
-        f"no corner witness for p={p} within {search_limit} symbols"
-    )
+    size = 1 << (8 * (p + 5) - 1).bit_length()
+    while True:
+        size = min(size, search_limit)
+        found = _corner_pair(p, size) if size >= p + 5 else None
+        if found is not None:
+            return CornerWitness(p, *found)
+        if size == search_limit:
+            raise NotFoundWithinLimit(f"no corner witness for p={p} within {search_limit} symbols")
+        size *= 2
 
 
 def corner_count_gap(witness: CornerWitness, m: int, n: int) -> tuple[int, int]:
-    """Letter-2 counts of the two m x n rectangles anchored at the witness."""
+    """Letter-2 counts of the two m x n rectangles anchored at the witness:
+    half their entry sums in the 0/2 recoding, the word the witness was
+    found in."""
     check_at_least(0, m=m, n=n)
     if m + n - 6 != witness.p:
         raise ValueError("rectangle shape does not match the witness length")
-    w = word(SequenceKind.TRIBONACCI)
-    ci = word_letter_counts(w, witness.i, m, n)[2]
-    cj = word_letter_counts(w, witness.j, m, n)[2]
-    return ci, cj
+    w = word(SequenceKind.TRIBONACCI_RECODED)
+    return word_rect_sum(w, witness.i, m, n) // 2, word_rect_sum(w, witness.j, m, n) // 2
 
 
 def verify_no_2balance_3plus(max_dim: int) -> bool:

@@ -5,7 +5,11 @@ covers.
 The prefixes S_k = phi^k(0) = S_(k-1) phi^(k-1)(1) of the Fibonacci
 (0 -> 01, 1 -> 0) and Tribonacci (0 -> 01, 1 -> 02, 2 -> 0) words are
 concatenations: S_k = S_(k-1) S_(k-2) from "0", "01", and
-S_k = S_(k-1) S_(k-2) S_(k-3) from "0", "01", "0102".
+S_k = S_(k-1) S_(k-2) S_(k-3) from "0", "01", "0102".  Each S_j is a
+prefix of the word, so `_generate` builds it in one preallocated uint8
+array by copying the array's own prefixes.  Thue-Morse doubles by
+t_(k+j) = 1 - t_j for j < k, k a power of two, and the 0/2 recoding of
+Tribonacci masks its symbols with 2.
 
 Words grow lazily in geometric blocks up to a configurable symbol budget
 (RECTBAL_BUDGET environment variable, default 10**7).  For each letter that
@@ -105,26 +109,39 @@ ALPHABETS = {
     SequenceKind.THUE_MORSE: (0, 1),
 }
 
-_SEEDS = {
-    SequenceKind.FIBONACCI: ("0", "01"),
-    SequenceKind.TRIBONACCI: ("0", "01", "0102"),
+_SEEDS = {  # the seed S_k and the lengths |S_(k-r+1)|, ..., |S_k|
+    SequenceKind.FIBONACCI: ((0, 1), (1, 2)),
+    SequenceKind.TRIBONACCI: ((0, 1, 0, 2), (1, 2, 4)),
 }
-_TM_COMPLEMENT = {ord("0"): "1", ord("1"): "0"}
-_TRIB2_RECODE = {ord("1"): "0"}
 
 
-def _generate(kind: SequenceKind, length: int) -> str:
+def _generate(kind: SequenceKind, length: int) -> np.ndarray:
+    """The first `length` symbols of word(kind) as uint8, built in place:
+    each step appends copies of the word's own prefixes."""
+    out = np.empty(length, dtype=np.uint8)
     if kind is SequenceKind.THUE_MORSE:
-        s = "0"
-        while len(s) < length:
-            s = s + s.translate(_TM_COMPLEMENT)
-        return s[:length]
+        # t_(k+j) = 1 - t_j for j < k, k a power of two
+        out[:1] = 0
+        k = 1
+        while k < length:
+            size = min(k, length - k)
+            np.bitwise_xor(out[:size], 1, out=out[k : k + size])
+            k *= 2
+        return out
     if kind is SequenceKind.TRIBONACCI_RECODED:
-        return _generate(SequenceKind.TRIBONACCI, length).translate(_TRIB2_RECODE)
-    blocks = _SEEDS[kind]  # S_(k-r+1), ..., S_k
-    while len(blocks[-1]) < length:
-        blocks = blocks[1:] + ("".join(reversed(blocks)),)
-    return blocks[-1][:length]
+        out = _generate(SequenceKind.TRIBONACCI, length)
+        return np.bitwise_and(out, 2, out=out)  # 1 -> 0, 0 and 2 stay
+    seed, sizes = _SEEDS[kind]
+    done = min(len(seed), length)
+    out[:done] = seed[:done]
+    while done < length:
+        # S_(k+1) = S_k S_(k-1) (S_(k-2)), and each S_j is a prefix of the word
+        for size in reversed(sizes[:-1]):
+            size = min(size, length - done)
+            out[done : done + size] = out[:size]
+            done += size
+        sizes = sizes[1:] + (sum(sizes),)
+    return out
 
 
 class Word:
@@ -136,7 +153,8 @@ class Word:
 
     def __init__(self, kind: SequenceKind, prefix: str = ""):
         self.kind = kind
-        self._prefix = prefix  # fixed symbols glued before the generated word
+        # fixed symbols glued before the generated word
+        self._prefix = np.array([int(c) for c in prefix], dtype=np.uint8)
         self._syms = np.zeros(0, dtype=np.uint8)
         self._sums: dict[int, np.ndarray] = {}  # letter -> s as far as it was read
 
@@ -154,8 +172,7 @@ class Word:
             return
         target = min(BUDGET, max(length, 2 * len(self._syms), 1 << 12))
         body = _generate(self.kind, max(target - len(self._prefix), 0))
-        text = (self._prefix + body)[:target]
-        self._syms = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+        self._syms = np.concatenate((self._prefix[:target], body)) if len(self._prefix) else body
 
     def symbols(self, length: int) -> np.ndarray:
         check_at_least(0, length=length)

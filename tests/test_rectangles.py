@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rectbal.rectangles import (
     rect_counts,
+    word_counts,
     word_letter_counts,
     word_rect_sum,
 )
@@ -59,6 +62,26 @@ def test_letter_counts_examples():
     assert zero == {0: 0, 1: 0, 2: 0}
     fib = word_letter_counts(word(FIB), 1, 4, 4)
     assert fib[1] == word_rect_sum(word(FIB), 1, 4, 4) == 7
+
+
+_WORDS = [word(kind) for kind in SequenceKind] + [sturmian_a_word()]
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_WORDS),
+    st.integers(0, 50_000),
+    st.integers(1, 3) | st.integers(0, 300),
+    st.integers(0, 3000),
+    st.booleans(),
+)
+def test_letter_counts_match_the_stored_sums(w, i, m, n, transpose):
+    # thin shapes too: m = 1 with n up to 3000, either way round
+    if transpose:
+        m, n = n, m
+    counts = word_letter_counts(w, i, m, n)
+    assert counts == {c: int(word_counts(w, c, m, n, i, i + 1)[0]) for c in w.alphabet}
+    assert word_rect_sum(w, i, m, n) == sum(c * k for c, k in counts.items())
 
 
 def test_letter_counts_sum_to_area():

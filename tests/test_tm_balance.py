@@ -16,7 +16,8 @@ from rectbal.tm_balance import (
     excess_profile,
     factor_sum,
 )
-from rectbal.words import BudgetExceeded, SequenceKind, Word, factor_cover
+from rectbal.rectangles import word_counts
+from rectbal.words import BudgetExceeded, SequenceKind, Word, factor_cover, word
 from oracles import excess_sign_symmetry, excess_vector
 
 
@@ -191,3 +192,26 @@ def test_profiles_answer_within_a_budget_below_the_horizon(budget):
     assert excess_class_parity_check(9, 1_000_000)
     with pytest.raises(BudgetExceeded, match="budget is 100000"):
         excess_profile(20_000, 20_000, 4_000_000)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**20 - 1), st.integers(0, 300), st.integers(0, 300))
+def test_word_free_queries_match_the_stored_sums(i, m, n):
+    tm = word(SequenceKind.THUE_MORSE)
+    ones = int(word_counts(tm, 1, m, n, i, i + 1)[0])
+    assert excess(i, m, n) == excess_parity_reduced(i, m, n) == 2 * ones - m * n
+    assert factor_sum(i, n) == int(word_counts(tm, 1, 1, n, i, i + 1)[0])
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**30), st.integers(0, 300), st.integers(0, 300))
+def test_excess_at_any_index(i, m, n):
+    s = excess(i, m, n)
+    assert abs(s) <= 4 and (s - m * n) % 2 == 0
+    assert s == excess_parity_reduced(i, m, n)
+
+
+def test_scalar_queries_read_no_word(budget):
+    budget(1)
+    assert excess(10**30, 3, 5) == excess_parity_reduced(10**30, 3, 5)
+    assert factor_sum(10**30 - 1, 2) == 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectbal import trib_balance, words
 from rectbal.rectangles import word_letter_counts
 from rectbal.trib_balance import (
     NotFoundWithinLimit,
@@ -226,8 +227,10 @@ def _dict_corner_search(p: int, search_limit: int) -> tuple[int, int] | None:
 
 @pytest.mark.parametrize("search_limit", [300, 5_000, 200_000])
 def test_rank_corner_search_matches_dict_search(search_limit):
+    # the doubling search, capped at search_limit, finds the witness of the
+    # search over the whole capped prefix; at the default cap also by default
     missing = 0
-    for p in range(81):
+    for p in range(120):
         want = _dict_corner_search(p, search_limit)
         if want is None:
             missing += 1
@@ -236,8 +239,19 @@ def test_rank_corner_search_matches_dict_search(search_limit):
         else:
             wit = find_corner_witness(p, search_limit)
             assert (wit.p, wit.i, wit.j) == (p, *want)
-    # 300 symbols miss 29 of these p; 5,000 miss none
+            if search_limit == 200_000:
+                assert find_corner_witness(p) == wit
+    # 300 symbols miss 68 of these p; 5,000 miss none
     assert (missing > 0) == (search_limit == 300)
+
+
+def test_corner_witnesses_fit_a_small_budget(budget):
+    # the search starts at 8(p + 5) symbols, not at its 200,000-symbol cap
+    want = [find_corner_witness(p) for p in range(55)]
+    for cache in (find_corner_witness, trib_balance._corner_starts, words._factor_ranks):
+        cache.cache_clear()
+    budget(4096)
+    assert [find_corner_witness(p) for p in range(55)] == want
 
 
 def test_no_two_balance_for_three_plus_rows():

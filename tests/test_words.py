@@ -47,7 +47,8 @@ def test_generator_matches_morphism(kind):
     limit = 2_000_000
     want = _morphism_word(kind, limit)
     for length in (0, 1, 2, 3, 4, 5, 7, 13, 24, 44, 1000, limit):
-        assert _generate(kind, length) == want[:length]
+        got = _generate(kind, length)
+        assert got.dtype == np.uint8 and np.array_equal(got, _as_symbols(want[:length]))
     # regrowth: a word built short, then grown by more than its doubling
     w = Word(kind)
     w.ensure(5000)
@@ -56,6 +57,10 @@ def test_generator_matches_morphism(kind):
     assert np.array_equal(w.symbols(limit), _as_symbols(want))
     for c in w.alphabet:
         assert np.array_equal(w.count_table(c, limit)[1:], np.cumsum(_as_symbols(want) == c))
+    # the fixed "0" that sturmian_a_word glues before the generated word
+    a = Word(kind, prefix="0")
+    for length in (1, 2, 5000, limit):
+        assert np.array_equal(a.symbols(length), _as_symbols("0" + want[: length - 1]))
 
 
 def _double_cumsum(symbols: np.ndarray, letter: int) -> np.ndarray:
