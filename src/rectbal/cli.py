@@ -223,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=1_000_000)
     p = _command(trib, "corner", _cmd_trib_corner)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument(
-        "--search-limit", type=int, default=None,
-        help="cap on the recoded prefix the doubling witness search may reach "
-        "(default find_corner_witness's)",
-    )
+    p.add_argument("--search-limit", type=int, help="cap on the doubling search's recoded prefix")
 
     tm = sub.add_parser("tm").add_subparsers(dest="command", required=True)
     p = _command(tm, "excess", _cmd_tm_excess)

@@ -113,13 +113,20 @@ def _corner_pair(p: int, size: int) -> tuple[int, int] | None:
     i+p and 00000 at j+p, all inside the first size >= p + 5 recoded
     symbols, or None."""
     his, los = (starts[starts >= p] - p for starts in _corner_starts(size))
+    if not len(los):
+        return None
     kind = SequenceKind.TRIBONACCI_RECODED
     hi_keys, lo_keys = (factor_keys(kind, size, p, x) for x in (his, los))
-    found = np.flatnonzero(np.isin(hi_keys, lo_keys))
+    # a stable sort keeps equal keys in order of j, and searchsorted finds
+    # the first of them; np.isin would import numpy.ma on its first call
+    # under numpy 2.4, about 6 ms on one CPU
+    order = np.argsort(lo_keys, kind="stable")
+    at = np.searchsorted(lo_keys[order], hi_keys).clip(max=len(los) - 1)
+    found = np.flatnonzero(lo_keys[order[at]] == hi_keys)
     if not len(found):
         return None
     a = found[0]
-    return int(his[a]), int(los[np.flatnonzero(lo_keys == hi_keys[a])[0]])
+    return int(his[a]), int(los[order[at[a]]])
 
 
 @lru_cache(maxsize=None)
