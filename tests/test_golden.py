@@ -39,6 +39,7 @@ from rectbal.numeration import (
     zeck_shift,
 )
 from rectbal.rectangles import word_letter_counts, word_rect_sum
+from rectbal.tm_balance import excess_profile
 from rectbal.trib_balance import two_balance_scan
 from rectbal.words import SequenceKind, sturmian_a_word, word
 from oracles import excess_vector, t_value_vector
@@ -49,6 +50,9 @@ GOLDEN = {
     "excess_vector(1000, 1000, 10**5)": "46dece852599a29fc94c7fec44b023acf7efebfac1075203edaddd421cec110a",
     "two_balance_scan(2, 5, 10**5)": "074496e81b1f45791c4a4cc0f2a6c048682ec0447d015a7df4471151af92a029",
     "two_balance_scan(3, 4, 10**5)": "becdc20a769299e3ec2c601be365914d940a557090e5b8a0eba038ce43220240",
+    "two_balance_scan fields over SCAN_SHAPES at 4*10**6": "c281a59a458e5b14fb039c5571c5bd85c96287edb85dcf26d9f42849b5aa81d6",
+    "two_balance_scan fields of (2048, 2048)": "2994135db7725e7442ec6c333fefeb7af738a08009a6bc8c3fe705abe87a1ebd",
+    "excess_profile (min_s, max_s) over PROFILE_SHAPES at 4*10**6 and of (20000, 20001)": "bd141e936f694da8c0649dea37ce94c9a2080f680362651a7798df357390cb9e",
     "delta_block_scan(4, 4)": "f1ca291ca2e19da9ee9a5e1aea51734c3141169f2d5efd6adaee15b2f8c0e05b",
     "delta_block_scan(4, 18)": "5721fc610522e263978f9200ff6c804fcbb4b6fa62e6d337ec7ed5129a352662",
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
@@ -82,6 +86,11 @@ GOLDEN = {
     "row_value_bounds(8, 10_000)": "e7344604a6d00eee2364c793857b276cfeb1773c9ca381f3db9d48b88b7572ee",
     "row_value_bounds(233, 10_000)": "6b6b46f3d9739f0e9ae7573e4f6b0de6c2132f9a0b64d64d764b4d31fd60daaf",
 }
+
+# every shape the trib_tm_scan benchmark may scan at its 4*10**6 horizon
+# (2 x n for n <= 48, m x n for 3 <= m <= n <= 24), and its four profiles
+SCAN_SHAPES = [(2, n) for n in range(1, 49)] + [(m, n) for m in range(3, 25) for n in range(m, 25)]
+PROFILE_SHAPES = [(999, 1001), (1000, 1000), (1536, 768), (2047, 2049)]
 
 # (max_len, depth) of the pinned automata, of the samples whose replay
 # fails, and the rows mu of row_value_bounds(mu, 10_000)
@@ -124,6 +133,18 @@ def _digest(values) -> str:
 def _scan_record(m: int, n: int) -> list[int]:
     r = two_balance_scan(m, n, 10**5)
     out = [r.m, r.n, r.horizon]
+    for letter in (0, 1, 2):
+        out.extend(r.letter_ranges[letter])
+    out.append(-1 if r.unbalanced_letter is None else r.unbalanced_letter)
+    out.extend(r.witness or (-1, -1, -1, -1))
+    return out
+
+
+def _scan_fields(m: int, n: int, horizon: int) -> list[int]:
+    """The ranges, unbalanced letter and witness of a scan; not whether it
+    was exhaustive."""
+    r = two_balance_scan(m, n, horizon)
+    out = [m, n]
     for letter in (0, 1, 2):
         out.extend(r.letter_ranges[letter])
     out.append(-1 if r.unbalanced_letter is None else r.unbalanced_letter)
@@ -273,6 +294,17 @@ def outputs() -> dict[str, str]:
         "excess_vector(1000, 1000, 10**5)": _digest(excess_vector(1000, 1000, 10**5)),
         "two_balance_scan(2, 5, 10**5)": _digest(_scan_record(2, 5)),
         "two_balance_scan(3, 4, 10**5)": _digest(_scan_record(3, 4)),
+        "two_balance_scan fields over SCAN_SHAPES at 4*10**6": _digest(
+            [x for m, n in SCAN_SHAPES for x in _scan_fields(m, n, 4 * 10**6)]
+        ),
+        "two_balance_scan fields of (2048, 2048)": _digest(_scan_fields(2048, 2048, 10**6)),
+        "excess_profile (min_s, max_s) over PROFILE_SHAPES at 4*10**6 and of (20000, 20001)": _digest(
+            [
+                (p.min_s, p.max_s)
+                for p in [excess_profile(m, n, 4 * 10**6) for m, n in PROFILE_SHAPES]
+                + [excess_profile(20000, 20001)]
+            ]
+        ),
         "delta_block_scan(4, 4)": _digest(_verdict_record(4, 4)),
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
