@@ -12,7 +12,7 @@ in uint32 and read as int32, the count is exact while m*n < 2**31.  Larger
 shapes recover C from s (exact, as C < 2**31) and sum it again in int64.
 
 The rectangle at i is a function of the length-(m+n-1) factor at i, so a
-scan over i can stop at that length's factor cover (`scan_stop`): past it
+scan over i can stop at that length's cover bound (`scan_stop`): past it
 every rectangle repeats one at a smaller i, and the scan's ranges and first
 extremes are those of any longer horizon.
 
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import SequenceKind, Word, check_at_least, factor_cover
+from . import words
+from .words import SequenceKind, Word, check_at_least
 
 
 def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -60,11 +61,13 @@ def rect_counts(sums: np.ndarray, m: int, n: int, start: int, stop: int) -> np.n
 
 def scan_stop(kind: SequenceKind, m: int, n: int, horizon: int) -> tuple[int, bool]:
     """(stop, exhaustive) for a scan of the m x n rectangles of word(kind)
-    over i < horizon: the factor cover of length m + n - 1 and True when
-    its search fits in the horizon + m + n - 2 symbols the full scan reads
-    (and in the budget), else the horizon and False."""
-    cover = factor_cover(kind, m + n - 1, horizon + m + n - 2)
-    return (horizon, False) if cover is None else (cover, True)
+    over i < horizon: B = `words.cover_bound` of length m + n - 1 and True
+    when B is at most the horizon and the B + m + n - 2 symbols its scan
+    reads fit the budget, else the horizon and False."""
+    bound = words.cover_bound(kind, m + n - 1)
+    if bound <= horizon and bound + m + n - 2 <= words.BUDGET:
+        return bound, True
+    return horizon, False
 
 
 def word_counts(w: Word, letter: int, m: int, n: int, start: int, stop: int) -> np.ndarray:

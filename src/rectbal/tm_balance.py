@@ -9,10 +9,10 @@ formulas built on `factor_sum` read no word and answer at any i.
 `excess_profile` scans the stored running sums of the generated word
 instead, a route of its own that the tests check the closed forms against.
 
-Extremes come from horizon scans that stop at the factor cover of length
-m + n - 1 when it fits (`rectangles.scan_stop`): an exhaustive scan's
-extremes are those over all i, and any other scan's are reported with their
-horizon.
+Extremes come from horizon scans that stop at the cover bound B of length
+m + n - 1 (`words.cover_bound`) when it fits (`rectangles.scan_stop`): every
+factor of that length starts below B, so an exhaustive scan's extremes are
+those over all i, and any other scan's are reported with their horizon.
 """
 from __future__ import annotations
 
@@ -119,8 +119,8 @@ def default_horizon(m: int, n: int) -> int:
 
 
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:
-    """Min/max excess over i < horizon, scanned up to the cover when it
-    fits (`scan_stop`).  The derived balance class is the true supremum
+    """Min/max excess over i < horizon, scanned up to the cover bound when
+    it fits (`scan_stop`).  The derived balance class is the true supremum
     spread when the scan was exhaustive, and a horizon-bounded estimate
     otherwise."""
     check_at_least(1, m=m, n=n)
@@ -139,7 +139,7 @@ def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:
     Odd m*n makes the excess odd (so at most 3 in absolute value); the scan
     confirms both that 3 is achieved there and never elsewhere.  Each shape
     is decided when its profile is exhaustive, as every shape with
-    max_dim <= 33 is at the default horizon.  Counts are symmetric under
+    max_dim <= 4096 is at the default horizon and budget.  Counts are symmetric under
     transpose, so only n >= m is scanned.
     """
     check_at_least(3, max_dim=max_dim)

@@ -2,8 +2,9 @@
 
 For each letter c, the count of c in the rectangle at i is an O(1)
 combination of double prefix sums, so a horizon scan over i is a handful of
-vectorized array operations, up to the factor cover of length m + n - 1
-when it fits under the horizon (`rectangles.scan_stop`).  Unbalance
+vectorized array operations, up to the cover bound of length m + n - 1
+(`words.cover_bound`) when it fits under the horizon and the budget
+(`rectangles.scan_stop`).  Unbalance
 verdicts are definitive certificates (two concrete rectangles whose counts
 differ by 3); balance verdicts are decisions when the scan was exhaustive,
 and semi-decisions labeled with the horizon otherwise.
@@ -57,8 +58,8 @@ class CornerWitness:
 def two_balance_scan(m: int, n: int, horizon: int = 1_000_000) -> TwoBalanceReport:
     """Per-letter count ranges of the m x n rectangles over i < horizon,
     and the first argmax and argmin of the first letter whose range passes
-    2.  The scan stops at the cover when it fits (`scan_stop`), with the
-    same ranges and first extremes as a scan of the whole horizon."""
+    2.  The scan stops at the cover bound when it fits (`scan_stop`), with
+    the same ranges and first extremes as a scan of the whole horizon."""
     check_at_least(1, m=m, n=n, horizon=horizon)
     stop, exhaustive = scan_stop(SequenceKind.TRIBONACCI, m, n, horizon)
     w = word(SequenceKind.TRIBONACCI)
@@ -86,8 +87,8 @@ def balanced_2xn_list(limit: int, horizon: int = 1_000_000) -> list[int]:
 
     Each n is decided when its scan is exhaustive
     (``two_balance_scan(2, n, horizon).exhaustive``), as it is for every
-    n <= 48 at the default horizon; an n whose cover does not fit under the
-    horizon is listed as far as its scan saw.
+    n <= 66011 at the default horizon and budget; an n whose cover bound
+    does not fit is listed as far as its scan saw.
     """
     check_at_least(0, limit=limit)
     check_at_least(1, horizon=horizon)

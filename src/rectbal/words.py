@@ -1,6 +1,6 @@
 """Generators for the Fibonacci, Tribonacci (plus its 0/2 recoding) and
-Thue-Morse words, with exact per-letter prefix counts and certified factor
-covers.
+Thue-Morse words, with exact per-letter prefix counts and a bound below
+which every factor of a given length starts.
 
 The prefixes S_k = phi^k(0) = S_(k-1) phi^(k-1)(1) of the Fibonacci
 (0 -> 01, 1 -> 0) and Tribonacci (0 -> 01, 1 -> 02, 2 -> 0) words are
@@ -21,11 +21,11 @@ rectangle count is a telescope of s (see `rectangles`), and any prefix
 count is an O(1) difference: the budget keeps C below 2**31, so C[t] =
 s[t+1] - s[t] modulo 2**32 is exact.
 
-`factor_cover` gives the least P such that every factor of length L starts
-below P.  It counts distinct factors in prefixes, by prefix-doubling ranks,
-until the count reaches the word's known factor complexity p(L)
-(`factor_complexity`).  A horizon scan of a function of the length-L factor
-at i sees every value once it passes P.
+`cover_bound` gives, for the Tribonacci and Thue-Morse words, a B(L) such
+that every factor of length L starts below B(L), by a lemma on the word's
+morphism in O(log L) integer operations; it reads no word.  A horizon scan
+of a function of the length-L factor at i sees every value once it passes
+B(L).
 """
 from __future__ import annotations
 
@@ -225,29 +225,6 @@ def sturmian_a_word() -> Word:
     return Word(SequenceKind.FIBONACCI, prefix="0")
 
 
-def factor_complexity(kind: SequenceKind, length: int) -> int:
-    """p(L), the number of distinct factors of length L >= 1 of word(kind):
-
-    * Fibonacci (Sturmian): L + 1 (Morse and Hedlund, 1940);
-    * Tribonacci (Arnoux-Rauzy): 2L + 1 (Arnoux and Rauzy, 1991);
-    * Thue-Morse: p(1) = 2, p(2) = 4, and for L = 2^r + q + 1 with
-      0 < q <= 2^r, p(L) = 6*2^(r-1) + 4q if q <= 2^(r-1), else
-      8*2^(r-1) + 2q (Brlek, 1989; de Luca and Varricchio, 1989).
-    """
-    check_at_least(1, length=length)
-    if kind is SequenceKind.FIBONACCI:
-        return length + 1
-    if kind is SequenceKind.TRIBONACCI:
-        return 2 * length + 1
-    if kind is not SequenceKind.THUE_MORSE:
-        raise ValueError(f"no factor complexity for {kind.value}")
-    if length <= 2:
-        return 2 * length
-    r = (length - 2).bit_length() - 1
-    q = length - 1 - (1 << r)
-    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
-
-
 @lru_cache(maxsize=None)
 def _factor_ranks(kind: SequenceKind, limit: int, length: int) -> np.ndarray:
     """r[x] = rank of the factor of word(kind) of the given power-of-two
@@ -273,42 +250,52 @@ def factor_keys(kind: SequenceKind, limit: int, length: int, starts: np.ndarray)
     return r[starts] * (int(r.max()) + 1) + r[starts + length - half]
 
 
-_COVERS: dict[tuple[SequenceKind, int], tuple[int, int]] = {}  # -> (P, prefix searched)
-# A cover search runs only where its rank tables, one entry per prefix
-# symbol for each power-of-two length up to L, hold at most a quarter as
-# many entries as the symbols it may read.  On one CPU a rank entry costs
-# about 20 ns and a scanned position 6 to 20 ns, so the search costs no more
-# than the scan it cuts short, and its cached tables stay within two bytes
-# per symbol read.
-_SEARCH_SHARE = 4
+# Each scanned word u = sigma(u) by its morphism, as the image of each
+# letter, and the shortest prefix of u that holds every length-2 factor
+_MORPHISMS = {
+    SequenceKind.TRIBONACCI: ((0, 1), (0, 2), (0,)),
+    SequenceKind.THUE_MORSE: ((0, 1), (1, 0)),
+}
+_PAIR_PREFIXES = {
+    SequenceKind.TRIBONACCI: (0, 1, 0, 2, 0, 1, 0, 0),
+    SequenceKind.THUE_MORSE: (0, 1, 1, 0, 1, 0, 0),
+}
 
 
-def factor_cover(kind: SequenceKind, length: int, limit: int | None = None) -> int | None:
-    """The least P such that every factor of word(kind) of the given length
-    starts at some i < P, or None when the search does not fit in `limit`
-    symbols and the budget (see `_SEARCH_SHARE`).
+def cover_bound(kind: SequenceKind, length: int) -> int:
+    """B(L) for L = length >= 1: every factor of length L of word(kind), the
+    Tribonacci or the Thue-Morse word, starts below B(L).
 
-    The search takes prefixes of 8*length symbols rounded up to a power of
-    two, doubling while they fit, and finds the first start of each distinct
-    factor by `factor_keys`.  It accepts a prefix only when the distinct
-    count equals `factor_complexity`, so P is certified by a theorem and one
-    exact count.  The cover and the prefix it took are cached per (kind,
-    length), so the answer never depends on earlier calls."""
-    want = factor_complexity(kind, length)
-    reach = BUDGET if limit is None else min(limit, BUDGET)
-    top = reach // (_SEARCH_SHARE * length.bit_length())  # the longest prefix searched
-    if (kind, length) not in _COVERS:
-        size = 1 << (8 * length - 1).bit_length()
-        while True:
-            if size > top:
-                return None
-            keys = factor_keys(kind, size, length, np.arange(size - length + 1))
-            first = np.unique(keys, return_index=True)[1]
-            if len(first) > want:
-                raise RuntimeError(f"{len(first)} factors of length {length} exceed p = {want}")
-            if len(first) == want:
-                break
-            size *= 2
-        _COVERS[kind, length] = int(first.max()) + 1, size
-    cover, size = _COVERS[kind, length]
-    return cover if size <= top else None
+    Lemma.  Let u = sigma(u), k the least integer with |sigma^k(a)| >= L
+    for every letter a, and p_xy the first start of each length-2 factor xy
+    of u.  Every length-L factor of u starts below
+    B(L) = max over xy of |sigma^k(u[:p_xy])| + |sigma^k(xy)| - L + 1.
+
+    Proof.  u = sigma^k(u) is the concatenation of the blocks sigma^k(u_j).
+    A length-L factor that starts in block j, at offset r < |sigma^k(u_j)|,
+    ends within block j + 1, which is at least L long.  So it is the factor
+    of sigma^k(xy), xy = u_j u_(j+1), at offset r <= |sigma^k(xy)| - L; and
+    as sigma^k(u[:p_xy]) sigma^k(xy) = sigma^k(u[:p_xy + 2]) is a prefix of
+    u, it also starts at |sigma^k(u[:p_xy])| + r < B(L).
+
+    Each term is |sigma^k(u[:p_xy + 2])| - L + 1, so B(L) = |sigma^k(w)| -
+    L + 1 for w the shortest prefix of u that holds every length-2 factor
+    (`_PAIR_PREFIXES`; the tests check that its pairs are closed under
+    sigma, hence all of u's).  The letter lengths follow |sigma^(k+1)(a)| =
+    the sum of |sigma^k(b)| over the letters b of sigma(a): O(k) integer
+    operations, cached per (kind, L).  B(L) is an upper bound, at most 7
+    times the least one for L < 400.
+    """
+    check_at_least(1, length=length)
+    if kind not in _MORPHISMS:
+        raise ValueError(f"kind must be tribonacci or thue-morse, got {kind.value}")
+    return _cover_bound(kind, int(length))
+
+
+@lru_cache(maxsize=None)
+def _cover_bound(kind: SequenceKind, length: int) -> int:
+    images = _MORPHISMS[kind]
+    sizes = [1] * len(images)  # |sigma^k(a)| for each letter a, from k = 0
+    while min(sizes) < length:
+        sizes = [sum(sizes[b] for b in image) for image in images]
+    return sum(sizes[a] for a in _PAIR_PREFIXES[kind]) - length + 1

@@ -4,12 +4,14 @@ Each computes a quantity the package also computes, by a different method:
 floor-form T and the four-floor difference on the floor sums, the
 difference of two rectangle sums on the morphism-generated word, the
 Fibonacci and Thue-Morse symbols by their closed forms, the circle
-partition on exact quadratic values, and the Thue-Morse excess at every
-position below a horizon.
+partition on exact quadratic values, the Thue-Morse excess at every
+position below a horizon, and the factor complexities with the least factor
+covers that `words.cover_bound` bounds, counted in word prefixes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
 from rectbal.fib_balance import _convergent, _floor_sums
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
-from rectbal.words import SequenceKind, check_at_least, sturmian_a_word, word
+from rectbal.words import SequenceKind, check_at_least, factor_keys, sturmian_a_word, word
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:
@@ -105,3 +107,47 @@ def excess_sign_symmetry(m: int, n: int, horizon: int = 100_000) -> bool:
     seen = set(np.unique(excess_vector(m, n, horizon)).tolist())
     mirror = set(np.unique(excess_vector(m, n, 2 * horizon)).tolist())
     return all(-c in mirror for c in seen)
+
+
+def factor_complexity(kind: SequenceKind, length: int) -> int:
+    """p(L), the number of distinct factors of length L >= 1 of word(kind):
+
+    * Fibonacci (Sturmian): L + 1 (Morse and Hedlund, 1940);
+    * Tribonacci (Arnoux-Rauzy): 2L + 1 (Arnoux and Rauzy, 1991);
+    * Thue-Morse: p(1) = 2, p(2) = 4, and for L = 2^r + q + 1 with
+      0 < q <= 2^r, p(L) = 6*2^(r-1) + 4q if q <= 2^(r-1), else
+      8*2^(r-1) + 2q (Brlek, 1989; de Luca and Varricchio, 1989).
+    """
+    check_at_least(1, length=length)
+    if kind is SequenceKind.FIBONACCI:
+        return length + 1
+    if kind is SequenceKind.TRIBONACCI:
+        return 2 * length + 1
+    if kind is not SequenceKind.THUE_MORSE:
+        raise ValueError(f"no factor complexity for {kind.value}")
+    if length <= 2:
+        return 2 * length
+    r = (length - 2).bit_length() - 1
+    q = length - 1 - (1 << r)
+    return 3 * (1 << r) + 4 * q if 2 * q <= 1 << r else 4 * (1 << r) + 2 * q
+
+
+@lru_cache(maxsize=None)
+def factor_cover(kind: SequenceKind, length: int) -> int:
+    """The least P such that every factor of word(kind) of the given length
+    starts at some i < P.
+
+    The search takes prefixes of 8*length symbols rounded up to a power of
+    two, doubling, and finds the first start of each distinct factor by
+    `factor_keys`.  It accepts a prefix only when the distinct count equals
+    `factor_complexity`, so P rests on a theorem and one exact count."""
+    want = factor_complexity(kind, length)
+    size = 1 << (8 * length - 1).bit_length()
+    while True:
+        keys = factor_keys(kind, size, length, np.arange(size - length + 1))
+        first = np.unique(keys, return_index=True)[1]
+        if len(first) > want:
+            raise AssertionError(f"{len(first)} factors of length {length} exceed p = {want}")
+        if len(first) == want:
+            return int(first.max()) + 1
+        size *= 2

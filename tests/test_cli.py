@@ -236,8 +236,14 @@ def test_budget_flag_limits_generation(capsys):
 
 
 def test_budget_below_the_horizon_lists_the_same_two_row_shapes(capsys, budget):
-    # each scan reads only its factor cover, not the default horizon of 10^6
+    # each scan reads only to its cover bound, not the default horizon of 10^6
     code, default = run_cli(capsys, "trib", "list2", "--limit", "48")
     assert code == 0
     code, small = run_cli(capsys, "--budget", "100000", "trib", "list2", "--limit", "48")
+    assert (code, small) == (0, default)
+    # B(4095) + 4094 = 76621 symbols
+    shape = ["trib", "bal2", "--m", "2048", "--n", "2048"]
+    code, default = run_cli(capsys, *shape)
+    assert code == 0
+    code, small = run_cli(capsys, "--budget", "200000", *shape)
     assert (code, small) == (0, default)

@@ -17,8 +17,8 @@ from rectbal.tm_balance import (
     factor_sum,
 )
 from rectbal.rectangles import word_counts
-from rectbal.words import BudgetExceeded, SequenceKind, Word, factor_cover, word
-from oracles import excess_sign_symmetry, excess_vector
+from rectbal.words import BudgetExceeded, SequenceKind, Word, cover_bound, word
+from oracles import excess_sign_symmetry, excess_vector, factor_cover
 
 
 def test_excess_single_cells():
@@ -178,20 +178,27 @@ def test_profile_to_the_cover_equals_the_full_scan(m, n, extra):
     v = excess_vector(m, n, horizon)
     assert (profile.min_s, profile.max_s) == (int(v.min()), int(v.max()))
     assert (profile.m, profile.n, profile.horizon) == (m, n, horizon)
-    if horizon >= 4 * 1024 * 7:  # the search of every length here fits
-        assert profile.exhaustive
+    assert profile.exhaustive == (horizon >= cover_bound(SequenceKind.THUE_MORSE, length))
 
 
 def test_profiles_answer_within_a_budget_below_the_horizon(budget):
     shapes = [(3, 3), (4, 6), (99, 101)]
     profiles = [excess_profile(m, n, 4_000_000) for m, n in shapes]
     assert all(p.exhaustive for p in profiles)
-    assert not excess_profile(3, 3, 10).exhaustive  # no search prefix fits in 14 symbols
+    assert not excess_profile(3, 3, 10).exhaustive  # B(5) > 10
+    assert cover_bound(SequenceKind.THUE_MORSE, 5) > 10
     budget(100_000)
     assert [excess_profile(m, n, 4_000_000) for m, n in shapes] == profiles
     assert excess_class_parity_check(9, 1_000_000)
     with pytest.raises(BudgetExceeded, match="budget is 100000"):
         excess_profile(20_000, 20_000, 4_000_000)
+
+
+def test_newly_exhaustive_profile_is_a_decision():
+    # every factor of length 40000 starts below B = 7 * 2^16 - 39999; the
+    # cover search never fit this shape under its default horizon
+    profile = excess_profile(20000, 20001)
+    assert profile.exhaustive and (profile.min_s, profile.max_s) == (-4, 4)
 
 
 @settings(max_examples=300)

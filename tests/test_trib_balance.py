@@ -18,7 +18,8 @@ from rectbal.trib_balance import (
     two_balance_scan,
     verify_no_2balance_3plus,
 )
-from rectbal.words import BudgetExceeded, SequenceKind, factor_cover, word
+from rectbal.words import BudgetExceeded, SequenceKind, cover_bound, word
+from oracles import factor_cover
 
 
 def test_single_row_rectangles_are_two_balanced():
@@ -79,9 +80,10 @@ def test_scan_matches_three_cumsums():
         report = two_balance_scan(m, n, horizon)
         want = dataclasses.replace(_three_cumsum_scan(m, n, horizon), exhaustive=report.exhaustive)
         assert report == want, (m, n, horizon)
+        assert report.exhaustive == (horizon >= cover_bound(SequenceKind.TRIBONACCI, m + n - 1))
         if report.exhaustive:
             assert factor_cover(SequenceKind.TRIBONACCI, m + n - 1) <= horizon
-        if horizon == 100_000:  # every cover search of m + n - 1 < 64 fits
+        if horizon == 100_000:  # B(m + n - 1) < 1100 for m + n - 1 < 64
             assert report.exhaustive
         letters.add(report.unbalanced_letter)
     assert letters == {None, 0, 1, 2}
@@ -94,23 +96,29 @@ def test_scan_to_the_cover_equals_the_full_scan(m, n, extra):
     horizon = factor_cover(SequenceKind.TRIBONACCI, length) + extra
     report = two_balance_scan(m, n, horizon)
     assert dataclasses.replace(report, exhaustive=False) == _three_cumsum_scan(m, n, horizon)
-    if horizon >= 4 * 512 * 6:  # the search of every length here fits
-        assert report.exhaustive
+    assert report.exhaustive == (horizon >= cover_bound(SequenceKind.TRIBONACCI, length))
 
 
 def test_scans_answer_within_a_budget_below_the_horizon(budget):
     listed = balanced_2xn_list(48)
     reports = [two_balance_scan(2, n) for n in range(1, 49)]
     assert all(r.exhaustive for r in reports)
-    # the default horizon of 10^6 no longer has to fit: each scan reads its
-    # cover plus n + 1 symbols
+    # the default horizon of 10^6 no longer has to fit: each scan reads
+    # B(n + 1) + n symbols
     budget(100_000)
     assert balanced_2xn_list(48) == listed
     assert [two_balance_scan(2, n) for n in range(1, 49)] == reports
-    # a shape whose cover search does not fit scans the whole horizon, and
-    # raises as before
+    # a shape whose cover bound does not fit the budget scans the whole
+    # horizon, and raises as before
     with pytest.raises(BudgetExceeded, match="budget is 100000"):
         two_balance_scan(2, 20_000)
+
+
+def test_newly_exhaustive_scan_is_a_decision():
+    # B(4095) = 72527: the cover search never fit this shape under 10^6
+    report = two_balance_scan(2048, 2048, 10**6)
+    assert report.exhaustive
+    assert report == dataclasses.replace(_three_cumsum_scan(2048, 2048, 10**6), exhaustive=True)
 
 
 def test_scan_rejects_degenerate_shapes():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -13,12 +14,11 @@ from rectbal.words import (
     SequenceKind,
     Word,
     _generate,
-    factor_complexity,
-    factor_cover,
+    cover_bound,
     sturmian_a_word,
     word,
 )
-from oracles import fib_symbol, tm_symbol
+from oracles import factor_complexity, factor_cover, fib_symbol, tm_symbol
 
 
 _MORPHISMS = {
@@ -106,6 +106,7 @@ def test_lazy_running_sums_match_double_cumsum(kind, prefix, reads):
 
 
 _COMPLEXITIES = [SequenceKind.FIBONACCI, SequenceKind.TRIBONACCI, SequenceKind.THUE_MORSE]
+_BOUNDED = [SequenceKind.TRIBONACCI, SequenceKind.THUE_MORSE]
 
 
 @pytest.mark.parametrize("kind", _COMPLEXITIES)
@@ -119,30 +120,82 @@ def test_factor_complexity_and_cover_match_first_occurrences(kind):
             first.setdefault(raw[i : i + length], i)
         assert len(first) == factor_complexity(kind, length), length
         assert factor_cover(kind, length) == max(first.values()) + 1, length
+        if kind in _BOUNDED:
+            assert factor_cover(kind, length) <= cover_bound(kind, length), length
 
 
-def test_factor_cover_within_limit_and_budget(budget):
-    trib, tm = SequenceKind.TRIBONACCI, SequenceKind.THUE_MORSE
-    # found in the first 512 symbols, with rank tables of lengths 1, 2, 4,
-    # 8, 16 and 32: 6 * 512 entries, which fit in a quarter of 12288 symbols
-    cover = factor_cover(trib, 40)
-    assert cover == factor_cover(trib, 40, 12288)
-    # the cached cover is not returned where its search would not fit
-    assert factor_cover(trib, 40, 12287) is None
-    budget(12287)
-    assert factor_cover(trib, 40) is None
-    assert factor_cover(trib, 40, 10**12) is None
-    # a search that would pass the budget stops without raising
-    assert factor_cover(tm, 777) is None
-    budget(12288)
-    assert factor_cover(trib, 40, 10**12) == cover
+@pytest.mark.parametrize("kind", _BOUNDED)
+def test_factors_below_the_bound_number_p(kind):
+    # B(L) checked against the cited complexity theorems: the starts below
+    # it hold all p(L) factors of length L
+    raw = word(kind).symbols(cover_bound(kind, 300) + 299).tobytes()
+    for length in range(1, 301):
+        starts = range(cover_bound(kind, length))
+        assert len({raw[i : i + length] for i in starts}) == factor_complexity(kind, length), length
 
 
-def test_factor_complexity_domain():
-    with pytest.raises(ValueError, match="^no factor complexity for tribonacci2$"):
-        factor_complexity(SequenceKind.TRIBONACCI_RECODED, 3)
+@pytest.mark.parametrize("kind", _BOUNDED)
+def test_counted_cover_within_the_bound(kind):
+    rng = random.Random(22)
+    lengths = [*range(1, 65), *rng.sample(range(65, 4000), 40), 4096, 4097]
+    for length in lengths:
+        assert factor_cover(kind, length) <= cover_bound(kind, length), length
+
+
+def _tribonacci_cover(length: int) -> int:
+    """T_k for c_(k-1) < L <= c_k, with T = 4, 7, 13, 24, ... and c = 0, 1,
+    2, 4, 8, 15, ..., each the sum of its three predecessors (plus 1 for c)."""
+    t, c = [1, 2, 4], [0, 0, 1]
+    while c[-1] < length:
+        t.append(t[-1] + t[-2] + t[-3])
+        c.append(c[-1] + c[-2] + c[-3] + 1)
+    return t[-1]
+
+
+def _thue_morse_cover(length: int) -> int:
+    """2 at L = 1, 6 at L = 2 and 3, and 3 * 2^bit_length(L - 2) from 4."""
+    return 2 if length == 1 else 6 if length <= 3 else 3 << (length - 2).bit_length()
+
+
+def test_closed_forms_match_counted_covers():
+    # observed forms, not proved: test oracles only, never certificates
+    for length in range(1, 700):
+        assert factor_cover(SequenceKind.TRIBONACCI, length) == _tribonacci_cover(length), length
+        assert factor_cover(SequenceKind.THUE_MORSE, length) == _thue_morse_cover(length), length
+
+
+@pytest.mark.parametrize("kind", _BOUNDED)
+def test_pair_prefix_is_closed_under_the_morphism(kind):
+    # sigma(0) starts with 01, and each length-2 factor of sigma^(j+1)(0)
+    # lies in sigma(xy) for a length-2 factor xy of sigma^j(0): a set of
+    # pairs that holds 01 and is closed under sigma holds every length-2
+    # factor of the word
+    from rectbal import words as words_mod
+
+    images = words_mod._MORPHISMS[kind]
+    assert ["".join(map(str, image)) for image in images] == [
+        _MORPHISMS[kind][ord(str(a))] for a in range(len(images))
+    ]
+    prefix = words_mod._PAIR_PREFIXES[kind]
+    assert np.array_equal(word(kind).symbols(len(prefix)), prefix)
+    pairs = set(zip(prefix, prefix[1:]))
+    assert (0, 1) in pairs and len(pairs) == factor_complexity(kind, 2)
+    for x, y in pairs:
+        image = images[x] + images[y]
+        assert set(zip(image, image[1:])) <= pairs, (x, y)
+    # and no shorter prefix holds them all
+    assert set(zip(prefix[:-1], prefix[1:-1])) != pairs
+
+
+def test_cover_bound_domain():
+    for kind in (SequenceKind.FIBONACCI, SequenceKind.TRIBONACCI_RECODED):
+        with pytest.raises(ValueError, match=f"^kind must be tribonacci or thue-morse, got {kind.value}$"):
+            cover_bound(kind, 3)
     with pytest.raises(ValueError, match="^length must be >= 1, got 0$"):
-        factor_cover(SequenceKind.FIBONACCI, 0)
+        cover_bound(SequenceKind.TRIBONACCI, 0)
+    with pytest.raises(ValueError, match="^length must be an integer, got 3.0$"):
+        cover_bound(SequenceKind.THUE_MORSE, 3.0)
+    assert cover_bound(SequenceKind.THUE_MORSE, np.int64(3)) == cover_bound(SequenceKind.THUE_MORSE, 3)
 
 
 def test_prefixed_word_matches_morphism():
