@@ -139,8 +139,8 @@ def excess_class_parity_check(max_dim: int, horizon: int = 100_000) -> bool:
     Odd m*n makes the excess odd (so at most 3 in absolute value); the scan
     confirms both that 3 is achieved there and never elsewhere.  Each shape
     is decided when its profile is exhaustive, as every shape with
-    max_dim <= 4096 is at the default horizon and budget.  Counts are symmetric under
-    transpose, so only n >= m is scanned.
+    max_dim <= 4096 is at the default horizon and budget.  Counts are
+    symmetric under transpose, so only n >= m is scanned.
     """
     check_at_least(3, max_dim=max_dim)
     check_at_least(1, horizon=horizon)

@@ -4,10 +4,10 @@ For each letter c, the count of c in the rectangle at i is an O(1)
 combination of double prefix sums, so a horizon scan over i is a handful of
 vectorized array operations, up to the cover bound of length m + n - 1
 (`words.cover_bound`) when it fits under the horizon and the budget
-(`rectangles.scan_stop`).  Unbalance
-verdicts are definitive certificates (two concrete rectangles whose counts
-differ by 3); balance verdicts are decisions when the scan was exhaustive,
-and semi-decisions labeled with the horizon otherwise.
+(`rectangles.scan_stop`).  Unbalance verdicts are definitive certificates
+(two concrete rectangles whose counts differ by 3); balance verdicts are
+decisions when the scan was exhaustive, and semi-decisions labeled with the
+horizon otherwise.
 
 For m, n >= 3 the unbalance witness comes from a corner pattern in the 0/2
 recoding of the word: two equal factors of length p followed by 00200 and

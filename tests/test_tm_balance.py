@@ -186,7 +186,6 @@ def test_profiles_answer_within_a_budget_below_the_horizon(budget):
     profiles = [excess_profile(m, n, 4_000_000) for m, n in shapes]
     assert all(p.exhaustive for p in profiles)
     assert not excess_profile(3, 3, 10).exhaustive  # B(5) > 10
-    assert cover_bound(SequenceKind.THUE_MORSE, 5) > 10
     budget(100_000)
     assert [excess_profile(m, n, 4_000_000) for m, n in shapes] == profiles
     assert excess_class_parity_check(9, 1_000_000)
@@ -195,8 +194,7 @@ def test_profiles_answer_within_a_budget_below_the_horizon(budget):
 
 
 def test_newly_exhaustive_profile_is_a_decision():
-    # every factor of length 40000 starts below B = 7 * 2^16 - 39999; the
-    # cover search never fit this shape under its default horizon
+    # every factor of length 40000 starts below B = 7 * 2^16 - 39999
     profile = excess_profile(20000, 20001)
     assert profile.exhaustive and (profile.min_s, profile.max_s) == (-4, 4)
 

@@ -115,7 +115,7 @@ def test_scans_answer_within_a_budget_below_the_horizon(budget):
 
 
 def test_newly_exhaustive_scan_is_a_decision():
-    # B(4095) = 72527: the cover search never fit this shape under 10^6
+    # every factor of length 4095 starts below B = 72527
     report = two_balance_scan(2048, 2048, 10**6)
     assert report.exhaustive
     assert report == dataclasses.replace(_three_cumsum_scan(2048, 2048, 10**6), exhaustive=True)
