@@ -58,6 +58,7 @@ GOLDEN = {
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
     "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": "a9c7750334d409aafa784486f8d68de905d62b32c98741bee6796d1191086195",
     "exact_balance over far sparse pairs": "cc9c2222f3af9b2fe3aca329fda06c9c816c9ee8ed7b507df8ad53a4bd283951",
+    "exact_balance over dense pairs to q = F_35": "063b63045aee2fd81cf1b3f149be77dcac1e30e364f18b77ae8acd416d81e726",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
     "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
     "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
@@ -98,12 +99,14 @@ INFERRED = [(10, 10), (11, 10), (12, 10), (13, 10), (16, 10), (8, 3), (8, 6), (6
 INCONSISTENT = [(8, 1), (8, 2)]
 ROWS = [0, 1, 2, 3, 8, 233]
 
-# README command-line examples, trib bal2 --m 2 --n 4 for the 2-balanced
-# branch of that report, and num encode of 0 (printed "0") and 18 in each
-# system; {tmp} is a fresh directory
+# README command-line examples, fib bal --m 4 --n 18 --method scan (a
+# balanced pair, which the scan reports as unknown up to its horizon), trib
+# bal2 --m 2 --n 4 for the 2-balanced branch of that report, and num encode
+# of 0 (printed "0") and 18 in each system; {tmp} is a fresh directory
 CLI_GOLDEN = {
     "fib bal --m 4 --n 18": "f9f1da6557cf8dffcb769bfa415e44728d56479030cff9f2bfb56fb08c7993e0",
     "fib bal --m 4 --n 4 --method scan": "d682eca365b21d099f3eda7696fc1f8707004609a45df2d4b4a67b565c5f076c",
+    "fib bal --m 4 --n 18 --method scan": "3016b46f4dee9c3847d57c573ed9bb60e79982b82a6fbb40baf012c85ed41e25",
     "fib sweep --max 100 --out {tmp}/sweep.csv": "1cc4cc2c6b791b14605cdb293cde84245520f24347172ac7f1c2d7ff21434351",
     "fib diverse --k 2": "a5ebff8a8f1a7974b2803e3ff973a8e477a83a8dba6961142b7b8c34b4201cb0",
     "trib bal2 --m 2 --n 4": "fce80e78d8276135004a2a51083114fe836f356b627792ca09716c164f27a808",
@@ -174,6 +177,14 @@ def _exact_pairs() -> list[tuple[int, int]]:
     pairs += [(rng.randint(800_000, 10**6), rng.randint(800_000, 10**6)) for _ in range(4)]
     pairs += [(rng.randint(1, 60_000), rng.randint(900_000, 10**6)) for _ in range(4)]
     return pairs
+
+
+def _dense_pairs() -> list[tuple[int, int]]:
+    """Every size F_k - 2 ... F_k + 1 for k = 28..34 split at the middle, so
+    the dense verdict's q runs from F_29 to F_35 at both parities of K, and
+    the square (3*10**6, 3*10**6)."""
+    sizes = [size for k in range(28, 35) for size in range(fibonacci(k) - 2, fibonacci(k) + 2)]
+    return [(size // 2, size - size // 2) for size in sizes] + [(3 * 10**6, 3 * 10**6)]
 
 
 def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
@@ -310,6 +321,7 @@ def outputs() -> dict[str, str]:
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
         "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records(_exact_pairs())),
         "exact_balance over far sparse pairs": _digest(_exact_records(_far_sparse_pairs())),
+        "exact_balance over dense pairs to q = F_35": _digest(_exact_records(_dense_pairs())),
         "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
         "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
         "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
