@@ -16,14 +16,17 @@ T(i, m, n) take at most two distinct values over all i:
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
-(j*p) mod q.  The verdict and the witness both read T in i order from T(0),
-one chunk at a time, each step three key comparisons.  A verdict reads
-T_q, T with (j*p) // q in place of floor(j*gamma) on q = F_K > m + n: T_q
-has period q and one period takes every value of T, so the scan keeps only
-its running extremes (when mu is small it sorts the 2*mu event keys
-instead).  A witness reads T itself on a convergent past the scanned
-indices, and every value is taken before F_{k+2}, F_k <= m + n - 1 <
-F_{k+1} (three-gap theorem).
+(j*p) mod q.  Each step of T in i order is three key comparisons.  A
+verdict needs the extremes of T_q, T with (j*p) // q in place of
+floor(j*gamma) on q = F_K > m + n: T_q has period q and one period takes
+every value of T.  The period is read as chunks of a Fibonacci length L
+near 2*q^(2/3), each chunk's keys the first chunk's shifted by a small
+delta, so every chunk is the first with a few steps edited, and the
+extremes come from the first chunk's partial sums and a small table of the
+edits, O(L + q^(2/3)) work (when mu is small it sorts the 2*mu event keys
+instead).  A witness reads T itself in i order from T(0), one chunk at a
+time, on a convergent past the scanned indices, and every value is taken
+before F_{k+2}, F_k <= m + n - 1 < F_{k+1} (three-gap theorem).
 Scalar T needs no table: its floor sums come from a Euclid-like recursion.
 A table past the q where j*p leaves int64, or past the symbol budget,
 raises ``BudgetExceeded``.
@@ -149,15 +152,18 @@ def t_value(i: int, m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the scan of T in i order
 
-# Sort the 2*mu event keys instead of scanning one period of T_q once mu is
-# this many times smaller than mu + nu.  On one CPU the two verdicts cost the
-# same near nu/mu = 13 (m + n ~ 10^6) to 16 (~ 4*10^6), and only the sparse
-# verdict reaches past q = the symbol budget.
+# Sort the 2*mu event keys instead of reading one period of T_q once mu is
+# this many times smaller than mu + nu.  Only the sparse verdict reaches past
+# q = the symbol budget, so the split decides which pairs answer under a
+# budget.  On one CPU the two verdicts cost the same near nu/mu = 128 (m + n
+# ~ 10^6: 0.29 ms) and 240 (~ 4*10^6: 0.65 ms); at nu/mu = 16 the sparse
+# verdict takes 3.2 and 16 ms.
 _SPARSE_RATIO = 16
-# The scan's chunks end at 1024, 5120, 21504, ..., so an early witness costs
-# one small chunk, and hold at most this many positions, or the symbol
-# budget's worth when that is smaller.
-_SCAN_CHUNK = 1 << 15
+# The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
+# witness costs one small chunk, and hold at most this many positions, or
+# the symbol budget's worth when that is smaller; with about 20 bytes in
+# flight per position it needs less memory than the dense verdict near 10^6.
+_SCAN_CHUNK = 1 << 14
 
 
 class _Count(NamedTuple):
@@ -179,45 +185,155 @@ class _Count(NamedTuple):
     hi: int
 
 
+def _steps(mu: int, nu: int, p: int, q: int) -> tuple[int, int, int, int]:
+    """(d0, up, down1, down2): T_q's step at i is d0 + [key(i) >= up] -
+    [key(i) >= down1] - [key(i) >= down2] (see ``_t_scan``)."""
+    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
+    return (d0, *(q - s * p % q for s in (mu + nu, nu, mu)))
+
+
+def _step_sums(
+    key: np.ndarray, steps: tuple[int, int, int, int], start: int
+) -> tuple[np.ndarray, int]:
+    """T_q(i) - T(0) in int32 for i0 <= i < i1 from the keys of those i and
+    start = T_q(i0) - T(0), and T_q(i1) - T(0); ``steps`` is ``_steps``'."""
+    d0, up, down1, down2 = steps
+    w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
+    w -= (key >= down2).view(np.int8)
+    t = np.empty(len(key), dtype=np.int32)
+    t[0] = start
+    np.add(w[:-1], d0, out=t[1:])
+    np.cumsum(t, out=t)
+    return t, int(t[-1]) + int(w[-1]) + d0
+
+
 def _t_scan(
     mu: int, nu: int, p: int, q: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
-    over 0 <= i < stop, on the convergent p/q (see ``_Count``).
+    over 0 <= i < stop, on the convergent p/q (see ``_Count``): the witness
+    scan.
 
     T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
     g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
     [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
     key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu).  The keys are base[i - i0]
-    + key(i0) mod q, with base[t] = t*p mod q built once: int32 while q <
-    2^31, which the symbol budget keeps for every verdict, and int64 past it,
-    which only far witness scans reach."""
-    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
-    up, down1, down2 = (q - s * p % q for s in (mu + nu, nu, mu))
-    dtype = np.int32 if q < 1 << 31 else np.int64
+    + key(i0) mod q, with base[t] = t*p mod q built once by
+    ``_doubled_keys``: int32 while 2q < 2^31, and int64 past it, which only
+    far witness scans reach."""
+    steps = _steps(mu, nu, p, q)
     chunk = min(_SCAN_CHUNK, words.BUDGET)
-    base = (np.arange(min(stop, chunk), dtype=np.int64) * p % q).astype(dtype)
+    base = _doubled_keys(min(stop, chunk), p, q)
+    dtype = base.dtype.type
     sign = 8 * base.itemsize - 1
     i = carry = 0
     while i < stop:
         end = min(stop, 4 * i + 1024, i + chunk)
         key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
         key += (key >> sign) & dtype(q)
-        w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
-        w -= (key >= down2).view(np.int8)
-        t = np.empty(end - i, dtype=np.int32)
-        t[0] = carry
-        np.add(w[:-1], d0, out=t[1:])
-        np.cumsum(t, out=t)
-        carry = int(t[-1]) + int(w[-1]) + d0
+        t, carry = _step_sums(key, steps, carry)
         yield i, t
         i = end
 
 
+def _chunk_length(q: int) -> int:
+    """L = F_r, the least Fibonacci number with L**3 >= 8*q**2 (L >= 2*q^(2/3)),
+    capped at q: the chunk length of ``_period_extremes``.
+
+    For q = F_K and L = F_r < q, delta = L*p mod q = +-F_{K-r} (Vajda's
+    identity F_r F_{K-2} - F_{r-2} F_K = (-1)^r F_{K-r}), and F_r F_{K-r} <=
+    F_K, so |delta| <= q/L.  With C = ceil(q/L) chunks, (C-1)|delta| <
+    q**2/L**2 <= q^(2/3)/4 < q, which ``_period_extremes`` needs.  Its work
+    is a few passes over L positions, 4(C-1)|delta| < 4*q**2/L**2 candidate
+    keys, and a table of C rows by one column per edited offset: about
+    4(C-1)|delta|*L/q <= 4C columns when the offsets spread evenly, so about
+    4*q**2/L**2 cells.  That is O(L + q**2/L**2), least at L ~ q^(2/3), and
+    the factor 2 holds the candidates and the table to q^(2/3) <= L/2 each,
+    so the passes over the chunk dominate.
+    """
+    a, b = 1, 2
+    while a**3 < 8 * q * q and a < q:
+        a, b = b, a + b
+    return min(a, q)
+
+
+def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
+    """key(r) = (r*p) mod q for r < L by doubling, key(r + n) = key(r) +
+    key(n) less q past it: in int32 while 2q < 2^31, with no int64 pass."""
+    dtype = np.int32 if 2 * q < 1 << 31 else np.int64
+    key = np.zeros(L, dtype=dtype)
+    n = 1
+    while n < L:
+        part = key[n : 2 * n]
+        np.add(key[: len(part)], dtype(n * p % q), out=part)
+        np.subtract(part, dtype(q), out=part, where=part >= q)
+        n *= 2
+    return key
+
+
+def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int]:
+    """(min, max) of T_q(i) - T(0) over one period 0 <= i < q (see ``_Count``),
+    read as C = ceil(q/L) chunks of L positions; the last runs past q, where
+    T_q repeats.
+
+    The steps are ``_t_scan``'s, d0 + W(key(i)) with W(y) = [y >= up] - [y >=
+    down1] - [y >= down2] on Z_q: W jumps by +1 at up, -1 at down1 and down2,
+    and +1 at 0 (W(q-1) = -1, W(0) = 0).  Chunk c's keys are chunk 0's
+    shifted, key(cL + r) = key(r) + c*delta mod q with delta = L*p mod q taken
+    in (-q/2, q/2), so its step at r differs from chunk 0's by the jumps the
+    shift carries key(r) across.  For delta > 0 the jump at a is crossed from
+    the first c with c*delta >= (a - key(r)) mod q >= 1; for delta < 0 from
+    the first c with c*|delta| > (key(r) - a) mod q, with the jump's sign
+    reversed.  As (C-1)|delta| < q (``_chunk_length``), the edited keys are
+    the (C-1)|delta| keys beside each jump, each edited from one chunk on,
+    and key y sits at offset y*p^-1 mod q, p^-1 = +-p (F_{K-2}^2 = F_{K-4} F_K
+    + (-1)^K); those at offsets below L are edits.
+
+    Cut [0, L) after every edited offset.  On each segment, chunk c's partial
+    sums are chunk 0's, S_0, plus the sum of chunk c's edits before the
+    segment: a chunk x segment table, two cumsums of the edits.  Chunk c
+    starts at A_c, the sum of the chunk totals before it.  So its extremes
+    are A_c plus the extremes over segments of the table plus S_0's.
+    """
+    steps = _steps(mu, nu, p, q)
+    s0, total = _step_sums(_doubled_keys(L, p, q), steps, 0)  # chunk 0
+
+    chunks = -(-q // L)
+    delta = L * p % q
+    forward = 2 * delta < q
+    step = delta if forward else q - delta
+    # the keys e + 1 before a jump (forward) or e after it, from chunk first on
+    e = np.arange((chunks - 1) * step, dtype=np.int64)
+    first = e // step + 1
+    _, up, down1, down2 = steps
+    jump = np.array([[up], [down1], [down2], [q]], dtype=np.int64)  # q: the wrap
+    sign = np.array([[1], [-1], [-1], [1]], dtype=np.int32)
+    y = (jump - 1 - e if forward else jump + e) % q
+    r = y * (p if p * p % q == 1 else -p) % q
+    inside = r < L
+    r = r[inside]
+    first = np.broadcast_to(first, y.shape)[inside]
+    edit = np.broadcast_to(sign if forward else -sign, y.shape)[inside]
+
+    cuts = np.sort(np.append(r + 1, 0))
+    starts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
+    starts = starts[starts < L]
+    table = np.zeros((chunks, len(starts) + 1), dtype=np.int32)
+    np.add.at(table, (first, np.searchsorted(starts, r, "right")), edit)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    origin = np.zeros(chunks, dtype=np.int64)  # A_c
+    np.cumsum(table[:-1, -1] + total, out=origin[1:])
+    lows = (table[:, :-1] + np.minimum.reduceat(s0, starts)).min(axis=1)
+    highs = (table[:, :-1] + np.maximum.reduceat(s0, starts)).max(axis=1)
+    return int((origin + lows).min()), int((origin + highs).max())
+
+
 def _count(m: int, n: int) -> _Count:
-    """The extremes of c, from one period of T_q or, sparse (16*mu < mu +
-    nu), from the 2*mu event keys sorted.  With a zero side there are no
-    events, and T is 0 everywhere."""
+    """The extremes of c, from one period of T_q read chunk by chunk
+    (``_period_extremes``) or, sparse (16*mu < mu + nu), from the 2*mu event
+    keys sorted.  With a zero side there are no events, and T is 0
+    everywhere."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
@@ -231,9 +347,8 @@ def _count(m: int, n: int) -> _Count:
         # Z_q are extremes at event keys
         lo, hi = int(c.min()), int(c.max())
     else:
-        lo = hi = 0  # T_q(0) = t0
-        for _, t in _t_scan(mu, nu, p, q, q):
-            lo, hi = min(lo, -int(t.max())), max(hi, -int(t.min()))
+        low, high = _period_extremes(mu, nu, p, q, _chunk_length(q))
+        lo, hi = -high, -low
     return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
 

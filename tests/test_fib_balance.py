@@ -16,11 +16,13 @@ from rectbal.fib_balance import (
     _ROW_BLOCK,
     _ROW_MU_MAX,
     BalanceStatus,
+    _chunk_length,
     _convergent,
     _count,
     _circle_keys,
     _floor_sums,
     _keys,
+    _period_extremes,
     _t_scan,
     _table_convergent,
     balance_table,
@@ -616,7 +618,8 @@ def test_witness_search_adds_no_memory_to_the_verdict():
 
 
 def test_dense_sweep_keeps_nothing_of_size_q():
-    # q = F_35 = 9,227,465: one int32 array over Z_q would take 35 MB
+    # q = F_35 = 9,227,465: one int32 array over Z_q would take 35 MB, and the
+    # verdict reads chunks of L = F_26 = 121,393 positions
     m, n = 4 * 10**6, 4 * 10**6 + 1
     for call in (is_balanced, exact_balance):
         tracemalloc.start()
@@ -625,7 +628,58 @@ def test_dense_sweep_keeps_nothing_of_size_q():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20, (call.__name__, peak)
+        assert peak < 4 << 20, (call.__name__, peak)
+
+
+def _period(mu: int, nu: int) -> tuple[int, int, tuple[int, int]]:
+    """p, q and the (min, max) of one period of T_q - T(0), read by the
+    witness scan."""
+    p, q = _convergent(mu + nu)
+    t = np.concatenate([t for _, t in _t_scan(mu, nu, p, q, q)])
+    return p, q, (int(t.min()), int(t.max()))
+
+
+def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
+    # the three shortest Fibonacci L whose edit arcs fit on Z_q (the most
+    # chunks, and delta of both signs), the chunk-length rule's L, and q
+    seen = set()
+    for mu in range(1, 90):
+        for nu in range(mu, 90):
+            p, q, expected = _period(mu, nu)
+            fits = []
+            for L in (fibonacci(r) for r in range(2, 20)):
+                chunks, delta = -(-q // L), L * p % q
+                if L <= q and (chunks - 1) * min(delta, q - delta) < q:
+                    fits.append(L)
+            for L in set(fits[:3] + [_chunk_length(q), q]):
+                chunks, delta = -(-q // L), L * p % q
+                got = _period_extremes(mu, nu, p, q, L)
+                assert got == expected, (mu, nu, L)
+                seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
+                if q % L:
+                    seen.add("partial last chunk")
+    assert seen == {"one chunk", "forward", "backward", "partial last chunk"}
+
+
+@settings(max_examples=150)
+@given(a=st.integers(1, 3 * 10**5), b=st.integers(1, 3 * 10**5))
+def test_period_extremes_match_the_scan(a, b):
+    mu, nu = min(a, b), max(a, b)
+    p, q, expected = _period(mu, nu)
+    assert _period_extremes(mu, nu, p, q, _chunk_length(q)) == expected, (mu, nu)
+
+
+def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
+    # every q = F_K up to _Q_MAX = F_48, with p = F_{K-2}
+    fibs = [fibonacci(k) for k in range(49)]
+    assert fibs[48] == _Q_MAX
+    for K in range(2, 49):
+        p, q = fibs[K - 2], fibs[K]
+        L = _chunk_length(q)
+        assert L in fibs and L <= q and (L == q or L**3 >= 8 * q * q), q
+        assert L == q or fibs[fibs.index(L) - 1] ** 3 < 8 * q * q, q  # the least
+        delta = L * p % q
+        assert (-(-q // L) - 1) * min(delta, q - delta) < q, q
 
 
 @settings(max_examples=60)
