@@ -302,7 +302,8 @@ def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int
     delta = L * p % q
     forward = 2 * delta < q
     step = delta if forward else q - delta
-    # the keys e + 1 before a jump (forward) or e after it, from chunk first on
+    # the key e + 1 before a jump (forward) or e past it is carried across
+    # from chunk e // step + 1 on
     e = np.arange((chunks - 1) * step, dtype=np.int64)
     first = e // step + 1
     _, up, down1, down2 = steps
