@@ -24,12 +24,15 @@ near 2*q^(2/3), each chunk's keys the first chunk's shifted by a small
 delta, so every chunk is the first with a few steps edited, and the
 extremes come from the first chunk's partial sums and a small table of the
 edits, O(L + q^(2/3)) work (when mu is small it sorts the 2*mu event keys
-instead).  A witness reads T itself in i order from T(0), one chunk at a
-time, on a convergent past the scanned indices, and every value is taken
-before F_{k+2}, F_k <= m + n - 1 < F_{k+1} (three-gap theorem).
+instead).  Every value is taken before F_{k+2}, F_k <= m + n - 1 < F_{k+1}
+(three-gap theorem), so a witness builds the same chunk table on a
+convergent past F_{k+2}, over the chunks below it, and reads the first
+chunk and segment that take each extreme, then one segment of the first
+chunk's sums; past int64 or the symbol budget it reads T in i order.
 Scalar T needs no table: its floor sums come from a Euclid-like recursion.
-A table past the q where j*p leaves int64, or past the symbol budget,
-raises ``BudgetExceeded``.
+A table past the q where j*p leaves int64, or past the symbol budget (the
+dense verdict counts its chunk and its candidate edits), raises
+``BudgetExceeded``.
 
 ``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
 at a time with no sort per window: the window j in [nu, nu+mu) is the block
@@ -96,12 +99,19 @@ def _convergent(bound: int) -> tuple[int, int]:
     return p, q
 
 
-def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
-    """_convergent for int64 tables of ``entries`` (default q) entries.  It
-    raises before any allocation past _Q_MAX, or past the symbol budget."""
+def _int64_convergent(bound: int) -> tuple[int, int]:
+    """_convergent for int64 tables; it raises before any allocation past
+    _Q_MAX."""
     p, q = _convergent(bound)
     if q > _Q_MAX:
         raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
+    return p, q
+
+
+def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
+    """_int64_convergent for tables of ``entries`` (default q) entries; it
+    raises past the symbol budget too."""
+    p, q = _int64_convergent(bound)
     words.check_budget(q if entries is None else entries, "table entries")
     return p, q
 
@@ -153,11 +163,12 @@ def t_value(i: int, m: int, n: int) -> int:
 # the scan of T in i order
 
 # Sort the 2*mu event keys instead of reading one period of T_q once mu is
-# this many times smaller than mu + nu.  Only the sparse verdict reaches past
-# q = the symbol budget, so the split decides which pairs answer under a
-# budget.  On one CPU the two verdicts cost the same near nu/mu = 128 (m + n
-# ~ 10^6: 0.29 ms) and 240 (~ 4*10^6: 0.65 ms); at nu/mu = 16 the sparse
-# verdict takes 3.2 and 16 ms.
+# this many times smaller than mu + nu.  The sparse verdict holds its 2*mu
+# keys and the dense one its chunk of L ~ 2*q^(2/3) positions
+# (``_chunk_entries``), so under a small symbol budget the split decides
+# which pairs answer.  On one CPU the two verdicts cost the same near nu/mu
+# = 128 (m + n ~ 10^6: 0.29 ms) and 240 (~ 4*10^6: 0.65 ms); at nu/mu = 16
+# the sparse verdict takes 3.2 and 16 ms.
 _SPARSE_RATIO = 16
 # The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
 # witness costs one small chunk, and hold at most this many positions, or
@@ -238,12 +249,12 @@ def _t_scan(
 
 def _chunk_length(q: int) -> int:
     """L = F_r, the least Fibonacci number with L**3 >= 8*q**2 (L >= 2*q^(2/3)),
-    capped at q: the chunk length of ``_period_extremes``.
+    capped at q: the chunk length of ``_chunk_table``.
 
     For q = F_K and L = F_r < q, delta = L*p mod q = +-F_{K-r} (Vajda's
     identity F_r F_{K-2} - F_{r-2} F_K = (-1)^r F_{K-r}), and F_r F_{K-r} <=
     F_K, so |delta| <= q/L.  With C = ceil(q/L) chunks, (C-1)|delta| <
-    q**2/L**2 <= q^(2/3)/4 < q, which ``_period_extremes`` needs.  Its work
+    q**2/L**2 <= q^(2/3)/4 < q, which ``_chunk_table`` needs.  Its work
     is a few passes over L positions, 4(C-1)|delta| < 4*q**2/L**2 candidate
     keys, and a table of C rows by one column per edited offset: about
     4(C-1)|delta|*L/q <= 4C columns when the offsets spread evenly, so about
@@ -271,10 +282,20 @@ def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     return key
 
 
-def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int]:
-    """(min, max) of T_q(i) - T(0) over one period 0 <= i < q (see ``_Count``),
-    read as C = ceil(q/L) chunks of L positions; the last runs past q, where
-    T_q repeats.
+def _chunk_entries(p: int, q: int, L: int, chunks: int) -> int:
+    """The size rule of ``_chunk_table``: it holds the chunk's L positions
+    and at most 4(C-1)|delta| candidate keys, C = ``chunks``."""
+    delta = L * p % q
+    return max(L, 4 * (chunks - 1) * min(delta, q - delta))
+
+
+def _chunk_table(
+    mu: int, nu: int, p: int, q: int, L: int, chunks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(s0, starts, origin, table): T_q(i) - T(0) for 0 <= i < C*L, C =
+    ``chunks``, read as C chunks of L positions, for (C-1)|delta| < q (see
+    below).  s0 holds chunk 0's partial sums, starts the segment starts, and
+    chunk c at offset r in segment g holds origin[c] + table[c, g] + s0[r].
 
     The steps are ``_t_scan``'s, d0 + W(key(i)) with W(y) = [y >= up] - [y >=
     down1] - [y >= down2] on Z_q: W jumps by +1 at up, -1 at down1 and down2,
@@ -284,47 +305,55 @@ def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int
     shift carries key(r) across.  For delta > 0 the jump at a is crossed from
     the first c with c*delta >= (a - key(r)) mod q >= 1; for delta < 0 from
     the first c with c*|delta| > (key(r) - a) mod q, with the jump's sign
-    reversed.  As (C-1)|delta| < q (``_chunk_length``), the edited keys are
-    the (C-1)|delta| keys beside each jump, each edited from one chunk on,
-    and key y sits at offset y*p^-1 mod q, p^-1 = +-p (F_{K-2}^2 = F_{K-4} F_K
-    + (-1)^K); those at offsets below L are edits.
+    reversed.  As (C-1)|delta| < q, the edited keys are the (C-1)|delta| keys
+    beside each jump, each edited from one chunk on, and key y sits at offset
+    y*p^-1 mod q, p^-1 = +-p (F_{K-2}^2 = F_{K-4} F_K + (-1)^K); those at
+    offsets below L are edits.
 
     Cut [0, L) after every edited offset.  On each segment, chunk c's partial
-    sums are chunk 0's, S_0, plus the sum of chunk c's edits before the
-    segment: a chunk x segment table, two cumsums of the edits.  Chunk c
-    starts at A_c, the sum of the chunk totals before it.  So its extremes
-    are A_c plus the extremes over segments of the table plus S_0's.
+    sums are chunk 0's plus the sum of chunk c's edits before the segment:
+    the chunk x segment table, two cumsums of the edits; its last column is
+    chunk c's edit to its total.  Chunk c starts at origin[c], the sum of the
+    chunk totals before it.  The candidate keys are built one jump at a time.
     """
     steps = _steps(mu, nu, p, q)
     s0, total = _step_sums(_doubled_keys(L, p, q), steps, 0)  # chunk 0
-
-    chunks = -(-q // L)
     delta = L * p % q
     forward = 2 * delta < q
     step = delta if forward else q - delta
+    inverse = p if p * p % q == 1 else -p
     # the key e + 1 before a jump (forward) or e past it is carried across
     # from chunk e // step + 1 on
     e = np.arange((chunks - 1) * step, dtype=np.int64)
-    first = e // step + 1
     _, up, down1, down2 = steps
-    jump = np.array([[up], [down1], [down2], [q]], dtype=np.int64)  # q: the wrap
-    sign = np.array([[1], [-1], [-1], [1]], dtype=np.int32)
-    y = (jump - 1 - e if forward else jump + e) % q
-    r = y * (p if p * p % q == 1 else -p) % q
-    inside = r < L
-    r = r[inside]
-    first = np.broadcast_to(first, y.shape)[inside]
-    edit = np.broadcast_to(sign if forward else -sign, y.shape)[inside]
+    edits = []  # (offsets, first chunks, sign) of each jump; q is the wrap
+    for jump, sign in ((up, 1), (down1, -1), (down2, -1), (q, 1)):
+        r = jump - 1 - e if forward else jump + e
+        r %= q
+        r *= inverse
+        r %= q
+        inside = np.flatnonzero(r < L)
+        edits.append((r[inside], inside // step + 1, sign if forward else -sign))
 
-    cuts = np.sort(np.append(r + 1, 0))
+    cuts = np.sort(np.concatenate([r + 1 for r, _, _ in edits] + [[0]]))
     starts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
     starts = starts[starts < L]
     table = np.zeros((chunks, len(starts) + 1), dtype=np.int32)
-    np.add.at(table, (first, np.searchsorted(starts, r, "right")), edit)
+    for r, first, sign in edits:
+        np.add.at(table, (first, np.searchsorted(starts, r, "right")), sign)
     np.cumsum(table, axis=0, out=table)
     np.cumsum(table, axis=1, out=table)
-    origin = np.zeros(chunks, dtype=np.int64)  # A_c
+    origin = np.zeros(chunks, dtype=np.int64)
     np.cumsum(table[:-1, -1] + total, out=origin[1:])
+    return s0, starts, origin, table
+
+
+def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int]:
+    """(min, max) of T_q(i) - T(0) over one period 0 <= i < q (see ``_Count``),
+    read off ``_chunk_table``'s C = ceil(q/L) chunks; the last runs past q,
+    where T_q repeats.  Chunk c's extremes are origin[c] plus the extremes
+    over segments of its table row plus s0's."""
+    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-q // L))
     lows = (table[:, :-1] + np.minimum.reduceat(s0, starts)).min(axis=1)
     highs = (table[:, :-1] + np.maximum.reduceat(s0, starts)).max(axis=1)
     return int((origin + lows).min()), int((origin + highs).max())
@@ -339,16 +368,18 @@ def _count(m: int, n: int) -> _Count:
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
         return _Count(mu, nu, 0, 0, 0)
-    sparse = _SPARSE_RATIO * mu < mu + nu
-    p, q = _table_convergent(mu + nu, 2 * mu if sparse else None)
-    if sparse:
+    if _SPARSE_RATIO * mu < mu + nu:
+        p, q = _table_convergent(mu + nu, 2 * mu)
         keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
         c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
         # key(0) = 0 is an event and c ends at 0, so the extremes of c over
         # Z_q are extremes at event keys
         lo, hi = int(c.min()), int(c.max())
     else:
-        low, high = _period_extremes(mu, nu, p, q, _chunk_length(q))
+        p, q = _int64_convergent(mu + nu)
+        L = _chunk_length(q)
+        words.check_budget(_chunk_entries(p, q, L, -(-q // L)), "table entries")
+        low, high = _period_extremes(mu, nu, p, q, L)
         lo, hi = -high, -low
     return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
@@ -363,34 +394,74 @@ def is_balanced(m: int, n: int) -> bool:
     return count.hi - count.lo <= 1
 
 
+def _first_hits(
+    mu: int, nu: int, p: int, q: int, L: int, stop: int, targets: tuple[int, int]
+) -> list[int]:
+    """The first i < stop where T_q(i) - T(0) takes the min target and the
+    first where it takes the max target, for targets that T_q takes there,
+    read off ``_chunk_table``'s ceil(stop/L) chunks: the first chunk, then
+    its first segment g, whose extreme is the target, then the first offset
+    r from the segment's start with origin[c] + table[c, g] + s0[r] = the
+    target, which lies in the segment."""
+    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-stop // L))
+    hits = []
+    for target, extreme in zip(targets, (np.minimum, np.maximum)):
+        part = table[:, :-1] + extreme.reduceat(s0, starts)  # chunk x segment
+        c = int(np.argmax(extreme.reduce(part, axis=1) + origin == target))
+        in_chunk = target - int(origin[c])
+        g = int(np.argmax(part[c] == in_chunk))
+        r = int(starts[g])
+        r += int(np.argmax(s0[r:] == in_chunk - int(table[c, g])))
+        hits.append(c * L + r)
+    return hits
+
+
 def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
-    increasing order, with their values, read off ``_t_scan``.
+    increasing order, with their values.
 
-    The scan finds both by F_{k+2}, where F_k <= m+n-1 < F_{k+1} and
-    k >= 2.  For i >= 1, T(i) is fixed by the open arc between event points
-    frac(j*gamma), j in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).
-    Each arc is at least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and
-    the orbit points i < F_{k+2} leave gaps of at most ||F_k*gamma||
-    (three-gap theorem): the orbit's largest gap is not above the
-    partition's smallest arc, so an arc holding no orbit point would be a
-    gap with orbit points at both ends, but the two point sets share only 0.
+    Both lie below F_{k+2}, where F_k <= m+n-1 < F_{k+1} and k >= 2.  For i
+    >= 1, T(i) is fixed by the open arc between event points frac(j*gamma),
+    j in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).  Each arc is at
+    least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and the orbit
+    points i < F_{k+2} leave gaps of at most ||F_k*gamma|| (three-gap
+    theorem): the orbit's largest gap is not above the partition's smallest
+    arc, so an arc holding no orbit point would be a gap with orbit points
+    at both ends, but the two point sets share only 0.
+
+    Below the cover F_{k+2}, T = T_q' for p'/q' = _convergent(F_{k+2} + mu +
+    nu).  ``_first_hits`` reads both off ``_chunk_table`` on q' over the C' =
+    ceil(F_{k+2}/L) chunks that cover the range, with the verdict's chunk
+    length L = ``_chunk_length(q)``, q = F_K the verdict's q > mu + nu.
+    The edit arcs fit on Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <=
+    q'/L for q' = F_{K'} (see ``_chunk_length``); k <= K - 1, so F_{k+2} <=
+    F_{K+1} < 2q; and L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence
+    (C'-1)|delta'| < (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  Past _Q_MAX,
+    or when the table passes the symbol budget (``_chunk_entries``), T is
+    read in i order by ``_t_scan`` instead.  Both witnesses are re-checked
+    by ``t_value``.
     """
     mu, nu = count.mu, count.nu
     p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
     cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
-    first = {}  # value of T - t0 -> first i where T takes it
-    for i0, t in _t_scan(mu, nu, *_convergent(cover + mu + nu), cover):
-        for target in (-count.hi, -count.lo):
-            if target not in first:
-                hits = np.flatnonzero(t == target)
-                if len(hits):
-                    first[target] = i0 + int(hits[0])
-        if len(first) == 2:
-            break
+    p, q = _convergent(cover + mu + nu)
+    L = _chunk_length(_convergent(mu + nu)[1])
+    targets = (-count.hi, -count.lo)  # the min and max of T - t0
+    if q <= _Q_MAX and _chunk_entries(p, q, L, -(-cover // L)) <= words.BUDGET:
+        i, j = sorted(_first_hits(mu, nu, p, q, L, cover, targets))
     else:
-        raise RuntimeError(f"no witness found for ({mu}, {nu})")
-    i, j = sorted(first.values())
+        first = {}  # value of T - t0 -> first i where T takes it
+        for i0, t in _t_scan(mu, nu, p, q, cover):
+            for target in targets:
+                if target not in first:
+                    hits = np.flatnonzero(t == target)
+                    if len(hits):
+                        first[target] = i0 + int(hits[0])
+            if len(first) == 2:
+                break
+        else:
+            raise RuntimeError(f"no witness found for ({mu}, {nu})")
+        i, j = sorted(first.values())
     ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
     return i, j, ti, tj

@@ -17,9 +17,11 @@ from rectbal.fib_balance import (
     _ROW_MU_MAX,
     BalanceStatus,
     _chunk_length,
+    _chunk_table,
     _convergent,
     _count,
     _circle_keys,
+    _first_hits,
     _floor_sums,
     _keys,
     _period_extremes,
@@ -459,7 +461,7 @@ def test_tables_obey_the_symbol_budget(budget):
     expected = exact_balance(400, 10**5).value_set
     budget(1000)
     calls = (
-        lambda: is_balanced(500, 600),  # a dense sweep over q = 1597
+        lambda: is_balanced(5000, 6000),  # a dense chunk of L = 1597 positions
         lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
         lambda: row_value_bounds(30, 1000),  # circle keys over q = 1597
         lambda: row_value_bounds(0, 5000),  # 5001 floor sums, though no events
@@ -646,12 +648,7 @@ def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
     for mu in range(1, 90):
         for nu in range(mu, 90):
             p, q, expected = _period(mu, nu)
-            fits = []
-            for L in (fibonacci(r) for r in range(2, 20)):
-                chunks, delta = -(-q // L), L * p % q
-                if L <= q and (chunks - 1) * min(delta, q - delta) < q:
-                    fits.append(L)
-            for L in set(fits[:3] + [_chunk_length(q), q]):
+            for L in set(_fitting_lengths(p, q, q)[:3] + [_chunk_length(q), q]):
                 chunks, delta = -(-q // L), L * p % q
                 got = _period_extremes(mu, nu, p, q, L)
                 assert got == expected, (mu, nu, L)
@@ -680,6 +677,96 @@ def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
         assert L == q or fibs[fibs.index(L) - 1] ** 3 < 8 * q * q, q  # the least
         delta = L * p % q
         assert (-(-q // L) - 1) * min(delta, q - delta) < q, q
+        # the witness table on q' over the cover, with this L, for the least
+        # and the greatest m + n whose verdict runs on q (see _find_witness)
+        for size in (fibs[K - 1], q - 1):
+            if size < 2:
+                continue
+            p1, q1 = _convergent(size - 1)
+            cover = 2 * q1 - p1
+            p1, q1 = _convergent(cover + size)
+            assert cover >= L, size
+            if q1 <= _Q_MAX:
+                delta = L * p1 % q1
+                assert (-(-cover // L) - 1) * min(delta, q1 - delta) < q1, size
+
+
+def _witness_range(mu: int, nu: int) -> tuple[int, int, int, tuple[int, int]]:
+    """p' and q' of the witness search, its cover F_{k+2} and the targets
+    (min, max) of T - t0 (see _find_witness)."""
+    p, q = _convergent(mu + nu - 1)
+    cover = 2 * q - p
+    count = _count(mu, nu)
+    return (*_convergent(cover + mu + nu), cover, (-count.hi, -count.lo))
+
+
+def _scan_hits(mu: int, nu: int) -> list[int]:
+    """The first i where T takes its min and its max, read in i order by the
+    witness scan up to the cover."""
+    p, q, cover, targets = _witness_range(mu, nu)
+    t = np.concatenate([t for _, t in _t_scan(mu, nu, p, q, cover)])
+    return [int(np.flatnonzero(t == target)[0]) for target in targets]
+
+
+def _fitting_lengths(p: int, q: int, stop: int) -> list[int]:
+    """The Fibonacci L <= q whose edit arcs over ceil(stop/L) chunks fit on
+    Z_q, shortest first."""
+    fits = []
+    for L in (fibonacci(r) for r in range(2, 60)):
+        delta = L * p % q
+        if L <= q and (-(-stop // L) - 1) * min(delta, q - delta) < q:
+            fits.append(L)
+    return fits
+
+
+def test_first_hits_match_the_scan_at_forced_chunk_lengths():
+    # the three shortest L that fit (the most chunks, and delta of both
+    # signs), the verdict's L, and L = the cover (one chunk)
+    seen = set()
+    for mu in range(1, 60):
+        for nu in range(mu, 60):
+            p, q, cover, targets = _witness_range(mu, nu)
+            expected = _scan_hits(mu, nu)
+            verdict_L = _chunk_length(_convergent(mu + nu)[1])
+            for L in set(_fitting_lengths(p, q, cover)[:3] + [verdict_L, cover]):
+                chunks, delta = -(-cover // L), L * p % q
+                got = _first_hits(mu, nu, p, q, L, cover, targets)
+                assert got == expected, (mu, nu, L)
+                seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
+                if cover % L:
+                    seen.add("partial last chunk")
+                if 0 in got:
+                    seen.add("a hit at i = 0")
+                starts = _chunk_table(mu, nu, p, q, L, chunks)[1]
+                i, j = got
+                if i // L == j // L and np.searchsorted(starts, i % L, "right") == np.searchsorted(
+                    starts, j % L, "right"
+                ):
+                    seen.add("both hits in one segment")
+    assert seen == {
+        "one chunk",
+        "forward",
+        "backward",
+        "partial last chunk",
+        "a hit at i = 0",
+        "both hits in one segment",
+    }
+
+
+@settings(max_examples=40)
+@given(
+    a=st.integers(1, 3 * 10**5),
+    b=st.integers(1, 3 * 10**5),
+    shortest=st.integers(0, 2),
+)
+def test_first_hits_match_the_scan(a, b, shortest):
+    # one of the three shortest L that fit, and the verdict's L
+    mu, nu = min(a, b), max(a, b)
+    p, q, cover, targets = _witness_range(mu, nu)
+    expected = _scan_hits(mu, nu)
+    verdict_L = _chunk_length(_convergent(mu + nu)[1])
+    for L in {_fitting_lengths(p, q, cover)[shortest], verdict_L}:
+        assert _first_hits(mu, nu, p, q, L, cover, targets) == expected, (mu, nu, L)
 
 
 @settings(max_examples=60)

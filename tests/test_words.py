@@ -348,14 +348,14 @@ def test_one_budget_caps_words_and_tables():
     old = words_mod.BUDGET
     try:
         words_mod.set_budget(1000)
-        for call in (lambda: tm.ensure(1001), lambda: is_balanced(500, 600)):
+        for call in (lambda: tm.ensure(1001), lambda: is_balanced(5000, 6000)):
             with pytest.raises(BudgetExceeded, match="budget is 1000"):
                 call()
     finally:
         words_mod.set_budget(old)
     assert words_mod.BUDGET == old
     tm.ensure(1001)
-    assert not is_balanced(500, 600)
+    assert not is_balanced(5000, 6000)
 
 
 def test_budget_checks_share_one_message(budget):
@@ -364,7 +364,7 @@ def test_budget_checks_share_one_message(budget):
     budget(1000)
     for call, size, what in [
         (lambda: Word(SequenceKind.FIBONACCI).ensure(1001), 1001, "symbols"),
-        (lambda: is_balanced(500, 600), 1597, "table entries"),  # q = F_17
+        (lambda: is_balanced(5000, 6000), 1597, "table entries"),  # L = F_17
         (lambda: balance_table(40), 41 * 41, "table entries"),
         (lambda: diverse_identities_check(2), 399 + 610, "symbols"),  # j1 + F_15
         # the whole scan's symbols, before its first 1024-position chunk
