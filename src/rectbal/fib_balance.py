@@ -34,10 +34,15 @@ A table past the q where j*p leaves int64, or past the symbol budget (the
 dense verdict counts its chunk and its candidate edits), raises
 ``BudgetExceeded``.
 
-``balance_table`` and ``rectbal fib sweep`` run the circle route one row mu
+``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
+iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
+0 < e < mu, so a row of verdicts reads one cumsum of arc ends over Z_q and
+the table costs O(limit**2).  ``row_value_bounds`` and ``rectbal fib sweep``
+need the value sets, not only verdicts, and run the circle route one row mu
 at a time with no sort per window: the window j in [nu, nu+mu) is the block
 [0, mu) rotated by frac(nu*gamma), so its circle order is a cyclic shift of
-the block's (Sos 1957), found by one argmin.
+the block's (Sos 1957), starting at the rank of q - key(nu) among the
+block's keys.  The two are independent routes to the same verdicts.
 """
 from __future__ import annotations
 
@@ -612,13 +617,6 @@ _ROW_MU_MAX = (1 << 15) - 1
 _ROW_BLOCK = 1 << 20  # window entries per block of a row
 
 
-def _check_row_frontier(mu: int) -> None:
-    if mu > _ROW_MU_MAX:
-        raise BudgetExceeded(
-            f"row kernel requested at mu = {mu}, int16 lanes hold mu <= {_ROW_MU_MAX}"
-        )
-
-
 def _row_extrema(
     keys: np.ndarray, q: int, mu: int, nu_hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -632,15 +630,18 @@ def _row_extrema(
     p.  The k-th window point is then the t-th smallest, t = (inv[k] - p)
     mod mu, and the counting function right after it is
     c = t + 1 - below_A(keys[nu+k]), where below_A over Z_q counts the keys
-    of A under each key.  The function is 0 at both ends and rises only at
-    window points, so its max is max c and its min min(c - 1).
+    of A under each key.  With s = key(nu), key(nu+k) = key(k) + s less q
+    when key(k) >= q - s, so the window's smallest point comes from the
+    least key(k) >= q - s, of rank p = below_A(q - s), or from A's least
+    key, of rank 0 = mu mod mu, when there is none.  The function
+    is 0 at both ends and rises only at window points, so its max is max c
+    and its min min(c - 1).
     """
     a = keys[:mu]
     below = np.zeros(q + 1, dtype=np.int16)  # below[y] = #{a < y}
     below[a + 1] = 1
     np.cumsum(below, out=below)
     inv = below[a]  # the rank of each key of A, which are distinct
-    windows = sliding_window_view(keys, mu)
     below_windows = sliding_window_view(below[keys], mu)
     lo = np.empty(nu_hi - mu + 1, dtype=np.int32)
     hi = np.empty_like(lo)
@@ -648,7 +649,7 @@ def _row_extrema(
     wrap = np.int16(mu)
     for nu in range(mu, nu_hi + 1, step):
         block = slice(nu, min(nu + step, nu_hi + 1))
-        p = inv[np.argmin(windows[block], axis=1)]
+        p = below[q - keys[block]]  # mu stands for 0: t is taken mod mu
         t = inv - p[:, None]
         t += (t >> 15) & wrap  # t mod mu without a division
         t -= below_windows[block]  # c - 1
@@ -669,7 +670,10 @@ def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
     set of each pair is every integer between the two.  Empty when
     nu_hi < mu; for mu = 0 the counting function has no events and T = 0."""
     check_at_least(0, mu=mu, nu_hi=nu_hi)
-    _check_row_frontier(mu)
+    if mu > _ROW_MU_MAX:
+        raise BudgetExceeded(
+            f"row kernel requested at mu = {mu}, int16 lanes hold mu <= {_ROW_MU_MAX}"
+        )
     lo = hi = 0
     if mu and nu_hi >= mu:
         lo, hi = _row_extrema(*_circle_keys(nu_hi + mu), mu, nu_hi)
@@ -680,19 +684,43 @@ def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _TABLE = np.zeros((0, 0), dtype=bool)  # the largest verdict table built so far
+_TABLE_BLOCK = 1 << 15  # cover counts per block of table rows, q per row
 
 
 def balance_table(limit: int) -> np.ndarray:
     """Symmetric boolean matrix of exact balance verdicts for m, n <= limit.
 
-    Built once per process, one row mu at a time by the row kernel over a
-    single key array of j < 2*limit; smaller limits are read from it.  Its
+    Built once per process by an arc cover on the circle keys of q >
+    2*limit, with no work per window; smaller limits are read from it.  Its
     (limit+1)**2 entries are held to the symbol budget even when cached, so
     a request's fate does not depend on what was built.
+
+    Take 1 <= mu <= nu <= limit and s = key(nu) on q > 2*limit, so key(d) =
+    (d*p) mod q is additive and keeps the circle order for -mu < d <= nu.
+    The row kernel (``_row_extrema``) calls (mu, nu) balanced when max c -
+    min(c - 1) <= 1 over the values c of its counting function right after
+    the window points key(j) + s mod q, j < mu: when c is the same after
+    each.  Counting the block keys below that point from key(j), c = mu + 1
+    - p - N(j), with p the rank of the window's least point (fixed by the
+    pair) and N(j) the number of block keys in the arc [key(j), key(j) + s)
+    of Z_q.  As key(k) - key(j) = key(k - j), N(j) = sum_{d=-j}^{mu-1-j}
+    chi(d) with chi(d) = [key(d) < s], and N(j+1) - N(j) = chi(e - mu) -
+    chi(e) for e = mu - 1 - j.  So (mu, nu) is balanced iff chi(e) = chi(e
+    - mu) for every 1 <= e < mu: iff s lies in none of the mu - 1 arcs
+    [min, max) of key(e) and key(e - mu) = key(e) - key(mu) mod q.  Keys of
+    indices less than q apart are distinct, and nu - e, nu - e + mu lie in
+    (0, q), so s is never an endpoint.
+
+    Row mu's cover count, the number of its arcs over each y of Z_q, is the
+    cumsum of +1 at each arc's start and -1 at its end, and the row's
+    verdicts read it at key(nu) for nu >= mu: O(q + limit) per row and
+    O(limit**2) in all, as q < 4*limit.  A block of _TABLE_BLOCK // q rows
+    (at least one) holds row mu's counts at offset (mu - m0)*q, so it is one
+    bincount and one cumsum, each row's arcs inside its own q counts; it
+    writes its rows and, transposed, its columns.
     """
     global _TABLE
     check_at_least(0, limit=limit)
-    _check_row_frontier(limit)
     words.check_budget((limit + 1) ** 2, "table entries")
     table = _TABLE
     if len(table) > limit:
@@ -701,11 +729,27 @@ def balance_table(limit: int) -> np.ndarray:
     out[0, :] = True
     out[:, 0] = True
     keys, q = _circle_keys(2 * limit)
-    for mu in range(1, limit + 1):
-        lo, hi = _row_extrema(keys, q, mu, limit)
-        out[mu, mu:] = hi - lo <= 1
-    lower = np.tril_indices(limit + 1, -1)
-    out[lower] = out.T[lower]
+    rows = max(1, _TABLE_BLOCK // q)
+    for m0 in range(1, limit + 1, rows):
+        m1 = min(m0 + rows, limit + 1)
+        mu = np.arange(m0, m1)[:, None]
+        a = keys[1:m1]  # key(e), 1 <= e < m1
+        b = a - keys[m0:m1, None]  # key(e - mu)
+        b += (b >> 31) & np.int32(q)
+        start = np.minimum(a, b)
+        # a row's arcs at e >= mu are empty
+        end = np.where(np.arange(1, m1) < mu, np.maximum(a, b), start)
+        offset = ((mu - m0) * q).astype(np.int32)
+        start += offset
+        end += offset
+        size = (m1 - m0) * q
+        cover = np.bincount(start.ravel(), minlength=size)
+        cover -= np.bincount(end.ravel(), minlength=size)
+        np.cumsum(cover, out=cover)
+        # nu in [m0, limit]; the arcs decide nu >= mu only
+        verdict = np.triu(cover[keys[m0 : limit + 1] + offset] == 0)
+        out[m0:m1, m0:] = verdict
+        out[m0:, m0:m1] |= verdict.T
     out.flags.writeable = False
     _TABLE = out
     return out

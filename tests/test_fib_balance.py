@@ -25,6 +25,7 @@ from rectbal.fib_balance import (
     _floor_sums,
     _keys,
     _period_extremes,
+    _row_extrema,
     _t_scan,
     _table_convergent,
     balance_table,
@@ -269,10 +270,58 @@ def test_row_kernel_int16_frontier(monkeypatch):
     for call in (
         lambda: row_value_bounds(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
         lambda: row_value_bounds(_ROW_MU_MAX + 1, 10**9),
-        lambda: balance_table(_ROW_MU_MAX + 1),
     ):
         with pytest.raises(BudgetExceeded, match="int16"):
             call()
+    # the verdict table runs no int16 lanes; its bound is the symbol budget,
+    # which it checks before it allocates
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="table entries"):
+            balance_table(_ROW_MU_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def _cold_table(limit: int) -> np.ndarray:
+    """balance_table(limit) built afresh, whatever the cache holds."""
+    cached = fib_balance._TABLE
+    fib_balance._TABLE = np.zeros((0, 0), dtype=bool)
+    try:
+        return balance_table(limit)
+    finally:
+        fib_balance._TABLE = cached
+
+
+def test_arc_cover_table_matches_the_row_kernel():
+    limit = 377
+    table = _cold_table(limit)
+    keys, q = _circle_keys(2 * limit)
+    for mu in range(1, limit + 1):
+        lo, hi = _row_extrema(keys, q, mu, limit)
+        assert np.array_equal(table[mu, mu:], hi - lo <= 1), mu
+    assert np.array_equal(table, table.T) and table[0].all()
+
+
+def test_arc_cover_table_is_the_same_in_any_blocks(monkeypatch):
+    # q = 987 for limit 400: 33 rows a block at the default size, and 1, 2
+    # or 7 rows a block (a partial block last) at the forced sizes
+    expected = _cold_table(400)
+    for size in (1, 2 * 987, 7 * 987 + 5):
+        monkeypatch.setattr(fib_balance, "_TABLE_BLOCK", size)
+        assert np.array_equal(_cold_table(400), expected), size
+
+
+def test_arc_cover_table_peak_memory():
+    tracemalloc.start()
+    try:
+        table = _cold_table(609)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 610 * 610 and peak < 3 << 20
 
 
 def test_t_value_vector_matches_scalar():
@@ -513,12 +562,13 @@ def test_witness_scan_obeys_the_symbol_budget(budget, monkeypatch):
     assert arrays.sizes and max(arrays.sizes) <= 1000
 
 
-def test_witness_rebuild_goes_sparse_over_the_budget(budget):
+def test_chunk_tables_answer_under_a_small_budget(budget):
     pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
     full = {pair: exact_balance(*pair) for pair in pairs}
     assert sum(not v.balanced for v in full.values()) >= 5
-    # the verdict sweeps fit 5000 entries and the witnesses are read off
-    # them; a sweep over F_{k+2} = 10946 positions would not fit
+    # every verdict and every witness reads a chunk table of L = 610
+    # positions (72 and 352 candidate keys) inside 5000 entries, where the
+    # witness's cover F_{k+2} = 6765 and its q' = 10946 would not fit
     budget(5000)
     for pair, verdict in full.items():
         assert exact_balance(*pair) == verdict, pair
