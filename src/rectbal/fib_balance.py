@@ -18,21 +18,22 @@ gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
 (j*p) mod q.  Each step of T in i order is three key comparisons.  A
 verdict needs the extremes of T_q, T with (j*p) // q in place of
-floor(j*gamma) on q = F_K > m + n: T_q has period q and one period takes
-every value of T.  The period is read as chunks of a Fibonacci length L
-near 2*q^(2/3), each chunk's keys the first chunk's shifted by a small
-delta, so every chunk is the first with a few steps edited, and the
+floor(j*gamma) on a Fibonacci q > m + n: T_q takes only values of T, and
+one period of it takes them all.  T_q is read as chunks of a Fibonacci
+length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
+small delta, so every chunk is the first with a few steps edited, and the
 extremes come from the first chunk's partial sums and a small table of the
-edits, O(L + q^(2/3)) work (when mu is small it sorts the 2*mu event keys
-instead).  Every value is taken before F_{k+2}, F_k <= m + n - 1 < F_{k+1}
-(three-gap theorem), so a witness builds the same chunk table on a
-convergent past F_{k+2}, over the chunks below it, and reads the first
-chunk and segment that take each extreme, then one segment of the first
-chunk's sums; past int64 or the symbol budget it reads T in i order.
-Scalar T needs no table: its floor sums come from a Euclid-like recursion.
-A table past the q where j*p leaves int64, or past the symbol budget (the
-dense verdict counts its chunk and its candidate edits), raises
-``BudgetExceeded``.
+edits, O(L + q^(2/3)) work.  Every value is taken before F_{k+2}, F_k <= m
++ n - 1 < F_{k+1} (three-gap theorem), so ``exact_balance`` builds one such
+table, on a convergent past F_{k+2} + m + n over the chunks below F_{k+2},
+and reads the value set and the first chunk, segment and offset that take
+each extreme off it.  When mu is small it sorts the 2*mu event keys
+instead and reads the witness off the same table; past int64 or the
+symbol budget it reads the period table on q = F_K > m + n and T in i
+order.  ``is_balanced`` reads the period table only.  Scalar T needs no
+table: its floor sums come from a Euclid-like recursion.  A table past the
+q where j*p leaves int64, or past the symbol budget (a table counts its
+chunk and its candidate edits), raises ``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -171,9 +172,9 @@ def t_value(i: int, m: int, n: int) -> int:
 # this many times smaller than mu + nu.  The sparse verdict holds its 2*mu
 # keys and the dense one its chunk of L ~ 2*q^(2/3) positions
 # (``_chunk_entries``), so under a small symbol budget the split decides
-# which pairs answer.  On one CPU the two verdicts cost the same near nu/mu
-# = 128 (m + n ~ 10^6: 0.29 ms) and 240 (~ 4*10^6: 0.65 ms); at nu/mu = 16
-# the sparse verdict takes 3.2 and 16 ms.
+# which pairs answer.  On one CPU the two counts (``_count``) cost the same
+# near nu/mu = 150 (m + n ~ 10^6: 0.24 ms) and 340 (~ 4*10^6: 0.42 ms); at
+# nu/mu = 16 the sparse count takes 3.1 and 16 ms.
 _SPARSE_RATIO = 16
 # The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
 # witness costs one small chunk, and hold at most this many positions, or
@@ -275,16 +276,21 @@ def _chunk_length(q: int) -> int:
 
 def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     """key(r) = (r*p) mod q for r < L by doubling, key(r + n) = key(r) +
-    key(n) less q past it: in int32 while 2q < 2^31, with no int64 pass."""
-    dtype = np.int32 if 2 * q < 1 << 31 else np.int64
+    key(n) less q past it, with no branch: in unsigned ints the sum s < 2q
+    less q wraps above s exactly when s < q, so the key is min(s, s - q).
+    Built in uint32 while 2q < 2^31 and uint64 past it, and returned as the
+    int32 or int64 view; both operands of every pass share the unsigned
+    dtype, so numpy's promotion rules, before NEP 50 and after, agree."""
+    wide = 2 * q >= 1 << 31
+    dtype = np.uint64 if wide else np.uint32
     key = np.zeros(L, dtype=dtype)
     n = 1
     while n < L:
         part = key[n : 2 * n]
         np.add(key[: len(part)], dtype(n * p % q), out=part)
-        np.subtract(part, dtype(q), out=part, where=part >= q)
+        np.minimum(part, part - dtype(q), out=part)
         n *= 2
-    return key
+    return key.view(np.int64 if wide else np.int32)
 
 
 def _chunk_entries(p: int, q: int, L: int, chunks: int) -> int:
@@ -313,7 +319,10 @@ def _chunk_table(
     reversed.  As (C-1)|delta| < q, the edited keys are the (C-1)|delta| keys
     beside each jump, each edited from one chunk on, and key y sits at offset
     y*p^-1 mod q, p^-1 = +-p (F_{K-2}^2 = F_{K-4} F_K + (-1)^K); those at
-    offsets below L are edits.
+    offsets below L are edits.  The candidate key a - 1 - e (forward) or a
+    + e sits at offset b - e*p^-1 or b + e*p^-1 mod q, b the offset of a - 1
+    or a, and e*p^-1 = +-key(e) mod q: the candidate offsets are the doubled
+    keys shifted, with no division.
 
     Cut [0, L) after every edited offset.  On each segment, chunk c's partial
     sums are chunk 0's plus the sum of chunk c's edits before the segment:
@@ -322,21 +331,25 @@ def _chunk_table(
     chunk totals before it.  The candidate keys are built one jump at a time.
     """
     steps = _steps(mu, nu, p, q)
-    s0, total = _step_sums(_doubled_keys(L, p, q), steps, 0)  # chunk 0
     delta = L * p % q
     forward = 2 * delta < q
     step = delta if forward else q - delta
-    inverse = p if p * p % q == 1 else -p
     # the key e + 1 before a jump (forward) or e past it is carried across
-    # from chunk e // step + 1 on
-    e = np.arange((chunks - 1) * step, dtype=np.int64)
+    # from chunk e // step + 1 on, for e < (C-1)|delta|
+    key = _doubled_keys(max(L, (chunks - 1) * step), p, q)
+    s0, total = _step_sums(key[:L], steps, 0)  # chunk 0
+    e_key = key[: (chunks - 1) * step]
+    dtype, sign_bit = key.dtype.type, 8 * key.itemsize - 1
+    inverse = p if p * p % q == 1 else -p
     _, up, down1, down2 = steps
     edits = []  # (offsets, first chunks, sign) of each jump; q is the wrap
     for jump, sign in ((up, 1), (down1, -1), (down2, -1), (q, 1)):
-        r = jump - 1 - e if forward else jump + e
-        r %= q
-        r *= inverse
-        r %= q
+        b = (jump - 1 if forward else jump) * inverse % q
+        if (inverse == p) == forward:  # b - key(e) mod q
+            r = dtype(b) - e_key
+        else:  # b + key(e) mod q
+            r = e_key + dtype(b - q)
+        r += (r >> sign_bit) & dtype(q)
         inside = np.flatnonzero(r < L)
         edits.append((r[inside], inside // step + 1, sign if forward else -sign))
 
@@ -353,22 +366,40 @@ def _chunk_table(
     return s0, starts, origin, table
 
 
-def _period_extremes(mu: int, nu: int, p: int, q: int, L: int) -> tuple[int, int]:
-    """(min, max) of T_q(i) - T(0) over one period 0 <= i < q (see ``_Count``),
-    read off ``_chunk_table``'s C = ceil(q/L) chunks; the last runs past q,
-    where T_q repeats.  Chunk c's extremes are origin[c] plus the extremes
-    over segments of its table row plus s0's."""
-    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-q // L))
-    lows = (table[:, :-1] + np.minimum.reduceat(s0, starts)).min(axis=1)
-    highs = (table[:, :-1] + np.maximum.reduceat(s0, starts)).max(axis=1)
-    return int((origin + lows).min()), int((origin + highs).max())
+def _table_extremes(
+    mu: int, nu: int, p: int, q: int, L: int, stop: int
+) -> tuple[int, int, list[int] | None]:
+    """(low, high, hits): the min and max of T_q(i) - T(0) over 0 <= i < C*L,
+    read off ``_chunk_table``'s C = ceil(stop/L) chunks, and when high - low
+    >= 2 the first i there that takes low and the first that takes high
+    (else None).  Chunk c's extremes are origin[c] plus the extremes over
+    segments of its table row plus s0's.  An extreme's first hit lies in the
+    first chunk c that takes it, in the first segment g whose extreme it is,
+    at the first offset r from the segment's start with origin[c] + table[c,
+    g] + s0[r] = the extreme."""
+    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-stop // L))
+    # chunk x segment
+    parts = [table[:, :-1] + f.reduceat(s0, starts) for f in (np.minimum, np.maximum)]
+    chunks = parts[0].min(axis=1) + origin, parts[1].max(axis=1) + origin
+    low, high = int(chunks[0].min()), int(chunks[1].max())
+    if high - low < 2:
+        return low, high, None
+    hits = []
+    for target, part, per_chunk in zip((low, high), parts, chunks):
+        c = int(np.argmax(per_chunk == target))
+        in_chunk = target - int(origin[c])
+        g = int(np.argmax(part[c] == in_chunk))
+        r = int(starts[g])
+        r += int(np.argmax(s0[r:] == in_chunk - int(table[c, g])))
+        hits.append(c * L + r)
+    return low, high, hits
 
 
 def _count(m: int, n: int) -> _Count:
-    """The extremes of c, from one period of T_q read chunk by chunk
-    (``_period_extremes``) or, sparse (16*mu < mu + nu), from the 2*mu event
-    keys sorted.  With a zero side there are no events, and T is 0
-    everywhere."""
+    """The extremes of c, from one period 0 <= i < q of T_q read chunk by
+    chunk (``_table_extremes``; the last chunk runs past q, where T_q
+    repeats) or, sparse (16*mu < mu + nu), from the 2*mu event keys sorted.
+    With a zero side there are no events, and T is 0 everywhere."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
@@ -384,7 +415,7 @@ def _count(m: int, n: int) -> _Count:
         p, q = _int64_convergent(mu + nu)
         L = _chunk_length(q)
         words.check_budget(_chunk_entries(p, q, L, -(-q // L)), "table entries")
-        low, high = _period_extremes(mu, nu, p, q, L)
+        low, high, _ = _table_extremes(mu, nu, p, q, L, q)
         lo, hi = -high, -low
     return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
 
@@ -399,31 +430,24 @@ def is_balanced(m: int, n: int) -> bool:
     return count.hi - count.lo <= 1
 
 
-def _first_hits(
-    mu: int, nu: int, p: int, q: int, L: int, stop: int, targets: tuple[int, int]
-) -> list[int]:
-    """The first i < stop where T_q(i) - T(0) takes the min target and the
-    first where it takes the max target, for targets that T_q takes there,
-    read off ``_chunk_table``'s ceil(stop/L) chunks: the first chunk, then
-    its first segment g, whose extreme is the target, then the first offset
-    r from the segment's start with origin[c] + table[c, g] + s0[r] = the
-    target, which lies in the segment."""
-    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-stop // L))
-    hits = []
-    for target, extreme in zip(targets, (np.minimum, np.maximum)):
-        part = table[:, :-1] + extreme.reduceat(s0, starts)  # chunk x segment
-        c = int(np.argmax(extreme.reduce(part, axis=1) + origin == target))
-        in_chunk = target - int(origin[c])
-        g = int(np.argmax(part[c] == in_chunk))
-        r = int(starts[g])
-        r += int(np.argmax(s0[r:] == in_chunk - int(table[c, g])))
-        hits.append(c * L + r)
-    return hits
+def _cover(mu: int, nu: int) -> tuple[int, int, int, int, bool]:
+    """(p', q', L, F_{k+2}, fits): the cover table of ``_find_witness``, and
+    whether it fits, q' <= _Q_MAX and its entries within the symbol budget
+    (``_chunk_entries``)."""
+    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
+    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
+    p, q = _convergent(cover + mu + nu)
+    L = _chunk_length(_convergent(mu + nu)[1])
+    fits = q <= _Q_MAX and _chunk_entries(p, q, L, -(-cover // L)) <= words.BUDGET
+    return p, q, L, cover, fits
 
 
-def _find_witness(count: _Count) -> tuple[int, int, int, int]:
+def _find_witness(
+    count: _Count, hits: list[int] | None = None
+) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
-    increasing order, with their values.
+    increasing order, with their values; ``hits`` holds the two when
+    ``exact_balance`` has read them already.
 
     Both lie below F_{k+2}, where F_k <= m+n-1 < F_{k+1} and k >= 2.  For i
     >= 1, T(i) is fixed by the open arc between event points frac(j*gamma),
@@ -435,38 +459,46 @@ def _find_witness(count: _Count) -> tuple[int, int, int, int]:
     at both ends, but the two point sets share only 0.
 
     Below the cover F_{k+2}, T = T_q' for p'/q' = _convergent(F_{k+2} + mu +
-    nu).  ``_first_hits`` reads both off ``_chunk_table`` on q' over the C' =
+    nu).  The cover table is ``_chunk_table`` on q' over the C' =
     ceil(F_{k+2}/L) chunks that cover the range, with the verdict's chunk
-    length L = ``_chunk_length(q)``, q = F_K the verdict's q > mu + nu.
-    The edit arcs fit on Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <=
-    q'/L for q' = F_{K'} (see ``_chunk_length``); k <= K - 1, so F_{k+2} <=
-    F_{K+1} < 2q; and L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence
-    (C'-1)|delta'| < (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  Past _Q_MAX,
-    or when the table passes the symbol budget (``_chunk_entries``), T is
-    read in i order by ``_t_scan`` instead.  Both witnesses are re-checked
-    by ``t_value``.
+    length L = ``_chunk_length(q)``, q = F_K the verdict's q > mu + nu, and
+    ``_table_extremes`` reads both first hits off it.  The edit arcs fit on
+    Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
+    (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
+    L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence (C'-1)|delta'| <
+    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.
+
+    The table's extremes over [0, C'L) are T's too: every value of T is
+    taken below F_{k+2}, where T_q' = T, and T_q' takes only values of T at
+    any i, since one period of it takes exactly t0 - c(y) (see ``_Count``;
+    q' is a Fibonacci number > mu + nu), so the last chunk's tail past the
+    cover adds none.  So a dense verdict reads its value set and its
+    witness off this one table, and a sparse one checks the table's
+    extremes against its own.  Past _Q_MAX, or when the table passes the
+    symbol budget, T is read in i order by ``_t_scan`` instead.  Both
+    witnesses are re-checked by ``t_value``.
     """
     mu, nu = count.mu, count.nu
-    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
-    p, q = _convergent(cover + mu + nu)
-    L = _chunk_length(_convergent(mu + nu)[1])
-    targets = (-count.hi, -count.lo)  # the min and max of T - t0
-    if q <= _Q_MAX and _chunk_entries(p, q, L, -(-cover // L)) <= words.BUDGET:
-        i, j = sorted(_first_hits(mu, nu, p, q, L, cover, targets))
-    else:
-        first = {}  # value of T - t0 -> first i where T takes it
-        for i0, t in _t_scan(mu, nu, p, q, cover):
-            for target in targets:
-                if target not in first:
-                    hits = np.flatnonzero(t == target)
-                    if len(hits):
-                        first[target] = i0 + int(hits[0])
-            if len(first) == 2:
-                break
+    if hits is None:
+        p, q, L, cover, fits = _cover(mu, nu)
+        targets = (-count.hi, -count.lo)  # the min and max of T - t0
+        if fits:
+            *extremes, hits = _table_extremes(mu, nu, p, q, L, cover)
+            assert tuple(extremes) == targets, (mu, nu)
         else:
-            raise RuntimeError(f"no witness found for ({mu}, {nu})")
-        i, j = sorted(first.values())
+            first = {}  # value of T - t0 -> first i where T takes it
+            for i0, t in _t_scan(mu, nu, p, q, cover):
+                for target in targets:
+                    if target not in first:
+                        found = np.flatnonzero(t == target)
+                        if len(found):
+                            first[target] = i0 + int(found[0])
+                if len(first) == 2:
+                    break
+            else:
+                raise RuntimeError(f"no witness found for ({mu}, {nu})")
+            hits = list(first.values())
+    i, j = sorted(hits)
     ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
     return i, j, ti, tj
@@ -474,8 +506,19 @@ def _find_witness(count: _Count) -> tuple[int, int, int, int]:
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
     """Decide balance by the circle partition; unbalanced verdicts carry a
-    witness pair of rectangle indices."""
-    count = _count(m, n)
+    witness pair of rectangle indices.  A dense pair whose cover table fits
+    reads both off that one table (``_find_witness``); any other pair
+    counts by ``_count`` first."""
+    check_at_least(0, m=m, n=n)
+    mu, nu = min(m, n), max(m, n)
+    count = hits = None
+    if mu and _SPARSE_RATIO * mu >= mu + nu:
+        p, q, L, cover, fits = _cover(mu, nu)
+        if fits:
+            low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
+            count = _Count(mu, nu, t_value(0, mu, nu), -high, -low)
+    if count is None:
+        count = _count(mu, nu)
     vals = _values(count)
     if len(vals) <= 2:
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=vals)
@@ -483,7 +526,7 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
         BalanceStatus.UNBALANCED,
         "exact",
         value_set=vals,
-        witness=_find_witness(count),
+        witness=_find_witness(count, hits),
     )
 
 

@@ -21,13 +21,16 @@ from rectbal.fib_balance import (
     _convergent,
     _count,
     _circle_keys,
-    _first_hits,
+    _cover,
+    _doubled_keys,
     _floor_sums,
+    _int64_convergent,
     _keys,
-    _period_extremes,
+    _values,
     _row_extrema,
     _t_scan,
     _table_convergent,
+    _table_extremes,
     balance_table,
     delta_block_scan,
     diverse_identities_check,
@@ -700,7 +703,7 @@ def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
             p, q, expected = _period(mu, nu)
             for L in set(_fitting_lengths(p, q, q)[:3] + [_chunk_length(q), q]):
                 chunks, delta = -(-q // L), L * p % q
-                got = _period_extremes(mu, nu, p, q, L)
+                got = _table_extremes(mu, nu, p, q, L, q)[:2]
                 assert got == expected, (mu, nu, L)
                 seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
                 if q % L:
@@ -713,7 +716,7 @@ def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
 def test_period_extremes_match_the_scan(a, b):
     mu, nu = min(a, b), max(a, b)
     p, q, expected = _period(mu, nu)
-    assert _period_extremes(mu, nu, p, q, _chunk_length(q)) == expected, (mu, nu)
+    assert _table_extremes(mu, nu, p, q, _chunk_length(q), q)[:2] == expected, (mu, nu)
 
 
 def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
@@ -754,8 +757,15 @@ def _scan_hits(mu: int, nu: int) -> list[int]:
     """The first i where T takes its min and its max, read in i order by the
     witness scan up to the cover."""
     p, q, cover, targets = _witness_range(mu, nu)
-    t = np.concatenate([t for _, t in _t_scan(mu, nu, p, q, cover)])
-    return [int(np.flatnonzero(t == target)[0]) for target in targets]
+    first = {}
+    for i0, t in _t_scan(mu, nu, p, q, cover):
+        for target in targets:
+            hits = np.flatnonzero(t == target)
+            if target not in first and len(hits):
+                first[target] = i0 + int(hits[0])
+        if len(first) == 2:
+            return [first[target] for target in targets]
+    raise AssertionError(f"an extreme of ({mu}, {nu}) is not taken below the cover")
 
 
 def _fitting_lengths(p: int, q: int, stop: int) -> list[int]:
@@ -771,20 +781,24 @@ def _fitting_lengths(p: int, q: int, stop: int) -> list[int]:
 
 def test_first_hits_match_the_scan_at_forced_chunk_lengths():
     # the three shortest L that fit (the most chunks, and delta of both
-    # signs), the verdict's L, and L = the cover (one chunk)
+    # signs), the verdict's L, and L = the cover (one chunk); the reader
+    # gives the extremes, and the first hits of both when they differ by 2
     seen = set()
     for mu in range(1, 60):
         for nu in range(mu, 60):
             p, q, cover, targets = _witness_range(mu, nu)
-            expected = _scan_hits(mu, nu)
+            expected = _scan_hits(mu, nu) if targets[1] - targets[0] >= 2 else None
             verdict_L = _chunk_length(_convergent(mu + nu)[1])
             for L in set(_fitting_lengths(p, q, cover)[:3] + [verdict_L, cover]):
                 chunks, delta = -(-cover // L), L * p % q
-                got = _first_hits(mu, nu, p, q, L, cover, targets)
-                assert got == expected, (mu, nu, L)
+                low, high, got = _table_extremes(mu, nu, p, q, L, cover)
+                assert (low, high) == targets and got == expected, (mu, nu, L)
                 seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
                 if cover % L:
                     seen.add("partial last chunk")
+                if got is None:
+                    seen.add("balanced")
+                    continue
                 if 0 in got:
                     seen.add("a hit at i = 0")
                 starts = _chunk_table(mu, nu, p, q, L, chunks)[1]
@@ -797,6 +811,7 @@ def test_first_hits_match_the_scan_at_forced_chunk_lengths():
         "forward",
         "backward",
         "partial last chunk",
+        "balanced",
         "a hit at i = 0",
         "both hits in one segment",
     }
@@ -812,10 +827,62 @@ def test_first_hits_match_the_scan(a, b, shortest):
     # one of the three shortest L that fit, and the verdict's L
     mu, nu = min(a, b), max(a, b)
     p, q, cover, targets = _witness_range(mu, nu)
-    expected = _scan_hits(mu, nu)
+    expected = _scan_hits(mu, nu) if targets[1] - targets[0] >= 2 else None
     verdict_L = _chunk_length(_convergent(mu + nu)[1])
     for L in {_fitting_lengths(p, q, cover)[shortest], verdict_L}:
-        assert _first_hits(mu, nu, p, q, L, cover, targets) == expected, (mu, nu, L)
+        got = _table_extremes(mu, nu, p, q, L, cover)
+        assert got == (*targets, expected), (mu, nu, L)
+
+
+def _cross_check_routes(m: int, n: int) -> bool:
+    """exact_balance against the period reading of _count and is_balanced,
+    and its witness against the in-order scan over the cover; whether the
+    pair reads the one cover table."""
+    verdict, mu, nu = exact_balance(m, n), min(m, n), max(m, n)
+    assert verdict.value_set == _values(_count(m, n)), (m, n)
+    assert verdict.balanced == is_balanced(m, n), (m, n)
+    if not verdict.balanced:
+        assert list(verdict.witness[:2]) == sorted(_scan_hits(mu, nu)), (m, n)
+    return mu > 0 and fib_balance._SPARSE_RATIO * mu >= mu + nu and _cover(mu, nu)[4]
+
+
+def test_one_cover_table_matches_the_period_route():
+    # the value set and verdict of the one cover table equal the period
+    # reading's on its own convergent, and the witness the in-order scan's
+    rng = random.Random(26)
+    pairs = [(mu, nu) for mu in range(90) for nu in range(mu, 90)]
+    for centre in (10**6, 4 * 10**6):
+        for _ in range(6):
+            m = rng.randint(centre - 5000, centre + 5000)
+            pairs.append((m, m + rng.randint(-3000, 3000)))
+    read = [_cross_check_routes(m, n) for m, n in pairs]
+    assert all(read[-12:]) and sum(read) > 3000
+
+
+def test_cover_table_past_q_max_falls_back_to_the_period_route():
+    # (F_44, F_45): the verdict's q = F_47 fits in int64 keys, the cover
+    # table's q' = F_49 > F_47 + F_46 does not, so the pair is read by _count
+    m, n = fibonacci(44), fibonacci(45)
+    assert _int64_convergent(m + n)[1] <= _Q_MAX < _cover(m, n)[1]
+    assert not _cross_check_routes(m, n)
+    assert exact_balance(m, n).balanced
+
+
+@pytest.mark.parametrize(
+    "L, p, q",
+    [
+        (1, 1, 2),
+        (1000, fibonacci(18), fibonacci(20)),
+        (777, fibonacci(42), fibonacci(44)),  # 2q < 2^31: int32
+        (777, fibonacci(43), fibonacci(45)),  # 2q >= 2^31: int64
+        (4097, fibonacci(46), _Q_MAX),
+        (5000, 12345, 99991),
+    ],
+)
+def test_doubled_keys_match_python_ints(L, p, q):
+    keys = _doubled_keys(L, p, q)
+    assert keys.dtype == (np.int32 if 2 * q < 1 << 31 else np.int64)
+    assert keys.tolist() == [r * p % q for r in range(L)]
 
 
 @settings(max_examples=60)
