@@ -16,24 +16,22 @@ T(i, m, n) take at most two distinct values over all i:
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
-(j*p) mod q.  Each step of T in i order is three key comparisons.  A
-verdict needs the extremes of T_q, T with (j*p) // q in place of
-floor(j*gamma) on a Fibonacci q > m + n: T_q takes only values of T, and
-one period of it takes them all.  T_q is read as chunks of a Fibonacci
+(j*p) mod q.  Each step of T in i order is three key comparisons.  T_q, T
+with (j*p) // q in place of floor(j*gamma) on a Fibonacci q > m + n, takes
+only values of T, and every value of T is taken below F_{k+2}, F_k <= m + n
+- 1 < F_{k+1} (three-gap theorem).  So a dense verdict reads T_q over [0,
+F_{k+2}) on a convergent past F_{k+2} + m + n, as chunks of a Fibonacci
 length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
-small delta, so every chunk is the first with a few steps edited, and the
-extremes come from the first chunk's partial sums and a small table of the
-edits, O(L + q^(2/3)) work.  Every value is taken before F_{k+2}, F_k <= m
-+ n - 1 < F_{k+1} (three-gap theorem), so ``exact_balance`` builds one such
-table, on a convergent past F_{k+2} + m + n over the chunks below F_{k+2},
-and reads the value set and the first chunk, segment and offset that take
-each extreme off it.  When mu is small it sorts the 2*mu event keys
-instead and reads the witness off the same table; past int64 or the
-symbol budget it reads the period table on q = F_K > m + n and T in i
-order.  ``is_balanced`` reads the period table only.  Scalar T needs no
-table: its floor sums come from a Euclid-like recursion.  A table past the
-q where j*p leaves int64, or past the symbol budget (a table counts its
-chunk and its candidate edits), raises ``BudgetExceeded``.
+small delta, so every chunk is the first with a few steps edited: the
+extremes, and the first chunk, segment and offset that take each, come from
+the first chunk's partial sums and a small table of the edits, O(L +
+q^(2/3)) work.  ``is_balanced`` and ``exact_balance`` read this one cover
+table.  When mu is small the verdict sorts the 2*mu event keys instead, and
+the witness comes from the same table, or from T in i order past the symbol
+budget.  Scalar T needs no table: its floor sums come from a Euclid-like
+recursion.  A table past the symbol budget (a chunk table counts its chunk
+and its candidate edits), or a table of j*p past the q where j*p leaves
+int64, raises ``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -92,8 +90,10 @@ class BalanceVerdict:
 # parts differ by their key difference over q plus less than 1/q, and their
 # circle order is the order of the distinct integer keys.
 
-# The tables hold j*p for |j| < q in int64: F_48 = 4,807,526,976 is the
-# largest Fibonacci q with (q - 1)*F_46 < 2**63.
+# The tables that form j*p in int64 (the sparse keys, ``_circle_keys`` and
+# ``_floor_sums``) hold |j| < q: F_48 = 4,807,526,976 is the largest
+# Fibonacci q with (q - 1)*F_46 < 2**63.  The chunk tables add keys instead
+# (``_doubled_keys``) and need only 2q < 2**63 (see ``_cover``).
 _Q_MAX = 4_807_526_976
 
 
@@ -105,19 +105,13 @@ def _convergent(bound: int) -> tuple[int, int]:
     return p, q
 
 
-def _int64_convergent(bound: int) -> tuple[int, int]:
-    """_convergent for int64 tables; it raises before any allocation past
-    _Q_MAX."""
+def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
+    """_convergent for int64 tables of j*p with ``entries`` (default q)
+    entries; it raises before any allocation past _Q_MAX or the symbol
+    budget."""
     p, q = _convergent(bound)
     if q > _Q_MAX:
         raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
-    return p, q
-
-
-def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
-    """_int64_convergent for tables of ``entries`` (default q) entries; it
-    raises past the symbol budget too."""
-    p, q = _int64_convergent(bound)
     words.check_budget(q if entries is None else entries, "table entries")
     return p, q
 
@@ -168,12 +162,12 @@ def t_value(i: int, m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the scan of T in i order
 
-# Sort the 2*mu event keys instead of reading one period of T_q once mu is
+# Sort the 2*mu event keys instead of reading the cover table once mu is
 # this many times smaller than mu + nu.  The sparse verdict holds its 2*mu
 # keys and the dense one its chunk of L ~ 2*q^(2/3) positions
 # (``_chunk_entries``), so under a small symbol budget the split decides
 # which pairs answer.  On one CPU the two counts (``_count``) cost the same
-# near nu/mu = 150 (m + n ~ 10^6: 0.24 ms) and 340 (~ 4*10^6: 0.42 ms); at
+# near nu/mu = 125 (m + n ~ 10^6: 0.28 ms) and 295 (~ 4*10^6: 0.53 ms); at
 # nu/mu = 16 the sparse count takes 3.1 and 16 ms.
 _SPARSE_RATIO = 16
 # The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
@@ -395,16 +389,38 @@ def _table_extremes(
     return low, high, hits
 
 
-def _count(m: int, n: int) -> _Count:
-    """The extremes of c, from one period 0 <= i < q of T_q read chunk by
-    chunk (``_table_extremes``; the last chunk runs past q, where T_q
-    repeats) or, sparse (16*mu < mu + nu), from the 2*mu event keys sorted.
-    With a zero side there are no events, and T is 0 everywhere."""
+def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
+    """(p', q', L, F_{k+2}, entries): the cover table of a pair with mu >= 1,
+    ``_chunk_table`` on p'/q' = _convergent(F_{k+2} + mu + nu) over the
+    ceil(F_{k+2}/L) chunks of L = ``_chunk_length(q)`` that cover [0,
+    F_{k+2}), q = F_K the least Fibonacci number > mu + nu, and the number
+    of entries it holds (``_chunk_entries``); see ``_find_witness``.
+
+    Its keys are added, never multiplied (``_doubled_keys``), so it needs
+    2q' < 2**63, not q' <= _Q_MAX, and every table within the symbol budget
+    has it: entries >= L, so L <= MAX_BUDGET < 2**31 and L <= F_46; L = q
+    or L**3 >= 8q**2 then gives q <= (F_46/2)**1.5 < F_67, and q' = F_{K+2}
+    <= F_68 < 1.2*10**14."""
+    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
+    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
+    p, q = _convergent(cover + mu + nu)
+    L = _chunk_length(_convergent(mu + nu)[1])
+    return p, q, L, cover, _chunk_entries(p, q, L, -(-cover // L))
+
+
+def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
+    """The extremes of c and, when T takes 3 or more values, the first i
+    at T's min and the first at its max, or None.  A dense pair reads both
+    off its cover table (``_cover``, ``_table_extremes``; its extremes are
+    T's, see ``_find_witness``).  A sparse one (16*mu < mu + nu) sorts its
+    2*mu event keys and leaves the hits to ``_find_witness``.  With a zero
+    side there are no events, and T is 0 everywhere."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
-        return _Count(mu, nu, 0, 0, 0)
+        return _Count(mu, nu, 0, 0, 0), None
     if _SPARSE_RATIO * mu < mu + nu:
+        hits = None
         p, q = _table_convergent(mu + nu, 2 * mu)
         keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
         c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
@@ -412,12 +428,11 @@ def _count(m: int, n: int) -> _Count:
         # Z_q are extremes at event keys
         lo, hi = int(c.min()), int(c.max())
     else:
-        p, q = _int64_convergent(mu + nu)
-        L = _chunk_length(q)
-        words.check_budget(_chunk_entries(p, q, L, -(-q // L)), "table entries")
-        low, high, _ = _table_extremes(mu, nu, p, q, L, q)
+        p, q, L, cover, entries = _cover(mu, nu)
+        words.check_budget(entries, "table entries")
+        low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
         lo, hi = -high, -low
-    return _Count(mu, nu, t_value(0, mu, nu), lo, hi)
+    return _Count(mu, nu, t_value(0, mu, nu), lo, hi), hits
 
 
 def _values(count: _Count) -> tuple[int, ...]:
@@ -426,28 +441,14 @@ def _values(count: _Count) -> tuple[int, ...]:
 
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction."""
-    count = _count(m, n)
+    count, _ = _count(m, n)
     return count.hi - count.lo <= 1
 
 
-def _cover(mu: int, nu: int) -> tuple[int, int, int, int, bool]:
-    """(p', q', L, F_{k+2}, fits): the cover table of ``_find_witness``, and
-    whether it fits, q' <= _Q_MAX and its entries within the symbol budget
-    (``_chunk_entries``)."""
-    p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
-    p, q = _convergent(cover + mu + nu)
-    L = _chunk_length(_convergent(mu + nu)[1])
-    fits = q <= _Q_MAX and _chunk_entries(p, q, L, -(-cover // L)) <= words.BUDGET
-    return p, q, L, cover, fits
-
-
-def _find_witness(
-    count: _Count, hits: list[int] | None = None
-) -> tuple[int, int, int, int]:
+def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int, int]:
     """The first i with T(i) = min T and the first with T(i) = max T, in
     increasing order, with their values; ``hits`` holds the two when
-    ``exact_balance`` has read them already.
+    ``_count`` has read them already.
 
     Both lie below F_{k+2}, where F_k <= m+n-1 < F_{k+1} and k >= 2.  For i
     >= 1, T(i) is fixed by the open arc between event points frac(j*gamma),
@@ -460,8 +461,8 @@ def _find_witness(
 
     Below the cover F_{k+2}, T = T_q' for p'/q' = _convergent(F_{k+2} + mu +
     nu).  The cover table is ``_chunk_table`` on q' over the C' =
-    ceil(F_{k+2}/L) chunks that cover the range, with the verdict's chunk
-    length L = ``_chunk_length(q)``, q = F_K the verdict's q > mu + nu, and
+    ceil(F_{k+2}/L) chunks that cover the range, with L = ``_chunk_length(q)``,
+    q = F_K the least Fibonacci number > mu + nu (``_cover``), and
     ``_table_extremes`` reads both first hits off it.  The edit arcs fit on
     Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
     (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
@@ -472,17 +473,17 @@ def _find_witness(
     taken below F_{k+2}, where T_q' = T, and T_q' takes only values of T at
     any i, since one period of it takes exactly t0 - c(y) (see ``_Count``;
     q' is a Fibonacci number > mu + nu), so the last chunk's tail past the
-    cover adds none.  So a dense verdict reads its value set and its
-    witness off this one table, and a sparse one checks the table's
-    extremes against its own.  Past _Q_MAX, or when the table passes the
-    symbol budget, T is read in i order by ``_t_scan`` instead.  Both
-    witnesses are re-checked by ``t_value``.
+    cover adds none.  So a dense count reads its value set and its witness
+    off this one table, and a sparse one checks the table's extremes
+    against its own; when its table passes the symbol budget, T is read in
+    i order by ``_t_scan`` instead.  Both witnesses are re-checked by
+    ``t_value``.
     """
     mu, nu = count.mu, count.nu
     if hits is None:
-        p, q, L, cover, fits = _cover(mu, nu)
+        p, q, L, cover, entries = _cover(mu, nu)
         targets = (-count.hi, -count.lo)  # the min and max of T - t0
-        if fits:
+        if entries <= words.BUDGET:
             *extremes, hits = _table_extremes(mu, nu, p, q, L, cover)
             assert tuple(extremes) == targets, (mu, nu)
         else:
@@ -506,19 +507,9 @@ def _find_witness(
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
     """Decide balance by the circle partition; unbalanced verdicts carry a
-    witness pair of rectangle indices.  A dense pair whose cover table fits
-    reads both off that one table (``_find_witness``); any other pair
-    counts by ``_count`` first."""
-    check_at_least(0, m=m, n=n)
-    mu, nu = min(m, n), max(m, n)
-    count = hits = None
-    if mu and _SPARSE_RATIO * mu >= mu + nu:
-        p, q, L, cover, fits = _cover(mu, nu)
-        if fits:
-            low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
-            count = _Count(mu, nu, t_value(0, mu, nu), -high, -low)
-    if count is None:
-        count = _count(mu, nu)
+    witness pair of rectangle indices.  A dense pair reads both off one
+    cover table (``_count``, ``_find_witness``)."""
+    count, hits = _count(m, n)
     vals = _values(count)
     if len(vals) <= 2:
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=vals)

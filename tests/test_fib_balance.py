@@ -16,6 +16,7 @@ from rectbal.fib_balance import (
     _ROW_BLOCK,
     _ROW_MU_MAX,
     BalanceStatus,
+    _chunk_entries,
     _chunk_length,
     _chunk_table,
     _convergent,
@@ -24,9 +25,7 @@ from rectbal.fib_balance import (
     _cover,
     _doubled_keys,
     _floor_sums,
-    _int64_convergent,
     _keys,
-    _values,
     _row_extrema,
     _t_scan,
     _table_convergent,
@@ -43,7 +42,7 @@ from rectbal.fib_balance import (
 )
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
-from rectbal.words import BudgetExceeded, sturmian_a_word
+from rectbal.words import MAX_BUDGET, BudgetExceeded, sturmian_a_word
 from oracles import circle_partition, delta, delta_floor_form, t_value_vector
 
 
@@ -488,11 +487,11 @@ def test_floor_fill_at_seeded_offsets_and_int64_frontier():
         assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
 
 
-def test_scale_frontiers_raise_before_building():
+def test_scale_frontiers_raise_before_building(budget):
+    budget(10**7)
     calls = (
         lambda: is_balanced(1, _Q_MAX - 1),
         lambda: exact_balance(_Q_MAX, 7).value_set,
-        lambda: exact_balance(3 * 10**9, 2 * 10**9),
         lambda: t_value_vector(1, 1, _Q_MAX),
         lambda: row_value_bounds(3, _Q_MAX),
     )
@@ -501,12 +500,23 @@ def test_scale_frontiers_raise_before_building():
         for call in calls:
             with pytest.raises(BudgetExceeded, match="int64"):
                 call()
+        # a dense pair's cover table adds its keys, so only the budget holds
+        # it: at q = F_53 its chunk alone is L = F_38 = 39,088,169 positions
+        with pytest.raises(BudgetExceeded, match="39088169 table entries requested, budget is 10000000"):
+            exact_balance(3 * 10**10, 2 * 10**10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     # right at the frontier, q = _Q_MAX: the sparse sweep sorts two keys
     assert is_balanced(1, _Q_MAX - 2)
+    # past it, q = F_49, a dense pair answers off its cover table
+    m, n = 3 * 10**9, 2 * 10**9
+    verdict = exact_balance(m, n)
+    assert not verdict.balanced and not zeck_characterization(m, n)
+    i, j, ti, tj = verdict.witness
+    assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
+    assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}
 
 
 def test_tables_obey_the_symbol_budget(budget):
@@ -598,7 +608,7 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         counts, verdicts = [], []
         for ratio in (0, 10**9):  # always sparse, always dense
             monkeypatch.setattr(fib_balance, "_SPARSE_RATIO", ratio)
-            counts.append(_count(mu, nu))
+            counts.append(_count(mu, nu)[0])
             verdicts.append(exact_balance(mu, nu))
         assert counts[0] == counts[1], (mu, nu)
         # the count at every y from the sorted event keys: key(0) = 0 is the
@@ -720,17 +730,18 @@ def test_period_extremes_match_the_scan(a, b):
 
 
 def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
-    # every q = F_K up to _Q_MAX = F_48, with p = F_{K-2}
-    fibs = [fibonacci(k) for k in range(49)]
-    assert fibs[48] == _Q_MAX
-    for K in range(2, 49):
+    # every q = F_K, p = F_{K-2}, whose chunk fits the largest budget (see _cover)
+    fibs = [fibonacci(k) for k in range(70)]
+    assert _chunk_length(fibs[66]) <= MAX_BUDGET < _chunk_length(fibs[67])
+    for K in range(2, 67):
         p, q = fibs[K - 2], fibs[K]
         L = _chunk_length(q)
         assert L in fibs and L <= q and (L == q or L**3 >= 8 * q * q), q
         assert L == q or fibs[fibs.index(L) - 1] ** 3 < 8 * q * q, q  # the least
         delta = L * p % q
-        assert (-(-q // L) - 1) * min(delta, q - delta) < q, q
-        # the witness table on q' over the cover, with this L, for the least
+        chunks = -(-q // L)
+        assert (chunks - 1) * min(delta, q - delta) < q, q
+        # the cover table on q' over the cover, with this L, for the least
         # and the greatest m + n whose verdict runs on q (see _find_witness)
         for size in (fibs[K - 1], q - 1):
             if size < 2:
@@ -738,25 +749,27 @@ def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
             p1, q1 = _convergent(size - 1)
             cover = 2 * q1 - p1
             p1, q1 = _convergent(cover + size)
-            assert cover >= L, size
-            if q1 <= _Q_MAX:
-                delta = L * p1 % q1
-                assert (-(-cover // L) - 1) * min(delta, q1 - delta) < q1, size
+            assert cover >= L and q1 == fibs[K + 2] and 2 * q1 < 2**63, size
+            delta = L * p1 % q1
+            assert (-(-cover // L) - 1) * min(delta, q1 - delta) < q1, size
+            entries = _chunk_entries(p1, q1, L, -(-cover // L))
+            assert _cover(1, size - 1) == (p1, q1, L, cover, entries), size
+            # it holds no more entries than a table over one period of T_q,
+            # so no pair that such a table answered raises
+            assert entries <= _chunk_entries(p, q, L, chunks), size
 
 
-def _witness_range(mu: int, nu: int) -> tuple[int, int, int, tuple[int, int]]:
-    """p' and q' of the witness search, its cover F_{k+2} and the targets
-    (min, max) of T - t0 (see _find_witness)."""
+def _witness_range(mu: int, nu: int) -> tuple[int, int, int]:
+    """p' and q' of the cover table and its cover F_{k+2} (see _find_witness)."""
     p, q = _convergent(mu + nu - 1)
     cover = 2 * q - p
-    count = _count(mu, nu)
-    return (*_convergent(cover + mu + nu), cover, (-count.hi, -count.lo))
+    return (*_convergent(cover + mu + nu), cover)
 
 
-def _scan_hits(mu: int, nu: int) -> list[int]:
-    """The first i where T takes its min and its max, read in i order by the
-    witness scan up to the cover."""
-    p, q, cover, targets = _witness_range(mu, nu)
+def _scan_hits(mu: int, nu: int, targets: tuple[int, int]) -> list[int]:
+    """The first i where T - t0 takes each of ``targets``, its (min, max),
+    read in i order by the witness scan up to the cover."""
+    p, q, cover = _witness_range(mu, nu)
     first = {}
     for i0, t in _t_scan(mu, nu, p, q, cover):
         for target in targets:
@@ -786,8 +799,9 @@ def test_first_hits_match_the_scan_at_forced_chunk_lengths():
     seen = set()
     for mu in range(1, 60):
         for nu in range(mu, 60):
-            p, q, cover, targets = _witness_range(mu, nu)
-            expected = _scan_hits(mu, nu) if targets[1] - targets[0] >= 2 else None
+            p, q, cover = _witness_range(mu, nu)
+            targets = _period(mu, nu)[2]
+            expected = _scan_hits(mu, nu, targets) if targets[1] - targets[0] >= 2 else None
             verdict_L = _chunk_length(_convergent(mu + nu)[1])
             for L in set(_fitting_lengths(p, q, cover)[:3] + [verdict_L, cover]):
                 chunks, delta = -(-cover // L), L * p % q
@@ -826,8 +840,9 @@ def test_first_hits_match_the_scan_at_forced_chunk_lengths():
 def test_first_hits_match_the_scan(a, b, shortest):
     # one of the three shortest L that fit, and the verdict's L
     mu, nu = min(a, b), max(a, b)
-    p, q, cover, targets = _witness_range(mu, nu)
-    expected = _scan_hits(mu, nu) if targets[1] - targets[0] >= 2 else None
+    p, q, cover = _witness_range(mu, nu)
+    targets = _period(mu, nu)[2]
+    expected = _scan_hits(mu, nu, targets) if targets[1] - targets[0] >= 2 else None
     verdict_L = _chunk_length(_convergent(mu + nu)[1])
     for L in {_fitting_lengths(p, q, cover)[shortest], verdict_L}:
         got = _table_extremes(mu, nu, p, q, L, cover)
@@ -835,15 +850,20 @@ def test_first_hits_match_the_scan(a, b, shortest):
 
 
 def _cross_check_routes(m: int, n: int) -> bool:
-    """exact_balance against the period reading of _count and is_balanced,
-    and its witness against the in-order scan over the cover; whether the
-    pair reads the one cover table."""
+    """exact_balance against the chunk table over one period of T_q on its
+    own convergent, q > m + n, and is_balanced, and its witness against the
+    in-order scan over the cover; whether the pair reads the cover table."""
     verdict, mu, nu = exact_balance(m, n), min(m, n), max(m, n)
-    assert verdict.value_set == _values(_count(m, n)), (m, n)
+    low = high = 0
+    if mu:
+        p, q = _convergent(mu + nu)
+        low, high, _ = _table_extremes(mu, nu, p, q, _chunk_length(q), q)
+    t0 = t_value(0, mu, nu)
+    assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
     assert verdict.balanced == is_balanced(m, n), (m, n)
     if not verdict.balanced:
-        assert list(verdict.witness[:2]) == sorted(_scan_hits(mu, nu)), (m, n)
-    return mu > 0 and fib_balance._SPARSE_RATIO * mu >= mu + nu and _cover(mu, nu)[4]
+        assert list(verdict.witness[:2]) == sorted(_scan_hits(mu, nu, (low, high))), (m, n)
+    return mu > 0 and fib_balance._SPARSE_RATIO * mu >= mu + nu
 
 
 def test_one_cover_table_matches_the_period_route():
@@ -859,13 +879,19 @@ def test_one_cover_table_matches_the_period_route():
     assert all(read[-12:]) and sum(read) > 3000
 
 
-def test_cover_table_past_q_max_falls_back_to_the_period_route():
-    # (F_44, F_45): the verdict's q = F_47 fits in int64 keys, the cover
-    # table's q' = F_49 > F_47 + F_46 does not, so the pair is read by _count
+def test_dense_pairs_past_q_max_read_the_cover_table():
+    # each cover table's q' passes F_48 = _Q_MAX; the witnesses are those of
+    # the in-order scan of T up to the cover
     m, n = fibonacci(44), fibonacci(45)
-    assert _int64_convergent(m + n)[1] <= _Q_MAX < _cover(m, n)[1]
-    assert not _cross_check_routes(m, n)
-    assert exact_balance(m, n).balanced
+    assert _cover(m, n)[1] > _Q_MAX
+    assert exact_balance(m, n).balanced and is_balanced(m, n) and zeck_characterization(m, n)
+    witnesses = {
+        (10**9, 10**9 + 1): (144164119, 1144146409, 381966011632071168, 381966011632071158),
+        (2 * 10**9, 2 * 10**9 + 1): (106404907, 971762234, 1527864045764352625, 1527864045764352635),
+    }
+    for (m, n), witness in witnesses.items():
+        assert _cover(m, n)[1] > _Q_MAX
+        assert exact_balance(m, n).witness == witness, (m, n)
 
 
 @pytest.mark.parametrize(
@@ -876,6 +902,7 @@ def test_cover_table_past_q_max_falls_back_to_the_period_route():
         (777, fibonacci(42), fibonacci(44)),  # 2q < 2^31: int32
         (777, fibonacci(43), fibonacci(45)),  # 2q >= 2^31: int64
         (4097, fibonacci(46), _Q_MAX),
+        (777, fibonacci(58), fibonacci(60)),  # past _Q_MAX, as the cover tables reach
         (5000, 12345, 99991),
     ],
 )

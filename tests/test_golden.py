@@ -195,7 +195,8 @@ def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
 
 def _far_sparse_pairs() -> list[tuple[int, int]]:
     """Sparse pairs far past 10**6: mu + nu near 10**8 and 3*10**9 (where
-    the witness scan's own convergent passes the int64 table frontier) and
+    the cover table's convergent q' = F_50 passes _Q_MAX, the int64 frontier
+    of the tables that form j*p, and the witness still reads that table) and
     seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to the first
     unbalanced nu."""
     pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
