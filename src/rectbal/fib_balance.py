@@ -19,19 +19,19 @@ gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) mod q.  Each step of T in i order is three key comparisons.  T_q, T
 with (j*p) // q in place of floor(j*gamma) on a Fibonacci q > m + n, takes
 only values of T, and every value of T is taken below F_{k+2}, F_k <= m + n
-- 1 < F_{k+1} (three-gap theorem).  So a dense verdict reads T_q over [0,
+- 1 < F_{k+1} (three-gap theorem).  So a verdict reads T_q over [0,
 F_{k+2}) on a convergent past F_{k+2} + m + n, as chunks of a Fibonacci
 length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
 small delta, so every chunk is the first with a few steps edited: the
 extremes, and the first chunk, segment and offset that take each, come from
 the first chunk's partial sums and a small table of the edits, O(L +
 q^(2/3)) work.  ``is_balanced`` and ``exact_balance`` read this one cover
-table.  When mu is small the verdict sorts the 2*mu event keys instead, and
-the witness comes from the same table, or from T in i order past the symbol
-budget.  Scalar T needs no table: its floor sums come from a Euclid-like
-recursion.  A table past the symbol budget (a chunk table counts its chunk
-and its candidate edits), or a table of j*p past the q where j*p leaves
-int64, raises ``BudgetExceeded``.
+table, or sort the 2*mu event keys when they are fewer than its entries;
+then the witness comes from the same table, or from T in i order when the
+table passes the symbol budget.  Scalar T needs no table: its floor sums
+come from a Euclid-like recursion.  A table past the symbol budget (a chunk
+table counts its chunk and its candidate edits), or a table of j*p past the
+q where j*p leaves int64, raises ``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -90,7 +90,7 @@ class BalanceVerdict:
 # parts differ by their key difference over q plus less than 1/q, and their
 # circle order is the order of the distinct integer keys.
 
-# The tables that form j*p in int64 (the sparse keys, ``_circle_keys`` and
+# The tables that form j*p in int64 (the event keys, ``_circle_keys`` and
 # ``_floor_sums``) hold |j| < q: F_48 = 4,807,526,976 is the largest
 # Fibonacci q with (q - 1)*F_46 < 2**63.  The chunk tables add keys instead
 # (``_doubled_keys``) and need only 2q < 2**63 (see ``_cover``).
@@ -162,20 +162,6 @@ def t_value(i: int, m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # the scan of T in i order
 
-# Sort the 2*mu event keys instead of reading the cover table once mu is
-# this many times smaller than mu + nu.  The sparse verdict holds its 2*mu
-# keys and the dense one its chunk of L ~ 2*q^(2/3) positions
-# (``_chunk_entries``), so under a small symbol budget the split decides
-# which pairs answer.  On one CPU the two counts (``_count``) cost the same
-# near nu/mu = 125 (m + n ~ 10^6: 0.28 ms) and 295 (~ 4*10^6: 0.53 ms); at
-# nu/mu = 16 the sparse count takes 3.1 and 16 ms.
-_SPARSE_RATIO = 16
-# The witness scan's chunks end at 1024, 5120, 21504, ..., so an early
-# witness costs one small chunk, and hold at most this many positions, or
-# the symbol budget's worth when that is smaller; with about 20 bytes in
-# flight per position it needs less memory than the dense verdict near 10^6.
-_SCAN_CHUNK = 1 << 14
-
 
 class _Count(NamedTuple):
     """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
@@ -223,23 +209,23 @@ def _t_scan(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
     over 0 <= i < stop, on the convergent p/q (see ``_Count``): the witness
-    scan.
+    scan.  Its chunks end at 1024, 5120, 21504, ... and hold at most the
+    symbol budget's positions.
 
     T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
     g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
     [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
     key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu).  The keys are base[i - i0]
-    + key(i0) mod q, with base[t] = t*p mod q built once by
-    ``_doubled_keys``: int32 while 2q < 2^31, and int64 past it, which only
-    far witness scans reach."""
+    + key(i0) mod q, with base[t] = t*p mod q up to the longest chunk, built
+    once, first, by ``_doubled_keys``: int32 while 2q < 2^31, and int64 past
+    it, which only far witness scans reach."""
     steps = _steps(mu, nu, p, q)
-    chunk = min(_SCAN_CHUNK, words.BUDGET)
-    base = _doubled_keys(min(stop, chunk), p, q)
+    base = _doubled_keys(min(stop, words.BUDGET), p, q)
     dtype = base.dtype.type
     sign = 8 * base.itemsize - 1
     i = carry = 0
     while i < stop:
-        end = min(stop, 4 * i + 1024, i + chunk)
+        end = min(stop, 4 * i + 1024, i + len(base))
         key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
         key += (key >> sign) & dtype(q)
         t, carry = _step_sums(key, steps, carry)
@@ -395,6 +381,7 @@ def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
     ceil(F_{k+2}/L) chunks of L = ``_chunk_length(q)`` that cover [0,
     F_{k+2}), q = F_K the least Fibonacci number > mu + nu, and the number
     of entries it holds (``_chunk_entries``); see ``_find_witness``.
+    ``_count`` reads it unless the 2*mu event keys are fewer.
 
     Its keys are added, never multiplied (``_doubled_keys``), so it needs
     2q' < 2**63, not q' <= _Q_MAX, and every table within the symbol budget
@@ -408,31 +395,41 @@ def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
     return p, q, L, cover, _chunk_entries(p, q, L, -(-cover // L))
 
 
+def _event_extremes(mu: int, nu: int) -> tuple[int, int]:
+    """(lo, hi) of ``_Count`` from the 2*mu event keys sorted: key(0) = 0 is
+    an event and c ends at 0, so c takes its extremes at event keys."""
+    p, q = _table_convergent(mu + nu, 2 * mu)
+    keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
+    c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
+    return int(c.min()), int(c.max())
+
+
 def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
     """The extremes of c and, when T takes 3 or more values, the first i
-    at T's min and the first at its max, or None.  A dense pair reads both
-    off its cover table (``_cover``, ``_table_extremes``; its extremes are
-    T's, see ``_find_witness``).  A sparse one (16*mu < mu + nu) sorts its
-    2*mu event keys and leaves the hits to ``_find_witness``.  With a zero
-    side there are no events, and T is 0 everywhere."""
+    at T's min and the first at its max, or None.  A pair reads both off
+    its cover table (``_cover``, ``_table_extremes``; its extremes are T's,
+    see ``_find_witness``), or sorts its 2*mu event keys when they are fewer
+    than the table's entries and leaves the hits to ``_find_witness``.  With
+    a zero side there are no events, and T is 0 everywhere.
+
+    No pair that the former split (sorted keys iff 16*mu < mu + nu)
+    answered raises.  One moved to the table holds entries <= 2*mu, which
+    fit wherever its keys did.  One moved to the sorted keys (16*mu >= mu +
+    nu, 2*mu < entries) has m + n <= 20,656: the entries depend on m + n
+    only through q = F_K and whether m + n = F_{K-1} (``_find_witness``),
+    and 2*mu >= (m + n)/8, so the least size of each class, over every K,
+    gives the largest.  There q < _Q_MAX and 2*mu < entries <= the budget
+    that its table passed."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:
         return _Count(mu, nu, 0, 0, 0), None
-    if _SPARSE_RATIO * mu < mu + nu:
-        hits = None
-        p, q = _table_convergent(mu + nu, 2 * mu)
-        keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
-        c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
-        # key(0) = 0 is an event and c ends at 0, so the extremes of c over
-        # Z_q are extremes at event keys
-        lo, hi = int(c.min()), int(c.max())
-    else:
-        p, q, L, cover, entries = _cover(mu, nu)
-        words.check_budget(entries, "table entries")
-        low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
-        lo, hi = -high, -low
-    return _Count(mu, nu, t_value(0, mu, nu), lo, hi), hits
+    p, q, L, cover, entries = _cover(mu, nu)
+    if 2 * mu < entries:
+        return _Count(mu, nu, t_value(0, mu, nu), *_event_extremes(mu, nu)), None
+    words.check_budget(entries, "table entries")
+    low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
+    return _Count(mu, nu, t_value(0, mu, nu), -high, -low), hits
 
 
 def _values(count: _Count) -> tuple[int, ...]:
@@ -467,17 +464,19 @@ def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int,
     Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
     (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
     L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence (C'-1)|delta'| <
-    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.
+    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  As k = K - 2 at m + n = F_{K-1},
+    k = K - 1 above it and q' = F_{K+2}, the table's size depends on m + n
+    only through q and whether m + n = F_{K-1}.
 
     The table's extremes over [0, C'L) are T's too: every value of T is
     taken below F_{k+2}, where T_q' = T, and T_q' takes only values of T at
     any i, since one period of it takes exactly t0 - c(y) (see ``_Count``;
     q' is a Fibonacci number > mu + nu), so the last chunk's tail past the
-    cover adds none.  So a dense count reads its value set and its witness
-    off this one table, and a sparse one checks the table's extremes
-    against its own; when its table passes the symbol budget, T is read in
-    i order by ``_t_scan`` instead.  Both witnesses are re-checked by
-    ``t_value``.
+    cover adds none.  A count from the sorted event keys checks the table's
+    extremes against its own, or, when the table passes the symbol budget
+    (never the default: sorted keys need q <= _Q_MAX, where the table holds
+    at most 5,702,887 entries), reads T in i order by ``_t_scan``.  Both
+    witnesses are re-checked by ``t_value``.
     """
     mu, nu = count.mu, count.nu
     if hits is None:
@@ -507,8 +506,8 @@ def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int,
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
     """Decide balance by the circle partition; unbalanced verdicts carry a
-    witness pair of rectangle indices.  A dense pair reads both off one
-    cover table (``_count``, ``_find_witness``)."""
+    witness pair of rectangle indices.  A pair whose cover table holds at
+    most 2*mu entries reads both off it (``_count``, ``_find_witness``)."""
     count, hits = _count(m, n)
     vals = _values(count)
     if len(vals) <= 2:

@@ -1,14 +1,13 @@
 import random
 import tracemalloc
 from math import isqrt
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectbal import fib_balance
+from rectbal import fib_balance, words
 from rectbal.cli import main
 from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
@@ -20,10 +19,10 @@ from rectbal.fib_balance import (
     _chunk_length,
     _chunk_table,
     _convergent,
-    _count,
     _circle_keys,
     _cover,
     _doubled_keys,
+    _event_extremes,
     _floor_sums,
     _keys,
     _row_extrema,
@@ -508,7 +507,7 @@ def test_scale_frontiers_raise_before_building(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # right at the frontier, q = _Q_MAX: the sparse sweep sorts two keys
+    # right at the frontier, q = _Q_MAX: the verdict sorts two event keys
     assert is_balanced(1, _Q_MAX - 2)
     # past it, q = F_49, a dense pair answers off its cover table
     m, n = 3 * 10**9, 2 * 10**9
@@ -538,7 +537,7 @@ def test_tables_obey_the_symbol_budget(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    # a sparse sweep holds only its 2*mu keys
+    # the verdict sorts its 2*mu event keys, fewer than the cover table's
     assert exact_balance(400, 10**5).value_set == expected
 
 
@@ -569,8 +568,8 @@ def test_witness_scan_obeys_the_symbol_budget(budget, monkeypatch):
     budget(1000)
     arrays = _ArraySizes()
     monkeypatch.setattr(fib_balance, "np", arrays)
-    # the sparse verdict's 800 keys, then the witness scan in chunks of at
-    # most 1000 positions, though F_{k+2} is 317,811
+    # the verdict's 800 sorted event keys, then the witness scan in chunks
+    # of at most 1000 positions, as the cover table holds 6765 entries
     assert exact_balance(400, 10**5) == expected
     assert arrays.sizes and max(arrays.sizes) <= 1000
 
@@ -587,6 +586,64 @@ def test_chunk_tables_answer_under_a_small_budget(budget):
         assert exact_balance(*pair) == verdict, pair
 
 
+def _ratio_split_answers(mu: int, nu: int) -> bool:
+    """Whether the former split, sorted event keys iff 16*mu < mu + nu,
+    answered (mu, nu), mu >= 1, under the budget in force: the keys take 2*mu
+    entries on q <= _Q_MAX, the cover table its entries, and a witness past
+    the budget was read in i order."""
+    if 16 * mu < mu + nu:
+        return 2 * mu <= words.BUDGET and _convergent(mu + nu)[1] <= _Q_MAX
+    return _cover(mu, nu)[4] <= words.BUDGET
+
+
+def test_size_split_answers_wherever_the_ratio_split_did(budget):
+    rng = random.Random(29)
+    pairs = [(62539, 953433), (400, 10**5), (7, 90), (2000, 2001)]
+    pairs += [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(20)]
+    pairs += [(rng.randint(1, 3000), rng.randint(1, 10**5)) for _ in range(20)]
+    pairs += [(rng.randint(1, 70_000), rng.randint(900_000, 10**6)) for _ in range(20)]
+    # every size where a pair can move from the cover table to the sorted
+    # keys, at its least mu, with the least budget its table answered in
+    moved = {}
+    for size in range(2, 20_657):
+        mu = -(-size // 16)
+        entries = _cover(mu, size - mu)[4]
+        if 2 * mu < entries:
+            moved[mu, size - mu] = entries
+    assert len(moved) > 10_000 and max(moved) == (1291, 19365)
+    pairs += rng.sample(sorted(moved), 200)
+    full = {pair: exact_balance(*pair) for pair in pairs}
+
+    answered = {}
+    for limit in (1000, 5000, 10**5):
+        budget(limit)
+        for (m, n), verdict in full.items():
+            former = _ratio_split_answers(min(m, n), max(m, n))
+            try:
+                assert exact_balance(m, n) == verdict, (m, n, limit)
+            except BudgetExceeded:
+                assert not former, (m, n, limit)
+                continue
+            answered[m, n, limit] = former
+    assert answered[400, 10**5, 1000]
+    # its cover table holds 28,657 entries, its sorted keys 125,078
+    assert answered[62539, 953433, 10**5] is False
+    assert sum(not former for former in answered.values()) >= 3  # now answered
+    # each moved verdict against the digit rule, seeded ones with witnesses
+    for (mu, nu), entries in moved.items():
+        budget(entries)
+        assert is_balanced(mu, nu) == zeck_characterization(mu, nu), (mu, nu)
+        if (mu, nu) in full:
+            assert exact_balance(mu, nu) == full[mu, nu], (mu, nu)
+    # and none past 20,656: the entries depend on m + n only through q = F_K
+    # and whether m + n = F_{K-1} (see _count), so the least size of each
+    # class, for every q whose chunk fits the largest budget, decides it
+    for K in range(4, 67):
+        for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}:
+            mu = -(-size // 16)
+            assert size <= 20_656 or 2 * mu >= _cover(1, size - 1)[4], size
+
+
 def test_scalar_t_builds_no_table():
     tracemalloc.start()
     try:
@@ -600,17 +657,23 @@ def test_scalar_t_builds_no_table():
         assert t_value(i, m, n) == t_counting_form(i, m, n), (i, m, n)
 
 
-def test_dense_and_sparse_sweeps_agree(monkeypatch):
+def test_dense_and_sparse_sweeps_agree(budget):
+    # the sorted event keys and the cover table give the same count, and a
+    # witness read in i order, when the cover table passes the budget, the
+    # table's own
     rng = random.Random(27)
     pairs = [(1, 1), (1, 500), (4, 4), (30, 2000), (700, 900), (987, 1597)]
     pairs += [tuple(sorted((rng.randint(1, 300), rng.randint(1, 3000)))) for _ in range(40)]
+    default = words.BUDGET
     for mu, nu in pairs:
-        counts, verdicts = [], []
-        for ratio in (0, 10**9):  # always sparse, always dense
-            monkeypatch.setattr(fib_balance, "_SPARSE_RATIO", ratio)
-            counts.append(_count(mu, nu)[0])
-            verdicts.append(exact_balance(mu, nu))
-        assert counts[0] == counts[1], (mu, nu)
+        p, q, L, cover, entries = _cover(mu, nu)
+        low, high, _ = _table_extremes(mu, nu, p, q, L, cover)
+        assert _event_extremes(mu, nu) == (-high, -low), (mu, nu)
+        verdict = exact_balance(mu, nu)
+        if 2 * mu < entries:
+            budget(2 * mu)  # the sorted keys fit, the cover table does not
+            assert exact_balance(mu, nu) == verdict, (mu, nu)
+            budget(default)
         # the count at every y from the sorted event keys: key(0) = 0 is the
         # smallest, and c holds from each key to the next
         p, q = _table_convergent(mu + nu)
@@ -620,38 +683,46 @@ def test_dense_and_sparse_sweeps_agree(monkeypatch):
         expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
         # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_Count)
         period = -expected[(_keys(0, q, q - p, q) - 1) % q]
-        for chunk in (1 << 15, 97):  # geometric chunks, then many small ones
-            monkeypatch.setattr(fib_balance, "_SCAN_CHUNK", chunk)
+        for chunk in (97, default):  # many small chunks, then geometric ones
+            budget(chunk)
             starts, t = zip(*_t_scan(mu, nu, p, q, q))
             assert starts[0] == 0 and max(map(len, t)) <= chunk
             assert np.array_equal(np.concatenate(t), period), (mu, nu)
-        assert verdicts[0] == verdicts[1], (mu, nu)
 
 
-@settings(max_examples=120)
-@given(
-    k=st.integers(5, 19),
-    offset=st.integers(-2, 1),
-    mu=st.sampled_from((1, 2, 3)) | st.integers(4, 2000),
-)
-def test_witness_sweep_reads_t_past_the_exact_range(k, offset, mu):
+def test_witness_sweep_reads_t_past_the_exact_range(budget):
     # the scan must give T at every i below the cover F_{j+2}, F_j <=
     # mu+nu-1 < F_{j+1} (_find_witness), far past the verdict's q; sizes
     # F_k - 2 ... F_k + 1 put mu + nu on both sides of a step of j
-    size = fibonacci(k) + offset
-    mu = min(mu, size // 2)
-    nu = size - mu
-    p, q = _convergent(size - 1)
-    cover = 2 * q - p
-    with mock.patch.object(fib_balance, "_SCAN_CHUNK", 97):
+    default = words.BUDGET
+
+    @settings(max_examples=120)
+    @given(
+        k=st.integers(5, 19),
+        offset=st.integers(-2, 1),
+        mu=st.sampled_from((1, 2, 3)) | st.integers(4, 2000),
+    )
+    def scan_reads_t(k, offset, mu):
+        size = fibonacci(k) + offset
+        mu = min(mu, size // 2)
+        nu = size - mu
+        p, q = _convergent(size - 1)
+        cover = 2 * q - p
+        budget(default)
+        expected = t_value_vector(mu, nu, cover)
+        budget(97)  # chunks of 97 positions
         starts, t = zip(*_t_scan(mu, nu, *_convergent(cover + size), cover))
-    assert starts == tuple(range(0, cover, 97))
-    t = np.concatenate(t) + t_value(0, mu, nu)
-    assert np.array_equal(t, t_value_vector(mu, nu, cover)), (mu, nu)
+        assert starts == tuple(range(0, cover, 97))
+        t = np.concatenate(t) + t_value(0, mu, nu)
+        assert np.array_equal(t, expected), (mu, nu)
+
+    scan_reads_t()
 
 
-def test_witness_scan_holds_keys_in_int64_past_2_31():
-    # a far witness scan: its convergent passes 2^31, where int32 keys wrap
+def test_witness_scan_holds_keys_in_int64_past_2_31(budget):
+    # a far witness scan: its convergent passes 2^31, where int32 keys wrap;
+    # under this budget it builds 5120 keys, not 10**7
+    budget(5120)
     mu, nu = 3, 3 * 10**9
     p, q = _convergent(mu + nu - 1)
     cover = 2 * q - p
@@ -849,34 +920,38 @@ def test_first_hits_match_the_scan(a, b, shortest):
         assert got == (*targets, expected), (mu, nu, L)
 
 
-def _cross_check_routes(m: int, n: int) -> bool:
-    """exact_balance against the chunk table over one period of T_q on its
-    own convergent, q > m + n, and is_balanced, and its witness against the
-    in-order scan over the cover; whether the pair reads the cover table."""
+def _cross_check_routes(m: int, n: int) -> None:
+    """exact_balance and the cover table against the chunk table over one
+    period of T_q on its own convergent, q > m + n, and is_balanced, and its
+    witness against the in-order scan over the cover."""
     verdict, mu, nu = exact_balance(m, n), min(m, n), max(m, n)
     low = high = 0
     if mu:
         p, q = _convergent(mu + nu)
         low, high, _ = _table_extremes(mu, nu, p, q, _chunk_length(q), q)
+        p, q, L, cover, _ = _cover(mu, nu)
+        assert _table_extremes(mu, nu, p, q, L, cover)[:2] == (low, high), (m, n)
     t0 = t_value(0, mu, nu)
     assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
     assert verdict.balanced == is_balanced(m, n), (m, n)
     if not verdict.balanced:
         assert list(verdict.witness[:2]) == sorted(_scan_hits(mu, nu, (low, high))), (m, n)
-    return mu > 0 and fib_balance._SPARSE_RATIO * mu >= mu + nu
 
 
-def test_one_cover_table_matches_the_period_route():
+def test_one_cover_table_matches_the_period_route(budget):
     # the value set and verdict of the one cover table equal the period
-    # reading's on its own convergent, and the witness the in-order scan's
+    # reading's on its own convergent, and the witness the in-order scan's;
+    # the budget holds every cover table here (at most 121,393 entries) and
+    # caps the scan's chunks
+    budget(1 << 17)
     rng = random.Random(26)
     pairs = [(mu, nu) for mu in range(90) for nu in range(mu, 90)]
     for centre in (10**6, 4 * 10**6):
         for _ in range(6):
             m = rng.randint(centre - 5000, centre + 5000)
             pairs.append((m, m + rng.randint(-3000, 3000)))
-    read = [_cross_check_routes(m, n) for m, n in pairs]
-    assert all(read[-12:]) and sum(read) > 3000
+    for m, n in pairs:
+        _cross_check_routes(m, n)
 
 
 def test_dense_pairs_past_q_max_read_the_cover_table():
@@ -935,7 +1010,8 @@ def test_floor_sum_t_matches_table_t(i, m, n):
     assert t_value(i, m, n) == int(t_value_vector(m, n, i + 1)[i])
 
 
-# sizes reach both sweeps: 16*min(m, n) < m + n goes sparse
+# sizes reach both routes: a pair sorts its 2*min(m, n) event keys when
+# they are fewer than its cover table's entries
 SIZES = st.integers(0, 3000) | st.integers(0, 30_000)
 
 

@@ -162,9 +162,10 @@ def _verdict_record(m: int, n: int) -> list[int]:
 
 
 def _exact_pairs() -> list[tuple[int, int]]:
-    """Seeded pairs on both sides of the dense/sparse split, every split
-    mu + nu = F_k - 2 ... F_k + 1 (k = 4..26, so q = F_K at both parities of
-    K) at a seeded mu, and pairs near 10**6."""
+    """Seeded pairs, some with nu/mu past 16 (of both routes, the sorted
+    event keys and the cover table), every split mu + nu = F_k - 2 ... F_k
+    + 1 (k = 4..26, so q = F_K at both parities of K) at a seeded mu, and
+    pairs near 10**6."""
     rng = random.Random(1414)
     pairs = [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(150)]
     pairs += [(rng.randint(1, 400), rng.randint(16 * 400, 200_000)) for _ in range(60)]
@@ -194,11 +195,11 @@ def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
 
 
 def _far_sparse_pairs() -> list[tuple[int, int]]:
-    """Sparse pairs far past 10**6: mu + nu near 10**8 and 3*10**9 (where
-    the cover table's convergent q' = F_50 passes _Q_MAX, the int64 frontier
-    of the tables that form j*p, and the witness still reads that table) and
-    seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to the first
-    unbalanced nu."""
+    """Pairs with mu far below nu, past 10**6: mu + nu near 10**8 and 3*10**9
+    (where the cover table's convergent q' = F_50 passes _Q_MAX, the int64
+    frontier of the tables that form j*p, and the witness still reads that
+    table) and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
+    the first unbalanced nu; the near ones read the cover table."""
     pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
     pairs += [_first_unbalanced(mu, 3 * 10**9 - mu) for mu in (2, 3, 13, 400)]
     rng = random.Random(1515)
