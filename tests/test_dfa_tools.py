@@ -17,7 +17,13 @@ from rectbal.dfa_tools import (
     infer_min_dfa,
 )
 from rectbal.fib_balance import is_balanced
-from rectbal.numeration import SYMBOLS, InvalidRepresentation, fibonacci, pair_encode
+from rectbal.numeration import (
+    SYMBOLS,
+    InvalidRepresentation,
+    check_pair_word,
+    fibonacci,
+    pair_encode,
+)
 from rectbal.words import BudgetExceeded
 
 
@@ -122,6 +128,20 @@ def test_undefined_transition_rejects():
     assert not dfa_run(toy, [(0, 1), (0, 1)])
 
 
+def test_dfa_run_reads_symbols_as_the_word_check_does():
+    toy = Dfa(2, 0, frozenset({1}), {(0, (1, 0)): 1, (1, (0, 0)): 1})
+    # a pair of any equal integers is the symbol, and so is a list pair
+    assert dfa_run(toy, [(True, False)])
+    assert dfa_run(toy, [(1, 0), (np.int64(0), np.int64(0))])
+    assert dfa_run(toy, [[1, 0], [0, 0]])
+    assert dfa_run(toy, iter([(1, 0), (0, 0)]))
+    assert not dfa_run(toy, [(0, 0), [0, 0]])
+    # every symbol is read, also past an undefined move of the start
+    for word in ([(0, 1), (0, 2)], ((0, 1), [0, 2]), [(0, 1), 5], iter([(0, 0), (0, 2)])):
+        with pytest.raises(ValueError, match="^word must be a list of digit pairs, got "):
+            dfa_run(toy, word)
+
+
 def test_serialization_round_trip():
     table = build_sample_table(8)
     dfa = infer_min_dfa(table, 6)
@@ -213,6 +233,24 @@ def test_minimize_keeps_the_language_property(dfa):
     # and is a fixed point on its own output, which its text round-trips
     assert _minimize(small) == small
     assert dfa_from_text(dfa_to_text(small)) == small
+
+
+def _dict_walk(dfa: Dfa, word) -> bool:
+    state = dfa.start
+    for symbol in check_pair_word(word):
+        state = dfa.transitions.get((state, symbol))
+        if state is None:
+            return False
+    return state in dfa.accepting
+
+
+@settings(max_examples=100)
+@given(partial_dfas())
+def test_dfa_run_is_the_dict_walk_property(dfa):
+    for w in WORDS:
+        assert dfa_run(dfa, w) == dfa_run(dfa, list(w)) == _dict_walk(dfa, w)
+    for w in WORDS[:341]:  # the words of length <= 4, as list pairs and one-shot
+        assert dfa_run(dfa, [list(s) for s in w]) == dfa_run(dfa, iter(w)) == _dict_walk(dfa, w)
 
 
 def test_empty_language_minimizes_to_one_rejecting_state():

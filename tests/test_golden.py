@@ -108,6 +108,9 @@ CLI_GOLDEN = {
     "fib bal --m 4 --n 4 --method scan": "d682eca365b21d099f3eda7696fc1f8707004609a45df2d4b4a67b565c5f076c",
     "fib bal --m 4 --n 18 --method scan": "3016b46f4dee9c3847d57c573ed9bb60e79982b82a6fbb40baf012c85ed41e25",
     "fib sweep --max 100 --out {tmp}/sweep.csv": "1cc4cc2c6b791b14605cdb293cde84245520f24347172ac7f1c2d7ff21434351",
+    "fib sweep --max 200": "33886aefdc5bcea3efbafd78d98da0858f8b877eeb396ba13f6b280d0e73bb84",
+    "fib sweep --max 0": "6c2a881ad0d5e9797e89dcef53a4d007965b8d136322f20e5ddc0e9a2d35f7ee",
+    "fib sweep --max 7": "f49a9e457f1c82a45cb8f5d5c6cb8d10c57a7823581b483d915ec424f21775d7",
     "fib diverse --k 2": "a5ebff8a8f1a7974b2803e3ff973a8e477a83a8dba6961142b7b8c34b4201cb0",
     "trib bal2 --m 2 --n 4": "fce80e78d8276135004a2a51083114fe836f356b627792ca09716c164f27a808",
     "trib bal2 --m 2 --n 5": "b448c99c39426ff0c2385cc727600a26311aa6f6410d10d769ab631cf7e90cf1",
