@@ -8,6 +8,7 @@ the horizon that produced it.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -58,13 +59,17 @@ def _cmd_fib_bal(args: argparse.Namespace) -> int:
 
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
     check_at_least(0, max=args.max)
-    rows = []
+    out = io.StringIO()
+    out.write("m,n,balanced,value_set,method\n")
+    templates: dict[int, str] = {}  # a row's %-template by its spread hi - lo
     for m in range(args.max + 1):
         lows, highs = fib_balance.row_value_bounds(m, args.max)
         for n, lo, hi in zip(range(m, args.max + 1), lows.tolist(), highs.tolist()):
-            vals = "|".join(map(str, range(lo, hi + 1)))
-            rows.append(f"{m},{n},{str(hi - lo <= 1).lower()},{vals},exact")
-    _emit("m,n,balanced,value_set,method\n" + "\n".join(rows) + "\n", args.out)
+            if hi - lo not in templates:
+                values = "|".join(["%d"] * (hi - lo + 1))
+                templates[hi - lo] = f"%d,%d,{str(hi - lo <= 1).lower()},{values},exact\n"
+            out.write(templates[hi - lo] % (m, n, *range(lo, hi + 1)))
+    _emit(out.getvalue(), args.out)
     return 0
 
 

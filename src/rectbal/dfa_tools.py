@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,21 +33,74 @@ class InconsistentSample(RuntimeError):
 
 @dataclass(frozen=True)
 class Dfa:
+    """A partial automaton over the four pair SYMBOLS on states
+    range(n_states); a missing transition rejects.
+
+    The constructor checks every entry: a start, accepting state, transition
+    state or target outside range(n_states), or a symbol outside SYMBOLS,
+    raises InvalidRepresentation (a ValueError) naming it, by the check
+    ``dfa_from_text`` applies to its lines.  It holds the transitions as a
+    read-only copy and builds the successor table once: ``_step``, the
+    (n_states + 1) x 4 array of ``_successors`` whose last row is the reject
+    sink, read by ``_minimize`` and ``_run_pairs``, and ``_rows``, its
+    columns as lists keyed by symbol, walked by ``dfa_run``.  The table
+    cannot go stale: an edit of ``transitions`` raises TypeError, and
+    ``dataclasses.replace`` builds a new automaton with its own table.
+    """
+
     n_states: int
     start: int
     accepting: frozenset[int]
-    transitions: dict[tuple[int, tuple[int, int]], int] = field(hash=False)
+    transitions: Mapping[tuple[int, tuple[int, int]], int] = field(hash=False)
+    _step: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: dict[tuple[int, int], list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_at_least(1, n_states=self.n_states)
+        _check_states(self.n_states, [self.start], f"start {self.start}")
+        for state in self.accepting:
+            _check_states(self.n_states, [state], f"accepting {state}")
+        for (state, symbol), target in self.transitions.items():
+            if symbol not in SYMBOLS:
+                raise InvalidRepresentation(f"symbol outside SYMBOLS: {(state, symbol)!r}")
+            line = f"{state} [{symbol[0]},{symbol[1]}] -> {target}"
+            _check_states(self.n_states, [state, target], line)
+        object.__setattr__(self, "transitions", MappingProxyType(dict(self.transitions)))
+        step = _successors(self)
+        step.flags.writeable = False
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_rows", dict(zip(SYMBOLS, step.T.tolist())))
+
+    def __reduce__(self):  # pickle and deepcopy rebuild from the fields
+        return Dfa, (self.n_states, self.start, self.accepting, dict(self.transitions))
+
+
+def _check_states(n_states: int, states, entry: str) -> None:
+    """InvalidRepresentation naming ``entry`` unless every state is an
+    integer in range(n_states)."""
+    if not all(isinstance(s, (int, np.integer)) and 0 <= s < n_states for s in states):
+        raise InvalidRepresentation(f"state outside range({n_states}): {entry!r}")
 
 
 def dfa_run(dfa: Dfa, word) -> bool:
     """Acceptance of a pair word; undefined transitions reject.  A word that
-    is not a list of digit pairs raises ValueError.  The word is read once,
-    by the check, so a one-shot iterator is walked as checked."""
-    state = dfa.start
-    for symbol in check_pair_word(word):
-        state = dfa.transitions.get((state, symbol))
-        if state is None:
-            return False
+    is not a list of digit pairs raises ValueError.
+
+    A list or tuple word is walked on the stored successor rows, one
+    ``_rows[symbol][state]`` lookup per digit.  An undefined move enters the
+    reject sink, and the walk goes on through it, so every symbol is still
+    looked up.  A symbol the rows do not hold (a list pair, or not a pair at
+    all) sends the word to ``check_pair_word``, which returns its pairs or
+    raises; any other word goes there first, where it is read once, so a
+    one-shot iterator is walked as checked."""
+    if type(word) is not list and type(word) is not tuple:
+        word = check_pair_word(word)
+    rows, state = dfa._rows, dfa.start
+    try:
+        for symbol in word:
+            state = rows[symbol][state]
+    except (KeyError, TypeError):  # an unknown or unhashable symbol
+        return dfa_run(dfa, check_pair_word(word))
     return state in dfa.accepting
 
 
@@ -169,8 +224,8 @@ def _successors(dfa: Dfa) -> np.ndarray:
     extra row is the reject sink, the target of every undefined transition."""
     sink = dfa.n_states
     step = np.full((sink + 1, 4), sink, dtype=np.int32)
-    for (state, (a, b)), target in dfa.transitions.items():
-        step[state, 2 * a + b] = target
+    for (state, symbol), target in dfa.transitions.items():
+        step[state, SYMBOLS.index(symbol)] = target
     return step
 
 
@@ -180,7 +235,7 @@ def _minimize(dfa: Dfa) -> Dfa:
     the classes reachable from the start are numbered breadth-first from 0.
     An empty language keeps one state, the rejecting start, so that the
     result stays a valid automaton with a start."""
-    step = _successors(dfa)
+    step = dfa._step
     part = np.zeros(len(step), dtype=np.int64)
     part[list(dfa.accepting)] = 1
     classes = 0
@@ -235,7 +290,7 @@ def _run_pairs(dfa: Dfa, m: np.ndarray, n: np.ndarray, length: int) -> np.ndarra
     """dfa_run on the length-`length` padded pair word of every (m[i], n[i]),
     all below F_{length+2}, at once.  The states are one int array, advanced
     by one gather per digit position from the successor array."""
-    step = _successors(dfa).ravel()
+    step = dfa._step.ravel()
     accepting = np.zeros(dfa.n_states + 1, dtype=bool)
     accepting[list(dfa.accepting)] = True
     state = np.full(len(m), dfa.start, dtype=np.int32)
@@ -268,12 +323,12 @@ def _replay_check(dfa: Dfa, verdicts: np.ndarray, max_len: int) -> None:
 
 def dfa_to_text(dfa: Dfa) -> str:
     lines = [
-        f"states {dfa.n_states}",
-        f"start {dfa.start}",
-        "accepting " + " ".join(str(s) for s in sorted(dfa.accepting)),
+        "states %d" % dfa.n_states,
+        "start %d" % dfa.start,
+        "accepting " + " ".join("%d" % s for s in sorted(dfa.accepting)),
     ]
-    for (state, (a, b)), target in sorted(dfa.transitions.items()):
-        lines.append(f"{state} [{a},{b}] -> {target}")
+    for (state, symbol), target in sorted(dfa.transitions.items()):
+        lines.append("%d [%d,%d] -> %d" % (state, *symbol, target))
     return "\n".join(lines) + "\n"
 
 
@@ -292,8 +347,8 @@ def dfa_from_text(text: str) -> Dfa:
             raise InvalidRepresentation(f"bad automaton line: {line!r}")
         row = [int(x) for x in re.findall(r"\d+", line)]
         states = row[::3] if k > 2 else row  # a transition's digits are not states
-        if k and any(s >= rows[0][0] for s in states):
-            raise InvalidRepresentation(f"state outside range({rows[0][0]}): {line!r}")
+        if k:
+            _check_states(rows[0][0], states, line)
         rows.append(row)
     (n_states,), (start,), accepting = rows[:3]
     transitions: dict[tuple[int, tuple[int, int]], int] = {}

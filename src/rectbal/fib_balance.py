@@ -216,16 +216,19 @@ def _t_scan(
     g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
     [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
     key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu).  The keys are base[i - i0]
-    + key(i0) mod q, with base[t] = t*p mod q up to the longest chunk, built
-    once, first, by ``_doubled_keys``: int32 while 2q < 2^31, and int64 past
-    it, which only far witness scans reach."""
+    + key(i0) mod q, with base[t] = t*p mod q up to the chunk's length, built
+    by ``_doubled_keys`` for each chunk longer than the last, so a witness in
+    the first chunk costs its 1024 keys, not the budget's: int32 while 2q <
+    2^31, and int64 past it, which only far witness scans reach."""
     steps = _steps(mu, nu, p, q)
-    base = _doubled_keys(min(stop, words.BUDGET), p, q)
-    dtype = base.dtype.type
-    sign = 8 * base.itemsize - 1
+    budget = words.BUDGET
+    base = np.empty(0)
     i = carry = 0
     while i < stop:
-        end = min(stop, 4 * i + 1024, i + len(base))
+        end = min(stop, 4 * i + 1024, i + budget)
+        if len(base) < end - i:
+            base = _doubled_keys(end - i, p, q)
+            dtype, sign = base.dtype.type, 8 * base.itemsize - 1
         key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
         key += (key >> sign) & dtype(q)
         t, carry = _step_sums(key, steps, carry)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
 
 import numpy as np
@@ -140,6 +143,56 @@ def test_dfa_run_reads_symbols_as_the_word_check_does():
     for word in ([(0, 1), (0, 2)], ((0, 1), [0, 2]), [(0, 1), 5], iter([(0, 0), (0, 2)])):
         with pytest.raises(ValueError, match="^word must be a list of digit pairs, got "):
             dfa_run(toy, word)
+
+
+def test_dfa_rejects_entries_outside_its_states():
+    # each message is the one dfa_from_text gives for the line of that entry
+    for args, text, line in [
+        ((2, 0, frozenset({5}), {(0, (0, 1)): 5}), "states 2\nstart 0\naccepting 5\n", "accepting 5"),
+        ((2, 0, frozenset({1}), {(0, (0, 1)): 5}), "states 2\nstart 0\naccepting 1\n", "0 [0,1] -> 5"),
+        ((2, 0, frozenset({1}), {(2, (0, 1)): 1}), "states 2\nstart 0\naccepting 1\n", "2 [0,1] -> 1"),
+        ((2, 2, frozenset({1}), {}), "states 2\nstart 2\naccepting 1\n", "start 2"),
+    ]:
+        message = f"state outside range(2): {line!r}"
+        with pytest.raises(InvalidRepresentation, match=f"^{re.escape(message)}$"):
+            Dfa(*args)
+        if "->" in line:
+            text += line + "\n"
+        with pytest.raises(InvalidRepresentation, match=f"^{re.escape(message)}$"):
+            dfa_from_text(text)
+    for args, message in [
+        ((2, -1, frozenset(), {}), "state outside range(2): 'start -1'"),
+        ((2, 0.0, frozenset(), {}), "state outside range(2): 'start 0.0'"),
+        ((2, 0, frozenset({1.5}), {}), "state outside range(2): 'accepting 1.5'"),
+        ((2, 0, frozenset(), {(0, (0, 2)): 1}), "symbol outside SYMBOLS: (0, (0, 2))"),
+        ((2, 0, frozenset(), {(0, "01"): 1}), "symbol outside SYMBOLS: (0, '01')"),
+        ((0, 0, frozenset(), {}), "n_states must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dfa(*args)
+
+
+def test_dfa_table_follows_its_transitions():
+    transitions = {(0, (0, 1)): 1}
+    toy = Dfa(2, 0, frozenset({1}), transitions)
+    # the automaton holds a read-only copy, so its stored rows never go stale
+    transitions[(0, (1, 1))] = 1
+    with pytest.raises(TypeError):
+        toy.transitions[(0, (1, 1))] = 1
+    with pytest.raises(ValueError):
+        toy._step[0, 3] = 1
+    assert not dfa_run(toy, [(1, 1)]) and dict(toy.transitions) == {(0, (0, 1)): 1}
+    # replace builds a new automaton, with rows of its own
+    grown = dataclasses.replace(toy, transitions=transitions)
+    assert dfa_run(grown, [(1, 1)]) and not dfa_run(toy, [(1, 1)])
+    assert _run_pairs(grown, np.array([1]), np.array([1]), 1).tolist() == [True]
+    for back in (pickle.loads(pickle.dumps(grown)), copy.deepcopy(grown)):
+        assert back == grown and dfa_run(back, [(1, 1)])
+    # integer-equal entries are accepted, and written as digits
+    odd = Dfa(np.int64(2), False, frozenset({np.int64(1)}), {(np.int64(0), (True, False)): 1})
+    assert dfa_run(odd, [(1, 0)])
+    assert dfa_to_text(odd) == "states 2\nstart 0\naccepting 1\n0 [1,0] -> 1\n"
+    assert dfa_from_text(dfa_to_text(odd)) == odd
 
 
 def test_serialization_round_trip():

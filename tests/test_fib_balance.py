@@ -734,6 +734,31 @@ def test_witness_scan_holds_keys_in_int64_past_2_31(budget):
     assert list(t) == [t_value(i, mu, nu) - t0 for i in range(5120)]
 
 
+def test_witness_scan_builds_keys_as_its_chunks_grow(budget, monkeypatch):
+    # (300, 10**9 + 7) under a budget below its cover table reads its witness
+    # (0, 352) in the first chunk, which builds its own 1024 keys and no more
+    built = []
+
+    def recorded(L, p, q):
+        built.append(L)
+        return _doubled_keys(L, p, q)
+
+    monkeypatch.setattr(fib_balance, "_doubled_keys", recorded)
+    budget(10**6)
+    assert exact_balance(300, 10**9 + 7).witness[:2] == (0, 352)
+    assert built == [1024]
+    # each chunk longer than the last builds its keys, up to the budget
+    budget(20000)
+    built.clear()
+    mu, nu = 3, 3 * 10**9
+    p, q = _convergent(mu + nu - 1)
+    cover = 2 * q - p
+    scan = _t_scan(mu, nu, *_convergent(cover + mu + nu), cover)
+    lengths = [len(next(scan)[1]) for _ in range(5)]
+    assert lengths == [1024, 4096, 16384, 20000, 20000]
+    assert built == lengths[:4]
+
+
 def test_witness_search_adds_no_memory_to_the_verdict():
     witnesses = {
         (10**6, 10**6 + 1): (346269, 1542921, 381966393218, 381966393213),
