@@ -65,10 +65,11 @@ def _cmd_fib_sweep(args: argparse.Namespace) -> int:
     for m in range(args.max + 1):
         lows, highs = fib_balance.row_value_bounds(m, args.max)
         for n, lo, hi in zip(range(m, args.max + 1), lows.tolist(), highs.tolist()):
-            if hi - lo not in templates:
-                values = "|".join(["%d"] * (hi - lo + 1))
-                templates[hi - lo] = f"%d,%d,{str(hi - lo <= 1).lower()},{values},exact\n"
-            out.write(templates[hi - lo] % (m, n, *range(lo, hi + 1)))
+            spread = hi - lo
+            if spread not in templates:
+                values = "|".join(["%d"] * (spread + 1))
+                templates[spread] = f"%d,%d,{str(spread <= 1).lower()},{values},exact\n"
+            out.write(templates[spread] % (m, n, *range(lo, hi + 1)))
     _emit(out.getvalue(), args.out)
     return 0
 
