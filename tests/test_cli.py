@@ -214,6 +214,19 @@ def test_dfa_run_names_the_negative_argument(capsys, tmp_path):
     assert captured.err == "rectbal: m must be >= 0, got -1\n"
 
 
+def test_search_limit_and_budget_errors_exit_1(capsys, budget):
+    for argv, err in [
+        (["trib", "corner", "--p", "54", "--search-limit", "100"],
+         "rectbal: no corner witness for p=54 within 100 symbols\n"),
+        (["--budget", "1000", "fib", "bal", "--m", "1000000", "--n", "1000001"],
+         "rectbal: 46368 table entries requested, budget is 1000\n"),
+    ]:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["fib", "bal", "--m", "4"])  # missing --n
