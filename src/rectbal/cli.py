@@ -3,7 +3,9 @@
 Subcommands dispatch to the analyzers; outputs are plain text, CSV or JSON.
 Exit status 0 on success, 1 when a verification command fails, 2 on usage
 errors (argparse's convention).  Every semi-decisive verdict is printed with
-the horizon that produced it.
+the horizon that produced it.  Each command imports its module when it
+runs, so the pure-integer ones (``num``, ``tm excess`` and ``fib bal
+--method zeck``) load no numpy.
 """
 from __future__ import annotations
 
@@ -12,16 +14,10 @@ import io
 import json
 import sys
 
-from . import dfa_tools, fib_balance, numeration, tm_balance, trib_balance, words
-from .fib_balance import BalanceStatus
-from .words import SequenceKind, check_at_least
+from . import limits
+from .limits import LimitReached, check_at_least
 
-_KINDS = {
-    "fib": SequenceKind.FIBONACCI,
-    "trib": SequenceKind.TRIBONACCI,
-    "trib2": SequenceKind.TRIBONACCI_RECODED,
-    "tm": SequenceKind.THUE_MORSE,
-}
+_KINDS = {"fib": "fibonacci", "trib": "tribonacci", "trib2": "tribonacci2", "tm": "thue-morse"}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -32,7 +28,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _format_verdict(v: fib_balance.BalanceVerdict) -> str:
+def _format_verdict(v) -> str:
+    """The lines of a ``BalanceVerdict``."""
     lines = [f"status: {v.status.value}", f"method: {v.method}"]
     if v.horizon is not None:
         lines.append(f"horizon: {v.horizon}")
@@ -45,19 +42,23 @@ def _format_verdict(v: fib_balance.BalanceVerdict) -> str:
 
 
 def _cmd_fib_bal(args: argparse.Namespace) -> int:
-    if args.method == "exact":
-        verdict = fib_balance.exact_balance(args.m, args.n)
-    elif args.method == "scan":
-        verdict = fib_balance.delta_block_scan(args.m, args.n, args.horizon)
-    else:
-        ok = fib_balance.zeck_characterization(args.m, args.n)
+    if args.method == "zeck":
+        from .fib_scalar import BalanceStatus, BalanceVerdict, zeck_characterization
+        ok = zeck_characterization(args.m, args.n)
         status = BalanceStatus.BALANCED if ok else BalanceStatus.UNBALANCED
-        verdict = fib_balance.BalanceVerdict(status, "zeck")
+        verdict = BalanceVerdict(status, "zeck")
+    else:
+        from . import fib_balance
+        if args.method == "exact":
+            verdict = fib_balance.exact_balance(args.m, args.n)
+        else:
+            verdict = fib_balance.delta_block_scan(args.m, args.n, args.horizon)
     _emit(_format_verdict(verdict), args.out)
     return 0
 
 
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
+    from . import fib_balance
     check_at_least(0, max=args.max)
     out = io.StringIO()
     out.write("m,n,balanced,value_set,method\n")
@@ -75,12 +76,14 @@ def _cmd_fib_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fib_diverse(args: argparse.Namespace) -> int:
+    from . import fib_balance
     ok = fib_balance.diverse_identities_check(args.k)
     _emit(f"diverse identities k={args.k}: {'PASS' if ok else 'FAIL'}\n", args.out)
     return 0 if ok else 1
 
 
 def _cmd_trib_bal2(args: argparse.Namespace) -> int:
+    from . import trib_balance
     report = trib_balance.two_balance_scan(args.m, args.n, args.horizon)
     lines = [
         f"m: {report.m}",
@@ -100,15 +103,17 @@ def _cmd_trib_bal2(args: argparse.Namespace) -> int:
 
 
 def _cmd_trib_list2(args: argparse.Namespace) -> int:
+    from . import trib_balance
     values = trib_balance.balanced_2xn_list(args.limit, args.horizon)
     _emit(" ".join(str(v) for v in values) + "\n", args.out)
     return 0
 
 
 def _cmd_trib_corner(args: argparse.Namespace) -> int:
+    from . import trib_balance, words
     limit = {} if args.search_limit is None else {"search_limit": args.search_limit}
     witness = trib_balance.find_corner_witness(args.p, **limit)
-    w = words.word(SequenceKind.TRIBONACCI)
+    w = words.word(words.SequenceKind.TRIBONACCI)
     span = args.p + 5
     counts = {
         "i": int((w.symbols(witness.i + span)[witness.i :] == 2).sum()),
@@ -120,11 +125,13 @@ def _cmd_trib_corner(args: argparse.Namespace) -> int:
 
 
 def _cmd_tm_excess(args: argparse.Namespace) -> int:
-    _emit(f"{tm_balance.excess(args.i, args.m, args.n)}\n", args.out)
+    from .tm_closed import excess
+    _emit(f"{excess(args.i, args.m, args.n)}\n", args.out)
     return 0
 
 
 def _cmd_tm_profile(args: argparse.Namespace) -> int:
+    from . import tm_balance
     profile = tm_balance.excess_profile(args.m, args.n, args.horizon)
     _emit(
         f"m: {profile.m}\nn: {profile.n}\nhorizon: {profile.horizon}\n"
@@ -136,6 +143,7 @@ def _cmd_tm_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_tm_table(args: argparse.Namespace) -> int:
+    from . import tm_balance
     check_at_least(0, max=args.max)
     lines = ["m,n,min_s,max_s,balance,horizon"]
     for m in range(1, args.max + 1):
@@ -147,6 +155,7 @@ def _cmd_tm_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfa_infer(args: argparse.Namespace) -> int:
+    from . import dfa_tools
     table = dfa_tools.build_sample_table(args.max_len)
     dfa = dfa_tools.infer_min_dfa(table, args.depth)
     _emit(dfa_tools.dfa_to_text(dfa), args.out)
@@ -156,6 +165,7 @@ def _cmd_dfa_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfa_run(args: argparse.Namespace) -> int:
+    from . import dfa_tools, numeration
     with open(args.file, encoding="ascii") as handle:
         dfa = dfa_tools.dfa_from_text(handle.read())
     m, n = args.pair
@@ -170,6 +180,7 @@ def _cmd_dfa_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_num(args: argparse.Namespace) -> int:
+    from . import numeration
     codecs = {
         "zeck": (numeration.zeck_encode, numeration.zeck_decode),
         "trib": (numeration.trib_encode, numeration.trib_decode),
@@ -184,8 +195,9 @@ def _cmd_num(args: argparse.Namespace) -> int:
 
 
 def _cmd_word_dump(args: argparse.Namespace) -> int:
+    from .words import SequenceKind, word
     check_at_least(0, limit=args.limit)
-    w = words.word(_KINDS[args.kind])
+    w = word(SequenceKind(_KINDS[args.kind]))
     _emit("".join(str(s) for s in w.symbols(args.limit)) + "\n", args.out)
     return 0
 
@@ -270,15 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.budget is not None:
-            words.set_budget(args.budget)
+            limits.set_budget(args.budget)
         return args.func(args)
-    except (
-        words.BudgetExceeded,
-        trib_balance.NotFoundWithinLimit,
-        dfa_tools.InconsistentSample,
-        OSError,
-        ValueError,
-    ) as err:
+    except (LimitReached, OSError, ValueError) as err:
         print(f"rectbal: {err}", file=sys.stderr)
         return 1
 

@@ -20,14 +20,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .fib_balance import balance_table
+from .limits import BudgetExceeded, LimitReached, check_at_least
 from .numeration import SYMBOLS, InvalidRepresentation, check_pair_word, fibonacci, pair_encode
-from .words import BudgetExceeded, check_at_least
 
 # dfa_to_text's header lines, then its transition lines
 _DFA_LINES = (r"states \d+", r"start \d+", r"accepting( \d+)*", r"\d+ \[[01],[01]\] -> \d+")
 
 
-class InconsistentSample(RuntimeError):
+class InconsistentSample(LimitReached):
     """Replaying sampled labels through the machine disagreed with the oracle."""
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from functools import total_ordering
 from math import isqrt
 
-from .words import check_at_least
+from .limits import check_at_least
+from .numeration import zeck_shift
 
 
 @total_ordering
@@ -143,8 +144,6 @@ def floor_n_phi(n: int) -> int:
     if n == 0:
         return 0
     via_floor = (PHI * n).floor()
-    from .numeration import zeck_shift
-
     via_shift = zeck_shift(n - 1) + 1
     assert via_floor == via_shift, f"floor(n*phi) routes disagree at n={n}"
     return via_floor

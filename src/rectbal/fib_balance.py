@@ -11,7 +11,8 @@ T(i, m, n) take at most two distinct values over all i:
   {-1, 0, 1} looking for two equal nonzero entries separated only by zeros,
   which certifies a T-gap of 2; a semi-decision run to a horizon.
 * ``zeck_characterization`` evaluates a digit-level rule on the Zeckendorf
-  expansions of m and n.
+  expansions of m and n; it lives in the numpy-free ``fib_scalar``, with
+  the verdict types and scalar ``t_value``, and is imported here.
 
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
@@ -45,37 +46,19 @@ block's keys.  The two are independent routes to the same verdicts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import limits
 from .exact_quadratic import GAMMA, ONE
-from .numeration import fib_index_list, fibonacci
-from . import words
+from .fib_scalar import BalanceStatus, BalanceVerdict, _convergent, t_value
+from .fib_scalar import zeck_characterization  # noqa: F401 -- one of the three routes
+from .limits import BudgetExceeded, check_at_least, check_budget
+from .numeration import fibonacci
 from .rectangles import word_counts, word_rect_sum
-from .words import BudgetExceeded, SequenceKind, check_at_least, sturmian_a_word, word
-
-
-class BalanceStatus(Enum):
-    BALANCED = "balanced"
-    UNBALANCED = "unbalanced"
-    UNKNOWN_UP_TO_HORIZON = "unknown-up-to-horizon"
-
-
-@dataclass(frozen=True)
-class BalanceVerdict:
-    status: BalanceStatus
-    method: str
-    value_set: tuple[int, ...] | None = None
-    witness: tuple[int, int, int, int] | None = None  # (i, j, T(i), T(j))
-    horizon: int | None = None
-
-    @property
-    def balanced(self) -> bool:
-        return self.status is BalanceStatus.BALANCED
+from .words import SequenceKind, sturmian_a_word, word
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +80,6 @@ class BalanceVerdict:
 _Q_MAX = 4_807_526_976
 
 
-def _convergent(bound: int) -> tuple[int, int]:
-    """(p, q) = (F_{k-2}, F_k) for the smallest Fibonacci number q > bound."""
-    p, r, q = 0, 1, 1  # F_0, F_1, F_2
-    while q <= bound:
-        p, r, q = r, q, r + q
-    return p, q
-
-
 def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
     """_convergent for int64 tables of j*p with ``entries`` (default q)
     entries; it raises before any allocation past _Q_MAX or the symbol
@@ -112,7 +87,7 @@ def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]
     p, q = _convergent(bound)
     if q > _Q_MAX:
         raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
-    words.check_budget(q if entries is None else entries, "table entries")
+    check_budget(q if entries is None else entries, "table entries")
     return p, q
 
 
@@ -124,39 +99,12 @@ def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
     return keys
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{k<n} floor((a*k + b)/m) on Python ints in O(log m) steps, for
-    n, a, b >= 0 and m >= 1: the Euclid-like reduction of floor_sum in the
-    AtCoder Library (https://github.com/atcoder/ac-library)."""
-    total = 0
-    while True:
-        if a >= m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if b >= m:
-            total += n * (b // m)
-            b %= m
-        top = a * n + b
-        if top < m:
-            return total
-        # count the lattice points under the line from the other axis
-        n, b, m, a = top // m, top % m, a, m
-
-
 def _floor_sums(size: int) -> np.ndarray:
     """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64."""
     p, q = _table_convergent(size, size + 1)
     G = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.arange(size, dtype=np.int64) * p // q, out=G[1:])
     return G
-
-
-def t_value(i: int, m: int, n: int) -> int:
-    """T(i, m, n) = sum_{k<m} floor((i+k+n)*gamma) - floor((i+k)*gamma) on
-    the 0-prefixed Fibonacci word, as two floor sums; no table is built."""
-    check_at_least(0, m=m, n=n, i=i)
-    p, q = _convergent(i + m + n)
-    return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +169,7 @@ def _t_scan(
     the first chunk costs its 1024 keys, not the budget's: int32 while 2q <
     2^31, and int64 past it, which only far witness scans reach."""
     steps = _steps(mu, nu, p, q)
-    budget = words.BUDGET
+    budget = limits.BUDGET
     base = np.empty(0)
     i = carry = 0
     while i < stop:
@@ -430,7 +378,7 @@ def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
     p, q, L, cover, entries = _cover(mu, nu)
     if 2 * mu < entries:
         return _Count(mu, nu, t_value(0, mu, nu), *_event_extremes(mu, nu)), None
-    words.check_budget(entries, "table entries")
+    check_budget(entries, "table entries")
     low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
     return _Count(mu, nu, t_value(0, mu, nu), -high, -low), hits
 
@@ -485,7 +433,7 @@ def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int,
     if hits is None:
         p, q, L, cover, entries = _cover(mu, nu)
         targets = (-count.hi, -count.lo)  # the min and max of T - t0
-        if entries <= words.BUDGET:
+        if entries <= limits.BUDGET:
             *extremes, hits = _table_extremes(mu, nu, p, q, L, cover)
             assert tuple(extremes) == targets, (mu, nu)
         else:
@@ -586,43 +534,6 @@ def delta_block_scan(m: int, n: int, horizon: int = 100_000) -> BalanceVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Zeckendorf digit rule
-
-
-def zeck_characterization(m: int, n: int) -> bool:
-    """Digit-level balance rule on the Zeckendorf expansions, for m <= n
-    (larger m handled by the transpose symmetry):
-
-    (a) m <= 1; or with m = F_a1 + ... (a1 largest) and n = F_b1 + ... + F_bl:
-    (b) m = F_a1, a1 not among the b's, and the smallest b above a1 has the
-        parity of a1;
-    (c) m = F_a1 and a1 is among the b's;
-    (d) a1 equals the smallest b and the two smallest b's differ in parity;
-    (e) a1 is below the smallest b.
-    """
-    check_at_least(0, m=m, n=n)
-    if m > n:
-        m, n = n, m
-    if m <= 1:
-        return True
-    a = fib_index_list(m)
-    b = fib_index_list(n)
-    a1 = a[0]
-    b_smallest = b[-1]
-    if len(a) == 1 and a1 in b:
-        return True
-    if a1 < b_smallest:
-        return True
-    if len(a) == 1 and a1 not in b:
-        # m = F_a1 <= n forces some b above a1
-        if (min(x for x in b if x > a1) - a1) % 2 == 0:
-            return True
-    if a1 == b_smallest and len(b) >= 2 and (b[-2] - b[-1]) % 2 == 1:
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # square-rectangle growth identities (direct word computation)
 
 
@@ -637,7 +548,7 @@ def diverse_identities_check(k: int) -> bool:
     side = fibonacci(6 * k) // 2
     j1 = (fibonacci(6 * k + 5) - 1) // 4
     side2 = fibonacci(6 * k + 3) // 2
-    words.check_budget(max(i1, i2, j1) + 2 * max(side, side2), "symbols")
+    check_budget(max(i1, i2, j1) + 2 * max(side, side2), "symbols")
     gap1 = word_rect_sum(f, i1, side, side) - word_rect_sum(f, i2, side, side)
     gap2 = word_rect_sum(f, j1, side2, side2) - word_rect_sum(f, i2, side2, side2)
     return gap1 == 2 * k and gap2 == 2 * k + 1
@@ -757,7 +668,7 @@ def balance_table(limit: int) -> np.ndarray:
     """
     global _TABLE
     check_at_least(0, limit=limit)
-    words.check_budget((limit + 1) ** 2, "table entries")
+    check_budget((limit + 1) ** 2, "table entries")
     table = _TABLE
     if len(table) > limit:
         return table[: limit + 1, : limit + 1]

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 
-from .words import as_integer, check_at_least
+from .limits import as_integer, check_at_least
 
 
 class InvalidRepresentation(ValueError):

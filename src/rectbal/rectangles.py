@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import words
-from .words import SequenceKind, Word, check_at_least
+from . import limits
+from .limits import check_at_least
+from .words import SequenceKind, Word, cover_bound
 
 
 def telescope(s2: np.ndarray, m: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -64,8 +65,8 @@ def scan_stop(kind: SequenceKind, m: int, n: int, horizon: int) -> tuple[int, bo
     over i < horizon: B = `words.cover_bound` of length m + n - 1 and True
     when B is at most the horizon and the B + m + n - 2 symbols its scan
     reads fit the budget, else the horizon and False."""
-    bound = words.cover_bound(kind, m + n - 1)
-    if bound <= horizon and bound + m + n - 2 <= words.BUDGET:
+    bound = cover_bound(kind, m + n - 1)
+    if bound <= horizon and bound + m + n - 2 <= limits.BUDGET:
         return bound, True
     return horizon, False
 

@@ -2,10 +2,8 @@
 
 Adjacent positions pair to sum 1 (t at 2k and 2k+1 differ), so all but at
 most four entries of any rectangle cancel and |s| <= 4.  The same pairing
-gives the prefix count C(y) = floor(y/2) + [y odd] * t_{y-1} (Allouche and
-Shallit, *Automatic Sequences*, 2003) and its running sum S(x) in closed
-form, so the scalar queries `factor_sum`, `excess` and the parity-split
-formulas built on `factor_sum` read no word and answer at any i.
+gives the closed forms of ``tm_closed``, which read no word and answer at
+any i; ``excess`` and ``excess_parity_reduced`` are imported here from it.
 `excess_profile` scans the stored running sums of the generated word
 instead, a route of its own that the tests check the closed forms against.
 
@@ -20,13 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import words
+from . import limits
+from .limits import check_at_least
 from .rectangles import scan_stop, word_counts
-from .words import SequenceKind, check_at_least, word
-
-
-class ParityViolation(ValueError):
-    """An even-index-only formula was fed an odd argument."""
+from .tm_closed import excess, excess_parity_reduced  # noqa: F401 -- bench/ reads them here
+from .words import SequenceKind, word
 
 
 @dataclass(frozen=True)
@@ -49,73 +45,12 @@ def _ones(m: int, n: int, start: int, stop: int) -> np.ndarray:
     return word_counts(word(SequenceKind.THUE_MORSE), 1, m, n, start, stop)
 
 
-def _ones_before(y: int) -> int:
-    """C(y), the number of 1s among t_0 .. t_{y-1}: each pair t_{2k} t_{2k+1}
-    holds one 1, so C(y) = floor(y/2) + [y odd] * t_{y-1}, with t_j the
-    parity of popcount(j)."""
-    return y // 2 + (y % 2) * ((y - 1).bit_count() % 2)
-
-
-def _ones_sum(x: int) -> int:
-    """S(x) = C(0) + ... + C(x-1) = a(a-1) + b*a + C(a), a = floor(x/2) and
-    b = x mod 2: C(2k) + C(2k+1) = 2k + t_{2k}, and t_{2k} = t_k."""
-    a, b = divmod(x, 2)
-    return a * (a - 1) + b * a + _ones_before(a)
-
-
-def factor_sum(start: int, length: int) -> int:
-    """Number of 1s among t_start .. t_{start+length-1}; reads no word."""
-    check_at_least(0, start=start, length=length)
-    return _ones_before(int(start) + int(length)) - _ones_before(int(start))
-
-
-def excess(i: int, m: int, n: int) -> int:
-    """2 * count_1(rectangle at i) - m*n, the count telescoped over S; reads
-    no word, so it answers at any i."""
-    check_at_least(0, i=i, m=m, n=n)
-    i, m, n = int(i), int(m), int(n)
-    ones = _ones_sum(i + m + n) - _ones_sum(i + n) - _ones_sum(i + m) + _ones_sum(i)
-    return 2 * ones - m * n
-
-
-def excess_even_even(i: int, m: int, n: int) -> int:
-    """s = 2*(b - a) for i, m, n all even, where a sums t over
-    [i/2, (i+m)/2) and b over [(i+n)/2, (i+m+n)/2)."""
-    check_at_least(0, i=i, m=m, n=n)
-    if i % 2 or m % 2 or n % 2:
-        raise ParityViolation(f"all of i, m, n must be even: ({i}, {m}, {n})")
-    a = factor_sum(i // 2, (i + m) // 2 - i // 2)
-    b = factor_sum((i + n) // 2, (i + m + n) // 2 - (i + n) // 2)
-    return 2 * (b - a)
-
-
-def excess_parity_reduced(i: int, m: int, n: int) -> int:
-    """Excess via the parity-case formulas; odd i peels the first row."""
-    check_at_least(0, i=i, m=m, n=n)
-    if m == 0 or n == 0:
-        return 0
-    if i % 2:
-        # removing the first row: s(i,m,n) = s(i+1,m-1,n) + 2*row - n
-        row = factor_sum(i, n)
-        return excess_parity_reduced(i + 1, m - 1, n) + 2 * row - n
-    if m % 2 == 0 and n % 2 == 0:
-        return excess_even_even(i, m, n)
-    if n % 2:  # strip the last column
-        a = excess_parity_reduced(i, m, n - 1)
-        b = factor_sum(i + n - 1, m)
-        return a + 2 * b - m
-    # m odd, n even: strip the last row
-    a = excess_parity_reduced(i, m - 1, n)
-    b = factor_sum(i + m - 1, n)
-    return a + 2 * b - n
-
-
 def default_horizon(m: int, n: int) -> int:
     """10^5, scaled up to 2**(ceil(log2(m*n)) + 6) for large rectangles,
     and capped so that the scan stays within the symbol budget."""
     check_at_least(1, m=m, n=n)
     scaled = 1 << (int(m * n - 1).bit_length() + 6)
-    return min(max(100_000, scaled), max(1, words.BUDGET - (m + n)))
+    return min(max(100_000, scaled), max(1, limits.BUDGET - (m + n)))
 
 
 def excess_profile(m: int, n: int, horizon: int | None = None) -> ExcessProfile:

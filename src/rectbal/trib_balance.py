@@ -23,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .limits import LimitReached, check_at_least
 from .rectangles import scan_stop, word_counts, word_rect_sum
-from .words import SequenceKind, check_at_least, factor_keys, word
+from .words import SequenceKind, factor_keys, word
 
 
-class NotFoundWithinLimit(RuntimeError):
+class NotFoundWithinLimit(LimitReached):
     """Search bound reached without a match; says nothing about existence."""
 
 

@@ -11,15 +11,14 @@ array by copying the array's own prefixes.  Thue-Morse doubles by
 t_(k+j) = 1 - t_j for j < k, k a power of two, and the 0/2 recoding of
 Tribonacci masks its symbols with 2.
 
-Words grow lazily in geometric blocks up to a configurable symbol budget
-(RECTBAL_BUDGET environment variable, default 10**7).  For each letter that
-is read, a word stores the running sum of its prefix counts C[t] (the
-occurrences among the first t symbols), s[j] = C[0] + ... + C[j-1] modulo
-2**32 in uint32.  The stored s grows geometrically and only as far as it is
-read, and a growing word only appends, so a stored s stays valid.  Every
-rectangle count is a telescope of s (see `rectangles`), and any prefix
-count is an O(1) difference: the budget keeps C below 2**31, so C[t] =
-s[t+1] - s[t] modulo 2**32 is exact.
+Words grow lazily in geometric blocks up to the symbol budget
+(`limits.BUDGET`).  For each letter that is read, a word stores the running
+sum of its prefix counts C[t] (the occurrences among the first t symbols),
+s[j] = C[0] + ... + C[j-1] modulo 2**32 in uint32.  The stored s grows
+geometrically and only as far as it is read, and a growing word only
+appends, so a stored s stays valid.  Every rectangle count is a telescope
+of s (see `rectangles`), and any prefix count is an O(1) difference: the
+budget keeps C below 2**31, so C[t] = s[t+1] - s[t] modulo 2**32 is exact.
 
 `cover_bound` gives, for the Tribonacci and Thue-Morse words, a B(L) such
 that every factor of length L starts below B(L), by a lemma on the word's
@@ -29,70 +28,13 @@ B(L).
 """
 from __future__ import annotations
 
-import operator
-import os
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-
-class BudgetExceeded(RuntimeError):
-    """A request would grow a word beyond the configured symbol budget."""
-
-
-MAX_BUDGET = 2**31 - 1  # prefix counts fit int32
-
-
-def as_integer(name: str, value: int) -> int:
-    """value as an int by operator.index, so Python and NumPy integers pass;
-    ValueError naming the argument for anything else (3.5, 2.0, "7")."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def check_at_least(bound: int, /, **values: int) -> None:
-    """Raise ValueError naming the first argument that is not an integer or
-    is below bound."""
-    for name, value in values.items():
-        if as_integer(name, value) < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
-
-
-def _checked_budget(budget: int, name: str = "budget") -> int:
-    budget = as_integer(name, budget)
-    if not 1 <= budget <= MAX_BUDGET:
-        raise ValueError(f"{name} must be between 1 and {MAX_BUDGET}, got {budget}")
-    return budget
-
-
-def _env_budget() -> int:
-    text = os.environ.get("RECTBAL_BUDGET", "10000000")
-    try:
-        budget = int(text)
-    except ValueError:
-        raise ValueError(f"RECTBAL_BUDGET must be an integer, got {text!r}") from None
-    return _checked_budget(budget, "RECTBAL_BUDGET")
-
-
-# The one symbol budget: every word and every table is held to it by
-# check_budget, which reads it here, so set_budget reaches them all.
-BUDGET = _env_budget()
-
-
-def set_budget(budget: int) -> None:
-    """Cap word generation length, and the size of every table."""
-    global BUDGET
-    BUDGET = _checked_budget(budget)
-
-
-def check_budget(size: int, what: str) -> None:
-    """Raise BudgetExceeded, naming `what`, if `size` passes the symbol
-    budget."""
-    if size > BUDGET:
-        raise BudgetExceeded(f"{size} {what} requested, budget is {BUDGET}")
+from . import limits
+from .limits import check_at_least, check_budget
 
 
 class SequenceKind(Enum):
@@ -170,7 +112,7 @@ class Word:
         check_budget(length, "symbols")
         if length <= len(self._syms):
             return
-        target = min(BUDGET, max(length, 2 * len(self._syms), 1 << 12))
+        target = min(limits.BUDGET, max(length, 2 * len(self._syms), 1 << 12))
         body = _generate(self.kind, max(target - len(self._prefix), 0))
         self._syms = np.concatenate((self._prefix[:target], body)) if len(self._prefix) else body
 

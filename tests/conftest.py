@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from rectbal import words
+from rectbal import limits
 
 # Every property test runs the same examples on every run, with no deadline;
 # each test sets only its own example count.
@@ -11,8 +11,8 @@ settings.load_profile("rectbal")
 
 @pytest.fixture
 def budget():
-    """``words.set_budget`` for one test; the budget in force before the test
+    """``limits.set_budget`` for one test; the budget in force before the test
     is set again after it."""
-    old = words.BUDGET
-    yield words.set_budget
-    words.set_budget(old)
+    old = limits.BUDGET
+    yield limits.set_budget
+    limits.set_budget(old)

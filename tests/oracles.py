@@ -16,10 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
-from rectbal.fib_balance import _convergent, _floor_sums
+from rectbal.fib_balance import _floor_sums
+from rectbal.fib_scalar import _convergent
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
-from rectbal.words import SequenceKind, check_at_least, factor_keys, sturmian_a_word, word
+from rectbal.limits import check_at_least
+from rectbal.words import SequenceKind, factor_keys, sturmian_a_word, word
 
 
 def t_value_vector(m: int, n: int, horizon: int) -> np.ndarray:

@@ -14,19 +14,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from rectbal.dfa_tools import _run_pairs, build_sample_table, dfa_run, infer_min_dfa
 from rectbal.fib_balance import (
-    BalanceStatus,
     balance_table,
     delta_block_scan,
     diverse_identities_check,
     exact_balance,
     is_balanced,
     row_value_bounds,
-    t_value,
-    zeck_characterization,
 )
+from rectbal.fib_scalar import BalanceStatus, t_value, zeck_characterization
 from rectbal.numeration import fibonacci, pair_encode
 from rectbal.rectangles import word_letter_counts, word_rect_sum
-from rectbal.tm_balance import excess, excess_class_parity_check, excess_parity_reduced, excess_profile
+from rectbal.tm_balance import excess_class_parity_check, excess_profile
+from rectbal.tm_closed import excess, excess_parity_reduced
 from rectbal.trib_balance import (
     balanced_2xn_list,
     corner_count_gap,

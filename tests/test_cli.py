@@ -234,9 +234,9 @@ def test_usage_error_exit_code():
 
 
 def test_budget_flag_limits_generation(capsys):
-    from rectbal import words as words_mod
+    from rectbal import limits
 
-    old = words_mod.BUDGET
+    old = limits.BUDGET
     try:
         code = main(
             ["--budget", "1000", "word", "dump", "--kind", "fib",
@@ -245,7 +245,7 @@ def test_budget_flag_limits_generation(capsys):
         assert code == 1
         assert "budget" in capsys.readouterr().err
     finally:
-        words_mod.set_budget(old)
+        limits.set_budget(old)
 
 
 def test_budget_below_the_horizon_lists_the_same_two_row_shapes(capsys, budget):

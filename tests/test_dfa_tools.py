@@ -27,7 +27,7 @@ from rectbal.numeration import (
     fibonacci,
     pair_encode,
 )
-from rectbal.words import BudgetExceeded
+from rectbal.limits import BudgetExceeded
 
 
 def test_sample_table_labels():

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectbal import fib_balance, words
+from rectbal import fib_balance, limits
 from rectbal.cli import main
 from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
     _Q_MAX,
     _ROW_BLOCK,
     _ROW_MU_MAX,
-    BalanceStatus,
     _chunk_entries,
     _chunk_length,
     _chunk_table,
-    _convergent,
     _circle_keys,
     _cover,
     _doubled_keys,
@@ -36,12 +34,12 @@ from rectbal.fib_balance import (
     is_balanced,
     row_value_bounds,
     t_counting_form,
-    t_value,
-    zeck_characterization,
 )
+from rectbal.fib_scalar import BalanceStatus, _convergent, t_value, zeck_characterization
+from rectbal.limits import MAX_BUDGET, BudgetExceeded
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
-from rectbal.words import MAX_BUDGET, BudgetExceeded, sturmian_a_word
+from rectbal.words import sturmian_a_word
 from oracles import circle_partition, delta, delta_floor_form, t_value_vector
 
 
@@ -592,8 +590,8 @@ def _ratio_split_answers(mu: int, nu: int) -> bool:
     entries on q <= _Q_MAX, the cover table its entries, and a witness past
     the budget was read in i order."""
     if 16 * mu < mu + nu:
-        return 2 * mu <= words.BUDGET and _convergent(mu + nu)[1] <= _Q_MAX
-    return _cover(mu, nu)[4] <= words.BUDGET
+        return 2 * mu <= limits.BUDGET and _convergent(mu + nu)[1] <= _Q_MAX
+    return _cover(mu, nu)[4] <= limits.BUDGET
 
 
 def test_size_split_answers_wherever_the_ratio_split_did(budget):
@@ -664,7 +662,7 @@ def test_dense_and_sparse_sweeps_agree(budget):
     rng = random.Random(27)
     pairs = [(1, 1), (1, 500), (4, 4), (30, 2000), (700, 900), (987, 1597)]
     pairs += [tuple(sorted((rng.randint(1, 300), rng.randint(1, 3000)))) for _ in range(40)]
-    default = words.BUDGET
+    default = limits.BUDGET
     for mu, nu in pairs:
         p, q, L, cover, entries = _cover(mu, nu)
         low, high, _ = _table_extremes(mu, nu, p, q, L, cover)
@@ -694,7 +692,7 @@ def test_witness_sweep_reads_t_past_the_exact_range(budget):
     # the scan must give T at every i below the cover F_{j+2}, F_j <=
     # mu+nu-1 < F_{j+1} (_find_witness), far past the verdict's q; sizes
     # F_k - 2 ... F_k + 1 put mu + nu on both sides of a step of j
-    default = words.BUDGET
+    default = limits.BUDGET
 
     @settings(max_examples=120)
     @given(

@@ -17,13 +17,13 @@ import numpy as np
 from rectbal.cli import main
 from rectbal.dfa_tools import InconsistentSample, build_sample_table, dfa_to_text, infer_min_dfa
 from rectbal.fib_balance import (
-    BalanceStatus,
     balance_table,
     delta_block_scan,
     exact_balance,
     is_balanced,
     row_value_bounds,
 )
+from rectbal.fib_scalar import BalanceStatus
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from rectbal.dfa_tools import build_sample_table, dfa_from_text, dfa_run, infer_min_dfa
 from rectbal.exact_quadratic import floor_n_gamma, floor_n_phi
-from rectbal.fib_balance import delta_block_scan, diverse_identities_check, zeck_characterization
+from rectbal.fib_balance import delta_block_scan, diverse_identities_check
+from rectbal.fib_scalar import zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -27,7 +28,8 @@ from rectbal.numeration import (
     zeck_shift,
 )
 from rectbal.rectangles import word_letter_counts, word_rect_sum
-from rectbal.tm_balance import default_horizon, excess, excess_class_parity_check, excess_profile
+from rectbal.tm_balance import default_horizon, excess_class_parity_check, excess_profile
+from rectbal.tm_closed import excess
 from rectbal.trib_balance import (
     CornerWitness,
     balanced_2xn_list,
@@ -35,7 +37,8 @@ from rectbal.trib_balance import (
     two_balance_scan,
     verify_no_2balance_3plus,
 )
-from rectbal.words import SequenceKind, set_budget, word
+from rectbal.limits import set_budget
+from rectbal.words import SequenceKind, word
 
 TRIB = word(SequenceKind.TRIBONACCI)
 ONE_STATE = dfa_from_text("states 1\nstart 0\naccepting 0\n0 [0,0] -> 0\n")

@@ -11,7 +11,7 @@ from rectbal.rectangles import (
     word_letter_counts,
     word_rect_sum,
 )
-from rectbal.tm_balance import excess
+from rectbal.tm_closed import excess
 from rectbal.words import SequenceKind, Word, sturmian_a_word, word
 from oracles import delta
 

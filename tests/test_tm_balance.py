@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectbal import tm_balance
-from rectbal.tm_balance import (
+from rectbal.tm_balance import default_horizon, excess_class_parity_check, excess_profile
+from rectbal.tm_closed import (
     ParityViolation,
-    default_horizon,
     excess,
-    excess_class_parity_check,
     excess_even_even,
     excess_parity_reduced,
-    excess_profile,
     factor_sum,
 )
 from rectbal.rectangles import word_counts
-from rectbal.words import BudgetExceeded, SequenceKind, Word, cover_bound, word
+from rectbal.limits import BudgetExceeded
+from rectbal.words import SequenceKind, Word, cover_bound, word
 from oracles import excess_sign_symmetry, excess_vector, factor_cover
 
 

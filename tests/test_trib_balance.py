@@ -18,7 +18,8 @@ from rectbal.trib_balance import (
     two_balance_scan,
     verify_no_2balance_3plus,
 )
-from rectbal.words import BudgetExceeded, SequenceKind, cover_bound, word
+from rectbal.limits import BudgetExceeded
+from rectbal.words import SequenceKind, cover_bound, word
 from oracles import factor_cover
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectbal.limits import BudgetExceeded
 from rectbal.words import (
-    BudgetExceeded,
     SequenceKind,
     Word,
     _generate,
@@ -326,34 +326,34 @@ def test_prefix_counts_over_budget():
 
 
 def test_set_budget_applies_to_shared_words():
-    from rectbal import words as words_mod
+    from rectbal import limits
 
-    old = words_mod.BUDGET
+    old = limits.BUDGET
     try:
-        words_mod.set_budget(500)
+        limits.set_budget(500)
         with pytest.raises(BudgetExceeded):
             word(SequenceKind.FIBONACCI).ensure(9_999_999)
         with pytest.raises(ValueError):
-            words_mod.set_budget(0)
+            limits.set_budget(0)
     finally:
-        words_mod.set_budget(old)
+        limits.set_budget(old)
 
 
 def test_one_budget_caps_words_and_tables():
-    from rectbal import words as words_mod
+    from rectbal import limits
     from rectbal.fib_balance import is_balanced
 
     tm = word(SequenceKind.THUE_MORSE)
     tm.ensure(5000)  # built past the budget below
-    old = words_mod.BUDGET
+    old = limits.BUDGET
     try:
-        words_mod.set_budget(1000)
+        limits.set_budget(1000)
         for call in (lambda: tm.ensure(1001), lambda: is_balanced(5000, 6000)):
             with pytest.raises(BudgetExceeded, match="budget is 1000"):
                 call()
     finally:
-        words_mod.set_budget(old)
-    assert words_mod.BUDGET == old
+        limits.set_budget(old)
+    assert limits.BUDGET == old
     tm.ensure(1001)
     assert not is_balanced(5000, 6000)
 
@@ -375,16 +375,16 @@ def test_budget_checks_share_one_message(budget):
 
 
 def test_budget_limited_to_int32_counts():
-    from rectbal import words as words_mod
+    from rectbal import limits
 
-    old = words_mod.BUDGET
+    old = limits.BUDGET
     try:
-        words_mod.set_budget(2**31 - 1)
+        limits.set_budget(2**31 - 1)
         with pytest.raises(ValueError, match="budget must be between 1 and 2147483647"):
-            words_mod.set_budget(2**31)
-        assert words_mod.BUDGET == 2**31 - 1
+            limits.set_budget(2**31)
+        assert limits.BUDGET == 2**31 - 1
     finally:
-        words_mod.set_budget(old)
+        limits.set_budget(old)
     # a word has no budget of its own to set past the limit
     with pytest.raises(TypeError):
         Word(SequenceKind.FIBONACCI, budget=2**31)
