@@ -4,7 +4,7 @@ import pytest
 from rectbal.limits import check_at_least
 from rectbal.rectangles import scan_stop
 from rectbal.tm_balance import default_horizon
-from rectbal.words import SequenceKind, cover_bound
+from rectbal.words import SequenceKind, Word, cover_bound
 
 
 @pytest.mark.parametrize(
@@ -45,3 +45,11 @@ def test_set_budget_reaches_scan_stop_and_default_horizon(budget):
     assert default_horizon(3, 3) == bound - 3
     budget(bound + 4)
     assert scan_stop(kind, 3, 3, 10**6) == (bound, True)
+
+
+def test_set_budget_caps_how_far_a_word_grows(budget):
+    # a word grows in blocks of at least 4096 symbols, cut at the budget
+    budget(1000)
+    w = Word(SequenceKind.FIBONACCI)
+    w.ensure(10)
+    assert len(w) == 1000

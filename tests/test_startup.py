@@ -82,8 +82,10 @@ def test_modules_load_on_first_use():
         "print(json.dumps([verdict.balanced, verdict.value_set, 'numpy' in sys.modules, missing,\n"
         "    rectbal.fib_balance.zeck_characterization is rectbal.fib_scalar.zeck_characterization,\n"
         "    rectbal.tm_balance.excess is rectbal.tm_closed.excess,\n"
-        "    rectbal.words.check_at_least is rectbal.limits.check_at_least]))"
+        "    [hasattr(rectbal.words, name) for name in ('BUDGET', 'set_budget', 'BudgetExceeded')]]))"
     )
+    # the budget has one home: words holds no copy to go stale
     assert result == [
-        True, [27, 28], True, "module 'rectbal' has no attribute 'no_such_module'", True, True, True
+        True, [27, 28], True, "module 'rectbal' has no attribute 'no_such_module'", True, True,
+        [False, False, False],
     ]
