@@ -23,7 +23,7 @@ from rectbal.fib_balance import (
     is_balanced,
     row_value_bounds,
 )
-from rectbal.fib_scalar import BalanceStatus
+from rectbal.fib_scalar import BalanceStatus, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -59,6 +59,7 @@ GOLDEN = {
     "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": "a9c7750334d409aafa784486f8d68de905d62b32c98741bee6796d1191086195",
     "exact_balance over far sparse pairs": "cc9c2222f3af9b2fe3aca329fda06c9c816c9ee8ed7b507df8ad53a4bd283951",
     "exact_balance over dense pairs to q = F_35": "063b63045aee2fd81cf1b3f149be77dcac1e30e364f18b77ae8acd416d81e726",
+    "exact_balance over balanced pairs at 10**6, 10**8 and Fibonacci sizes": "46d10d30330ae77d3fbf21cfab05600b85a5fb0dcb8cf1b20f22f2065011e0aa",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
     "zeck_decode over binary strings to length 10": "7724c386077aaeef0ab0a1a3ad4b7737e2c9a88ac1c1cdee9c042511a75bf237",
     "trib_decode over binary strings to length 10": "1e9cb34ed5fa2e4a12c8b91762ce5eec779071f53f8c40488c055fafeca1a52c",
@@ -213,6 +214,29 @@ def _far_sparse_pairs() -> list[tuple[int, int]]:
     return pairs
 
 
+def _balanced_pairs() -> list[tuple[int, int]]:
+    """Pairs that the digit rule calls balanced: the four balanced
+    constructions of the fib_exact_large benchmark, each drawn twice, at its
+    top of 10**6 on F_30 and nine indices up at 10**8 on F_39; (F_a, F_b)
+    with b - a even and (F_a, F_a + F_b), a <= b <= 40, including mu = 0
+    and mu = 1."""
+    rng = random.Random(1616)
+    pairs = []
+    for top, k in ((10**6, 30), (10**8, 39)):
+        f = fibonacci(k)
+        g, h, e = fibonacci(k - 4), fibonacci(k - 5), fibonacci(k - 6)
+        for _ in range(2):
+            pairs.append((rng.randint(f * 18 // 25, f - 1), f))  # max is F_k
+            pairs.append((f, rng.randint(f + 1, top)))  # F_k in n
+            pairs.append((rng.randint(g // 2, g - 1), f + g))  # below F_{k-4}
+            pairs.append((h + rng.randint(0, e - 1), f + h))  # F_{k-5} leads m, ends n
+    for a in range(41):
+        pairs += [(fibonacci(a), fibonacci(b)) for b in range(a, 41, 2)]
+        pairs += [(fibonacci(a), fibonacci(a) + fibonacci(b)) for b in range(a + 2, 41, 3)]
+    assert all(zeck_characterization(m, n) for m, n in pairs)
+    return pairs
+
+
 def _exact_records(pairs: list[tuple[int, int]]) -> list[int]:
     out = []
     for m, n in pairs:
@@ -327,6 +351,9 @@ def outputs() -> dict[str, str]:
         "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records(_exact_pairs())),
         "exact_balance over far sparse pairs": _digest(_exact_records(_far_sparse_pairs())),
         "exact_balance over dense pairs to q = F_35": _digest(_exact_records(_dense_pairs())),
+        "exact_balance over balanced pairs at 10**6, 10**8 and Fibonacci sizes": _digest(
+            _exact_records(_balanced_pairs())
+        ),
         "balance_table(1000).tobytes()": hashlib.sha256(balance_table(1000).tobytes()).hexdigest(),
         "zeck_decode over binary strings to length 10": _text_digest(_decode_text(zeck_decode)),
         "trib_decode over binary strings to length 10": _text_digest(_decode_text(trib_decode)),
