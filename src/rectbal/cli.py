@@ -42,17 +42,16 @@ def _format_verdict(v) -> str:
 
 
 def _cmd_fib_bal(args: argparse.Namespace) -> int:
-    if args.method == "zeck":
-        from .fib_scalar import BalanceStatus, BalanceVerdict, zeck_characterization
-        ok = zeck_characterization(args.m, args.n)
-        status = BalanceStatus.BALANCED if ok else BalanceStatus.UNBALANCED
-        verdict = BalanceVerdict(status, "zeck")
+    if args.method == "zeck":  # a bare status: no BalanceVerdict, so no dataclasses
+        from .fib_scalar import zeck_characterization
+        status = "balanced" if zeck_characterization(args.m, args.n) else "unbalanced"
+        _emit(f"status: {status}\nmethod: zeck\n", args.out)
+        return 0
+    from . import fib_balance
+    if args.method == "exact":
+        verdict = fib_balance.exact_balance(args.m, args.n)
     else:
-        from . import fib_balance
-        if args.method == "exact":
-            verdict = fib_balance.exact_balance(args.m, args.n)
-        else:
-            verdict = fib_balance.delta_block_scan(args.m, args.n, args.horizon)
+        verdict = fib_balance.delta_block_scan(args.m, args.n, args.horizon)
     _emit(_format_verdict(verdict), args.out)
     return 0
 

@@ -46,6 +46,7 @@ block's keys.  The two are independent routes to the same verdicts.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -53,12 +54,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import limits
 from .exact_quadratic import GAMMA, ONE
-from .fib_scalar import BalanceStatus, BalanceVerdict, _convergent, t_value
+from .fib_scalar import BalanceStatus, _convergent, arc_balanced, t_value
 from .fib_scalar import zeck_characterization  # noqa: F401 -- one of the three routes
 from .limits import BudgetExceeded, check_at_least, check_budget
 from .numeration import fibonacci
 from .rectangles import word_counts, word_rect_sum
 from .words import SequenceKind, sturmian_a_word, word
+
+
+@dataclass(frozen=True)
+class BalanceVerdict:
+    status: BalanceStatus
+    method: str
+    value_set: tuple[int, ...] | None = None
+    witness: tuple[int, int, int, int] | None = None  # (i, j, T(i), T(j))
+    horizon: int | None = None
+
+    @property
+    def balanced(self) -> bool:
+        return self.status is BalanceStatus.BALANCED
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +397,6 @@ def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
     return _Count(mu, nu, t_value(0, mu, nu), -high, -low), hits
 
 
-def _values(count: _Count) -> tuple[int, ...]:
-    return tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1))
-
-
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction."""
     count, _ = _count(m, n)
@@ -456,17 +466,31 @@ def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int,
 
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
-    """Decide balance by the circle partition; unbalanced verdicts carry a
-    witness pair of rectangle indices.  A pair whose cover table holds at
-    most 2*mu entries reads both off it (``_count``, ``_find_witness``)."""
-    count, hits = _count(m, n)
-    vals = _values(count)
-    if len(vals) <= 2:
-        return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=vals)
+    """Decide balance exactly at any size when balanced, and by the circle
+    partition, with a witness pair of rectangle indices, when not.
+
+    ``arc_balanced`` decides first, with no table.  A balanced pair with mu
+    >= 1 takes exactly the values (t0, t0 + 1), t0 = T(0, mu, nu): c (see
+    ``_Count``) has c(0) = -1, as key(0) = 0 is a block point and no window
+    key is 0, and c(q - 1) = 0; so lo <= -1 < 0 <= hi, and hi - lo <= 1
+    leaves lo = -1, hi = 0.  An unbalanced pair reads its value set and
+    witness off its cover table or its sorted event keys (``_count``,
+    ``_find_witness``), whose spread, at least 2, checks the arc verdict;
+    those tables, not the verdict, are held to the symbol budget and to
+    _Q_MAX."""
+    check_at_least(0, m=m, n=n)
+    mu, nu = min(m, n), max(m, n)
+    if mu == 0:  # no events: T is 0 everywhere
+        return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(0,))
+    if arc_balanced(mu, nu):
+        t0 = t_value(0, mu, nu)
+        return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(t0, t0 + 1))
+    count, hits = _count(mu, nu)
+    assert count.hi - count.lo >= 2, (mu, nu)
     return BalanceVerdict(
         BalanceStatus.UNBALANCED,
         "exact",
-        value_set=vals,
+        value_set=tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1)),
         witness=_find_witness(count, hits),
     )
 

@@ -1,12 +1,13 @@
-"""The table-free Fibonacci routes, with no numpy: the verdict types, T(i,
-m, n) as two floor sums on a convergent of gamma, and the Zeckendorf digit
-rule.  ``fib_balance`` builds its tables on these and re-exports them, so
+"""The table-free Fibonacci routes, with no numpy: the verdict statuses,
+T(i, m, n) as two floor sums on a convergent of gamma, the arc-cover
+verdict and the Zeckendorf digit rule.  ``fib_balance`` builds its tables
+and its ``BalanceVerdict`` records on these and re-exports them, so
 ``fib_balance.zeck_characterization`` and ``fib_scalar``'s are one
-function; ``rectbal fib bal --method zeck`` loads no numpy.
+function; ``rectbal fib bal --method zeck`` loads neither numpy nor
+``dataclasses``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .limits import check_at_least
@@ -17,19 +18,6 @@ class BalanceStatus(Enum):
     BALANCED = "balanced"
     UNBALANCED = "unbalanced"
     UNKNOWN_UP_TO_HORIZON = "unknown-up-to-horizon"
-
-
-@dataclass(frozen=True)
-class BalanceVerdict:
-    status: BalanceStatus
-    method: str
-    value_set: tuple[int, ...] | None = None
-    witness: tuple[int, int, int, int] | None = None  # (i, j, T(i), T(j))
-    horizon: int | None = None
-
-    @property
-    def balanced(self) -> bool:
-        return self.status is BalanceStatus.BALANCED
 
 
 def _convergent(bound: int) -> tuple[int, int]:
@@ -66,6 +54,60 @@ def t_value(i: int, m: int, n: int) -> int:
     check_at_least(0, m=m, n=n, i=i)
     p, q = _convergent(i + m + n)
     return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
+
+
+def _first(a: int, m: int, l: int, r: int) -> int | None:
+    """The least x >= 0 with l <= (a*x) mod m <= r, for 0 <= l <= r < m, or
+    None if there is none, in O(log m) steps.  With a reduced mod m and k =
+    ceil(l/a), x = k unless a*k > r; then x = ceil((l + m*y)/a) for the
+    least y >= 0 whose (m*y) mod a lies in [a*k - r, a*k - l], the same
+    question on modulus a: a*x lies in [m*y + l, m*y + r] exactly when x =
+    (m*y - (m*y) mod a)/a + k does, and x grows with y.  The reductions are
+    kept on a list, not the call stack, so no recursion limit binds."""
+    reductions = []
+    while l:
+        a %= m
+        if a == 0:
+            return None
+        k = -(-l // a)
+        if a * k <= r:
+            x = k
+            break
+        reductions.append((a, m, l))
+        a, m, l, r = m % a, a, a * k - r, a * k - l
+    else:
+        x = 0
+    for a, m, l in reversed(reductions):
+        x = -(-(l + m * x) // a)
+    return x
+
+
+def arc_balanced(m: int, n: int) -> bool:
+    """Exact verdict by the arc cover in O(log(m + n)) integer steps, with
+    no table and no budget: it answers at any size.
+
+    Take 1 < mu <= nu, p/q = ``_convergent(mu + nu)``, key(d) = d*p mod q,
+    s = key(nu) and K = key(mu).  By the lemma in ``fib_balance.
+    balance_table``'s docstring, (mu, nu) is unbalanced iff s lies strictly
+    inside the arc between x = key(e) and key(e - mu) = x - K mod q for some
+    1 <= e < mu (s is never an endpoint).  When x >= K the arc is (x - K, x),
+    and when x < K it is (x, x - K + q), so that holds iff x lies in [max(s
+    + 1, K), min(s + K - 1, q - 1)] or in [max(s - q + K + 1, 1), min(s - 1,
+    K - 1)]; key(e) = 0 only at e = 0 mod q, past mu.  The pair is unbalanced
+    iff the least e >= 1 with key(e) in either interval, ``_first`` on a =
+    p, is below mu.  With mu <= 1 there is no such e."""
+    check_at_least(0, m=m, n=n)
+    mu, nu = sorted((int(m), int(n)))
+    p, q = _convergent(mu + nu)
+    s, K = nu * p % q, mu * p % q
+    above = max(s + 1, K), min(s + K - 1, q - 1)  # key(e) >= K
+    below = max(s - q + K + 1, 1), min(s - 1, K - 1)  # key(e) < K
+    for l, r in (above, below):
+        if l <= r:
+            e = _first(p, q, l, r)
+            if e is not None and e < mu:
+                return False
+    return True
 
 
 def zeck_characterization(m: int, n: int) -> bool:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rectbal.cli import main
+from rectbal.fib_scalar import t_value
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +25,19 @@ def test_fib_bal_unbalanced_with_witness(capsys):
     assert "status: unbalanced" in out
     assert "values: 5 6 7" in out
     assert "witness: " in out
+
+
+def test_fib_bal_balanced_past_every_table(capsys, budget):
+    budget(10**7)
+    # (F_140, F_140 + F_145): the arc verdict builds no table
+    m, n = 81055900096023504197206408605, 979979607104503493471497258750
+    t0 = t_value(0, m, n)
+    code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
+    assert (code, out) == (0, f"status: balanced\nmethod: exact\nvalues: {t0} {t0 + 1}\n")
+    # an unbalanced pair still holds its cover table to the budget
+    assert main(["fib", "bal", "--m", "30000000000", "--n", "20000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "rectbal: 39088169 table entries requested, budget is 10000000\n"
 
 
 def test_fib_bal_scan_and_zeck(capsys):

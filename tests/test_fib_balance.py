@@ -35,7 +35,13 @@ from rectbal.fib_balance import (
     row_value_bounds,
     t_counting_form,
 )
-from rectbal.fib_scalar import BalanceStatus, _convergent, t_value, zeck_characterization
+from rectbal.fib_scalar import (
+    BalanceStatus,
+    _convergent,
+    arc_balanced,
+    t_value,
+    zeck_characterization,
+)
 from rectbal.limits import MAX_BUDGET, BudgetExceeded
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
@@ -168,7 +174,7 @@ def test_zeck_characterization_examples():
 def test_negative_sizes_and_indices_rejected():
     with pytest.raises(ValueError, match="i must be >= 0, got -1"):
         t_value(-1, 3, 3)
-    for route in (zeck_characterization, is_balanced, exact_balance):
+    for route in (zeck_characterization, arc_balanced, is_balanced, exact_balance):
         with pytest.raises(ValueError, match="m must be >= 0, got -3"):
             route(-3, 5)
     with pytest.raises(ValueError, match="n must be >= 0, got -5"):
@@ -488,7 +494,8 @@ def test_scale_frontiers_raise_before_building(budget):
     budget(10**7)
     calls = (
         lambda: is_balanced(1, _Q_MAX - 1),
-        lambda: exact_balance(_Q_MAX, 7).value_set,
+        # unbalanced by the digit rule, so its 14 event keys are sorted
+        lambda: exact_balance(_Q_MAX + 1, 7).value_set,
         lambda: t_value_vector(1, 1, _Q_MAX),
         lambda: row_value_bounds(3, _Q_MAX),
     )
@@ -507,6 +514,9 @@ def test_scale_frontiers_raise_before_building(budget):
     assert peak < 1 << 20
     # right at the frontier, q = _Q_MAX: the verdict sorts two event keys
     assert is_balanced(1, _Q_MAX - 2)
+    # a balanced pair past it needs no table: the arc verdict answers
+    t0 = t_value(0, 7, _Q_MAX)
+    assert exact_balance(_Q_MAX, 7).value_set == (t0, t0 + 1) and zeck_characterization(7, _Q_MAX)
     # past it, q = F_49, a dense pair answers off its cover table
     m, n = 3 * 10**9, 2 * 10**9
     verdict = exact_balance(m, n)

@@ -57,6 +57,18 @@ def test_pure_integer_commands_load_no_numpy(argv, out):
     assert result == [0, out, False]
 
 
+def test_digit_rule_command_loads_no_dataclasses():
+    # the digit rule's status is printed without a BalanceVerdict record
+    result = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from rectbal.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['fib', 'bal', '--m', '4', '--n', '18', '--method', 'zeck'])\n"
+        "print(json.dumps([code, [name for name in ('numpy', 'dataclasses') if name in sys.modules]]))"
+    )
+    assert result == [0, []]
+
+
 def test_pure_integer_errors_load_no_numpy():
     # main's except clause names no class of a numpy module
     result = run_fresh(
