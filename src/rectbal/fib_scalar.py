@@ -103,10 +103,8 @@ def arc_balanced(m: int, n: int) -> bool:
     above = max(s + 1, K), min(s + K - 1, q - 1)  # key(e) >= K
     below = max(s - q + K + 1, 1), min(s - 1, K - 1)  # key(e) < K
     for l, r in (above, below):
-        if l <= r:
-            e = _first(p, q, l, r)
-            if e is not None and e < mu:
-                return False
+        if l <= r and _first(p, q, l, r) < mu:  # p is prime to q: some e < q hits
+            return False
     return True
 
 
