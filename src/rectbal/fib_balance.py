@@ -6,13 +6,20 @@ T(i, m, n) take at most two distinct values over all i:
 * ``exact_balance`` reduces the quantifier over all i to finitely many arcs
   of the unit circle cut by the points frac(-j*gamma), via the identity
   T(i, m, n) = m*floor(n*gamma) + #{k < m : frac((i+k)*gamma) >= beta} with
-  beta = 1 - frac(n*gamma).  This is a true decision procedure.
+  beta = 1 - frac(n*gamma).  This is a true decision procedure.  It asks
+  ``fib_scalar.arc_balanced`` first, the arc cover of ``balance_table``
+  searched in O(log q) integer steps, so a balanced pair answers at any
+  size with no table; an unbalanced pair's value set and witness come from
+  the cover table below, held to the symbol budget and _Q_MAX.
+  ``is_balanced`` reads only that table, the route that shares no lemma
+  with the arc cover.
 * ``delta_block_scan`` streams the difference sequence T(i+1)-T(i) in
   {-1, 0, 1} looking for two equal nonzero entries separated only by zeros,
   which certifies a T-gap of 2; a semi-decision run to a horizon.
 * ``zeck_characterization`` evaluates a digit-level rule on the Zeckendorf
   expansions of m and n; it lives in the numpy-free ``fib_scalar``, with
-  the verdict types and scalar ``t_value``, and is imported here.
+  the verdict statuses, scalar ``t_value`` and ``arc_balanced``, and is
+  imported here.
 
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
@@ -26,13 +33,14 @@ length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
 small delta, so every chunk is the first with a few steps edited: the
 extremes, and the first chunk, segment and offset that take each, come from
 the first chunk's partial sums and a small table of the edits, O(L +
-q^(2/3)) work.  ``is_balanced`` and ``exact_balance`` read this one cover
-table, or sort the 2*mu event keys when they are fewer than its entries;
-then the witness comes from the same table, or from T in i order when the
-table passes the symbol budget.  Scalar T needs no table: its floor sums
-come from a Euclid-like recursion.  A table past the symbol budget (a chunk
-table counts its chunk and its candidate edits), or a table of j*p past the
-q where j*p leaves int64, raises ``BudgetExceeded``.
+q^(2/3)) work.  ``is_balanced``, and ``exact_balance`` for an unbalanced
+pair, read this one cover table, or sort the 2*mu event keys when they are
+fewer than its entries; then the witness comes from the same table, or from
+T in i order when the table passes the symbol budget.  Scalar T needs no
+table: its floor sums come from a Euclid-like recursion.  A table past the
+symbol budget (a chunk table counts its chunk and its candidate edits), or
+a table of j*p past the q where j*p leaves int64, raises
+``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -398,7 +406,10 @@ def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
 
 
 def is_balanced(m: int, n: int) -> bool:
-    """Exact verdict without witness construction."""
+    """Exact verdict without witness construction, off the cover table or the
+    sorted event keys (``_count``), so it is held to the symbol budget and
+    _Q_MAX; ``arc_balanced`` answers at any size by the arc lemma, which
+    this route does not use."""
     count, _ = _count(m, n)
     return count.hi - count.lo <= 1
 
