@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fib_balance import balance_table
-from .limits import BudgetExceeded, LimitReached, check_at_least
+from .limits import LimitReached, check_at_least
 from .numeration import SYMBOLS, InvalidRepresentation, check_pair_word, fibonacci, pair_encode
 
 # dfa_to_text's header lines, then its transition lines
@@ -111,10 +111,9 @@ def dfa_run(dfa: Dfa, word) -> bool:
 def build_sample_table(max_len: int) -> np.ndarray:
     """The verdict table balance_table(F_{max_len+2} - 1).  It labels every
     valid padded pair encoding of length <= max_len: the word of (m, n) is
-    labeled table[m, n], and those of length t are the pairs below F_{t+2}."""
+    labeled table[m, n], and those of length t are the pairs below F_{t+2}.
+    Its (F_{max_len+2})**2 entries are held to the symbol budget."""
     check_at_least(0, max_len=max_len)
-    if max_len > 18:
-        raise BudgetExceeded(f"max_len {max_len} beyond the value budget (18)")
     return balance_table(fibonacci(max_len + 2) - 1)
 
 

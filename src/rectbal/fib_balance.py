@@ -10,9 +10,8 @@ T(i, m, n) take at most two distinct values over all i:
   ``fib_scalar.arc_balanced`` first, the arc cover of ``balance_table``
   searched in O(log q) integer steps, so a balanced pair answers at any
   size with no table; an unbalanced pair's value set and witness come from
-  the cover table below, held to the symbol budget and _Q_MAX.
-  ``is_balanced`` reads only that table, the route that shares no lemma
-  with the arc cover.
+  the cover table below, held to the symbol budget.  ``is_balanced`` reads
+  only that table, the route that shares no lemma with the arc cover.
 * ``delta_block_scan`` streams the difference sequence T(i+1)-T(i) in
   {-1, 0, 1} looking for two equal nonzero entries separated only by zeros,
   which certifies a T-gap of 2; a semi-decision run to a horizon.
@@ -34,13 +33,14 @@ small delta, so every chunk is the first with a few steps edited: the
 extremes, and the first chunk, segment and offset that take each, come from
 the first chunk's partial sums and a small table of the edits, O(L +
 q^(2/3)) work.  ``is_balanced``, and ``exact_balance`` for an unbalanced
-pair, read this one cover table, or sort the 2*mu event keys when they are
-fewer than its entries; then the witness comes from the same table, or from
-T in i order when the table passes the symbol budget.  Scalar T needs no
-table: its floor sums come from a Euclid-like recursion.  A table past the
-symbol budget (a chunk table counts its chunk and its candidate edits), or
-a table of j*p past the q where j*p leaves int64, raises
-``BudgetExceeded``.
+pair, read the value set and witness off this one cover table whenever it
+fits the symbol budget.  Past the budget, a pair with fewer event keys
+sorts its 2*mu keys and reads its witness off T in i order; no budget of
+5,702,887 or more does, as no q <= _Q_MAX, which the keys need, has a
+larger cover table.  Scalar T needs no table: its floor sums come from a
+Euclid-like recursion.  A table past the symbol budget (a chunk table counts
+its chunk and its candidate edits), or event keys past the q where j*p
+leaves int64, raises ``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -55,7 +55,7 @@ block's keys.  The two are independent routes to the same verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,22 +95,11 @@ class BalanceVerdict:
 # parts differ by their key difference over q plus less than 1/q, and their
 # circle order is the order of the distinct integer keys.
 
-# The tables that form j*p in int64 (the event keys, ``_circle_keys`` and
-# ``_floor_sums``) hold |j| < q: F_48 = 4,807,526,976 is the largest
-# Fibonacci q with (q - 1)*F_46 < 2**63.  The chunk tables add keys instead
-# (``_doubled_keys``) and need only 2q < 2**63 (see ``_cover``).
+# The sorted event keys form j*p in int64 for |j| < q: F_48 = 4,807,526,976
+# is the largest Fibonacci q with (q - 1)*F_46 < 2**63.  The symbol budget
+# holds the other tables of j*p inside int64 (see ``_floor_sums``), and the
+# chunk tables add keys instead (``_doubled_keys``; see ``_cover``).
 _Q_MAX = 4_807_526_976
-
-
-def _table_convergent(bound: int, entries: int | None = None) -> tuple[int, int]:
-    """_convergent for int64 tables of j*p with ``entries`` (default q)
-    entries; it raises before any allocation past _Q_MAX or the symbol
-    budget."""
-    p, q = _convergent(bound)
-    if q > _Q_MAX:
-        raise BudgetExceeded(f"q = {q} for index bound {bound}; int64 keys hold q <= {_Q_MAX}")
-    check_budget(q if entries is None else entries, "table entries")
-    return p, q
 
 
 def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
@@ -122,8 +111,12 @@ def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
 
 
 def _floor_sums(size: int) -> np.ndarray:
-    """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64."""
-    p, q = _table_convergent(size, size + 1)
+    """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64.  Here
+    and in ``_circle_keys``, whose entries are size + 1 and q, the budget
+    keeps j*p < 2**62: j < MAX_BUDGET < F_47, so q = F_K <= F_47 and both j
+    and p = F_{K-2} <= F_45 are below 2**31."""
+    check_budget(size + 1, "table entries")
+    p, q = _convergent(size)
     G = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.arange(size, dtype=np.int64) * p // q, out=G[1:])
     return G
@@ -131,25 +124,6 @@ def _floor_sums(size: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the scan of T in i order
-
-
-class _Count(NamedTuple):
-    """c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y} on
-    Z_q, q = F_K > mu + nu: window points minus block points up to y.  The
-    value set is t0 - [lo, hi], the extremes of c, with t0 = T(0, mu, nu).
-
-    Let T_q be T on g_q(j) = (j*p) // q in place of floor(j*gamma): g_q(i+j)
-    = g_q(i) + g_q(j) + [key(j) >= key(-i)] for i not 0 mod q, so T_q(i) =
-    t0 - c((key(-i) - 1) mod q) at every i of Z_q, and T_q(i) = T(i) for i <
-    q - mu - nu.  T_q has period q and i -> key(-i) - 1 is a bijection of
-    Z_q, so one period of T_q takes exactly the values t0 - c(y).
-    """
-
-    mu: int
-    nu: int
-    t0: int
-    lo: int
-    hi: int
 
 
 def _steps(mu: int, nu: int, p: int, q: int) -> tuple[int, int, int, int]:
@@ -178,9 +152,9 @@ def _t_scan(
     mu: int, nu: int, p: int, q: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
-    over 0 <= i < stop, on the convergent p/q (see ``_Count``): the witness
-    scan.  Its chunks end at 1024, 5120, 21504, ... and hold at most the
-    symbol budget's positions.
+    over 0 <= i < stop, on the convergent p/q (see ``_extremes``): the
+    witness scan past the symbol budget.  Its chunks end at 1024, 5120,
+    21504, ... and hold at most the symbol budget's positions.
 
     T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
     g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
@@ -349,12 +323,33 @@ def _table_extremes(
 
 
 def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
-    """(p', q', L, F_{k+2}, entries): the cover table of a pair with mu >= 1,
-    ``_chunk_table`` on p'/q' = _convergent(F_{k+2} + mu + nu) over the
+    """(p', q', L, F_{k+2}, entries): the cover table of a pair with mu >= 1
+    and the number of entries it holds (``_chunk_entries``).  It is
+    ``_chunk_table`` on p'/q' = _convergent(F_{k+2} + mu + nu) over the C' =
     ceil(F_{k+2}/L) chunks of L = ``_chunk_length(q)`` that cover [0,
-    F_{k+2}), q = F_K the least Fibonacci number > mu + nu, and the number
-    of entries it holds (``_chunk_entries``); see ``_find_witness``.
-    ``_count`` reads it unless the 2*mu event keys are fewer.
+    F_{k+2}), where F_k <= mu + nu - 1 < F_{k+1} and q = F_K is the least
+    Fibonacci number > mu + nu; ``_table_extremes`` reads T's extremes and
+    their first hits off it.
+
+    Every value of T is taken below the cover F_{k+2} (k >= 2).  For i >=
+    1, T(i) is fixed by the open arc between event points frac(j*gamma), j
+    in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).  Each arc is at
+    least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and the orbit
+    points i < F_{k+2} leave gaps of at most ||F_k*gamma|| (three-gap
+    theorem): the orbit's largest gap is not above the partition's smallest
+    arc, so an arc holding no orbit point would be a gap with orbit points
+    at both ends, but the two point sets share only 0.
+
+    Below the cover, T = T_q' (see ``_extremes``).  The edit arcs fit on
+    Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
+    (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
+    L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence (C'-1)|delta'| <
+    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  As k = K - 2 at m + n = F_{K-1},
+    k = K - 1 above it and q' = F_{K+2}, the table's size depends on m + n
+    only through q and whether m + n = F_{K-1}.  Its extremes over [0, C'L)
+    are T's: T_q' takes only values of T at any i, as one period of it
+    takes exactly t0 - c(y) (q' is a Fibonacci number > mu + nu), so the
+    last chunk's tail past the cover adds none.
 
     Its keys are added, never multiplied (``_doubled_keys``), so it needs
     2q' < 2**63, not q' <= _Q_MAX, and every table within the symbol budget
@@ -369,111 +364,66 @@ def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
 
 
 def _event_extremes(mu: int, nu: int) -> tuple[int, int]:
-    """(lo, hi) of ``_Count`` from the 2*mu event keys sorted: key(0) = 0 is
-    an event and c ends at 0, so c takes its extremes at event keys."""
-    p, q = _table_convergent(mu + nu, 2 * mu)
+    """(lo, hi) of c (see ``_extremes``) from the 2*mu event keys sorted:
+    key(0) = 0 is an event and c ends at 0, so c takes its extremes at event
+    keys.  The keys form j*p in int64, so they need q <= _Q_MAX."""
+    p, q = _convergent(mu + nu)
+    if q > _Q_MAX:
+        raise BudgetExceeded(f"q = {q} for index bound {mu + nu}; int64 keys hold q <= {_Q_MAX}")
+    check_budget(2 * mu, "table entries")
     keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
     c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
     return int(c.min()), int(c.max())
 
 
-def _count(m: int, n: int) -> tuple[_Count, list[int] | None]:
-    """The extremes of c and, when T takes 3 or more values, the first i
-    at T's min and the first at its max, or None.  A pair reads both off
-    its cover table (``_cover``, ``_table_extremes``; its extremes are T's,
-    see ``_find_witness``), or sorts its 2*mu event keys when they are fewer
-    than the table's entries and leaves the hits to ``_find_witness``.  With
-    a zero side there are no events, and T is 0 everywhere.
+def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | None]:
+    """(low, high, hits): the min and max of T - t0 over all i, t0 = T(0,
+    mu, nu), for mu >= 1, and when high - low >= 2 the first i at low and
+    the first at high, else None.  The cover table (``_cover``) gives all
+    three whenever it fits the symbol budget.  Past the budget, a pair whose
+    2*mu event keys are fewer sorts them (``_event_extremes``) and, if
+    ``witness`` is set, reads T in i order up to the cover (``_t_scan``).
+    The keys need q <= _Q_MAX, where no cover table holds more than
+    5,702,887 entries, so no larger budget sorts them.  Any other pair
+    raises.
 
-    No pair that the former split (sorted keys iff 16*mu < mu + nu)
-    answered raises.  One moved to the table holds entries <= 2*mu, which
-    fit wherever its keys did.  One moved to the sorted keys (16*mu >= mu +
-    nu, 2*mu < entries) has m + n <= 20,656: the entries depend on m + n
-    only through q = F_K and whether m + n = F_{K-1} (``_find_witness``),
-    and 2*mu >= (m + n)/8, so the least size of each class, over every K,
-    gives the largest.  There q < _Q_MAX and 2*mu < entries <= the budget
-    that its table passed."""
-    check_at_least(0, m=m, n=n)
-    mu, nu = min(m, n), max(m, n)
-    if mu == 0:
-        return _Count(mu, nu, 0, 0, 0), None
+    Let c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y}
+    on Z_q, q = F_K > mu + nu: window points minus block points up to y.
+    Let T_q be T on g_q(j) = (j*p) // q in place of floor(j*gamma): g_q(i+j)
+    = g_q(i) + g_q(j) + [key(j) >= key(-i)] for i not 0 mod q, so T_q(i) =
+    t0 - c((key(-i) - 1) mod q) at every i of Z_q, and T_q(i) = T(i) for i <
+    q - mu - nu.  T_q has period q and i -> key(-i) - 1 is a bijection of
+    Z_q, so one period of T_q takes exactly the values t0 - c(y).
+    """
     p, q, L, cover, entries = _cover(mu, nu)
-    if 2 * mu < entries:
-        return _Count(mu, nu, t_value(0, mu, nu), *_event_extremes(mu, nu)), None
-    check_budget(entries, "table entries")
-    low, high, hits = _table_extremes(mu, nu, p, q, L, cover)
-    return _Count(mu, nu, t_value(0, mu, nu), -high, -low), hits
+    if entries <= limits.BUDGET or 2 * mu >= entries:
+        check_budget(entries, "table entries")
+        return _table_extremes(mu, nu, p, q, L, cover)
+    lo, hi = _event_extremes(mu, nu)  # T - t0 = -c
+    if not witness or hi - lo < 2:
+        return -hi, -lo, None
+    first = {}  # value of T - t0 -> first i where T takes it
+    for i0, t in _t_scan(mu, nu, p, q, cover):
+        for target in {-hi, -lo} - first.keys():
+            found = np.flatnonzero(t == target)
+            if len(found):
+                first[target] = i0 + int(found[0])
+        if len(first) == 2:
+            return -hi, -lo, [first[-hi], first[-lo]]
+    raise RuntimeError(f"no witness found for ({mu}, {nu})")
 
 
 def is_balanced(m: int, n: int) -> bool:
-    """Exact verdict without witness construction, off the cover table or the
-    sorted event keys (``_count``), so it is held to the symbol budget and
-    _Q_MAX; ``arc_balanced`` answers at any size by the arc lemma, which
-    this route does not use."""
-    count, _ = _count(m, n)
-    return count.hi - count.lo <= 1
-
-
-def _find_witness(count: _Count, hits: list[int] | None) -> tuple[int, int, int, int]:
-    """The first i with T(i) = min T and the first with T(i) = max T, in
-    increasing order, with their values; ``hits`` holds the two when
-    ``_count`` has read them already.
-
-    Both lie below F_{k+2}, where F_k <= m+n-1 < F_{k+1} and k >= 2.  For i
-    >= 1, T(i) is fixed by the open arc between event points frac(j*gamma),
-    j in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).  Each arc is at
-    least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and the orbit
-    points i < F_{k+2} leave gaps of at most ||F_k*gamma|| (three-gap
-    theorem): the orbit's largest gap is not above the partition's smallest
-    arc, so an arc holding no orbit point would be a gap with orbit points
-    at both ends, but the two point sets share only 0.
-
-    Below the cover F_{k+2}, T = T_q' for p'/q' = _convergent(F_{k+2} + mu +
-    nu).  The cover table is ``_chunk_table`` on q' over the C' =
-    ceil(F_{k+2}/L) chunks that cover the range, with L = ``_chunk_length(q)``,
-    q = F_K the least Fibonacci number > mu + nu (``_cover``), and
-    ``_table_extremes`` reads both first hits off it.  The edit arcs fit on
-    Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
-    (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
-    L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence (C'-1)|delta'| <
-    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  As k = K - 2 at m + n = F_{K-1},
-    k = K - 1 above it and q' = F_{K+2}, the table's size depends on m + n
-    only through q and whether m + n = F_{K-1}.
-
-    The table's extremes over [0, C'L) are T's too: every value of T is
-    taken below F_{k+2}, where T_q' = T, and T_q' takes only values of T at
-    any i, since one period of it takes exactly t0 - c(y) (see ``_Count``;
-    q' is a Fibonacci number > mu + nu), so the last chunk's tail past the
-    cover adds none.  A count from the sorted event keys checks the table's
-    extremes against its own, or, when the table passes the symbol budget
-    (never the default: sorted keys need q <= _Q_MAX, where the table holds
-    at most 5,702,887 entries), reads T in i order by ``_t_scan``.  Both
-    witnesses are re-checked by ``t_value``.
-    """
-    mu, nu = count.mu, count.nu
-    if hits is None:
-        p, q, L, cover, entries = _cover(mu, nu)
-        targets = (-count.hi, -count.lo)  # the min and max of T - t0
-        if entries <= limits.BUDGET:
-            *extremes, hits = _table_extremes(mu, nu, p, q, L, cover)
-            assert tuple(extremes) == targets, (mu, nu)
-        else:
-            first = {}  # value of T - t0 -> first i where T takes it
-            for i0, t in _t_scan(mu, nu, p, q, cover):
-                for target in targets:
-                    if target not in first:
-                        found = np.flatnonzero(t == target)
-                        if len(found):
-                            first[target] = i0 + int(found[0])
-                if len(first) == 2:
-                    break
-            else:
-                raise RuntimeError(f"no witness found for ({mu}, {nu})")
-            hits = list(first.values())
-    i, j = sorted(hits)
-    ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
-    assert {ti, tj} == {count.t0 - count.hi, count.t0 - count.lo}
-    return i, j, ti, tj
+    """Exact verdict without witness construction, off the cover table, or
+    past the symbol budget off the sorted event keys (``_extremes``), so it
+    is held to the budget; ``arc_balanced`` answers at any size by the arc
+    lemma, which this route does not use."""
+    check_at_least(0, m=m, n=n)
+    mu, nu = min(m, n), max(m, n)
+    if mu == 0:  # no events: T is 0 everywhere
+        return True
+    low, high, _ = _extremes(mu, nu, witness=False)
+    return high - low <= 1
 
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
@@ -482,27 +432,29 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
 
     ``arc_balanced`` decides first, with no table.  A balanced pair with mu
     >= 1 takes exactly the values (t0, t0 + 1), t0 = T(0, mu, nu): c (see
-    ``_Count``) has c(0) = -1, as key(0) = 0 is a block point and no window
-    key is 0, and c(q - 1) = 0; so lo <= -1 < 0 <= hi, and hi - lo <= 1
-    leaves lo = -1, hi = 0.  An unbalanced pair reads its value set and
-    witness off its cover table or its sorted event keys (``_count``,
-    ``_find_witness``), whose spread, at least 2, checks the arc verdict;
-    those tables, not the verdict, are held to the symbol budget and to
-    _Q_MAX."""
+    ``_extremes``) has c(0) = -1, as key(0) = 0 is a block point and no
+    window key is 0, and c(q - 1) = 0; so lo <= -1 < 0 <= hi, and hi - lo <=
+    1 leaves lo = -1, hi = 0.  An unbalanced pair reads its value set and
+    witness off its cover table, or past the symbol budget off its sorted
+    event keys and T in i order (``_extremes``); their spread, at least 2,
+    checks the arc verdict, and ``t_value`` re-checks the witness."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:  # no events: T is 0 everywhere
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(0,))
+    t0 = t_value(0, mu, nu)
     if arc_balanced(mu, nu):
-        t0 = t_value(0, mu, nu)
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(t0, t0 + 1))
-    count, hits = _count(mu, nu)
-    assert count.hi - count.lo >= 2, (mu, nu)
+    low, high, hits = _extremes(mu, nu, witness=True)
+    assert high - low >= 2, (mu, nu)
+    i, j = sorted(hits)
+    ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
+    assert {ti, tj} == {t0 + low, t0 + high}, (mu, nu)
     return BalanceVerdict(
         BalanceStatus.UNBALANCED,
         "exact",
-        value_set=tuple(range(count.t0 - count.hi, count.t0 - count.lo + 1)),
-        witness=_find_witness(count, hits),
+        value_set=tuple(range(t0 + low, t0 + high + 1)),
+        witness=(i, j, ti, tj),
     )
 
 
@@ -642,8 +594,9 @@ def _row_extrema(
 
 
 def _circle_keys(size: int) -> tuple[np.ndarray, int]:
-    """The int32 keys (j*p) mod q of j < size, and q."""
-    p, q = _table_convergent(size)
+    """The int32 keys (j*p) mod q of j < size, and q (see ``_floor_sums``)."""
+    p, q = _convergent(size)
+    check_budget(q, "table entries")
     return _keys(0, size, p, q).astype(np.int32), q
 
 

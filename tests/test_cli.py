@@ -40,6 +40,28 @@ def test_fib_bal_balanced_past_every_table(capsys, budget):
     assert err == "rectbal: 39088169 table entries requested, budget is 10000000\n"
 
 
+def test_fib_bal_answers_past_the_sorted_keys_frontier(capsys, budget):
+    budget(10**7)
+    # (F_48 + 1, 7), one past the int64 frontier of the sorted event keys: its
+    # cover table of 9,227,465 entries fits the default budget
+    m, n = 4807526977, 7
+    code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
+    assert code == 0 and out.splitlines()[0] == "status: unbalanced"
+    assert out.splitlines()[-1] == "witness: 0,7778742043,12854183323,12854183325"
+    assert (t_value(0, m, n), t_value(7778742043, m, n)) == (12854183323, 12854183325)
+    # under a budget below that table it sorts its 14 event keys, which stop there
+    assert main(["--budget", "5000000", "fib", "bal", "--m", str(m), "--n", str(n)]) == 1
+    err = capsys.readouterr().err
+    assert err == "rectbal: q = 7778742049 for index bound 4807526984; int64 keys hold q <= 4807526976\n"
+    # a pair whose table passes the budget, with fewer keys, still answers
+    # by the sorted keys and reads its witness in i order
+    assert run_cli(capsys, "--budget", "1000", "fib", "bal", "--m", "400", "--n", "100000") == (
+        0,
+        "status: unbalanced\nmethod: exact\nvalues: 15278639 15278640 15278641 15278642\n"
+        "witness: 0,114,15278639,15278642\n",
+    )
+
+
 def test_fib_bal_scan_and_zeck(capsys):
     code, out = run_cli(
         capsys, "fib", "bal", "--m", "4", "--n", "3", "--method", "scan",

@@ -53,8 +53,11 @@ def test_sample_table_word_counts():
         assert len(pair_encode(tracks, 0)) == len(pair_encode(0, tracks)) == length + 1
 
 
-def test_sample_table_budget():
-    with pytest.raises(BudgetExceeded):
+def test_sample_table_budget(budget):
+    # the symbol budget is the table's only limit: max_len 19 labels the
+    # pairs below F_21 = 10946
+    budget(10**7)
+    with pytest.raises(BudgetExceeded, match="^119814916 table entries requested, budget is 10000000$"):
         build_sample_table(19)
 
 

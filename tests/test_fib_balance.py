@@ -25,7 +25,6 @@ from rectbal.fib_balance import (
     _keys,
     _row_extrema,
     _t_scan,
-    _table_convergent,
     _table_extremes,
     balance_table,
     delta_block_scan,
@@ -271,7 +270,7 @@ def test_row_kernel_int16_frontier(monkeypatch):
     for offset, nu in enumerate(range(_ROW_MU_MAX, _ROW_MU_MAX + 3)):
         assert int(spans[offset]) + 1 == len(exact_balance(_ROW_MU_MAX, nu).value_set)
     # one past it raises before any table is touched or allocated
-    monkeypatch.setattr(fib_balance, "_table_convergent", None)
+    monkeypatch.setattr(fib_balance, "_convergent", None)
     for call in (
         lambda: row_value_bounds(_ROW_MU_MAX + 1, _ROW_MU_MAX + 1),
         lambda: row_value_bounds(_ROW_MU_MAX + 1, 10**9),
@@ -485,7 +484,8 @@ def test_floor_fill_at_seeded_offsets_and_int64_frontier():
     starts = [rng.randrange(10**7) for _ in range(100)] + [_Q_MAX - 17]
     for start in starts:
         # the int64 arithmetic of the tables, on a window of indices
-        p, q = _table_convergent(start + 16, 16)
+        p, q = _convergent(start + 16)
+        assert q <= _Q_MAX
         out = np.arange(start, start + 16, dtype=np.int64) * p // q
         assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
 
@@ -493,37 +493,127 @@ def test_floor_fill_at_seeded_offsets_and_int64_frontier():
 def test_scale_frontiers_raise_before_building(budget):
     budget(10**7)
     calls = (
+        (lambda: t_value_vector(1, 1, _Q_MAX), "table entries requested"),
+        (lambda: row_value_bounds(3, _Q_MAX), "table entries requested"),
+        # a dense pair's cover table adds its keys, so only the budget holds
+        # it: at q = F_53 its chunk alone is L = F_38 = 39,088,169 positions
+        (
+            lambda: exact_balance(3 * 10**10, 2 * 10**10),
+            "39088169 table entries requested, budget is 10000000",
+        ),
+    )
+    # one past the sorted keys' int64 frontier, q = F_49; (1, _Q_MAX - 1) is
+    # balanced, so only is_balanced reads a table for it
+    frontier = (
         lambda: is_balanced(1, _Q_MAX - 1),
-        # unbalanced by the digit rule, so its 14 event keys are sorted
         lambda: exact_balance(_Q_MAX + 1, 7).value_set,
-        lambda: t_value_vector(1, 1, _Q_MAX),
-        lambda: row_value_bounds(3, _Q_MAX),
     )
     tracemalloc.start()
     try:
-        for call in calls:
+        for call, message in calls:
+            with pytest.raises(BudgetExceeded, match=message):
+                call()
+        # under a budget below their cover tables of 9,227,465 entries, both
+        # sort their event keys, which stop at _Q_MAX
+        budget(5 * 10**6)
+        for call in frontier:
             with pytest.raises(BudgetExceeded, match="int64"):
                 call()
-        # a dense pair's cover table adds its keys, so only the budget holds
-        # it: at q = F_53 its chunk alone is L = F_38 = 39,088,169 positions
-        with pytest.raises(BudgetExceeded, match="39088169 table entries requested, budget is 10000000"):
-            exact_balance(3 * 10**10, 2 * 10**10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # right at the frontier, q = _Q_MAX: the verdict sorts two event keys
+    # right at the frontier, q = _Q_MAX: a budget below the cover table sorts
+    # two event keys
+    budget(1000)
     assert is_balanced(1, _Q_MAX - 2)
+    # at the default budget the frontier pairs read their cover tables
+    budget(10**7)
+    assert is_balanced(1, _Q_MAX - 1) and zeck_characterization(1, _Q_MAX - 1)
     # a balanced pair past it needs no table: the arc verdict answers
     t0 = t_value(0, 7, _Q_MAX)
     assert exact_balance(_Q_MAX, 7).value_set == (t0, t0 + 1) and zeck_characterization(7, _Q_MAX)
-    # past it, q = F_49, a dense pair answers off its cover table
-    m, n = 3 * 10**9, 2 * 10**9
-    verdict = exact_balance(m, n)
-    assert not verdict.balanced and not zeck_characterization(m, n)
-    i, j, ti, tj = verdict.witness
-    assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
-    assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}
+    # past it, q = F_49, unbalanced pairs answer off their cover tables
+    for m, n in ((_Q_MAX + 1, 7), (3 * 10**9, 2 * 10**9)):
+        verdict = exact_balance(m, n)
+        assert not verdict.balanced and not zeck_characterization(m, n)
+        i, j, ti, tj = verdict.witness
+        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
+        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}
+
+
+def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
+    # _circle_keys holds q <= MAX_BUDGET entries, so q <= F_46, and forms
+    # j*p for j < q
+    assert fibonacci(46) <= MAX_BUDGET < fibonacci(47)
+    p, q = _convergent(fibonacci(46) - 1)
+    assert q == fibonacci(46) and (q - 1) * p < 2**63
+    # _floor_sums holds size + 1 <= MAX_BUDGET entries and forms j*p for j < size
+    size = MAX_BUDGET - 1
+    p, q = _convergent(size)
+    assert q == fibonacci(47) and (size - 1) * p < 2**63
+    # one past either, the budget raises before anything is built
+    budget(MAX_BUDGET)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"{fibonacci(47)} table entries requested"):
+            _circle_keys(fibonacci(46))
+        with pytest.raises(BudgetExceeded, match=f"{MAX_BUDGET + 1} table entries requested"):
+            _floor_sums(MAX_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+# the pairs of the far-sparse golden digest (tests/test_golden.py)
+FAR_SPARSE = [
+    (2, 100000001), (3, 99999998), (50, 99999950), (700, 99999300),
+    (2, 3000000002), (3, 2999999999), (13, 2999999987), (400, 2999999600),
+    (146119, 3945225), (122466, 3796465), (140130, 3923659), (222537, 3783144),
+]
+
+
+def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
+    # the sorted event keys need q <= _Q_MAX, and no such q has a cover table
+    # of more than 5,702,887 entries: its size depends on m + n only through
+    # q = F_K and whether m + n = F_{K-1} (see _cover)
+    largest = max(
+        _cover(1, size - 1)[4]
+        for K in range(3, 49)
+        for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}
+        if size >= 2
+    )
+    assert fibonacci(48) == _Q_MAX and largest == 5_702_887
+    budget(10**7)
+
+    def unreachable(*args):
+        raise AssertionError("the cover table fits the budget")
+
+    built = []
+
+    def recorded(*args):
+        built.append(args[:2])
+        return _chunk_table(*args)
+
+    monkeypatch.setattr(fib_balance, "_event_extremes", unreachable)
+    monkeypatch.setattr(fib_balance, "_t_scan", unreachable)
+    monkeypatch.setattr(fib_balance, "_chunk_table", recorded)
+    pairs = [(200, 2500), (1291, 19365), (50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]
+    unbalanced = 0
+    for m, n in pairs + FAR_SPARSE:
+        built.clear()
+        verdict = exact_balance(m, n)
+        assert verdict.balanced == is_balanced(m, n) == zeck_characterization(m, n), (m, n)
+        if verdict.balanced:
+            continue
+        unbalanced += 1
+        # one table for the verdict, one for is_balanced: no second witness table
+        assert built == [(m, n)] * 2, (m, n)
+        i, j, ti, tj = verdict.witness
+        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
+        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
+    assert unbalanced >= 15
 
 
 def test_tables_obey_the_symbol_budget(budget):
@@ -545,7 +635,8 @@ def test_tables_obey_the_symbol_budget(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    # the verdict sorts its 2*mu event keys, fewer than the cover table's
+    # past the budget the verdict sorts its 2*mu event keys, fewer than the
+    # cover table's 6765 entries
     assert exact_balance(400, 10**5).value_set == expected
 
 
@@ -610,8 +701,9 @@ def test_size_split_answers_wherever_the_ratio_split_did(budget):
     pairs += [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(20)]
     pairs += [(rng.randint(1, 3000), rng.randint(1, 10**5)) for _ in range(20)]
     pairs += [(rng.randint(1, 70_000), rng.randint(900_000, 10**6)) for _ in range(20)]
-    # every size where a pair can move from the cover table to the sorted
-    # keys, at its least mu, with the least budget its table answered in
+    # every size where the former split sent a pair to the table and the size
+    # split to the sorted keys, at its least mu, with the least budget its
+    # table answers in
     moved = {}
     for size in range(2, 20_657):
         mu = -(-size // 16)
@@ -637,14 +729,15 @@ def test_size_split_answers_wherever_the_ratio_split_did(budget):
     # its cover table holds 28,657 entries, its sorted keys 125,078
     assert answered[62539, 953433, 10**5] is False
     assert sum(not former for former in answered.values()) >= 3  # now answered
-    # each moved verdict against the digit rule, seeded ones with witnesses
+    # each moved verdict against the digit rule at the least budget that
+    # holds its cover table, which it now reads; seeded ones with witnesses
     for (mu, nu), entries in moved.items():
         budget(entries)
         assert is_balanced(mu, nu) == zeck_characterization(mu, nu), (mu, nu)
         if (mu, nu) in full:
             assert exact_balance(mu, nu) == full[mu, nu], (mu, nu)
     # and none past 20,656: the entries depend on m + n only through q = F_K
-    # and whether m + n = F_{K-1} (see _count), so the least size of each
+    # and whether m + n = F_{K-1} (see _cover), so the least size of each
     # class, for every q whose chunk fits the largest budget, decides it
     for K in range(4, 67):
         for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}:
@@ -684,12 +777,12 @@ def test_dense_and_sparse_sweeps_agree(budget):
             budget(default)
         # the count at every y from the sorted event keys: key(0) = 0 is the
         # smallest, and c holds from each key to the next
-        p, q = _table_convergent(mu + nu)
+        p, q = _convergent(mu + nu)
         keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
         order = np.argsort(keys)
         after = np.cumsum(np.where(order < mu, -1, 1))
         expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
-        # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_Count)
+        # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_extremes)
         period = -expected[(_keys(0, q, q - p, q) - 1) % q]
         for chunk in (97, default):  # many small chunks, then geometric ones
             budget(chunk)
@@ -700,7 +793,7 @@ def test_dense_and_sparse_sweeps_agree(budget):
 
 def test_witness_sweep_reads_t_past_the_exact_range(budget):
     # the scan must give T at every i below the cover F_{j+2}, F_j <=
-    # mu+nu-1 < F_{j+1} (_find_witness), far past the verdict's q; sizes
+    # mu+nu-1 < F_{j+1} (_cover), far past the verdict's q; sizes
     # F_k - 2 ... F_k + 1 put mu + nu on both sides of a step of j
     default = limits.BUDGET
 
@@ -846,7 +939,7 @@ def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
         chunks = -(-q // L)
         assert (chunks - 1) * min(delta, q - delta) < q, q
         # the cover table on q' over the cover, with this L, for the least
-        # and the greatest m + n whose verdict runs on q (see _find_witness)
+        # and the greatest m + n whose verdict runs on q (see _cover)
         for size in (fibs[K - 1], q - 1):
             if size < 2:
                 continue
@@ -864,7 +957,7 @@ def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
 
 
 def _witness_range(mu: int, nu: int) -> tuple[int, int, int]:
-    """p' and q' of the cover table and its cover F_{k+2} (see _find_witness)."""
+    """p' and q' of the cover table and its cover F_{k+2} (see _cover)."""
     p, q = _convergent(mu + nu - 1)
     cover = 2 * q - p
     return (*_convergent(cover + mu + nu), cover)
@@ -1026,7 +1119,7 @@ def test_key_sweep_matches_argsort_sweep_and_counting_form(m, n):
     lo, hi, t0 = _argsort_sweep(min(m, n), max(m, n))
     vals = exact_balance(m, n).value_set
     assert vals == tuple(range(t0 - hi, t0 - lo + 1))
-    # every value is taken below 3(m + n) (see _find_witness)
+    # every value is taken below 3(m + n) (see _cover)
     assert {t_counting_form(i, m, n) for i in range(3 * (m + n))} == set(vals)
 
 
