@@ -11,7 +11,8 @@ T(i, m, n) take at most two distinct values over all i:
   searched in O(log q) integer steps, so a balanced pair answers at any
   size with no table; an unbalanced pair's value set and witness come from
   the cover table below, held to the symbol budget.  ``is_balanced`` reads
-  only that table, the route that shares no lemma with the arc cover.
+  that table or the sorted event keys, routes that share no lemma with the
+  arc cover.
 * ``delta_block_scan`` streams the difference sequence T(i+1)-T(i) in
   {-1, 0, 1} looking for two equal nonzero entries separated only by zeros,
   which certifies a T-gap of 2; a semi-decision run to a horizon.
@@ -32,13 +33,14 @@ length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
 small delta, so every chunk is the first with a few steps edited: the
 extremes, and the first chunk, segment and offset that take each, come from
 the first chunk's partial sums and a small table of the edits, O(L +
-q^(2/3)) work.  ``is_balanced``, and ``exact_balance`` for an unbalanced
-pair, read the value set and witness off this one cover table whenever it
-fits the symbol budget.  Past the budget, a pair with fewer event keys
-sorts its 2*mu keys and reads its witness off T in i order; no budget of
-5,702,887 or more does, as no q <= _Q_MAX, which the keys need, has a
-larger cover table.  Scalar T needs no table: its floor sums come from a
-Euclid-like recursion.  A table past the symbol budget (a chunk table counts
+q^(2/3)) work.  ``exact_balance`` reads an unbalanced pair's value set and
+witness off this one cover table whenever it fits the symbol budget.  Past
+the budget, a pair with fewer event keys sorts its 2*mu keys and reads its
+witness off T in i order; no budget of 5,702,887 or more does, as no q <=
+_Q_MAX, which the keys need, has a larger cover table.  ``is_balanced``
+needs no witness and sorts the keys whenever they are fewer and q <=
+_Q_MAX.  Scalar T needs no table: its floor sums come from a Euclid-like
+recursion.  A table past the symbol budget (a chunk table counts
 its chunk and its candidate edits), or event keys past the q where j*p
 leaves int64, raises ``BudgetExceeded``.
 
@@ -380,12 +382,13 @@ def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | No
     """(low, high, hits): the min and max of T - t0 over all i, t0 = T(0,
     mu, nu), for mu >= 1, and when high - low >= 2 the first i at low and
     the first at high, else None.  The cover table (``_cover``) gives all
-    three whenever it fits the symbol budget.  Past the budget, a pair whose
-    2*mu event keys are fewer sorts them (``_event_extremes``) and, if
-    ``witness`` is set, reads T in i order up to the cover (``_t_scan``).
-    The keys need q <= _Q_MAX, where no cover table holds more than
-    5,702,887 entries, so no larger budget sorts them.  Any other pair
-    raises.
+    three whenever it fits the symbol budget.  A pair whose 2*mu event keys
+    are fewer sorts them instead (``_event_extremes``): when the table passes
+    the budget, reading a witness in i order up to the cover (``_t_scan``),
+    and, being cheaper, whenever ``witness`` is unset and q <= _Q_MAX, which
+    the keys need.  No cover table of a q <= _Q_MAX holds more than
+    5,702,887 entries, so no larger budget sorts them for a witness.  Any
+    other pair raises.
 
     Let c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y}
     on Z_q, q = F_K > mu + nu: window points minus block points up to y.
@@ -396,7 +399,10 @@ def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | No
     Z_q, so one period of T_q takes exactly the values t0 - c(y).
     """
     p, q, L, cover, entries = _cover(mu, nu)
-    if entries <= limits.BUDGET or 2 * mu >= entries:
+    sort = 2 * mu < entries and (
+        entries > limits.BUDGET or not witness and _convergent(mu + nu)[1] <= _Q_MAX
+    )
+    if not sort:
         check_budget(entries, "table entries")
         return _table_extremes(mu, nu, p, q, L, cover)
     lo, hi = _event_extremes(mu, nu)  # T - t0 = -c
@@ -414,10 +420,11 @@ def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | No
 
 
 def is_balanced(m: int, n: int) -> bool:
-    """Exact verdict without witness construction, off the cover table, or
-    past the symbol budget off the sorted event keys (``_extremes``), so it
-    is held to the budget; ``arc_balanced`` answers at any size by the arc
-    lemma, which this route does not use."""
+    """Exact verdict without witness construction, off the sorted event keys
+    when they are fewer than the cover table's entries and q <= _Q_MAX, else
+    off the table (``_extremes``), so it is held to the budget;
+    ``arc_balanced`` answers at any size by the arc lemma, which neither
+    route uses."""
     check_at_least(0, m=m, n=n)
     mu, nu = min(m, n), max(m, n)
     if mu == 0:  # no events: T is 0 everywhere

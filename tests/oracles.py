@@ -6,17 +6,19 @@ difference of two rectangle sums on the morphism-generated word, the
 Fibonacci and Thue-Morse symbols by their closed forms, the circle
 partition on exact quadratic values, the Thue-Morse excess at every
 position below a horizon, and the factor complexities with the least factor
-covers that `words.cover_bound` bounds, counted in word prefixes.
+covers that `words.cover_bound` bounds, counted in word prefixes.  It also
+draws the far-sparse pairs that more than one test file checks.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
-from rectbal.fib_balance import _floor_sums
+from rectbal.fib_balance import _floor_sums, is_balanced
 from rectbal.fib_scalar import _convergent
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
@@ -153,3 +155,26 @@ def factor_cover(kind: SequenceKind, length: int) -> int:
         if len(first) == want:
             return int(first.max()) + 1
         size *= 2
+
+
+def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
+    while is_balanced(mu, nu):
+        nu += 1
+    return mu, nu
+
+
+def far_sparse_pairs() -> list[tuple[int, int]]:
+    """Pairs with mu far below nu, past 10**6: mu + nu near 10**8 and 3*10**9
+    (where the cover table's convergent q' = F_50 passes _Q_MAX, the int64
+    frontier of the tables that form j*p, and the witness still reads that
+    table) and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
+    the first nu that ``is_balanced`` calls unbalanced; the near ones read
+    the cover table for their verdicts too."""
+    pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
+    pairs += [_first_unbalanced(mu, 3 * 10**9 - mu) for mu in (2, 3, 13, 400)]
+    rng = random.Random(1515)
+    for _ in range(4):
+        size = rng.randint(3_900_000, 4_100_000)
+        mu = size // (1 + rng.randint(17, 32))
+        pairs.append(_first_unbalanced(mu, size - mu))
+    return pairs

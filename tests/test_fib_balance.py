@@ -45,7 +45,7 @@ from rectbal.limits import MAX_BUDGET, BudgetExceeded
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
 from rectbal.words import sturmian_a_word
-from oracles import circle_partition, delta, delta_floor_form, t_value_vector
+from oracles import circle_partition, delta, delta_floor_form, far_sparse_pairs, t_value_vector
 
 
 def brute_value_set(m: int, n: int, horizon: int = 3000) -> set[int]:
@@ -523,9 +523,7 @@ def test_scale_frontiers_raise_before_building(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # right at the frontier, q = _Q_MAX: a budget below the cover table sorts
-    # two event keys
-    budget(1000)
+    # right at the frontier, q = _Q_MAX: the verdict sorts two event keys
     assert is_balanced(1, _Q_MAX - 2)
     # at the default budget the frontier pairs read their cover tables
     budget(10**7)
@@ -566,14 +564,6 @@ def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
     assert peak < 1 << 16
 
 
-# the pairs of the far-sparse golden digest (tests/test_golden.py)
-FAR_SPARSE = [
-    (2, 100000001), (3, 99999998), (50, 99999950), (700, 99999300),
-    (2, 3000000002), (3, 2999999999), (13, 2999999987), (400, 2999999600),
-    (146119, 3945225), (122466, 3796465), (140130, 3923659), (222537, 3783144),
-]
-
-
 def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
     # the sorted event keys need q <= _Q_MAX, and no such q has a cover table
     # of more than 5,702,887 entries: its size depends on m + n only through
@@ -586,6 +576,11 @@ def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
     )
     assert fibonacci(48) == _Q_MAX and largest == 5_702_887
     budget(10**7)
+    pairs = [(200, 2500), (1291, 19365), (50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]
+    pairs += far_sparse_pairs()
+    # the sorted event keys, a route independent of the cover table, and
+    # is_balanced, which sorts them when they are fewer than its entries
+    keys = {(m, n): (*_event_extremes(m, n), is_balanced(m, n)) for m, n in pairs}
 
     def unreachable(*args):
         raise AssertionError("the cover table fits the budget")
@@ -599,17 +594,19 @@ def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
     monkeypatch.setattr(fib_balance, "_event_extremes", unreachable)
     monkeypatch.setattr(fib_balance, "_t_scan", unreachable)
     monkeypatch.setattr(fib_balance, "_chunk_table", recorded)
-    pairs = [(200, 2500), (1291, 19365), (50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]
     unbalanced = 0
-    for m, n in pairs + FAR_SPARSE:
+    for m, n in pairs:
         built.clear()
         verdict = exact_balance(m, n)
-        assert verdict.balanced == is_balanced(m, n) == zeck_characterization(m, n), (m, n)
+        lo, hi, balanced = keys[m, n]
+        assert verdict.balanced == balanced == zeck_characterization(m, n), (m, n)
         if verdict.balanced:
             continue
         unbalanced += 1
-        # one table for the verdict, one for is_balanced: no second witness table
-        assert built == [(m, n)] * 2, (m, n)
+        # one table gives the value set and the witness: no second table
+        assert built == [(m, n)], (m, n)
+        t0 = t_value(0, m, n)
+        assert verdict.value_set == tuple(range(t0 - hi, t0 - lo + 1)), (m, n)
         i, j, ti, tj = verdict.witness
         assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
         assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
@@ -729,8 +726,8 @@ def test_size_split_answers_wherever_the_ratio_split_did(budget):
     # its cover table holds 28,657 entries, its sorted keys 125,078
     assert answered[62539, 953433, 10**5] is False
     assert sum(not former for former in answered.values()) >= 3  # now answered
-    # each moved verdict against the digit rule at the least budget that
-    # holds its cover table, which it now reads; seeded ones with witnesses
+    # each moved verdict against the digit rule, seeded ones with witnesses
+    # off the cover table, at the least budget that holds it
     for (mu, nu), entries in moved.items():
         budget(entries)
         assert is_balanced(mu, nu) == zeck_characterization(mu, nu), (mu, nu)

@@ -22,7 +22,7 @@ from rectbal.fib_balance import (
     exact_balance,
     row_value_bounds,
 )
-from rectbal.fib_scalar import BalanceStatus, arc_balanced, zeck_characterization
+from rectbal.fib_scalar import BalanceStatus, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -41,7 +41,7 @@ from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess_profile
 from rectbal.trib_balance import two_balance_scan
 from rectbal.words import SequenceKind, sturmian_a_word, word
-from oracles import excess_vector, t_value_vector
+from oracles import excess_vector, far_sparse_pairs, t_value_vector
 
 GOLDEN = {
     "t_value_vector(7, 11, 10**5)": "257f1210bd12b43497e7f46a0e997ef1744c8691a120e58a46810f0d5c10fed2",
@@ -191,30 +191,6 @@ def _dense_pairs() -> list[tuple[int, int]]:
     return [(size // 2, size - size // 2) for size in sizes] + [(3 * 10**6, 3 * 10**6)]
 
 
-def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
-    # the arc verdict, with no table; is_balanced agrees on these pairs
-    # (test_default_budget_reads_only_the_cover_table)
-    while arc_balanced(mu, nu):
-        nu += 1
-    return mu, nu
-
-
-def _far_sparse_pairs() -> list[tuple[int, int]]:
-    """Pairs with mu far below nu, past 10**6: mu + nu near 10**8 and 3*10**9
-    (where the cover table's convergent q' = F_50 passes _Q_MAX, the int64
-    frontier of the tables that form j*p, and the witness still reads that
-    table) and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
-    the first unbalanced nu; the near ones read the cover table."""
-    pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
-    pairs += [_first_unbalanced(mu, 3 * 10**9 - mu) for mu in (2, 3, 13, 400)]
-    rng = random.Random(1515)
-    for _ in range(4):
-        size = rng.randint(3_900_000, 4_100_000)
-        mu = size // (1 + rng.randint(17, 32))
-        pairs.append(_first_unbalanced(mu, size - mu))
-    return pairs
-
-
 def _balanced_pairs() -> list[tuple[int, int]]:
     """Pairs that the digit rule calls balanced: the four balanced
     constructions of the fib_exact_large benchmark, each drawn twice, at its
@@ -350,7 +326,7 @@ def outputs() -> dict[str, str]:
         "delta_block_scan(4, 18)": _digest(_verdict_record(4, 18)),
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
         "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records(_exact_pairs())),
-        "exact_balance over far sparse pairs": _digest(_exact_records(_far_sparse_pairs())),
+        "exact_balance over far sparse pairs": _digest(_exact_records(far_sparse_pairs())),
         "exact_balance over dense pairs to q = F_35": _digest(_exact_records(_dense_pairs())),
         "exact_balance over balanced pairs at 10**6, 10**8 and Fibonacci sizes": _digest(
             _exact_records(_balanced_pairs())
