@@ -5,12 +5,14 @@ floor-form T and the four-floor difference on the floor sums, the
 difference of two rectangle sums on the morphism-generated word, the
 Fibonacci and Thue-Morse symbols by their closed forms, the circle
 partition on exact quadratic values, the Thue-Morse excess at every
-position below a horizon, and the factor complexities with the least factor
-covers that `words.cover_bound` bounds, counted in word prefixes.  It also
+position below a horizon, the factor complexities with the least factor
+covers that `words.cover_bound` bounds, counted in word prefixes, and the
+CSV of `rectbal fib sweep` written pair by pair from %-templates.  It also
 draws the far-sparse pairs that more than one test file checks.
 """
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
-from rectbal.fib_balance import _floor_sums, is_balanced
+from rectbal.fib_balance import _floor_sums, is_balanced, row_value_bounds
 from rectbal.fib_scalar import _convergent
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
@@ -155,6 +157,25 @@ def factor_cover(kind: SequenceKind, length: int) -> int:
         if len(first) == want:
             return int(first.max()) + 1
         size *= 2
+
+
+def sweep_csv(limit: int) -> str:
+    """The CSV of ``rectbal fib sweep --max limit``, one ``row_value_bounds``
+    call a row, each on its own tables, and each pair written from a
+    %-template cached by its value spread hi - lo."""
+    check_at_least(0, max=limit)
+    out = io.StringIO()
+    out.write("m,n,balanced,value_set,method\n")
+    templates: dict[int, str] = {}
+    for m in range(limit + 1):
+        lows, highs = row_value_bounds(m, limit)
+        for n, lo, hi in zip(range(m, limit + 1), lows.tolist(), highs.tolist()):
+            spread = hi - lo
+            if spread not in templates:
+                values = "|".join(["%d"] * (spread + 1))
+                templates[spread] = f"%d,%d,{str(spread <= 1).lower()},{values},exact\n"
+            out.write(templates[spread] % (m, n, *range(lo, hi + 1)))
+    return out.getvalue()
 
 
 def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import pytest
 
 from rectbal.cli import main
 from rectbal.fib_scalar import t_value
+from oracles import sweep_csv
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,15 @@ def test_fib_sweep_deterministic(capsys, tmp_path):
     assert text == out2.read_text()
     assert text.splitlines()[0] == "m,n,balanced,value_set,method"
     assert "4,4,false,5|6|7,exact" in text
+
+
+def test_fib_sweep_matches_the_template_writer(tmp_path):
+    # past --max 40 the values pass 10**3 at 137 and 10**4 at 233, where the
+    # run's numbers gain a digit
+    out = tmp_path / "sweep.csv"
+    for limit in [*range(41), 137, 233]:
+        assert main(["fib", "sweep", "--max", str(limit), "--out", str(out)]) == 0
+        assert out.read_bytes() == sweep_csv(limit).encode("ascii"), limit
 
 
 def test_fib_diverse(capsys):
