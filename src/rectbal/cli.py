@@ -10,9 +10,9 @@ runs, so the pure-integer ones (``num``, ``tm excess`` and ``fib bal
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import limits
 from .limits import LimitReached, check_at_least
@@ -20,12 +20,14 @@ from .limits import LimitReached, check_at_least
 _KINDS = {"fib": "fibonacci", "trib": "tribonacci", "trib2": "tribonacci2", "tm": "thue-morse"}
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its pieces in order, to the file out or to stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="ascii") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _format_verdict(v) -> str:
@@ -56,21 +58,42 @@ def _cmd_fib_bal(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_lines(rows: list) -> Iterator[str]:
+    """The CSV of ``fib sweep`` from its rows of value bounds, one string a
+    row.  A pair's value set is every integer from its min to its max, so it
+    is one slice of the run "0|1|...|top" of all the sweep's values, cut at
+    the offsets ``start`` and ``stop`` of its ends: the run's numbers are
+    formatted once, by numpy, and each pair is one slice and one f-string."""
+    import numpy as np
+
+    limit = len(rows) - 1
+    top = int(rows[-1][1][-1])  # T grows with m and n: the largest value is (limit, limit)'s
+    width = np.full(top + 1, 2)  # each number's digits and its bar
+    for k in range(1, len(str(top))):
+        width[10**k :] += 1
+    start = np.zeros(top + 2, dtype=np.int64)
+    np.cumsum(width, out=start[1:])
+    stop = start[1:] - 1
+    run = np.full(start[-1], ord("|"), dtype=np.uint8)
+    for k in range(len(str(top))):  # the digit of 10**k of each number that has one
+        low = 10**k if k else 0
+        run[stop[low:] - 1 - k] = np.arange(low, top + 1) // 10**k % 10 + ord("0")
+    run = run.tobytes().decode("ascii")
+    cols = [f",{n},{flag}," for n in range(limit + 1) for flag in ("false", "true")]
+    twice = 2 * np.arange(limit + 1)
+    yield "m,n,balanced,value_set,method\n"
+    for m, (lows, highs) in enumerate(rows):
+        col = (twice[m:] + (highs - lows <= 1)).tolist()
+        ends = zip(col, start[lows].tolist(), stop[highs].tolist())
+        head = str(m)
+        yield "".join([f"{head}{cols[c]}{run[a:b]},exact\n" for c, a, b in ends])
+
+
 def _cmd_fib_sweep(args: argparse.Namespace) -> int:
     from . import fib_balance
     check_at_least(0, max=args.max)
-    out = io.StringIO()
-    out.write("m,n,balanced,value_set,method\n")
-    templates: dict[int, str] = {}  # a row's %-template by its spread hi - lo
-    for m in range(args.max + 1):
-        lows, highs = fib_balance.row_value_bounds(m, args.max)
-        for n, lo, hi in zip(range(m, args.max + 1), lows.tolist(), highs.tolist()):
-            spread = hi - lo
-            if spread not in templates:
-                values = "|".join(["%d"] * (spread + 1))
-                templates[spread] = f"%d,%d,{str(spread <= 1).lower()},{values},exact\n"
-            out.write(templates[spread] % (m, n, *range(lo, hi + 1)))
-    _emit(out.getvalue(), args.out)
+    rows = fib_balance._sweep_rows(args.max)  # every limit is checked before the output opens
+    _emit(_sweep_lines(rows), args.out)
     return 0
 
 

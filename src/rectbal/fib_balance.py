@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import limits
 from .exact_quadratic import GAMMA, ONE
@@ -576,14 +576,17 @@ def _row_extrema(
     least key(k) >= q - s, of rank p = below_A(q - s), or from A's least
     key, of rank 0 = mu mod mu, when there is none.  The function
     is 0 at both ends and rises only at window points, so its max is max c
-    and its min min(c - 1).
+    and its min min(c - 1).  Keys of j >= nu_hi + mu, if any, are not read.
     """
     a = keys[:mu]
     below = np.zeros(q + 1, dtype=np.int16)  # below[y] = #{a < y}
     below[a + 1] = 1
     np.cumsum(below, out=below)
     inv = below[a]  # the rank of each key of A, which are distinct
-    below_windows = sliding_window_view(below[keys], mu)
+    ranks = below[keys[: nu_hi + mu]]
+    below_windows = as_strided(  # sliding_window_view(ranks, mu), less its checks
+        ranks, (len(ranks) - mu + 1, mu), ranks.strides * 2, writeable=False
+    )
     lo = np.empty(nu_hi - mu + 1, dtype=np.int32)
     hi = np.empty_like(lo)
     step = max(1, _ROW_BLOCK // mu)
@@ -607,22 +610,44 @@ def _circle_keys(size: int) -> tuple[np.ndarray, int]:
     return _keys(0, size, p, q).astype(np.int32), q
 
 
+def _row_tables(mu: int, nu_hi: int) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:
+    """The floor sums and the circle keys (None when row mu has no events)
+    of nu + mu <= nu_hi + mu: the tables of row mu, and of every row below
+    it, so a sweep builds them once for its last row."""
+    if mu > _ROW_MU_MAX:
+        raise BudgetExceeded(
+            f"row kernel requested at mu = {mu}, int16 lanes hold mu <= {_ROW_MU_MAX}"
+        )
+    circle = _circle_keys(nu_hi + mu) if mu and nu_hi >= mu else None
+    return _floor_sums(nu_hi + mu), circle
+
+
+def _row_bounds(
+    mu: int, nu_hi: int, G: np.ndarray, circle: tuple[np.ndarray, int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``row_value_bounds(mu, nu_hi)`` on tables from ``_row_tables``."""
+    lo = hi = 0
+    if mu and nu_hi >= mu:
+        lo, hi = _row_extrema(*circle, mu, nu_hi)
+    nu = np.arange(mu, nu_hi + 1)
+    t0 = G[mu + nu] - G[nu] - G[mu]  # T(0, mu, nu)
+    return t0 - hi, t0 - lo
+
+
 def row_value_bounds(mu: int, nu_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of T(i, mu, nu) over i for all nu in [mu, nu_hi]; the value
     set of each pair is every integer between the two.  Empty when
     nu_hi < mu; for mu = 0 the counting function has no events and T = 0."""
     check_at_least(0, mu=mu, nu_hi=nu_hi)
-    if mu > _ROW_MU_MAX:
-        raise BudgetExceeded(
-            f"row kernel requested at mu = {mu}, int16 lanes hold mu <= {_ROW_MU_MAX}"
-        )
-    lo = hi = 0
-    if mu and nu_hi >= mu:
-        lo, hi = _row_extrema(*_circle_keys(nu_hi + mu), mu, nu_hi)
-    G = _floor_sums(nu_hi + mu)
-    nu = np.arange(mu, nu_hi + 1)
-    t0 = G[mu + nu] - G[nu] - G[mu]  # T(0, mu, nu)
-    return t0 - hi, t0 - lo
+    return _row_bounds(mu, nu_hi, *_row_tables(mu, nu_hi))
+
+
+def _sweep_rows(limit: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``row_value_bounds(mu, limit)`` for mu = 0, ..., limit, all read off
+    the last row's tables, which are the largest: a budget that holds them
+    holds every row's."""
+    tables = _row_tables(limit, limit)
+    return [_row_bounds(mu, limit, *tables) for mu in range(limit + 1)]
 
 
 _TABLE = np.zeros((0, 0), dtype=bool)  # the largest verdict table built so far

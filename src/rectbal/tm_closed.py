@@ -7,9 +7,10 @@ floor(y/2) + [y odd] * t_{y-1} (Allouche and Shallit, *Automatic
 Sequences*, 2003), and S(x) telescopes over the pairs too.  ``excess`` is
 the signed excess s = 2*count_1 - m*n of the rectangle at i telescoped over
 S; ``excess_even_even`` and ``excess_parity_reduced`` are the parity-split
-formulas built on ``factor_sum``.  ``tm_balance``, whose horizon scans the
-tests check these against, imports ``excess`` and
-``excess_parity_reduced``; ``rectbal tm excess`` loads no numpy.
+formulas built on ``factor_sum``'s counts, each checking its arguments
+once.  ``tm_balance``, whose horizon scans the tests check these against,
+imports ``excess`` and ``excess_parity_reduced``; ``rectbal tm excess``
+loads no numpy.
 """
 from __future__ import annotations
 
@@ -34,10 +35,15 @@ def _ones_sum(x: int) -> int:
     return a * (a - 1) + b * a + _ones_before(a)
 
 
+def _ones_in(start: int, stop: int) -> int:
+    """Number of 1s among t_start .. t_{stop-1}, for 0 <= start <= stop."""
+    return _ones_before(stop) - _ones_before(start)
+
+
 def factor_sum(start: int, length: int) -> int:
     """Number of 1s among t_start .. t_{start+length-1}; reads no word."""
     check_at_least(0, start=start, length=length)
-    return _ones_before(int(start) + int(length)) - _ones_before(int(start))
+    return _ones_in(int(start), int(start) + int(length))
 
 
 def excess(i: int, m: int, n: int) -> int:
@@ -49,33 +55,34 @@ def excess(i: int, m: int, n: int) -> int:
     return 2 * ones - m * n
 
 
-def excess_even_even(i: int, m: int, n: int) -> int:
+def _even_even(i: int, m: int, n: int) -> int:
     """s = 2*(b - a) for i, m, n all even, where a sums t over
     [i/2, (i+m)/2) and b over [(i+n)/2, (i+m+n)/2)."""
+    return 2 * (_ones_in((i + n) // 2, (i + m + n) // 2) - _ones_in(i // 2, (i + m) // 2))
+
+
+def excess_even_even(i: int, m: int, n: int) -> int:
+    """The excess s for i, m, n all even; ``ParityViolation`` otherwise."""
     check_at_least(0, i=i, m=m, n=n)
     if i % 2 or m % 2 or n % 2:
         raise ParityViolation(f"all of i, m, n must be even: ({i}, {m}, {n})")
-    a = factor_sum(i // 2, (i + m) // 2 - i // 2)
-    b = factor_sum((i + n) // 2, (i + m + n) // 2 - (i + n) // 2)
-    return 2 * (b - a)
+    return _even_even(int(i), int(m), int(n))
 
 
 def excess_parity_reduced(i: int, m: int, n: int) -> int:
-    """Excess via the parity-case formulas; odd i peels the first row."""
+    """Excess via the parity-case formulas: an odd i peels the first row, an
+    odd n then the last column and an odd m the last row, each peel adding
+    2*ones - length, and the even rest is ``excess_even_even``'s."""
     check_at_least(0, i=i, m=m, n=n)
-    if m == 0 or n == 0:
-        return 0
-    if i % 2:
-        # removing the first row: s(i,m,n) = s(i+1,m-1,n) + 2*row - n
-        row = factor_sum(i, n)
-        return excess_parity_reduced(i + 1, m - 1, n) + 2 * row - n
-    if m % 2 == 0 and n % 2 == 0:
-        return excess_even_even(i, m, n)
-    if n % 2:  # strip the last column
-        a = excess_parity_reduced(i, m, n - 1)
-        b = factor_sum(i + n - 1, m)
-        return a + 2 * b - m
-    # m odd, n even: strip the last row
-    a = excess_parity_reduced(i, m - 1, n)
-    b = factor_sum(i + m - 1, n)
-    return a + 2 * b - n
+    i, m, n = int(i), int(m), int(n)
+    s = 0
+    if i % 2 and m:  # s(i, m, n) = s(i+1, m-1, n) + 2*row - n
+        s += 2 * _ones_in(i, i + n) - n
+        i, m = i + 1, m - 1
+    if n % 2:  # the last column, m cells from t_{i+n-1}
+        s += 2 * _ones_in(i + n - 1, i + n - 1 + m) - m
+        n -= 1
+    if m % 2:  # the last row, n cells from t_{i+m-1}
+        s += 2 * _ones_in(i + m - 1, i + m - 1 + n) - n
+        m -= 1
+    return s + _even_even(i, m, n)

@@ -4,6 +4,7 @@ import pytest
 
 from rectbal.cli import main
 from rectbal.fib_scalar import t_value
+from rectbal.limits import BudgetExceeded
 from oracles import sweep_csv
 
 
@@ -94,6 +95,32 @@ def test_fib_sweep_matches_the_template_writer(tmp_path):
     for limit in [*range(41), 137, 233]:
         assert main(["fib", "sweep", "--max", str(limit), "--out", str(out)]) == 0
         assert out.read_bytes() == sweep_csv(limit).encode("ascii"), limit
+
+
+def test_fib_sweep_budget(capsys, tmp_path, budget):
+    # every row reads the last row's tables, the largest: q = 610 > 2*200
+    assert main(["--budget", "300", "fib", "sweep", "--max", "200"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "rectbal: 610 table entries requested, budget is 300\n")
+    assert main(["--budget", "1000", "fib", "sweep", "--max", "200"]) == 0
+    capsys.readouterr()
+    # so a budget stops the sweep where it stops some row of the writer
+    # that builds each row's own tables
+    out = tmp_path / "sweep.csv"
+    for limit in range(0, 41, 3):
+        for size in (1, 2, 3, 4, 7, 8, 9, 12, 13, 14, 20, 21, 22, 33, 34, 35, 54, 55, 56, 88, 89, 90):
+            budget(size)
+            try:
+                expected = sweep_csv(limit).encode("ascii")
+            except BudgetExceeded:
+                expected = None
+            argv = ["--budget", str(size), "fib", "sweep", "--max", str(limit), "--out", str(out)]
+            code = main(argv)
+            assert code == (1 if expected is None else 0), (limit, size)
+            # every limit is checked before the file is opened
+            assert (out.read_bytes() if code == 0 else out.exists()) == (expected or False)
+            out.unlink(missing_ok=True)
+    assert not capsys.readouterr().out
 
 
 def test_fib_diverse(capsys):

@@ -83,6 +83,13 @@ def test_parity_reduced_examples():
     assert excess_parity_reduced(1, 3, 3) == excess(1, 3, 3)
 
 
+def test_parity_reduced_empty_rectangles():
+    # an odd i peels a first row only when there is one
+    for i in range(9):
+        for k in range(6):
+            assert excess_parity_reduced(i, 0, k) == excess_parity_reduced(i, k, 0) == 0
+
+
 def test_parity_reduced_random():
     rng = random.Random(42)
     for _ in range(1000):
