@@ -49,10 +49,10 @@ iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
 0 < e < mu, so a row of verdicts reads one cumsum of arc ends over Z_q and
 the table costs O(limit**2).  ``row_value_bounds`` and ``rectbal fib sweep``
 need the value sets, not only verdicts, and run the circle route one row mu
-at a time with no sort per window: the window j in [nu, nu+mu) is the block
-[0, mu) rotated by frac(nu*gamma), so its circle order is a cyclic shift of
-the block's (Sos 1957), starting at the rank of q - key(nu) among the
-block's keys.  The two are independent routes to the same verdicts.
+at a time with no sort per window, the sweep's rows all on the tables of
+its last row: the window j in [nu, nu+mu) is the block [0, mu) rotated by
+frac(nu*gamma), so its circle order is a cyclic shift of the block's (Sos
+1957), starting at the rank of q - key(nu) among the block's keys.  The two are independent routes to the same verdicts.
 """
 from __future__ import annotations
 
