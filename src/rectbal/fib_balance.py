@@ -52,7 +52,8 @@ need the value sets, not only verdicts, and run the circle route one row mu
 at a time with no sort per window, the sweep's rows all on the tables of
 its last row: the window j in [nu, nu+mu) is the block [0, mu) rotated by
 frac(nu*gamma), so its circle order is a cyclic shift of the block's (Sos
-1957), starting at the rank of q - key(nu) among the block's keys.  The two are independent routes to the same verdicts.
+1957), starting at the rank of q - key(nu) among the block's keys.  The
+two are independent routes to the same verdicts.
 """
 from __future__ import annotations
 
