@@ -210,7 +210,11 @@ def _cmd_num(args: argparse.Namespace) -> int:
     }
     encode, decode = codecs[args.system]
     if args.action == "encode":
-        _emit((encode(int(args.value)) or "0") + "\n", args.out)
+        try:
+            value = int(args.value)
+        except ValueError:
+            raise ValueError(f"value must be an integer, got {args.value!r}") from None
+        _emit((encode(value) or "0") + "\n", args.out)
     else:
         _emit(str(decode(args.value)) + "\n", args.out)
     return 0

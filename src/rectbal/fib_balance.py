@@ -24,25 +24,28 @@ T(i, m, n) take at most two distinct values over all i:
 The circle route is exact integer arithmetic on one convergent p/q of
 gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) // q and the circle order of frac(j*gamma) is the order of the keys
-(j*p) mod q.  Each step of T in i order is three key comparisons.  T_q, T
-with (j*p) // q in place of floor(j*gamma) on a Fibonacci q > m + n, takes
-only values of T, and every value of T is taken below F_{k+2}, F_k <= m + n
-- 1 < F_{k+1} (three-gap theorem).  So a verdict reads T_q over [0,
-F_{k+2}) on a convergent past F_{k+2} + m + n, as chunks of a Fibonacci
+(j*p) mod q.  T_q, T with (j*p) // q in place of floor(j*gamma) on a
+Fibonacci q > m + n, takes only values of T, and every value of T is taken
+below F_{k+2}, F_k <= m + n - 1 < F_{k+1} (three-gap theorem).  So a
+verdict reads T_q over [0, F_{k+2}) on a convergent past F_{k+2} + m + n,
+by one of two readers that give T's extremes and, when asked, the first i
+at each.  The cover table reads T_q in i order, as chunks of a Fibonacci
 length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
 small delta, so every chunk is the first with a few steps edited: the
 extremes, and the first chunk, segment and offset that take each, come from
 the first chunk's partial sums and a small table of the edits, O(L +
-q^(2/3)) work.  ``exact_balance`` reads an unbalanced pair's value set and
-witness off this one cover table whenever it fits the symbol budget.  Past
-the budget, a pair with fewer event keys sorts its 2*mu keys and reads its
-witness off T in i order; no budget of 5,702,887 or more does, as no q <=
-_Q_MAX, which the keys need, has a larger cover table.  ``is_balanced``
-needs no witness and sorts the keys whenever they are fewer and q <=
-_Q_MAX.  Scalar T needs no table: its floor sums come from a Euclid-like
-recursion.  A table past the symbol budget (a chunk table counts
-its chunk and its candidate edits), or event keys past the q where j*p
-leaves int64, raises ``BudgetExceeded``.
+q^(2/3)) work.  The sorted event keys read the circle partition instead:
+T_q - T(0) is minus the running count of the 2*mu event keys, so its
+extremes are that count's, and the first i on each arc of the partition is
+one ``fib_scalar._first`` search.  ``exact_balance`` reads an unbalanced
+pair's value set and witness off the cover table whenever it fits the
+symbol budget, and off the sorted keys past it when they are fewer;
+``is_balanced`` needs no witness and sorts the keys whenever they are
+fewer.  Both readers add their keys and never form j*p, so they hold any q
+< 2**63.  Scalar T needs no table: its floor sums come from a Euclid-like
+recursion.  A table past the symbol budget (a chunk table counts its chunk
+and its candidate edits), or keys on a q past 2**63, raises
+``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -58,14 +61,13 @@ two are independent routes to the same verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import limits
 from .exact_quadratic import GAMMA, ONE
-from .fib_scalar import BalanceStatus, _convergent, arc_balanced, t_value
+from .fib_scalar import BalanceStatus, _convergent, _first, arc_balanced, t_value
 from .fib_scalar import zeck_characterization  # noqa: F401 -- one of the three routes
 from .limits import BudgetExceeded, check_at_least, check_budget
 from .numeration import fibonacci
@@ -98,26 +100,12 @@ class BalanceVerdict:
 # parts differ by their key difference over q plus less than 1/q, and their
 # circle order is the order of the distinct integer keys.
 
-# The sorted event keys form j*p in int64 for |j| < q: F_48 = 4,807,526,976
-# is the largest Fibonacci q with (q - 1)*F_46 < 2**63.  The symbol budget
-# holds the other tables of j*p inside int64 (see ``_floor_sums``), and the
-# chunk tables add keys instead (``_doubled_keys``; see ``_cover``).
-_Q_MAX = 4_807_526_976
-
-
-def _keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
-    """key(j) = (j*p) mod q for start <= j < stop."""
-    keys = np.arange(start, stop, dtype=np.int64)
-    keys *= p
-    keys %= q
-    return keys
-
 
 def _floor_sums(size: int) -> np.ndarray:
-    """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64.  Here
-    and in ``_circle_keys``, whose entries are size + 1 and q, the budget
-    keeps j*p < 2**62: j < MAX_BUDGET < F_47, so q = F_K <= F_47 and both j
-    and p = F_{K-2} <= F_45 are below 2**31."""
+    """G[j] = sum_{k<j} floor(k*gamma) for j <= size, exact in int64: the
+    one table that forms j*p, which its size + 1 entries, held to the
+    budget, keep below 2**62, as j < MAX_BUDGET < F_47, so q = F_K <= F_47
+    and both j and p = F_{K-2} <= F_45 are below 2**31."""
     check_budget(size + 1, "table entries")
     p, q = _convergent(size)
     G = np.zeros(size + 1, dtype=np.int64)
@@ -126,12 +114,17 @@ def _floor_sums(size: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the scan of T in i order
+# the cover table: T in i order, read in chunks
 
 
 def _steps(mu: int, nu: int, p: int, q: int) -> tuple[int, int, int, int]:
     """(d0, up, down1, down2): T_q's step at i is d0 + [key(i) >= up] -
-    [key(i) >= down1] - [key(i) >= down2] (see ``_t_scan``)."""
+    [key(i) >= down1] - [key(i) >= down2].
+
+    T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
+    g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
+    [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
+    key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu)."""
     d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
     return (d0, *(q - s * p % q for s in (mu + nu, nu, mu)))
 
@@ -149,38 +142,6 @@ def _step_sums(
     np.add(w[:-1], d0, out=t[1:])
     np.cumsum(t, out=t)
     return t, int(t[-1]) + int(w[-1]) + d0
-
-
-def _t_scan(
-    mu: int, nu: int, p: int, q: int, stop: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
-    over 0 <= i < stop, on the convergent p/q (see ``_extremes``): the
-    witness scan past the symbol budget.  Its chunks end at 1024, 5120,
-    21504, ... and hold at most the symbol budget's positions.
-
-    T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
-    g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
-    [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
-    key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu).  The keys are base[i - i0]
-    + key(i0) mod q, with base[t] = t*p mod q up to the chunk's length, built
-    by ``_doubled_keys`` for each chunk longer than the last, so a witness in
-    the first chunk costs its 1024 keys, not the budget's: int32 while 2q <
-    2^31, and int64 past it, which only far witness scans reach."""
-    steps = _steps(mu, nu, p, q)
-    budget = limits.BUDGET
-    base = np.empty(0)
-    i = carry = 0
-    while i < stop:
-        end = min(stop, 4 * i + 1024, i + budget)
-        if len(base) < end - i:
-            base = _doubled_keys(end - i, p, q)
-            dtype, sign = base.dtype.type, 8 * base.itemsize - 1
-        key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
-        key += (key >> sign) & dtype(q)
-        t, carry = _step_sums(key, steps, carry)
-        yield i, t
-        i = end
 
 
 def _chunk_length(q: int) -> int:
@@ -210,7 +171,15 @@ def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     less q wraps above s exactly when s < q, so the key is min(s, s - q).
     Built in uint32 while 2q < 2^31 and uint64 past it, and returned as the
     int32 or int64 view; both operands of every pass share the unsigned
-    dtype, so numpy's promotion rules, before NEP 50 and after, agree."""
+    dtype, so numpy's promotion rules, before NEP 50 and after, agree.
+
+    The int64 view holds q < 2**63, and then s < 2q < 2**64; past it the
+    keys raise ``BudgetExceeded`` before anything is built.  A verdict's
+    keys sit on the cover convergent q' = F_{K+2}, q = F_K the least
+    Fibonacci number > m + n (``_cover``), and F_92 < 2**63 < F_93, so its
+    keys hold m + n < F_90 = 2,880,067,194,370,816,120 and no more."""
+    if q >= 1 << 63:
+        raise BudgetExceeded(f"keys mod q = {q} requested, int64 keys hold q < 2**63")
     wide = 2 * q >= 1 << 31
     dtype = np.uint64 if wide else np.uint32
     key = np.zeros(L, dtype=dtype)
@@ -238,7 +207,7 @@ def _chunk_table(
     below).  s0 holds chunk 0's partial sums, starts the segment starts, and
     chunk c at offset r in segment g holds origin[c] + table[c, g] + s0[r].
 
-    The steps are ``_t_scan``'s, d0 + W(key(i)) with W(y) = [y >= up] - [y >=
+    The steps are ``_steps``', d0 + W(key(i)) with W(y) = [y >= up] - [y >=
     down1] - [y >= down2] on Z_q: W jumps by +1 at up, -1 at down1 and down2,
     and +1 at 0 (W(q-1) = -1, W(0) = 0).  Chunk c's keys are chunk 0's
     shifted, key(cL + r) = key(r) + c*delta mod q with delta = L*p mod q taken
@@ -297,13 +266,13 @@ def _chunk_table(
 
 
 def _table_extremes(
-    mu: int, nu: int, p: int, q: int, L: int, stop: int
+    mu: int, nu: int, p: int, q: int, L: int, stop: int, witness: bool
 ) -> tuple[int, int, list[int] | None]:
     """(low, high, hits): the min and max of T_q(i) - T(0) over 0 <= i < C*L,
-    read off ``_chunk_table``'s C = ceil(stop/L) chunks, and when high - low
-    >= 2 the first i there that takes low and the first that takes high
-    (else None).  Chunk c's extremes are origin[c] plus the extremes over
-    segments of its table row plus s0's.  An extreme's first hit lies in the
+    read off ``_chunk_table``'s C = ceil(stop/L) chunks, and when
+    ``witness`` is set and high - low >= 2 the first i there that takes low
+    and the first that takes high (else None).  Chunk c's extremes are
+    origin[c] plus the extremes over segments of its table row plus s0's.  An extreme's first hit lies in the
     first chunk c that takes it, in the first segment g whose extreme it is,
     at the first offset r from the segment's start with origin[c] + table[c,
     g] + s0[r] = the extreme."""
@@ -312,7 +281,7 @@ def _table_extremes(
     parts = [table[:, :-1] + f.reduceat(s0, starts) for f in (np.minimum, np.maximum)]
     chunks = parts[0].min(axis=1) + origin, parts[1].max(axis=1) + origin
     low, high = int(chunks[0].min()), int(chunks[1].max())
-    if high - low < 2:
+    if not witness or high - low < 2:
         return low, high, None
     hits = []
     for target, part, per_chunk in zip((low, high), parts, chunks):
@@ -355,10 +324,9 @@ def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
     last chunk's tail past the cover adds none.
 
     Its keys are added, never multiplied (``_doubled_keys``), so it needs
-    2q' < 2**63, not q' <= _Q_MAX, and every table within the symbol budget
-    has it: entries >= L, so L <= MAX_BUDGET < 2**31 and L <= F_46; L = q
-    or L**3 >= 8q**2 then gives q <= (F_46/2)**1.5 < F_67, and q' = F_{K+2}
-    <= F_68 < 1.2*10**14."""
+    q' < 2**63, and every table within the symbol budget has it: entries >=
+    L, so L <= MAX_BUDGET < 2**31 and L <= F_46; L = q or L**3 >= 8q**2 then
+    gives q <= (F_46/2)**1.5 < F_67, and q' = F_{K+2} <= F_68 < 1.2*10**14."""
     p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
     cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
     p, q = _convergent(cover + mu + nu)
@@ -366,68 +334,84 @@ def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
     return p, q, L, cover, _chunk_entries(p, q, L, -(-cover // L))
 
 
-def _event_extremes(mu: int, nu: int) -> tuple[int, int]:
-    """(lo, hi) of c (see ``_extremes``) from the 2*mu event keys sorted:
-    key(0) = 0 is an event and c ends at 0, so c takes its extremes at event
-    keys.  The keys form j*p in int64, so they need q <= _Q_MAX."""
-    p, q = _convergent(mu + nu)
-    if q > _Q_MAX:
-        raise BudgetExceeded(f"q = {q} for index bound {mu + nu}; int64 keys hold q <= {_Q_MAX}")
+def _event_extremes(
+    mu: int, nu: int, p: int, q: int, witness: bool
+) -> tuple[int, int, list[int] | None]:
+    """``_table_extremes``' (low, high, hits) off the 2*mu event keys on the
+    cover convergent p/q (``_cover``), sorted: the block's keys key(j), j <
+    mu, are doubled keys, and the window's are key(nu + j) = key(j) +
+    key(nu), less q past it.  key(0) = 0 is the least key, and c (see
+    ``_extremes``) ends at 0, so c is constant on each arc [k_t, k_{t+1})
+    between consecutive sorted keys (k_{2*mu} = q) and takes its extremes
+    there: low = -max c and high = -min c.
+
+    T_q(i) = t0 - c(y(i)) with y(i) = (i*(q - p) - 1) mod q, as key(-i) =
+    i*(q - p) mod q; T = T_q below the cover, where T takes all its values,
+    so an extreme's first i is T_q's first in one period.  y(0) = q - 1
+    lies on the last arc, where c = 0, so an extreme of c = 0 is first
+    taken at i = 0.  For 0 < i < q, y(i) = (i*(q - p) mod q) - 1 lies on
+    [k_t, k_{t+1}) iff i*(q - p) mod q lies in [k_t + 1, k_{t+1}], first at
+    ``fib_scalar._first(q - p, q, k_t + 1, k_{t+1})``, and the first i at
+    any other extreme is the least of these over the arcs where c takes
+    it."""
     check_budget(2 * mu, "table entries")
-    keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
-    c = np.cumsum(np.where(np.argsort(keys) < mu, np.int32(-1), np.int32(1)))
-    return int(c.min()), int(c.max())
+    block = _doubled_keys(mu, p, q)
+    dtype, sign = block.dtype.type, 8 * block.itemsize - 1
+    window = block + dtype(nu * p % q - q)  # in [-q, q)
+    window += (window >> sign) & dtype(q)
+    keys = np.concatenate([block, window])
+    order = np.argsort(keys)
+    c = np.cumsum(np.where(order < mu, np.int32(-1), np.int32(1)))
+    lo, hi = int(c.min()), int(c.max())
+    if not witness or hi - lo < 2:
+        return -hi, -lo, None
+    keys = keys[order]
+    hits = []
+    for extreme in (hi, lo):  # the first i at low, then at high
+        if extreme == 0:  # taken on the last arc, at i = 0
+            hits.append(0)
+            continue
+        arcs = np.flatnonzero(c == extreme)  # the last arc, of c = 0, is not one
+        bounds = zip((keys[arcs] + 1).tolist(), keys[arcs + 1].tolist())
+        hits.append(min(_first(q - p, q, l, r) for l, r in bounds))
+    return -hi, -lo, hits
 
 
 def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | None]:
     """(low, high, hits): the min and max of T - t0 over all i, t0 = T(0,
-    mu, nu), for mu >= 1, and when high - low >= 2 the first i at low and
-    the first at high, else None.  The cover table (``_cover``) gives all
-    three whenever it fits the symbol budget.  A pair whose 2*mu event keys
-    are fewer sorts them instead (``_event_extremes``): when the table passes
-    the budget, reading a witness in i order up to the cover (``_t_scan``),
-    and, being cheaper, whenever ``witness`` is unset and q <= _Q_MAX, which
-    the keys need.  No cover table of a q <= _Q_MAX holds more than
-    5,702,887 entries, so no larger budget sorts them for a witness.  Any
-    other pair raises.
+    mu, nu), for mu >= 1, and when ``witness`` is set and high - low >= 2
+    the first i at low and the first at high, else None.  Two readers give
+    all three on the cover convergent (``_cover``): the cover table and the
+    2*mu sorted event keys (``_event_extremes``).  The keys are read when
+    they are fewer than the table's entries and either the table passes the
+    symbol budget or no witness is asked for; else the table, held to the
+    budget.  A witness reads the table whenever it fits, as the keys'
+    search per arc can take 50-200x the table's time.
 
     Let c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y}
-    on Z_q, q = F_K > mu + nu: window points minus block points up to y.
-    Let T_q be T on g_q(j) = (j*p) // q in place of floor(j*gamma): g_q(i+j)
-    = g_q(i) + g_q(j) + [key(j) >= key(-i)] for i not 0 mod q, so T_q(i) =
-    t0 - c((key(-i) - 1) mod q) at every i of Z_q, and T_q(i) = T(i) for i <
-    q - mu - nu.  T_q has period q and i -> key(-i) - 1 is a bijection of
-    Z_q, so one period of T_q takes exactly the values t0 - c(y).
+    on Z_q, q a Fibonacci number > mu + nu: window points minus block points
+    up to y.  Let T_q be T on g_q(j) = (j*p) // q in place of
+    floor(j*gamma): g_q(i+j) = g_q(i) + g_q(j) + [key(j) >= key(-i)] for i
+    not 0 mod q, so T_q(i) = t0 - c((key(-i) - 1) mod q) at every i of Z_q,
+    and T_q(i) = T(i) for i < q - mu - nu.  T_q has period q and i ->
+    key(-i) - 1 is a bijection of Z_q, so one period of T_q takes exactly
+    the values t0 - c(y).
     """
     p, q, L, cover, entries = _cover(mu, nu)
-    sort = 2 * mu < entries and (
-        entries > limits.BUDGET or not witness and _convergent(mu + nu)[1] <= _Q_MAX
-    )
-    if not sort:
-        check_budget(entries, "table entries")
-        return _table_extremes(mu, nu, p, q, L, cover)
-    lo, hi = _event_extremes(mu, nu)  # T - t0 = -c
-    if not witness or hi - lo < 2:
-        return -hi, -lo, None
-    first = {}  # value of T - t0 -> first i where T takes it
-    for i0, t in _t_scan(mu, nu, p, q, cover):
-        for target in {-hi, -lo} - first.keys():
-            found = np.flatnonzero(t == target)
-            if len(found):
-                first[target] = i0 + int(found[0])
-        if len(first) == 2:
-            return -hi, -lo, [first[-hi], first[-lo]]
-    raise RuntimeError(f"no witness found for ({mu}, {nu})")
+    if 2 * mu < entries and (entries > limits.BUDGET or not witness):
+        return _event_extremes(mu, nu, p, q, witness)
+    check_budget(entries, "table entries")
+    return _table_extremes(mu, nu, p, q, L, cover, witness)
 
 
 def is_balanced(m: int, n: int) -> bool:
     """Exact verdict without witness construction, off the sorted event keys
-    when they are fewer than the cover table's entries and q <= _Q_MAX, else
-    off the table (``_extremes``), so it is held to the budget;
+    when they are fewer than the cover table's entries, else off the table
+    (``_extremes``), so it is held to the budget;
     ``arc_balanced`` answers at any size by the arc lemma, which neither
     route uses."""
     check_at_least(0, m=m, n=n)
-    mu, nu = min(m, n), max(m, n)
+    mu, nu = sorted((int(m), int(n)))
     if mu == 0:  # no events: T is 0 everywhere
         return True
     low, high, _ = _extremes(mu, nu, witness=False)
@@ -444,10 +428,10 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
     window key is 0, and c(q - 1) = 0; so lo <= -1 < 0 <= hi, and hi - lo <=
     1 leaves lo = -1, hi = 0.  An unbalanced pair reads its value set and
     witness off its cover table, or past the symbol budget off its sorted
-    event keys and T in i order (``_extremes``); their spread, at least 2,
-    checks the arc verdict, and ``t_value`` re-checks the witness."""
+    event keys (``_extremes``); their spread, at least 2, checks the arc
+    verdict, and ``t_value`` re-checks the witness."""
     check_at_least(0, m=m, n=n)
-    mu, nu = min(m, n), max(m, n)
+    mu, nu = sorted((int(m), int(n)))
     if mu == 0:  # no events: T is 0 everywhere
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(0,))
     t0 = t_value(0, mu, nu)
@@ -605,10 +589,11 @@ def _row_extrema(
 
 
 def _circle_keys(size: int) -> tuple[np.ndarray, int]:
-    """The int32 keys (j*p) mod q of j < size, and q (see ``_floor_sums``)."""
+    """The int32 keys (j*p) mod q of j < size, and q, which the budget holds
+    below 2**31."""
     p, q = _convergent(size)
     check_budget(q, "table entries")
-    return _keys(0, size, p, q).astype(np.int32), q
+    return _doubled_keys(size, p, q).astype(np.int32, copy=False), q
 
 
 def _row_tables(mu: int, nu_hi: int) -> tuple[np.ndarray, tuple[np.ndarray, int] | None]:

@@ -52,6 +52,7 @@ def t_value(i: int, m: int, n: int) -> int:
     """T(i, m, n) = sum_{k<m} floor((i+k+n)*gamma) - floor((i+k)*gamma) on
     the 0-prefixed Fibonacci word, as two floor sums; no table is built."""
     check_at_least(0, m=m, n=n, i=i)
+    i, m, n = int(i), int(m), int(n)
     p, q = _convergent(i + m + n)
     return _floor_sum(m, q, p, (i + n) * p) - _floor_sum(m, q, p, i * p)
 

@@ -142,6 +142,7 @@ def find_corner_witness(p: int, search_limit: int = 200_000) -> CornerWitness:
     finds its witness in the first prefix.  Power-of-two prefixes share
     their pattern starts and rank tables across p."""
     check_at_least(0, p=p, search_limit=search_limit)
+    p, search_limit = int(p), int(search_limit)
     size = 1 << (8 * (p + 5) - 1).bit_length()
     while True:
         size = min(size, search_limit)

@@ -7,8 +7,10 @@ Fibonacci and Thue-Morse symbols by their closed forms, the circle
 partition on exact quadratic values, the Thue-Morse excess at every
 position below a horizon, the factor complexities with the least factor
 covers that `words.cover_bound` bounds, counted in word prefixes, and the
-CSV of `rectbal fib sweep` written pair by pair from %-templates.  It also
-draws the far-sparse pairs that more than one test file checks.
+CSV of `rectbal fib sweep` written pair by pair from %-templates, and T_q
+scanned in i order, chunk by chunk.  It also draws the far-sparse pairs,
+and the sparse pairs past every cover table, that more than one test file
+checks.
 """
 from __future__ import annotations
 
@@ -16,12 +18,21 @@ import io
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
+from rectbal import limits
 from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
-from rectbal.fib_balance import _floor_sums, is_balanced, row_value_bounds
-from rectbal.fib_scalar import _convergent
+from rectbal.fib_balance import (
+    _doubled_keys,
+    _floor_sums,
+    _step_sums,
+    _steps,
+    is_balanced,
+    row_value_bounds,
+)
+from rectbal.fib_scalar import _convergent, arc_balanced
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
 from rectbal.limits import check_at_least
@@ -40,6 +51,36 @@ def delta_floor_form(i: int, m: int, n: int) -> int:
     p, q = _convergent(i + m + n)
     g = [j * p // q for j in (i + m + n, i + n, i + m, i)]
     return g[0] - g[1] - g[2] + g[3]
+
+
+def t_scan(
+    mu: int, nu: int, p: int, q: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
+    over 0 <= i < stop, on the convergent p/q (see ``fib_balance._extremes``):
+    the former witness scan past the symbol budget, and the in-order
+    reference of the cover table.  Its chunks end at 1024, 5120, 21504, ...
+    and hold at most the symbol budget's positions.
+
+    The steps are ``fib_balance._steps``'.  The keys are base[i - i0] +
+    key(i0) mod q, with base[t] = t*p mod q up to the chunk's length, built
+    by ``_doubled_keys`` for each chunk longer than the last, so a witness in
+    the first chunk costs its 1024 keys, not the budget's: int32 while 2q <
+    2^31, and int64 past it, which only far witness scans reach."""
+    steps = _steps(mu, nu, p, q)
+    budget = limits.BUDGET
+    base = np.empty(0)
+    i = carry = 0
+    while i < stop:
+        end = min(stop, 4 * i + 1024, i + budget)
+        if len(base) < end - i:
+            base = _doubled_keys(end - i, p, q)
+            dtype, sign = base.dtype.type, 8 * base.itemsize - 1
+        key = base[: end - i] + dtype(i * p % q - q)  # in [-q, q)
+        key += (key >> sign) & dtype(q)
+        t, carry = _step_sums(key, steps, carry)
+        yield i, t
+        i = end
 
 
 def delta(i: int, m: int, n: int) -> int:
@@ -186,9 +227,9 @@ def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
 
 def far_sparse_pairs() -> list[tuple[int, int]]:
     """Pairs with mu far below nu, past 10**6: mu + nu near 10**8 and 3*10**9
-    (where the cover table's convergent q' = F_50 passes _Q_MAX, the int64
-    frontier of the tables that form j*p, and the witness still reads that
-    table) and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
+    (where the cover table's convergent q' = F_50 passes F_48, the int64
+    frontier of the products j*p, and the witness still reads that table)
+    and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
     the first nu that ``is_balanced`` calls unbalanced; the near ones read
     the cover table for their verdicts too."""
     pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
@@ -198,4 +239,19 @@ def far_sparse_pairs() -> list[tuple[int, int]]:
         size = rng.randint(3_900_000, 4_100_000)
         mu = size // (1 + rng.randint(17, 32))
         pairs.append(_first_unbalanced(mu, size - mu))
+    return pairs
+
+
+def past_cover_pairs() -> list[tuple[int, int]]:
+    """Pairs with mu + nu near 10**10, 10**12, 10**15 and 10**18 and mu in
+    (2, 3, 13, 400, 5000), each moved to the first nu that ``arc_balanced``
+    calls unbalanced: past F_49, where every cover table passes the default
+    budget, so they read their sorted event keys."""
+    pairs = []
+    for size in (10**10, 10**12, 10**15, 10**18):
+        for mu in (2, 3, 13, 400, 5000):
+            nu = size - mu
+            while arc_balanced(mu, nu):
+                nu += 1
+            pairs.append((mu, nu))
     return pairs

@@ -44,19 +44,23 @@ def test_fib_bal_balanced_past_every_table(capsys, budget):
 
 def test_fib_bal_answers_past_the_sorted_keys_frontier(capsys, budget):
     budget(10**7)
-    # (F_48 + 1, 7), one past the int64 frontier of the sorted event keys: its
-    # cover table of 9,227,465 entries fits the default budget
+    # (F_48 + 1, 7), one past the former int64 frontier of the sorted event
+    # keys, which formed j*p: its cover table of 9,227,465 entries fits the
+    # default budget
     m, n = 4807526977, 7
     code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
     assert code == 0 and out.splitlines()[0] == "status: unbalanced"
     assert out.splitlines()[-1] == "witness: 0,7778742043,12854183323,12854183325"
     assert (t_value(0, m, n), t_value(7778742043, m, n)) == (12854183323, 12854183325)
-    # under a budget below that table it sorts its 14 event keys, which stop there
-    assert main(["--budget", "5000000", "fib", "bal", "--m", str(m), "--n", str(n)]) == 1
-    err = capsys.readouterr().err
-    assert err == "rectbal: q = 7778742049 for index bound 4807526984; int64 keys hold q <= 4807526976\n"
+    # under a budget below that table it sorts its 14 added event keys and
+    # searches their arcs for the same witness
+    argv = ("--budget", "5000000", "fib", "bal", "--m", str(m), "--n", str(n))
+    assert run_cli(capsys, *argv) == (0, out)
+    # past every cover table, (13, 10**15 - 2) reads only its sorted keys
+    code, out = run_cli(capsys, "fib", "bal", "--m", "13", "--n", "999999999999998")
+    assert code == 0 and out.splitlines()[-1] == "witness: 0,77,4965558146251356,4965558146251358"
     # a pair whose table passes the budget, with fewer keys, still answers
-    # by the sorted keys and reads its witness in i order
+    # by the sorted keys, witness included
     assert run_cli(capsys, "--budget", "1000", "fib", "bal", "--m", "400", "--n", "100000") == (
         0,
         "status: unbalanced\nmethod: exact\nvalues: 15278639 15278640 15278641 15278642\n"
@@ -218,6 +222,10 @@ def test_num_encode_decode(capsys):
     assert code == 0 and out.strip() == "101"
     code, out = run_cli(capsys, "num", "encode", "--system", "zeck", "0")
     assert code == 0 and out.strip() == "0"
+    # a value that is not an integer is named, with no raw Python message
+    assert main(["num", "encode", "--system", "zeck", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "rectbal: value must be an integer, got 'abc'\n")
 
 
 def test_word_dump(capsys):

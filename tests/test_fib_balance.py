@@ -11,7 +11,6 @@ from rectbal import fib_balance, limits
 from rectbal.cli import main
 from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
-    _Q_MAX,
     _ROW_BLOCK,
     _ROW_MU_MAX,
     _chunk_entries,
@@ -22,9 +21,7 @@ from rectbal.fib_balance import (
     _doubled_keys,
     _event_extremes,
     _floor_sums,
-    _keys,
     _row_extrema,
-    _t_scan,
     _table_extremes,
     balance_table,
     delta_block_scan,
@@ -45,7 +42,16 @@ from rectbal.limits import MAX_BUDGET, BudgetExceeded
 from rectbal.numeration import fibonacci
 from rectbal.rectangles import rect_counts, word_rect_sum
 from rectbal.words import sturmian_a_word
-from oracles import circle_partition, delta, delta_floor_form, far_sparse_pairs, t_value_vector
+import oracles
+from oracles import (
+    circle_partition,
+    delta,
+    delta_floor_form,
+    far_sparse_pairs,
+    past_cover_pairs,
+    t_scan,
+    t_value_vector,
+)
 
 
 def brute_value_set(m: int, n: int, horizon: int = 3000) -> set[int]:
@@ -408,11 +414,12 @@ def _full_scan(m: int, n: int, horizon: int):
 
 
 def _convergents():
-    """Every (p, q, q_next) of the tables' convergents up to _Q_MAX."""
+    """Every (p, q, q_next) of the convergents whose added keys fit int64,
+    q < 2**63 (see _doubled_keys)."""
     bound = 0
     while True:
         p, q = _convergent(bound)
-        if q > _Q_MAX:
+        if q >= 2**63:
             return
         yield p, q, _convergent(q)[1]
         bound = q
@@ -428,11 +435,12 @@ def test_convergent_error_bound_is_exact():
         u = 3 * q - 2 * p
         assert u * u - 5 * q * q in (4, -4) and 2 * q_next <= u + 2 * q, q
         seen.append(q)
-    assert len(seen) == 47 and seen[-1] == _Q_MAX
-    # the frontier: (q - 1)*p fits in int64 at _Q_MAX and not one convergent on
-    p, q = _convergent(_Q_MAX - 1)
-    assert q == _Q_MAX and (q - 1) * p < 2**63
-    p, q = _convergent(_Q_MAX)
+    assert len(seen) == 91 and seen[-1] == fibonacci(92) < 2**63 < fibonacci(93)
+    # the products j*p of the floor sums: (q - 1)*p fits in int64 at F_48
+    # and not one convergent on
+    p, q = _convergent(fibonacci(48) - 1)
+    assert q == fibonacci(48) and (q - 1) * p < 2**63
+    p, q = _convergent(fibonacci(48))
     assert (q - 1) * p >= 2**63
 
 
@@ -481,58 +489,51 @@ def test_floor_table_matches_isqrt_formula():
 
 def test_floor_fill_at_seeded_offsets_and_int64_frontier():
     rng = random.Random(26)
-    starts = [rng.randrange(10**7) for _ in range(100)] + [_Q_MAX - 17]
+    starts = [rng.randrange(10**7) for _ in range(100)] + [fibonacci(48) - 17]
     for start in starts:
-        # the int64 arithmetic of the tables, on a window of indices
+        # the int64 products of the floor sums, on a window of indices, up
+        # to F_48, their frontier
         p, q = _convergent(start + 16)
-        assert q <= _Q_MAX
+        assert q <= fibonacci(48)
         out = np.arange(start, start + 16, dtype=np.int64) * p // q
         assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
 
 
 def test_scale_frontiers_raise_before_building(budget):
     budget(10**7)
+    top = fibonacci(90)  # m + n from which the keys' convergent q' = F_93 passes 2**63
     calls = (
-        (lambda: t_value_vector(1, 1, _Q_MAX), "table entries requested"),
-        (lambda: row_value_bounds(3, _Q_MAX), "table entries requested"),
+        (lambda: t_value_vector(1, 1, fibonacci(48)), "table entries requested"),
+        (lambda: row_value_bounds(3, fibonacci(48)), "table entries requested"),
         # a dense pair's cover table adds its keys, so only the budget holds
         # it: at q = F_53 its chunk alone is L = F_38 = 39,088,169 positions
         (
             lambda: exact_balance(3 * 10**10, 2 * 10**10),
             "39088169 table entries requested, budget is 10000000",
         ),
-    )
-    # one past the sorted keys' int64 frontier, q = F_49; (1, _Q_MAX - 1) is
-    # balanced, so only is_balanced reads a table for it
-    frontier = (
-        lambda: is_balanced(1, _Q_MAX - 1),
-        lambda: exact_balance(_Q_MAX + 1, 7).value_set,
+        # sparse pairs at m + n = F_90 sort their event keys, which stop at
+        # the int64 frontier of the added keys (see _doubled_keys); (1, F_90
+        # - 1) is balanced, so only is_balanced reads keys for it
+        (lambda: is_balanced(1, top - 1), r"int64 keys hold q < 2\*\*63"),
+        (lambda: exact_balance(4, top - 4).value_set, r"int64 keys hold q < 2\*\*63"),
     )
     tracemalloc.start()
     try:
         for call, message in calls:
             with pytest.raises(BudgetExceeded, match=message):
                 call()
-        # under a budget below their cover tables of 9,227,465 entries, both
-        # sort their event keys, which stop at _Q_MAX
-        budget(5 * 10**6)
-        for call in frontier:
-            with pytest.raises(BudgetExceeded, match="int64"):
-                call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # right at the frontier, q = _Q_MAX: the verdict sorts two event keys
-    assert is_balanced(1, _Q_MAX - 2)
-    # at the default budget the frontier pairs read their cover tables
-    budget(10**7)
-    assert is_balanced(1, _Q_MAX - 1) and zeck_characterization(1, _Q_MAX - 1)
+    # one below it, q' = F_92: the verdicts sort their event keys
+    assert is_balanced(1, top - 2) and zeck_characterization(1, top - 2)
     # a balanced pair past it needs no table: the arc verdict answers
-    t0 = t_value(0, 7, _Q_MAX)
-    assert exact_balance(_Q_MAX, 7).value_set == (t0, t0 + 1) and zeck_characterization(7, _Q_MAX)
-    # past it, q = F_49, unbalanced pairs answer off their cover tables
-    for m, n in ((_Q_MAX + 1, 7), (3 * 10**9, 2 * 10**9)):
+    t0 = t_value(0, 7, top)
+    assert exact_balance(top, 7).value_set == (t0, t0 + 1) and zeck_characterization(7, top)
+    # unbalanced pairs past F_48, the former frontier of the sorted keys,
+    # and one below the frontier of the added keys answer with witnesses
+    for m, n in ((fibonacci(48) + 1, 7), (3 * 10**9, 2 * 10**9), (6, top - 7)):
         verdict = exact_balance(m, n)
         assert not verdict.balanced and not zeck_characterization(m, n)
         i, j, ti, tj = verdict.witness
@@ -541,11 +542,10 @@ def test_scale_frontiers_raise_before_building(budget):
 
 
 def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
-    # _circle_keys holds q <= MAX_BUDGET entries, so q <= F_46, and forms
-    # j*p for j < q
+    # _circle_keys holds q <= MAX_BUDGET entries, so q <= F_46 < 2**31 and
+    # its added keys fit int32
     assert fibonacci(46) <= MAX_BUDGET < fibonacci(47)
-    p, q = _convergent(fibonacci(46) - 1)
-    assert q == fibonacci(46) and (q - 1) * p < 2**63
+    assert _convergent(fibonacci(46) - 1)[1] == fibonacci(46) < 2**31
     # _floor_sums holds size + 1 <= MAX_BUDGET entries and forms j*p for j < size
     size = MAX_BUDGET - 1
     p, q = _convergent(size)
@@ -565,22 +565,27 @@ def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
 
 
 def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
-    # the sorted event keys need q <= _Q_MAX, and no such q has a cover table
-    # of more than 5,702,887 entries: its size depends on m + n only through
-    # q = F_K and whether m + n = F_{K-1} (see _cover)
-    largest = max(
-        _cover(1, size - 1)[4]
-        for K in range(3, 49)
+    # the default budget holds the cover table of every m + n < F_49 and of
+    # no larger m + n: its size depends on m + n only through q = F_K and
+    # whether m + n = F_{K-1} (see _cover)
+    entries = {
+        size: _cover(1, size - 1)[4]
+        for K in range(3, 56)
         for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}
         if size >= 2
-    )
-    assert fibonacci(48) == _Q_MAX and largest == 5_702_887
+    }
+    below = max(e for size, e in entries.items() if size < fibonacci(49))
+    above = min(e for size, e in entries.items() if size >= fibonacci(49))
+    assert below == 9_227_465 <= 10**7 < above == 14_930_352
     budget(10**7)
     pairs = [(200, 2500), (1291, 19365), (50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]
     pairs += far_sparse_pairs()
     # the sorted event keys, a route independent of the cover table, and
     # is_balanced, which sorts them when they are fewer than its entries
-    keys = {(m, n): (*_event_extremes(m, n), is_balanced(m, n)) for m, n in pairs}
+    keys = {
+        (m, n): (*_event_extremes(m, n, *_cover(m, n)[:2], False)[:2], is_balanced(m, n))
+        for m, n in pairs
+    }
 
     def unreachable(*args):
         raise AssertionError("the cover table fits the budget")
@@ -592,13 +597,12 @@ def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
         return _chunk_table(*args)
 
     monkeypatch.setattr(fib_balance, "_event_extremes", unreachable)
-    monkeypatch.setattr(fib_balance, "_t_scan", unreachable)
     monkeypatch.setattr(fib_balance, "_chunk_table", recorded)
     unbalanced = 0
     for m, n in pairs:
         built.clear()
         verdict = exact_balance(m, n)
-        lo, hi, balanced = keys[m, n]
+        low, high, balanced = keys[m, n]
         assert verdict.balanced == balanced == zeck_characterization(m, n), (m, n)
         if verdict.balanced:
             continue
@@ -606,7 +610,7 @@ def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
         # one table gives the value set and the witness: no second table
         assert built == [(m, n)], (m, n)
         t0 = t_value(0, m, n)
-        assert verdict.value_set == tuple(range(t0 - hi, t0 - lo + 1)), (m, n)
+        assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
         i, j, ti, tj = verdict.witness
         assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
         assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
@@ -614,7 +618,7 @@ def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
 
 
 def test_tables_obey_the_symbol_budget(budget):
-    expected = exact_balance(400, 10**5).value_set
+    expected = exact_balance(400, 10**5)
     budget(1000)
     calls = (
         lambda: is_balanced(5000, 6000),  # a dense chunk of L = 1597 positions
@@ -633,8 +637,8 @@ def test_tables_obey_the_symbol_budget(budget):
         tracemalloc.stop()
     assert peak < 1 << 16
     # past the budget the verdict sorts its 2*mu event keys, fewer than the
-    # cover table's 6765 entries
-    assert exact_balance(400, 10**5).value_set == expected
+    # cover table's 6765 entries, and searches their arcs for its witness
+    assert exact_balance(400, 10**5) == expected
 
 
 class _ArraySizes:
@@ -664,8 +668,8 @@ def test_witness_scan_obeys_the_symbol_budget(budget, monkeypatch):
     budget(1000)
     arrays = _ArraySizes()
     monkeypatch.setattr(fib_balance, "np", arrays)
-    # the verdict's 800 sorted event keys, then the witness scan in chunks
-    # of at most 1000 positions, as the cover table holds 6765 entries
+    # the verdict's 800 sorted event keys give the witness too, by a search
+    # per arc, as the cover table holds 6765 entries
     assert exact_balance(400, 10**5) == expected
     assert arrays.sizes and max(arrays.sizes) <= 1000
 
@@ -685,10 +689,10 @@ def test_chunk_tables_answer_under_a_small_budget(budget):
 def _ratio_split_answers(mu: int, nu: int) -> bool:
     """Whether the former split, sorted event keys iff 16*mu < mu + nu,
     answered (mu, nu), mu >= 1, under the budget in force: the keys take 2*mu
-    entries on q <= _Q_MAX, the cover table its entries, and a witness past
-    the budget was read in i order."""
+    entries (on q <= F_48, as every pair here has), the cover table its
+    entries."""
     if 16 * mu < mu + nu:
-        return 2 * mu <= limits.BUDGET and _convergent(mu + nu)[1] <= _Q_MAX
+        return 2 * mu <= limits.BUDGET
     return _cover(mu, nu)[4] <= limits.BUDGET
 
 
@@ -755,18 +759,28 @@ def test_scalar_t_builds_no_table():
         assert t_value(i, m, n) == t_counting_form(i, m, n), (i, m, n)
 
 
+def _product_keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
+    """key(j) = (j*p) mod q for start <= j < stop, as int64 products: the
+    former keys, for q <= F_48."""
+    keys = np.arange(start, stop, dtype=np.int64)
+    keys *= p
+    keys %= q
+    return keys
+
+
 def test_dense_and_sparse_sweeps_agree(budget):
-    # the sorted event keys and the cover table give the same count, and a
-    # witness read in i order, when the cover table passes the budget, the
-    # table's own
+    # the sorted event keys and the cover table give the same extremes and
+    # first hits, so exact_balance gives the same verdict when the cover
+    # table passes the budget; and the count the keys read is one period of
+    # T_q, scanned in i order
     rng = random.Random(27)
     pairs = [(1, 1), (1, 500), (4, 4), (30, 2000), (700, 900), (987, 1597)]
     pairs += [tuple(sorted((rng.randint(1, 300), rng.randint(1, 3000)))) for _ in range(40)]
     default = limits.BUDGET
     for mu, nu in pairs:
         p, q, L, cover, entries = _cover(mu, nu)
-        low, high, _ = _table_extremes(mu, nu, p, q, L, cover)
-        assert _event_extremes(mu, nu) == (-high, -low), (mu, nu)
+        table = _table_extremes(mu, nu, p, q, L, cover, True)
+        assert _event_extremes(mu, nu, p, q, True) == table, (mu, nu)
         verdict = exact_balance(mu, nu)
         if 2 * mu < entries:
             budget(2 * mu)  # the sorted keys fit, the cover table does not
@@ -775,15 +789,16 @@ def test_dense_and_sparse_sweeps_agree(budget):
         # the count at every y from the sorted event keys: key(0) = 0 is the
         # smallest, and c holds from each key to the next
         p, q = _convergent(mu + nu)
-        keys = np.concatenate([_keys(0, mu, p, q), _keys(nu, nu + mu, p, q)])
+        keys = np.concatenate([_product_keys(0, mu, p, q), _product_keys(nu, nu + mu, p, q)])
         order = np.argsort(keys)
         after = np.cumsum(np.where(order < mu, -1, 1))
         expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
+        assert (-expected.max(), -expected.min()) == table[:2], (mu, nu)
         # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_extremes)
-        period = -expected[(_keys(0, q, q - p, q) - 1) % q]
+        period = -expected[(_product_keys(0, q, q - p, q) - 1) % q]
         for chunk in (97, default):  # many small chunks, then geometric ones
             budget(chunk)
-            starts, t = zip(*_t_scan(mu, nu, p, q, q))
+            starts, t = zip(*t_scan(mu, nu, p, q, q))
             assert starts[0] == 0 and max(map(len, t)) <= chunk
             assert np.array_equal(np.concatenate(t), period), (mu, nu)
 
@@ -809,7 +824,7 @@ def test_witness_sweep_reads_t_past_the_exact_range(budget):
         budget(default)
         expected = t_value_vector(mu, nu, cover)
         budget(97)  # chunks of 97 positions
-        starts, t = zip(*_t_scan(mu, nu, *_convergent(cover + size), cover))
+        starts, t = zip(*t_scan(mu, nu, *_convergent(cover + size), cover))
         assert starts == tuple(range(0, cover, 97))
         t = np.concatenate(t) + t_value(0, mu, nu)
         assert np.array_equal(t, expected), (mu, nu)
@@ -826,7 +841,7 @@ def test_witness_scan_holds_keys_in_int64_past_2_31(budget):
     cover = 2 * q - p
     p, q = _convergent(cover + mu + nu)
     assert q >= 1 << 31
-    scan = _t_scan(mu, nu, p, q, cover)
+    scan = t_scan(mu, nu, p, q, cover)
     t = np.concatenate([next(scan)[1], next(scan)[1]])  # chunks end at 1024, 5120
     t0 = t_value(0, mu, nu)
     assert list(t) == [t_value(i, mu, nu) - t0 for i in range(5120)]
@@ -834,7 +849,8 @@ def test_witness_scan_holds_keys_in_int64_past_2_31(budget):
 
 def test_witness_scan_builds_keys_as_its_chunks_grow(budget, monkeypatch):
     # (300, 10**9 + 7) under a budget below its cover table reads its witness
-    # (0, 352) in the first chunk, which builds its own 1024 keys and no more
+    # (0, 352) off its sorted event keys, and builds the block's 300 keys and
+    # no more
     built = []
 
     def recorded(L, p, q):
@@ -842,16 +858,18 @@ def test_witness_scan_builds_keys_as_its_chunks_grow(budget, monkeypatch):
         return _doubled_keys(L, p, q)
 
     monkeypatch.setattr(fib_balance, "_doubled_keys", recorded)
+    monkeypatch.setattr(oracles, "_doubled_keys", recorded)
     budget(10**6)
     assert exact_balance(300, 10**9 + 7).witness[:2] == (0, 352)
-    assert built == [1024]
-    # each chunk longer than the last builds its keys, up to the budget
+    assert built == [300]
+    # each chunk of the in-order scan longer than the last builds its keys,
+    # up to the budget
     budget(20000)
     built.clear()
     mu, nu = 3, 3 * 10**9
     p, q = _convergent(mu + nu - 1)
     cover = 2 * q - p
-    scan = _t_scan(mu, nu, *_convergent(cover + mu + nu), cover)
+    scan = t_scan(mu, nu, *_convergent(cover + mu + nu), cover)
     lengths = [len(next(scan)[1]) for _ in range(5)]
     assert lengths == [1024, 4096, 16384, 20000, 20000]
     assert built == lengths[:4]
@@ -894,7 +912,7 @@ def _period(mu: int, nu: int) -> tuple[int, int, tuple[int, int]]:
     """p, q and the (min, max) of one period of T_q - T(0), read by the
     witness scan."""
     p, q = _convergent(mu + nu)
-    t = np.concatenate([t for _, t in _t_scan(mu, nu, p, q, q)])
+    t = np.concatenate([t for _, t in t_scan(mu, nu, p, q, q)])
     return p, q, (int(t.min()), int(t.max()))
 
 
@@ -907,7 +925,7 @@ def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
             p, q, expected = _period(mu, nu)
             for L in set(_fitting_lengths(p, q, q)[:3] + [_chunk_length(q), q]):
                 chunks, delta = -(-q // L), L * p % q
-                got = _table_extremes(mu, nu, p, q, L, q)[:2]
+                got = _table_extremes(mu, nu, p, q, L, q, False)[:2]
                 assert got == expected, (mu, nu, L)
                 seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
                 if q % L:
@@ -920,7 +938,7 @@ def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
 def test_period_extremes_match_the_scan(a, b):
     mu, nu = min(a, b), max(a, b)
     p, q, expected = _period(mu, nu)
-    assert _table_extremes(mu, nu, p, q, _chunk_length(q), q)[:2] == expected, (mu, nu)
+    assert _table_extremes(mu, nu, p, q, _chunk_length(q), q, False)[:2] == expected, (mu, nu)
 
 
 def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
@@ -965,7 +983,7 @@ def _scan_hits(mu: int, nu: int, targets: tuple[int, int]) -> list[int]:
     read in i order by the witness scan up to the cover."""
     p, q, cover = _witness_range(mu, nu)
     first = {}
-    for i0, t in _t_scan(mu, nu, p, q, cover):
+    for i0, t in t_scan(mu, nu, p, q, cover):
         for target in targets:
             hits = np.flatnonzero(t == target)
             if target not in first and len(hits):
@@ -999,7 +1017,7 @@ def test_first_hits_match_the_scan_at_forced_chunk_lengths():
             verdict_L = _chunk_length(_convergent(mu + nu)[1])
             for L in set(_fitting_lengths(p, q, cover)[:3] + [verdict_L, cover]):
                 chunks, delta = -(-cover // L), L * p % q
-                low, high, got = _table_extremes(mu, nu, p, q, L, cover)
+                low, high, got = _table_extremes(mu, nu, p, q, L, cover, True)
                 assert (low, high) == targets and got == expected, (mu, nu, L)
                 seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
                 if cover % L:
@@ -1039,7 +1057,7 @@ def test_first_hits_match_the_scan(a, b, shortest):
     expected = _scan_hits(mu, nu, targets) if targets[1] - targets[0] >= 2 else None
     verdict_L = _chunk_length(_convergent(mu + nu)[1])
     for L in {_fitting_lengths(p, q, cover)[shortest], verdict_L}:
-        got = _table_extremes(mu, nu, p, q, L, cover)
+        got = _table_extremes(mu, nu, p, q, L, cover, True)
         assert got == (*targets, expected), (mu, nu, L)
 
 
@@ -1051,9 +1069,9 @@ def _cross_check_routes(m: int, n: int) -> None:
     low = high = 0
     if mu:
         p, q = _convergent(mu + nu)
-        low, high, _ = _table_extremes(mu, nu, p, q, _chunk_length(q), q)
+        low, high, _ = _table_extremes(mu, nu, p, q, _chunk_length(q), q, False)
         p, q, L, cover, _ = _cover(mu, nu)
-        assert _table_extremes(mu, nu, p, q, L, cover)[:2] == (low, high), (m, n)
+        assert _table_extremes(mu, nu, p, q, L, cover, False)[:2] == (low, high), (m, n)
     t0 = t_value(0, mu, nu)
     assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
     assert verdict.balanced == is_balanced(m, n), (m, n)
@@ -1078,17 +1096,17 @@ def test_one_cover_table_matches_the_period_route(budget):
 
 
 def test_dense_pairs_past_q_max_read_the_cover_table():
-    # each cover table's q' passes F_48 = _Q_MAX; the witnesses are those of
-    # the in-order scan of T up to the cover
+    # each cover table's q' passes F_48, where products j*p leave int64; the
+    # witnesses are those of the in-order scan of T up to the cover
     m, n = fibonacci(44), fibonacci(45)
-    assert _cover(m, n)[1] > _Q_MAX
+    assert _cover(m, n)[1] > fibonacci(48)
     assert exact_balance(m, n).balanced and is_balanced(m, n) and zeck_characterization(m, n)
     witnesses = {
         (10**9, 10**9 + 1): (144164119, 1144146409, 381966011632071168, 381966011632071158),
         (2 * 10**9, 2 * 10**9 + 1): (106404907, 971762234, 1527864045764352625, 1527864045764352635),
     }
     for (m, n), witness in witnesses.items():
-        assert _cover(m, n)[1] > _Q_MAX
+        assert _cover(m, n)[1] > fibonacci(48)
         assert exact_balance(m, n).witness == witness, (m, n)
 
 
@@ -1099,8 +1117,9 @@ def test_dense_pairs_past_q_max_read_the_cover_table():
         (1000, fibonacci(18), fibonacci(20)),
         (777, fibonacci(42), fibonacci(44)),  # 2q < 2^31: int32
         (777, fibonacci(43), fibonacci(45)),  # 2q >= 2^31: int64
-        (4097, fibonacci(46), _Q_MAX),
-        (777, fibonacci(58), fibonacci(60)),  # past _Q_MAX, as the cover tables reach
+        (4097, fibonacci(46), fibonacci(48)),
+        (777, fibonacci(58), fibonacci(60)),  # past F_48, as the cover tables reach
+        (777, fibonacci(90), fibonacci(92)),  # the last q below 2**63, as the sorted keys reach
         (5000, 12345, 99991),
     ],
 )
@@ -1108,6 +1127,59 @@ def test_doubled_keys_match_python_ints(L, p, q):
     keys = _doubled_keys(L, p, q)
     assert keys.dtype == (np.int32 if 2 * q < 1 << 31 else np.int64)
     assert keys.tolist() == [r * p % q for r in range(L)]
+
+
+def test_doubled_keys_raise_past_int64():
+    # F_92 < 2**63 < F_93: keys mod F_93 would leave int64, so they raise by
+    # name before anything is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"int64 keys hold q < 2\*\*63"):
+            _doubled_keys(10**6, fibonacci(91), fibonacci(93))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def _readers_agree(mu: int, nu: int) -> None:
+    """The sorted event keys and the cover table, on the cover convergent,
+    give the same extremes, and the same first hits when asked for."""
+    p, q, L, cover, _ = _cover(mu, nu)
+    for witness in (True, False):
+        got = _event_extremes(mu, nu, p, q, witness)
+        assert got == _table_extremes(mu, nu, p, q, L, cover, witness), (mu, nu, witness)
+
+
+def test_sorted_keys_match_the_cover_table():
+    # pairs whose cover tables fit the default budget, so exact_balance
+    # reads them there; far_sparse_pairs reach q' = F_50
+    for mu, nu in far_sparse_pairs() + [(50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]:
+        _readers_agree(mu, nu)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_sorted_keys_match_the_cover_table_on_sparse_pairs(data):
+    nu = data.draw(st.integers(17, 10**7))
+    mu = data.draw(st.integers(1, (nu - 1) // 16))  # 16*mu < nu
+    _readers_agree(mu, nu)
+
+
+def test_sparse_pairs_past_every_cover_table():
+    # past F_49 every cover table passes the default budget, so these read
+    # their sorted event keys; their verdicts are the digit rule's and
+    # their witnesses re-check by t_value (test_golden pins them)
+    pairs = past_cover_pairs()
+    assert min(m + n for m, n in pairs) > fibonacci(49)
+    assert all(_cover(m, n)[4] > limits.BUDGET for m, n in pairs)
+    for m, n in pairs:
+        verdict = exact_balance(m, n)
+        assert not verdict.balanced and not zeck_characterization(m, n), (m, n)
+        i, j, ti, tj = verdict.witness
+        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
+        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
+        assert not is_balanced(m, n) and is_balanced(m, n - 1) == arc_balanced(m, n - 1)
 
 
 @settings(max_examples=60)

@@ -41,7 +41,7 @@ from rectbal.rectangles import word_letter_counts, word_rect_sum
 from rectbal.tm_balance import excess_profile
 from rectbal.trib_balance import two_balance_scan
 from rectbal.words import SequenceKind, sturmian_a_word, word
-from oracles import excess_vector, far_sparse_pairs, t_value_vector
+from oracles import excess_vector, far_sparse_pairs, past_cover_pairs, t_value_vector
 
 GOLDEN = {
     "t_value_vector(7, 11, 10**5)": "257f1210bd12b43497e7f46a0e997ef1744c8691a120e58a46810f0d5c10fed2",
@@ -57,6 +57,7 @@ GOLDEN = {
     "word_letter_counts/word_rect_sum x300": "c86eb52c9c65ae39cc5b415b231ed82551fd6292b702de5ea96b0f5b9ee17881",
     "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": "a9c7750334d409aafa784486f8d68de905d62b32c98741bee6796d1191086195",
     "exact_balance over far sparse pairs": "cc9c2222f3af9b2fe3aca329fda06c9c816c9ee8ed7b507df8ad53a4bd283951",
+    "exact_balance over sparse pairs past every cover table": "79a47cc4489719360476dd2c952833b908ec6ace7a27fa3875456196b17244c7",
     "exact_balance over dense pairs to q = F_35": "063b63045aee2fd81cf1b3f149be77dcac1e30e364f18b77ae8acd416d81e726",
     "exact_balance over balanced pairs at 10**6, 10**8 and Fibonacci sizes": "46d10d30330ae77d3fbf21cfab05600b85a5fb0dcb8cf1b20f22f2065011e0aa",
     "balance_table(1000).tobytes()": "57fa75cf1910401b1d0fa68718efd58f0e92e7ec0f98a4a21bfde33b3bcb652a",
@@ -223,6 +224,15 @@ def _exact_records(pairs: list[tuple[int, int]]) -> list[int]:
     return out
 
 
+def _exact_text(pairs: list[tuple[int, int]]) -> str:
+    """_exact_records as text, one line a pair, for values past int64."""
+    lines = []
+    for m, n in pairs:
+        v = exact_balance(m, n)
+        lines.append(f"{m},{n}:{v.status.value}:{v.value_set}:{v.witness}")
+    return "\n".join(lines)
+
+
 def _rectangle_records() -> list[int]:
     words = [word(kind) for kind in SequenceKind] + [sturmian_a_word()]
     rng = random.Random(2024)
@@ -327,6 +337,9 @@ def outputs() -> dict[str, str]:
         "word_letter_counts/word_rect_sum x300": _digest(_rectangle_records()),
         "exact_balance over seeded, Fibonacci-sized and 10**6 pairs": _digest(_exact_records(_exact_pairs())),
         "exact_balance over far sparse pairs": _digest(_exact_records(far_sparse_pairs())),
+        "exact_balance over sparse pairs past every cover table": _text_digest(
+            _exact_text(past_cover_pairs())
+        ),
         "exact_balance over dense pairs to q = F_35": _digest(_exact_records(_dense_pairs())),
         "exact_balance over balanced pairs at 10**6, 10**8 and Fibonacci sizes": _digest(
             _exact_records(_balanced_pairs())

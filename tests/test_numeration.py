@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from rectbal.dfa_tools import build_sample_table, dfa_from_text, dfa_run, infer_min_dfa
 from rectbal.exact_quadratic import floor_n_gamma, floor_n_phi
-from rectbal.fib_balance import delta_block_scan, diverse_identities_check
-from rectbal.fib_scalar import zeck_characterization
+from rectbal.fib_balance import delta_block_scan, diverse_identities_check, exact_balance, is_balanced
+from rectbal.fib_scalar import t_value, zeck_characterization
 from rectbal.numeration import (
     EmptyExpansion,
     InvalidRepresentation,
@@ -34,6 +34,7 @@ from rectbal.trib_balance import (
     CornerWitness,
     balanced_2xn_list,
     corner_count_gap,
+    find_corner_witness,
     two_balance_scan,
     verify_no_2balance_3plus,
 )
@@ -291,6 +292,21 @@ def test_numpy_integers_accepted():
     assert trib_encode(np.int16(5)) == "101"
     assert negabin_encode(np.int64(-1)) == "11"
     assert zeck_characterization(np.int64(4), np.int64(18))
+
+
+def test_numpy_integers_do_exact_arithmetic(recwarn):
+    # NumPy integers pass the argument checks and are then read as Python
+    # ints, so nothing wraps in int64
+    assert t_value(np.int64(0), np.int64(3), np.int64(10**10 + 7)) == 11458980345
+    big = (7, 4 * 10**9, 4 * 10**9 + 1)
+    assert t_value(*map(np.int64, big)) == t_value(*big) == 6111456181529546473
+    m, n = np.int64(3), np.int64(10**10 + 7)
+    assert exact_balance(m, n) == exact_balance(3, 10**10 + 7)
+    assert exact_balance(m, n).value_set == (11458980345, 11458980346)
+    assert is_balanced(m, n) == is_balanced(3, 10**10 + 7)
+    # past the cache, which would answer a NumPy 3 with a Python 3's entry
+    assert find_corner_witness.__wrapped__(np.int64(3)) == find_corner_witness(3)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 NATURALS = st.integers(min_value=0, max_value=10**40)
