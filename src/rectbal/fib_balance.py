@@ -386,7 +386,8 @@ def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | No
     they are fewer than the table's entries and either the table passes the
     symbol budget or no witness is asked for; else the table, held to the
     budget.  A witness reads the table whenever it fits, as the keys'
-    search per arc can take 50-200x the table's time.
+    search per arc can take 18-190x the table's time (nu/mu = 17-32 near
+    4*10**6).
 
     Let c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y}
     on Z_q, q a Fibonacci number > mu + nu: window points minus block points
