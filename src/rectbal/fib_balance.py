@@ -8,11 +8,10 @@ T(i, m, n) take at most two distinct values over all i:
   T(i, m, n) = m*floor(n*gamma) + #{k < m : frac((i+k)*gamma) >= beta} with
   beta = 1 - frac(n*gamma).  This is a true decision procedure.  It asks
   ``fib_scalar.arc_balanced`` first, the arc cover of ``balance_table``
-  searched in O(log q) integer steps, so a balanced pair answers at any
-  size with no table; an unbalanced pair's value set and witness come from
-  the cover table below, held to the symbol budget.  ``is_balanced`` reads
-  that table or the sorted event keys, routes that share no lemma with the
-  arc cover.
+  searched in O(log q) integer steps; an unbalanced pair's value set and
+  witness come from the period walk below, also O(log q) with no table, so
+  every pair answers at any size.  ``is_balanced`` reads the walk, a route
+  that shares no lemma with the arc cover.
 * ``delta_block_scan`` streams the difference sequence T(i+1)-T(i) in
   {-1, 0, 1} looking for two equal nonzero entries separated only by zeros,
   which certifies a T-gap of 2; a semi-decision run to a horizon.
@@ -27,25 +26,16 @@ gamma, with q a Fibonacci number above the index range: floor(j*gamma) is
 (j*p) mod q.  T_q, T with (j*p) // q in place of floor(j*gamma) on a
 Fibonacci q > m + n, takes only values of T, and every value of T is taken
 below F_{k+2}, F_k <= m + n - 1 < F_{k+1} (three-gap theorem).  So a
-verdict reads T_q over [0, F_{k+2}) on a convergent past F_{k+2} + m + n,
-by one of two readers that give T's extremes and, when asked, the first i
-at each.  The cover table reads T_q in i order, as chunks of a Fibonacci
-length L near 2*q^(2/3), each chunk's keys the first chunk's shifted by a
-small delta, so every chunk is the first with a few steps edited: the
-extremes, and the first chunk, segment and offset that take each, come from
-the first chunk's partial sums and a small table of the edits, O(L +
-q^(2/3)) work.  The sorted event keys read the circle partition instead:
-T_q - T(0) is minus the running count of the 2*mu event keys, so its
-extremes are that count's, and the first i on each arc of the partition is
-one ``fib_scalar._first`` search.  ``exact_balance`` reads an unbalanced
-pair's value set and witness off the cover table whenever it fits the
-symbol budget, and off the sorted keys past it when they are fewer;
-``is_balanced`` needs no witness and sorts the keys whenever they are
-fewer.  Both readers add their keys and never form j*p, so they hold any q
-< 2**63.  Scalar T needs no table: its floor sums come from a Euclid-like
-recursion.  A table past the symbol budget (a chunk table counts its chunk
-and its candidate edits), or keys on a q past 2**63, raises
-``BudgetExceeded``.
+verdict reads one period of T_q on a convergent past F_{k+2} + m + n,
+where T_q = T below F_{k+2}: its extremes are T's, and its first i at each
+is T's.  T_q's steps code the rotation x -> x + p of Z_q, cut at four
+points, and ``fib_scalar._period_walk`` renormalizes it (Rauzy 1979): the
+first return to [0, l) is again a rotation, the return words' walk values
+(sum, least and greatest prefix sums and their first indices) hold on at
+most five intervals, and one level per Fibonacci index shrinks l to 1,
+where one word is the whole period.  Scalar T needs no table either: its
+floor sums come from a Euclid-like recursion.  A table past the symbol
+budget raises ``BudgetExceeded``.
 
 ``balance_table`` decides every pair by an arc cover: (mu, nu) is balanced
 iff key(nu) lies in none of the mu - 1 arcs between key(e) and key(e - mu),
@@ -65,9 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import limits
 from .exact_quadratic import GAMMA, ONE
-from .fib_scalar import BalanceStatus, _convergent, _first, arc_balanced, t_value
+from .fib_scalar import BalanceStatus, _convergent, _period_walk, arc_balanced, t_value
 from .fib_scalar import zeck_characterization  # noqa: F401 -- one of the three routes
 from .limits import BudgetExceeded, check_at_least, check_budget
 from .numeration import fibonacci
@@ -113,58 +102,6 @@ def _floor_sums(size: int) -> np.ndarray:
     return G
 
 
-# ---------------------------------------------------------------------------
-# the cover table: T in i order, read in chunks
-
-
-def _steps(mu: int, nu: int, p: int, q: int) -> tuple[int, int, int, int]:
-    """(d0, up, down1, down2): T_q's step at i is d0 + [key(i) >= up] -
-    [key(i) >= down1] - [key(i) >= down2].
-
-    T_q(i+1) - T_q(i) = g_q(i+mu+nu) - g_q(i+nu) - g_q(i+mu) + g_q(i), and
-    g_q(i+s) = g_q(i) + g_q(s) + [key(i) + key(s) >= q], so the step is d0 +
-    [key(i) >= q - key(mu+nu)] - [key(i) >= q - key(nu)] - [key(i) >= q -
-    key(mu)], d0 = g_q(mu+nu) - g_q(nu) - g_q(mu)."""
-    d0 = (mu + nu) * p // q - nu * p // q - mu * p // q
-    return (d0, *(q - s * p % q for s in (mu + nu, nu, mu)))
-
-
-def _step_sums(
-    key: np.ndarray, steps: tuple[int, int, int, int], start: int
-) -> tuple[np.ndarray, int]:
-    """T_q(i) - T(0) in int32 for i0 <= i < i1 from the keys of those i and
-    start = T_q(i0) - T(0), and T_q(i1) - T(0); ``steps`` is ``_steps``'."""
-    d0, up, down1, down2 = steps
-    w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
-    w -= (key >= down2).view(np.int8)
-    t = np.empty(len(key), dtype=np.int32)
-    t[0] = start
-    np.add(w[:-1], d0, out=t[1:])
-    np.cumsum(t, out=t)
-    return t, int(t[-1]) + int(w[-1]) + d0
-
-
-def _chunk_length(q: int) -> int:
-    """L = F_r, the least Fibonacci number with L**3 >= 8*q**2 (L >= 2*q^(2/3)),
-    capped at q: the chunk length of ``_chunk_table``.
-
-    For q = F_K and L = F_r < q, delta = L*p mod q = +-F_{K-r} (Vajda's
-    identity F_r F_{K-2} - F_{r-2} F_K = (-1)^r F_{K-r}), and F_r F_{K-r} <=
-    F_K, so |delta| <= q/L.  With C = ceil(q/L) chunks, (C-1)|delta| <
-    q**2/L**2 <= q^(2/3)/4 < q, which ``_chunk_table`` needs.  Its work
-    is a few passes over L positions, 4(C-1)|delta| < 4*q**2/L**2 candidate
-    keys, and a table of C rows by one column per edited offset: about
-    4(C-1)|delta|*L/q <= 4C columns when the offsets spread evenly, so about
-    4*q**2/L**2 cells.  That is O(L + q**2/L**2), least at L ~ q^(2/3), and
-    the factor 2 holds the candidates and the table to q^(2/3) <= L/2 each,
-    so the passes over the chunk dominate.
-    """
-    a, b = 1, 2
-    while a**3 < 8 * q * q and a < q:
-        a, b = b, a + b
-    return min(a, q)
-
-
 def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     """key(r) = (r*p) mod q for r < L by doubling, key(r + n) = key(r) +
     key(n) less q past it, with no branch: in unsigned ints the sum s < 2q
@@ -174,10 +111,9 @@ def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     dtype, so numpy's promotion rules, before NEP 50 and after, agree.
 
     The int64 view holds q < 2**63, and then s < 2q < 2**64; past it the
-    keys raise ``BudgetExceeded`` before anything is built.  A verdict's
-    keys sit on the cover convergent q' = F_{K+2}, q = F_K the least
-    Fibonacci number > m + n (``_cover``), and F_92 < 2**63 < F_93, so its
-    keys hold m + n < F_90 = 2,880,067,194,370,816,120 and no more."""
+    keys raise ``BudgetExceeded`` before anything is built.  That frontier
+    binds no verdict: the exact verdicts read no keys (``_extremes``), and
+    the budget holds ``_circle_keys``' q below 2**31."""
     if q >= 1 << 63:
         raise BudgetExceeded(f"keys mod q = {q} requested, int64 keys hold q < 2**63")
     wide = 2 * q >= 1 << 31
@@ -192,202 +128,38 @@ def _doubled_keys(L: int, p: int, q: int) -> np.ndarray:
     return key.view(np.int64 if wide else np.int32)
 
 
-def _chunk_entries(p: int, q: int, L: int, chunks: int) -> int:
-    """The size rule of ``_chunk_table``: it holds the chunk's L positions
-    and at most 4(C-1)|delta| candidate keys, C = ``chunks``."""
-    delta = L * p % q
-    return max(L, 4 * (chunks - 1) * min(delta, q - delta))
+# ---------------------------------------------------------------------------
+# the exact verdict: one walk over a period of T on the cover convergent
 
 
-def _chunk_table(
-    mu: int, nu: int, p: int, q: int, L: int, chunks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(s0, starts, origin, table): T_q(i) - T(0) for 0 <= i < C*L, C =
-    ``chunks``, read as C chunks of L positions, for (C-1)|delta| < q (see
-    below).  s0 holds chunk 0's partial sums, starts the segment starts, and
-    chunk c at offset r in segment g holds origin[c] + table[c, g] + s0[r].
+def _cover(mu: int, nu: int) -> tuple[int, int]:
+    """(p', q') = _convergent(F_{k+2} + mu + nu), the cover convergent of a
+    pair with mu >= 1, where F_k <= mu + nu - 1 < F_{k+1}: below the cover
+    F_{k+2}, T = T_q', and T takes every one of its values there (k >= 2).
 
-    The steps are ``_steps``', d0 + W(key(i)) with W(y) = [y >= up] - [y >=
-    down1] - [y >= down2] on Z_q: W jumps by +1 at up, -1 at down1 and down2,
-    and +1 at 0 (W(q-1) = -1, W(0) = 0).  Chunk c's keys are chunk 0's
-    shifted, key(cL + r) = key(r) + c*delta mod q with delta = L*p mod q taken
-    in (-q/2, q/2), so its step at r differs from chunk 0's by the jumps the
-    shift carries key(r) across.  For delta > 0 the jump at a is crossed from
-    the first c with c*delta >= (a - key(r)) mod q >= 1; for delta < 0 from
-    the first c with c*|delta| > (key(r) - a) mod q, with the jump's sign
-    reversed.  As (C-1)|delta| < q, the edited keys are the (C-1)|delta| keys
-    beside each jump, each edited from one chunk on, and key y sits at offset
-    y*p^-1 mod q, p^-1 = +-p (F_{K-2}^2 = F_{K-4} F_K + (-1)^K); those at
-    offsets below L are edits.  The candidate key a - 1 - e (forward) or a
-    + e sits at offset b - e*p^-1 or b + e*p^-1 mod q, b the offset of a - 1
-    or a, and e*p^-1 = +-key(e) mod q: the candidate offsets are the doubled
-    keys shifted, with no division.
+    T = T_q' below the cover: T(i) = G(i+mu+nu) - G(i+nu) - G(i+mu) + G(i)
+    with G(j) = sum_{x<j} floor(x*gamma), so for i < F_{k+2} it sums
+    floor(x*gamma) only at x < F_{k+2} + mu + nu < q', where floor(x*gamma)
+    = (x*p') // q' (see above).
 
-    Cut [0, L) after every edited offset.  On each segment, chunk c's partial
-    sums are chunk 0's plus the sum of chunk c's edits before the segment:
-    the chunk x segment table, two cumsums of the edits; its last column is
-    chunk c's edit to its total.  Chunk c starts at origin[c], the sum of the
-    chunk totals before it.  The candidate keys are built one jump at a time.
-    """
-    steps = _steps(mu, nu, p, q)
-    delta = L * p % q
-    forward = 2 * delta < q
-    step = delta if forward else q - delta
-    # the key e + 1 before a jump (forward) or e past it is carried across
-    # from chunk e // step + 1 on, for e < (C-1)|delta|
-    key = _doubled_keys(max(L, (chunks - 1) * step), p, q)
-    s0, total = _step_sums(key[:L], steps, 0)  # chunk 0
-    e_key = key[: (chunks - 1) * step]
-    dtype, sign_bit = key.dtype.type, 8 * key.itemsize - 1
-    inverse = p if p * p % q == 1 else -p
-    _, up, down1, down2 = steps
-    edits = []  # (offsets, first chunks, sign) of each jump; q is the wrap
-    for jump, sign in ((up, 1), (down1, -1), (down2, -1), (q, 1)):
-        b = (jump - 1 if forward else jump) * inverse % q
-        if (inverse == p) == forward:  # b - key(e) mod q
-            r = dtype(b) - e_key
-        else:  # b + key(e) mod q
-            r = e_key + dtype(b - q)
-        r += (r >> sign_bit) & dtype(q)
-        inside = np.flatnonzero(r < L)
-        edits.append((r[inside], inside // step + 1, sign if forward else -sign))
-
-    cuts = np.sort(np.concatenate([r + 1 for r, _, _ in edits] + [[0]]))
-    starts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
-    starts = starts[starts < L]
-    table = np.zeros((chunks, len(starts) + 1), dtype=np.int32)
-    for r, first, sign in edits:
-        np.add.at(table, (first, np.searchsorted(starts, r, "right")), sign)
-    np.cumsum(table, axis=0, out=table)
-    np.cumsum(table, axis=1, out=table)
-    origin = np.zeros(chunks, dtype=np.int64)
-    np.cumsum(table[:-1, -1] + total, out=origin[1:])
-    return s0, starts, origin, table
-
-
-def _table_extremes(
-    mu: int, nu: int, p: int, q: int, L: int, stop: int, witness: bool
-) -> tuple[int, int, list[int] | None]:
-    """(low, high, hits): the min and max of T_q(i) - T(0) over 0 <= i < C*L,
-    read off ``_chunk_table``'s C = ceil(stop/L) chunks, and when
-    ``witness`` is set and high - low >= 2 the first i there that takes low
-    and the first that takes high (else None).  Chunk c's extremes are
-    origin[c] plus the extremes over segments of its table row plus s0's.  An extreme's first hit lies in the
-    first chunk c that takes it, in the first segment g whose extreme it is,
-    at the first offset r from the segment's start with origin[c] + table[c,
-    g] + s0[r] = the extreme."""
-    s0, starts, origin, table = _chunk_table(mu, nu, p, q, L, -(-stop // L))
-    # chunk x segment
-    parts = [table[:, :-1] + f.reduceat(s0, starts) for f in (np.minimum, np.maximum)]
-    chunks = parts[0].min(axis=1) + origin, parts[1].max(axis=1) + origin
-    low, high = int(chunks[0].min()), int(chunks[1].max())
-    if not witness or high - low < 2:
-        return low, high, None
-    hits = []
-    for target, part, per_chunk in zip((low, high), parts, chunks):
-        c = int(np.argmax(per_chunk == target))
-        in_chunk = target - int(origin[c])
-        g = int(np.argmax(part[c] == in_chunk))
-        r = int(starts[g])
-        r += int(np.argmax(s0[r:] == in_chunk - int(table[c, g])))
-        hits.append(c * L + r)
-    return low, high, hits
-
-
-def _cover(mu: int, nu: int) -> tuple[int, int, int, int, int]:
-    """(p', q', L, F_{k+2}, entries): the cover table of a pair with mu >= 1
-    and the number of entries it holds (``_chunk_entries``).  It is
-    ``_chunk_table`` on p'/q' = _convergent(F_{k+2} + mu + nu) over the C' =
-    ceil(F_{k+2}/L) chunks of L = ``_chunk_length(q)`` that cover [0,
-    F_{k+2}), where F_k <= mu + nu - 1 < F_{k+1} and q = F_K is the least
-    Fibonacci number > mu + nu; ``_table_extremes`` reads T's extremes and
-    their first hits off it.
-
-    Every value of T is taken below the cover F_{k+2} (k >= 2).  For i >=
-    1, T(i) is fixed by the open arc between event points frac(j*gamma), j
-    in [0, mu) u [nu, nu+mu), that holds frac(-i*gamma).  Each arc is at
-    least min_{0<d<m+n} ||d*gamma|| = ||F_k*gamma|| long, and the orbit
-    points i < F_{k+2} leave gaps of at most ||F_k*gamma|| (three-gap
-    theorem): the orbit's largest gap is not above the partition's smallest
-    arc, so an arc holding no orbit point would be a gap with orbit points
-    at both ends, but the two point sets share only 0.
-
-    Below the cover, T = T_q' (see ``_extremes``).  The edit arcs fit on
-    Z_q': L = F_r <= q < q', so |delta'| = F_{K'-r} <= q'/L for q' = F_{K'}
-    (see ``_chunk_length``); k <= K - 1, so F_{k+2} <= F_{K+1} < 2q; and
-    L**2 >= 2q, from L**3 >= 8q**2 or L = q >= 3.  Hence (C'-1)|delta'| <
-    (F_{k+2}/L)(q'/L) < q' * 2q/L**2 <= q'.  As k = K - 2 at m + n = F_{K-1},
-    k = K - 1 above it and q' = F_{K+2}, the table's size depends on m + n
-    only through q and whether m + n = F_{K-1}.  Its extremes over [0, C'L)
-    are T's: T_q' takes only values of T at any i, as one period of it
-    takes exactly t0 - c(y) (q' is a Fibonacci number > mu + nu), so the
-    last chunk's tail past the cover adds none.
-
-    Its keys are added, never multiplied (``_doubled_keys``), so it needs
-    q' < 2**63, and every table within the symbol budget has it: entries >=
-    L, so L <= MAX_BUDGET < 2**31 and L <= F_46; L = q or L**3 >= 8q**2 then
-    gives q <= (F_46/2)**1.5 < F_67, and q' = F_{K+2} <= F_68 < 1.2*10**14."""
+    Every value of T is taken below the cover.  For i >= 1, T(i) is fixed by
+    the open arc between event points frac(j*gamma), j in [0, mu) u [nu,
+    nu+mu), that holds frac(-i*gamma).  Each arc is at least min_{0<d<m+n}
+    ||d*gamma|| = ||F_k*gamma|| long, and the orbit points i < F_{k+2} leave
+    gaps of at most ||F_k*gamma|| (three-gap theorem): the orbit's largest
+    gap is not above the partition's smallest arc, so an arc holding no
+    orbit point would be a gap with orbit points at both ends, but the two
+    point sets share only 0."""
     p, q = _convergent(mu + nu - 1)  # F_{k-1}, F_{k+1}
-    cover = 2 * q - p  # F_{k+2}; T_q = T below it for q > cover + mu + nu
-    p, q = _convergent(cover + mu + nu)
-    L = _chunk_length(_convergent(mu + nu)[1])
-    return p, q, L, cover, _chunk_entries(p, q, L, -(-cover // L))
+    return _convergent(2 * q - p + mu + nu)  # 2q - p = F_{k+2}
 
 
-def _event_extremes(
-    mu: int, nu: int, p: int, q: int, witness: bool
-) -> tuple[int, int, list[int] | None]:
-    """``_table_extremes``' (low, high, hits) off the 2*mu event keys on the
-    cover convergent p/q (``_cover``), sorted: the block's keys key(j), j <
-    mu, are doubled keys, and the window's are key(nu + j) = key(j) +
-    key(nu), less q past it.  key(0) = 0 is the least key, and c (see
-    ``_extremes``) ends at 0, so c is constant on each arc [k_t, k_{t+1})
-    between consecutive sorted keys (k_{2*mu} = q) and takes its extremes
-    there: low = -max c and high = -min c.
-
-    T_q(i) = t0 - c(y(i)) with y(i) = (i*(q - p) - 1) mod q, as key(-i) =
-    i*(q - p) mod q; T = T_q below the cover, where T takes all its values,
-    so an extreme's first i is T_q's first in one period.  y(0) = q - 1
-    lies on the last arc, where c = 0, so an extreme of c = 0 is first
-    taken at i = 0.  For 0 < i < q, y(i) = (i*(q - p) mod q) - 1 lies on
-    [k_t, k_{t+1}) iff i*(q - p) mod q lies in [k_t + 1, k_{t+1}], first at
-    ``fib_scalar._first(q - p, q, k_t + 1, k_{t+1})``, and the first i at
-    any other extreme is the least of these over the arcs where c takes
-    it."""
-    check_budget(2 * mu, "table entries")
-    block = _doubled_keys(mu, p, q)
-    dtype, sign = block.dtype.type, 8 * block.itemsize - 1
-    window = block + dtype(nu * p % q - q)  # in [-q, q)
-    window += (window >> sign) & dtype(q)
-    keys = np.concatenate([block, window])
-    order = np.argsort(keys)
-    c = np.cumsum(np.where(order < mu, np.int32(-1), np.int32(1)))
-    lo, hi = int(c.min()), int(c.max())
-    if not witness or hi - lo < 2:
-        return -hi, -lo, None
-    keys = keys[order]
-    hits = []
-    for extreme in (hi, lo):  # the first i at low, then at high
-        if extreme == 0:  # taken on the last arc, at i = 0
-            hits.append(0)
-            continue
-        arcs = np.flatnonzero(c == extreme)  # the last arc, of c = 0, is not one
-        bounds = zip((keys[arcs] + 1).tolist(), keys[arcs + 1].tolist())
-        hits.append(min(_first(q - p, q, l, r) for l, r in bounds))
-    return -hi, -lo, hits
-
-
-def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | None]:
-    """(low, high, hits): the min and max of T - t0 over all i, t0 = T(0,
-    mu, nu), for mu >= 1, and when ``witness`` is set and high - low >= 2
-    the first i at low and the first at high, else None.  Two readers give
-    all three on the cover convergent (``_cover``): the cover table and the
-    2*mu sorted event keys (``_event_extremes``).  The keys are read when
-    they are fewer than the table's entries and either the table passes the
-    symbol budget or no witness is asked for; else the table, held to the
-    budget.  A witness reads the table whenever it fits, as the keys'
-    search per arc can take 18-190x the table's time (nu/mu = 17-32 near
-    4*10**6).
+def _extremes(mu: int, nu: int) -> tuple[int, int, int, int]:
+    """(low, i_low, high, i_high): the min and max of T - t0 over all i, t0 =
+    T(0, mu, nu), for mu >= 1, and the first i at each: one
+    ``fib_scalar._period_walk`` over a period of T_q' on the cover
+    convergent p'/q' (``_cover``), O(log(mu + nu)) integer steps and no
+    table, so it answers at any size.
 
     Let c(y) = #{nu <= j < nu+mu : key(j) <= y} - #{j < mu : key(j) <= y}
     on Z_q, q a Fibonacci number > mu + nu: window points minus block points
@@ -396,41 +168,39 @@ def _extremes(mu: int, nu: int, witness: bool) -> tuple[int, int, list[int] | No
     not 0 mod q, so T_q(i) = t0 - c((key(-i) - 1) mod q) at every i of Z_q,
     and T_q(i) = T(i) for i < q - mu - nu.  T_q has period q and i ->
     key(-i) - 1 is a bijection of Z_q, so one period of T_q takes exactly
-    the values t0 - c(y).
+    the values t0 - c(y).  The event keys keep the circle order of the
+    frac(j*gamma) on every such q, so these are the arc values of T's
+    circle partition, each taken by T (``_cover``).  So one period of T_q'
+    takes exactly T's values, and its first i at each lies below the cover,
+    where T_q' = T: it is T's first i there.
     """
-    p, q, L, cover, entries = _cover(mu, nu)
-    if 2 * mu < entries and (entries > limits.BUDGET or not witness):
-        return _event_extremes(mu, nu, p, q, witness)
-    check_budget(entries, "table entries")
-    return _table_extremes(mu, nu, p, q, L, cover, witness)
+    return _period_walk(mu, nu, *_cover(mu, nu))
 
 
 def is_balanced(m: int, n: int) -> bool:
-    """Exact verdict without witness construction, off the sorted event keys
-    when they are fewer than the cover table's entries, else off the table
-    (``_extremes``), so it is held to the budget;
-    ``arc_balanced`` answers at any size by the arc lemma, which neither
-    route uses."""
+    """Exact verdict without the witness, off one period walk
+    (``_extremes``), so it answers at any size; ``arc_balanced`` answers by
+    the arc lemma, which the walk does not use."""
     check_at_least(0, m=m, n=n)
     mu, nu = sorted((int(m), int(n)))
     if mu == 0:  # no events: T is 0 everywhere
         return True
-    low, high, _ = _extremes(mu, nu, witness=False)
+    low, _, high, _ = _extremes(mu, nu)
     return high - low <= 1
 
 
 def exact_balance(m: int, n: int) -> BalanceVerdict:
-    """Decide balance exactly at any size when balanced, and by the circle
-    partition, with a witness pair of rectangle indices, when not.
+    """Decide balance exactly at any size, with the value set, and with a
+    witness pair of rectangle indices when unbalanced.
 
-    ``arc_balanced`` decides first, with no table.  A balanced pair with mu
-    >= 1 takes exactly the values (t0, t0 + 1), t0 = T(0, mu, nu): c (see
+    ``arc_balanced`` decides first.  A balanced pair with mu >= 1 takes
+    exactly the values (t0, t0 + 1), t0 = T(0, mu, nu): c (see
     ``_extremes``) has c(0) = -1, as key(0) = 0 is a block point and no
     window key is 0, and c(q - 1) = 0; so lo <= -1 < 0 <= hi, and hi - lo <=
     1 leaves lo = -1, hi = 0.  An unbalanced pair reads its value set and
-    witness off its cover table, or past the symbol budget off its sorted
-    event keys (``_extremes``); their spread, at least 2, checks the arc
-    verdict, and ``t_value`` re-checks the witness."""
+    witness, the first argmin and the first argmax of T, off one period walk
+    (``_extremes``); their spread, at least 2, checks the arc verdict, and
+    ``t_value`` re-checks the witness.  Neither route builds a table."""
     check_at_least(0, m=m, n=n)
     mu, nu = sorted((int(m), int(n)))
     if mu == 0:  # no events: T is 0 everywhere
@@ -438,9 +208,9 @@ def exact_balance(m: int, n: int) -> BalanceVerdict:
     t0 = t_value(0, mu, nu)
     if arc_balanced(mu, nu):
         return BalanceVerdict(BalanceStatus.BALANCED, "exact", value_set=(t0, t0 + 1))
-    low, high, hits = _extremes(mu, nu, witness=True)
+    low, i, high, j = _extremes(mu, nu)
     assert high - low >= 2, (mu, nu)
-    i, j = sorted(hits)
+    i, j = sorted((i, j))
     ti, tj = t_value(i, mu, nu), t_value(j, mu, nu)
     assert {ti, tj} == {t0 + low, t0 + high}, (mu, nu)
     return BalanceVerdict(

@@ -7,10 +7,10 @@ Fibonacci and Thue-Morse symbols by their closed forms, the circle
 partition on exact quadratic values, the Thue-Morse excess at every
 position below a horizon, the factor complexities with the least factor
 covers that `words.cover_bound` bounds, counted in word prefixes, and the
-CSV of `rectbal fib sweep` written pair by pair from %-templates, and T_q
-scanned in i order, chunk by chunk.  It also draws the far-sparse pairs,
-and the sparse pairs past every cover table, that more than one test file
-checks.
+CSV of `rectbal fib sweep` written pair by pair from %-templates, T_q
+scanned in i order, chunk by chunk, and T's extremes and first hits off
+the sorted event keys.  It also draws the far-sparse pairs, and the sparse
+pairs past the former cover tables, that more than one test file checks.
 """
 from __future__ import annotations
 
@@ -24,18 +24,11 @@ import numpy as np
 
 from rectbal import limits
 from rectbal.exact_quadratic import GAMMA, ONE, QuadraticValue, floor_n_gamma
-from rectbal.fib_balance import (
-    _doubled_keys,
-    _floor_sums,
-    _step_sums,
-    _steps,
-    is_balanced,
-    row_value_bounds,
-)
-from rectbal.fib_scalar import _convergent, arc_balanced
+from rectbal.fib_balance import _doubled_keys, _floor_sums, is_balanced, row_value_bounds
+from rectbal.fib_scalar import _convergent, _first, _steps, arc_balanced
 from rectbal.rectangles import telescope, word_rect_sum
 from rectbal.tm_balance import _ones
-from rectbal.limits import check_at_least
+from rectbal.limits import check_at_least, check_budget
 from rectbal.words import SequenceKind, factor_keys, sturmian_a_word, word
 
 
@@ -53,16 +46,31 @@ def delta_floor_form(i: int, m: int, n: int) -> int:
     return g[0] - g[1] - g[2] + g[3]
 
 
+def _step_sums(
+    key: np.ndarray, steps: tuple[int, int, int, int], start: int
+) -> tuple[np.ndarray, int]:
+    """T_q(i) - T(0) in int32 for i0 <= i < i1 from the keys of those i and
+    start = T_q(i0) - T(0), and T_q(i1) - T(0); ``steps`` is ``_steps``'."""
+    d0, up, down1, down2 = steps
+    w = (key >= up).view(np.int8) - (key >= down1).view(np.int8)
+    w -= (key >= down2).view(np.int8)
+    t = np.empty(len(key), dtype=np.int32)
+    t[0] = start
+    np.add(w[:-1], d0, out=t[1:])
+    np.cumsum(t, out=t)
+    return t, int(t[-1]) + int(w[-1]) + d0
+
+
 def t_scan(
     mu: int, nu: int, p: int, q: int, stop: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(i0, T_q(i) - T(0)) in int32 for i0 <= i < i1, chunk by chunk in order
     over 0 <= i < stop, on the convergent p/q (see ``fib_balance._extremes``):
     the former witness scan past the symbol budget, and the in-order
-    reference of the cover table.  Its chunks end at 1024, 5120, 21504, ...
+    reference of the period walk.  Its chunks end at 1024, 5120, 21504, ...
     and hold at most the symbol budget's positions.
 
-    The steps are ``fib_balance._steps``'.  The keys are base[i - i0] +
+    The steps are ``fib_scalar._steps``'.  The keys are base[i - i0] +
     key(i0) mod q, with base[t] = t*p mod q up to the chunk's length, built
     by ``_doubled_keys`` for each chunk longer than the last, so a witness in
     the first chunk costs its 1024 keys, not the budget's: int32 while 2q <
@@ -81,6 +89,51 @@ def t_scan(
         t, carry = _step_sums(key, steps, carry)
         yield i, t
         i = end
+
+
+def _event_extremes(
+    mu: int, nu: int, p: int, q: int, witness: bool
+) -> tuple[int, int, list[int] | None]:
+    """(low, high, hits) off the 2*mu event keys on the cover convergent p/q
+    (``fib_balance._cover``), sorted: the min and max of T - T(0), and when
+    ``witness`` is set and high - low >= 2 the first i at low and the first
+    at high (else None), the former sparse reader of ``exact_balance``.
+    The block's keys key(j), j < mu, are doubled keys, and the window's are
+    key(nu + j) = key(j) + key(nu), less q past it.  key(0) = 0 is the least
+    key, and c (see ``fib_balance._extremes``) ends at 0, so c is constant
+    on each arc [k_t, k_{t+1}) between consecutive sorted keys (k_{2*mu} =
+    q) and takes its extremes there: low = -max c and high = -min c.
+
+    T_q(i) = t0 - c(y(i)) with y(i) = (i*(q - p) - 1) mod q, as key(-i) =
+    i*(q - p) mod q; T = T_q below the cover, where T takes all its values,
+    so an extreme's first i is T_q's first in one period.  y(0) = q - 1
+    lies on the last arc, where c = 0, so an extreme of c = 0 is first
+    taken at i = 0.  For 0 < i < q, y(i) = (i*(q - p) mod q) - 1 lies on
+    [k_t, k_{t+1}) iff i*(q - p) mod q lies in [k_t + 1, k_{t+1}], first at
+    ``fib_scalar._first(q - p, q, k_t + 1, k_{t+1})``, and the first i at
+    any other extreme is the least of these over the arcs where c takes
+    it."""
+    check_budget(2 * mu, "table entries")
+    block = _doubled_keys(mu, p, q)
+    dtype, sign = block.dtype.type, 8 * block.itemsize - 1
+    window = block + dtype(nu * p % q - q)  # in [-q, q)
+    window += (window >> sign) & dtype(q)
+    keys = np.concatenate([block, window])
+    order = np.argsort(keys)
+    c = np.cumsum(np.where(order < mu, np.int32(-1), np.int32(1)))
+    lo, hi = int(c.min()), int(c.max())
+    if not witness or hi - lo < 2:
+        return -hi, -lo, None
+    keys = keys[order]
+    hits = []
+    for extreme in (hi, lo):  # the first i at low, then at high
+        if extreme == 0:  # taken on the last arc, at i = 0
+            hits.append(0)
+            continue
+        arcs = np.flatnonzero(c == extreme)  # the last arc, of c = 0, is not one
+        bounds = zip((keys[arcs] + 1).tolist(), keys[arcs + 1].tolist())
+        hits.append(min(_first(q - p, q, l, r) for l, r in bounds))
+    return -hi, -lo, hits
 
 
 def delta(i: int, m: int, n: int) -> int:
@@ -227,11 +280,10 @@ def _first_unbalanced(mu: int, nu: int) -> tuple[int, int]:
 
 def far_sparse_pairs() -> list[tuple[int, int]]:
     """Pairs with mu far below nu, past 10**6: mu + nu near 10**8 and 3*10**9
-    (where the cover table's convergent q' = F_50 passes F_48, the int64
-    frontier of the products j*p, and the witness still reads that table)
-    and seeded pairs near 4*10**6 with nu/mu in 17..32, each moved to
-    the first nu that ``is_balanced`` calls unbalanced; the near ones read
-    the cover table for their verdicts too."""
+    (where the cover convergent q' = F_50 passes F_48, the int64 frontier
+    of the products j*p) and seeded pairs near 4*10**6 with nu/mu in
+    17..32, each moved to the first nu that ``is_balanced`` calls
+    unbalanced."""
     pairs = [_first_unbalanced(mu, 10**8 - mu) for mu in (2, 3, 50, 700)]
     pairs += [_first_unbalanced(mu, 3 * 10**9 - mu) for mu in (2, 3, 13, 400)]
     rng = random.Random(1515)
@@ -245,8 +297,8 @@ def far_sparse_pairs() -> list[tuple[int, int]]:
 def past_cover_pairs() -> list[tuple[int, int]]:
     """Pairs with mu + nu near 10**10, 10**12, 10**15 and 10**18 and mu in
     (2, 3, 13, 400, 5000), each moved to the first nu that ``arc_balanced``
-    calls unbalanced: past F_49, where every cover table passes the default
-    budget, so they read their sorted event keys."""
+    calls unbalanced: past F_49, where the former cover tables passed the
+    default budget and the verdicts read their sorted event keys."""
     pairs = []
     for size in (10**10, 10**12, 10**15, 10**18):
         for mu in (2, 3, 13, 400, 5000):

@@ -1,18 +1,17 @@
 """The arc-cover verdict (``fib_scalar.arc_balanced``) and its search
-``_first``, against brute force, the arc-cover verdict table, the cover
-table behind ``is_balanced``, the digit rule and the inferred automaton."""
+``_first``, against brute force, the arc-cover verdict table, the period
+walk behind ``is_balanced`` and ``exact_balance``, the digit rule and the
+inferred automaton."""
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rectbal.dfa_tools import build_sample_table, dfa_run, infer_min_dfa
-from rectbal.fib_balance import balance_table, exact_balance, is_balanced
+from rectbal.fib_balance import _extremes, balance_table, exact_balance, is_balanced
 from rectbal.fib_scalar import _first, arc_balanced, t_value, zeck_characterization
-from rectbal.limits import BudgetExceeded
 from rectbal.numeration import fibonacci, pair_encode
 
 
@@ -88,7 +87,33 @@ def test_exact_balance_answers_balanced_pairs_at_any_size():
     verdict = exact_balance(m, n)
     assert verdict.balanced and zeck_characterization(m, n)
     assert verdict.value_set == (t0, t0 + 1) and verdict.witness is None
-    # an unbalanced pair there still needs its cover table
-    assert not arc_balanced(10**30, 10**30 + 1)
-    with pytest.raises(BudgetExceeded, match="table entries requested"):
-        exact_balance(10**30, 10**30 + 1)
+    # and so does an unbalanced pair, off the period walk: its value set
+    # runs from one witness value to the other, each checked by t_value
+    m, n = 10**30, 10**30 + 1
+    assert not arc_balanced(m, n) and not is_balanced(m, n)
+    verdict = exact_balance(m, n)
+    i, j, ti, tj = verdict.witness
+    assert i < j and (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
+    assert verdict.value_set == tuple(range(min(ti, tj), max(ti, tj) + 1))
+    assert len(verdict.value_set) == 30
+
+
+def test_period_walk_spread_matches_the_arc_verdict_at_10_30():
+    # the walk's spread is at least 2 exactly when the arc verdict, which
+    # shares no lemma with it, calls the pair unbalanced: dense pairs near
+    # 10**30 and the balanced-heavy pairs to 10**31, and the values at the
+    # first hits re-check by t_value
+    rng = random.Random(3030)
+    pairs = [(10**30 + rng.randint(-10**6, 10**6), 10**30 + rng.randint(0, 10**6)) for _ in range(100)]
+    pairs += [_balanced_heavy_pair(rng) for _ in range(400)]
+    unbalanced = 0
+    for m, n in pairs:
+        mu, nu = sorted((m, n))
+        if mu == 0:  # no events: T is 0 everywhere
+            continue
+        low, i_low, high, i_high = _extremes(mu, nu)
+        assert (high - low >= 2) == (not arc_balanced(m, n)), (m, n)
+        t0 = t_value(0, mu, nu)
+        assert (t_value(i_low, mu, nu), t_value(i_high, mu, nu)) == (t0 + low, t0 + high), (m, n)
+        unbalanced += high - low >= 2
+    assert 200 < unbalanced < 400

@@ -36,31 +36,40 @@ def test_fib_bal_balanced_past_every_table(capsys, budget):
     t0 = t_value(0, m, n)
     code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
     assert (code, out) == (0, f"status: balanced\nmethod: exact\nvalues: {t0} {t0 + 1}\n")
-    # an unbalanced pair still holds its cover table to the budget
-    assert main(["fib", "bal", "--m", "30000000000", "--n", "20000000000"]) == 1
-    err = capsys.readouterr().err
-    assert err == "rectbal: 39088169 table entries requested, budget is 10000000\n"
+    # nor does an unbalanced pair, off the period walk: (3*10**10, 2*10**10)
+    # once held a chunk of 39,088,169 positions, past the budget, and
+    # (10**30, 10**30 + 1) lies past every former table and key frontier
+    for m, n, witness in (
+        (30000000000, 20000000000, (374987121, 7866675819)),
+        (10**30, 10**30 + 1, (31167262976871787034164586982, 485701781084387035409745666705)),
+    ):
+        code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
+        status, method, values, line = out.splitlines()
+        assert (code, status, method) == (0, "status: unbalanced", "method: exact")
+        ti, tj = t_value(witness[0], m, n), t_value(witness[1], m, n)
+        assert line == f"witness: {witness[0]},{witness[1]},{ti},{tj}"
+        low, high = sorted((ti, tj))
+        assert values == "values: " + " ".join(map(str, range(low, high + 1)))
 
 
 def test_fib_bal_answers_past_the_sorted_keys_frontier(capsys, budget):
     budget(10**7)
     # (F_48 + 1, 7), one past the former int64 frontier of the sorted event
-    # keys, which formed j*p: its cover table of 9,227,465 entries fits the
-    # default budget
+    # keys, which formed j*p, whose former cover table of 9,227,465 entries
+    # fit the default budget
     m, n = 4807526977, 7
     code, out = run_cli(capsys, "fib", "bal", "--m", str(m), "--n", str(n))
     assert code == 0 and out.splitlines()[0] == "status: unbalanced"
     assert out.splitlines()[-1] == "witness: 0,7778742043,12854183323,12854183325"
     assert (t_value(0, m, n), t_value(7778742043, m, n)) == (12854183323, 12854183325)
-    # under a budget below that table it sorts its 14 added event keys and
-    # searches their arcs for the same witness
+    # under a budget below that table, where it once sorted its 14 event
+    # keys, the walk gives the same witness
     argv = ("--budget", "5000000", "fib", "bal", "--m", str(m), "--n", str(n))
     assert run_cli(capsys, *argv) == (0, out)
-    # past every cover table, (13, 10**15 - 2) reads only its sorted keys
+    # past every former cover table, (13, 10**15 - 2)
     code, out = run_cli(capsys, "fib", "bal", "--m", "13", "--n", "999999999999998")
     assert code == 0 and out.splitlines()[-1] == "witness: 0,77,4965558146251356,4965558146251358"
-    # a pair whose table passes the budget, with fewer keys, still answers
-    # by the sorted keys, witness included
+    # a pair whose former table passes the budget answers, witness included
     assert run_cli(capsys, "--budget", "1000", "fib", "bal", "--m", "400", "--n", "100000") == (
         0,
         "status: unbalanced\nmethod: exact\nvalues: 15278639 15278640 15278641 15278642\n"
@@ -299,13 +308,20 @@ def test_search_limit_and_budget_errors_exit_1(capsys, budget):
     for argv, err in [
         (["trib", "corner", "--p", "54", "--search-limit", "100"],
          "rectbal: no corner witness for p=54 within 100 symbols\n"),
-        (["--budget", "1000", "fib", "bal", "--m", "1000000", "--n", "1000001"],
-         "rectbal: 46368 table entries requested, budget is 1000\n"),
+        # the sweep's circle keys over q = F_18 > 2000
+        (["--budget", "1000", "fib", "sweep", "--max", "1000"],
+         "rectbal: 2584 table entries requested, budget is 1000\n"),
     ]:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == err
+    # the exact verdict builds no table, so the budget that once stopped its
+    # chunk of 46,368 positions leaves its answer as it is
+    argv = ["fib", "bal", "--m", "1000000", "--n", "1000001"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines()[-1] == "witness: 346269,1542921,381966393218,381966393213"
+    assert run_cli(capsys, "--budget", "1000", *argv) == (0, out)
 
 
 def test_usage_error_exit_code():

@@ -13,16 +13,12 @@ from rectbal.exact_quadratic import GAMMA, floor_n_gamma, floor_n_phi
 from rectbal.fib_balance import (
     _ROW_BLOCK,
     _ROW_MU_MAX,
-    _chunk_entries,
-    _chunk_length,
-    _chunk_table,
     _circle_keys,
     _cover,
     _doubled_keys,
-    _event_extremes,
+    _extremes,
     _floor_sums,
     _row_extrema,
-    _table_extremes,
     balance_table,
     delta_block_scan,
     diverse_identities_check,
@@ -34,6 +30,7 @@ from rectbal.fib_balance import (
 from rectbal.fib_scalar import (
     BalanceStatus,
     _convergent,
+    _period_walk,
     arc_balanced,
     t_value,
     zeck_characterization,
@@ -44,6 +41,7 @@ from rectbal.rectangles import rect_counts, word_rect_sum
 from rectbal.words import sturmian_a_word
 import oracles
 from oracles import (
+    _event_extremes,
     circle_partition,
     delta,
     delta_floor_form,
@@ -499,23 +497,21 @@ def test_floor_fill_at_seeded_offsets_and_int64_frontier():
         assert out.tolist() == [2 * j - floor_n_phi(j) - 1 for j in range(start, start + 16)]
 
 
+def _check_witness(m: int, n: int, verdict) -> None:
+    """An unbalanced verdict's witness re-checks by t_value and takes the
+    least and the greatest of its value set."""
+    assert not verdict.balanced and not zeck_characterization(m, n), (m, n)
+    i, j, ti, tj = verdict.witness
+    assert i < j and (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
+    assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
+
+
 def test_scale_frontiers_raise_before_building(budget):
     budget(10**7)
-    top = fibonacci(90)  # m + n from which the keys' convergent q' = F_93 passes 2**63
+    top = fibonacci(90)  # m + n from which the former keys' q' = F_93 passed 2**63
     calls = (
         (lambda: t_value_vector(1, 1, fibonacci(48)), "table entries requested"),
         (lambda: row_value_bounds(3, fibonacci(48)), "table entries requested"),
-        # a dense pair's cover table adds its keys, so only the budget holds
-        # it: at q = F_53 its chunk alone is L = F_38 = 39,088,169 positions
-        (
-            lambda: exact_balance(3 * 10**10, 2 * 10**10),
-            "39088169 table entries requested, budget is 10000000",
-        ),
-        # sparse pairs at m + n = F_90 sort their event keys, which stop at
-        # the int64 frontier of the added keys (see _doubled_keys); (1, F_90
-        # - 1) is balanced, so only is_balanced reads keys for it
-        (lambda: is_balanced(1, top - 1), r"int64 keys hold q < 2\*\*63"),
-        (lambda: exact_balance(4, top - 4).value_set, r"int64 keys hold q < 2\*\*63"),
     )
     tracemalloc.start()
     try:
@@ -526,19 +522,25 @@ def test_scale_frontiers_raise_before_building(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # one below it, q' = F_92: the verdicts sort their event keys
-    assert is_balanced(1, top - 2) and zeck_characterization(1, top - 2)
-    # a balanced pair past it needs no table: the arc verdict answers
+    # the exact verdicts walk one period of T on the cover convergent and
+    # build no table, so the former frontiers raise nothing: a dense pair
+    # whose chunk table held L = F_38 = 39,088,169 positions at q = F_53,
+    # and sparse pairs at m + n = F_90, where the sorted keys left int64
+    verdict = exact_balance(3 * 10**10, 2 * 10**10)
+    low, high = 229179606750063091072, 229179606750063091081
+    assert verdict.value_set == tuple(range(low, high + 1))
+    assert verdict.witness == (374987121, 7866675819, high, low)
+    _check_witness(3 * 10**10, 2 * 10**10, verdict)
+    assert is_balanced(1, top - 1) and is_balanced(1, top - 2) and zeck_characterization(1, top - 2)
+    # a balanced pair past it needs no walk: the arc verdict answers
     t0 = t_value(0, 7, top)
     assert exact_balance(top, 7).value_set == (t0, t0 + 1) and zeck_characterization(7, top)
     # unbalanced pairs past F_48, the former frontier of the sorted keys,
-    # and one below the frontier of the added keys answer with witnesses
-    for m, n in ((fibonacci(48) + 1, 7), (3 * 10**9, 2 * 10**9), (6, top - 7)):
+    # and past the frontier of the added keys answer with witnesses
+    for m, n in ((fibonacci(48) + 1, 7), (3 * 10**9, 2 * 10**9), (6, top - 7), (4, top - 4)):
         verdict = exact_balance(m, n)
-        assert not verdict.balanced and not zeck_characterization(m, n)
-        i, j, ti, tj = verdict.witness
-        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj)
-        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}
+        _check_witness(m, n, verdict)
+        assert not is_balanced(m, n), (m, n)
 
 
 def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
@@ -565,63 +567,36 @@ def test_budget_keeps_the_tables_of_j_p_in_int64(budget):
 
 
 def test_default_budget_reads_only_the_cover_table(budget, monkeypatch):
-    # the default budget holds the cover table of every m + n < F_49 and of
-    # no larger m + n: its size depends on m + n only through q = F_K and
-    # whether m + n = F_{K-1} (see _cover)
-    entries = {
-        size: _cover(1, size - 1)[4]
-        for K in range(3, 56)
-        for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}
-        if size >= 2
-    }
-    below = max(e for size, e in entries.items() if size < fibonacci(49))
-    above = min(e for size, e in entries.items() if size >= fibonacci(49))
-    assert below == 9_227_465 <= 10**7 < above == 14_930_352
-    budget(10**7)
+    # the former cover tables, the default route to m + n < F_49, are gone:
+    # every verdict walks one period of T on the cover convergent, under the
+    # default budget and under the least, and reads no numpy at all
     pairs = [(200, 2500), (1291, 19365), (50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]
     pairs += far_sparse_pairs()
-    # the sorted event keys, a route independent of the cover table, and
-    # is_balanced, which sorts them when they are fewer than its entries
-    keys = {
-        (m, n): (*_event_extremes(m, n, *_cover(m, n)[:2], False)[:2], is_balanced(m, n))
-        for m, n in pairs
-    }
-
-    def unreachable(*args):
-        raise AssertionError("the cover table fits the budget")
-
-    built = []
-
-    def recorded(*args):
-        built.append(args[:2])
-        return _chunk_table(*args)
-
-    monkeypatch.setattr(fib_balance, "_event_extremes", unreachable)
-    monkeypatch.setattr(fib_balance, "_chunk_table", recorded)
+    # the sorted event keys, a route independent of the walk
+    keys = {(m, n): _event_extremes(m, n, *_cover(m, n), True) for m, n in pairs}
+    monkeypatch.setattr(fib_balance, "np", None)
     unbalanced = 0
-    for m, n in pairs:
-        built.clear()
-        verdict = exact_balance(m, n)
-        low, high, balanced = keys[m, n]
-        assert verdict.balanced == balanced == zeck_characterization(m, n), (m, n)
-        if verdict.balanced:
-            continue
-        unbalanced += 1
-        # one table gives the value set and the witness: no second table
-        assert built == [(m, n)], (m, n)
-        t0 = t_value(0, m, n)
-        assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
-        i, j, ti, tj = verdict.witness
-        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
-        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
-    assert unbalanced >= 15
+    for limit in (10**7, 1):
+        budget(limit)
+        for m, n in pairs:
+            verdict = exact_balance(m, n)
+            low, high, hits = keys[m, n]
+            assert verdict.balanced == is_balanced(m, n) == zeck_characterization(m, n), (m, n)
+            if verdict.balanced:
+                assert high - low <= 1, (m, n)
+                continue
+            unbalanced += 1
+            t0 = t_value(0, m, n)
+            assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
+            assert verdict.witness[:2] == tuple(sorted(hits)), (m, n)
+            _check_witness(m, n, verdict)
+    assert unbalanced >= 30
 
 
 def test_tables_obey_the_symbol_budget(budget):
-    expected = exact_balance(400, 10**5)
+    expected = {pair: exact_balance(*pair) for pair in ((400, 10**5), (5000, 6000))}
     budget(1000)
     calls = (
-        lambda: is_balanced(5000, 6000),  # a dense chunk of L = 1597 positions
         lambda: t_value_vector(3, 3, 1000),  # 1007 floor sums
         lambda: row_value_bounds(30, 1000),  # circle keys over q = 1597
         lambda: row_value_bounds(0, 5000),  # 5001 floor sums, though no events
@@ -636,9 +611,13 @@ def test_tables_obey_the_symbol_budget(budget):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    # past the budget the verdict sorts its 2*mu event keys, fewer than the
-    # cover table's 6765 entries, and searches their arcs for its witness
-    assert exact_balance(400, 10**5) == expected
+    # the exact verdicts build no table, so the budget leaves them as they
+    # were: (5000, 6000) held a chunk of L = 1597 positions, and (400, 10**5)
+    # sorted its 800 event keys
+    for pair, verdict in expected.items():
+        assert exact_balance(*pair) == verdict, pair
+        _check_witness(*pair, verdict)
+    assert not is_balanced(5000, 6000)
 
 
 class _ArraySizes:
@@ -665,85 +644,32 @@ class _ArraySizes:
 def test_witness_scan_obeys_the_symbol_budget(budget, monkeypatch):
     expected = exact_balance(400, 10**5)
     assert expected.witness == (0, 114, 15278639, 15278642)
+    _check_witness(400, 10**5, expected)
     budget(1000)
     arrays = _ArraySizes()
     monkeypatch.setattr(fib_balance, "np", arrays)
-    # the verdict's 800 sorted event keys give the witness too, by a search
-    # per arc, as the cover table holds 6765 entries
+    # the witness, formerly off 800 sorted event keys and a search per arc,
+    # comes off the period walk: no numpy call at all
     assert exact_balance(400, 10**5) == expected
-    assert arrays.sizes and max(arrays.sizes) <= 1000
+    assert arrays.sizes == []
+    # the walk against the sorted keys, which still give the same witness
+    low, high, hits = _event_extremes(400, 10**5, *_cover(400, 10**5), True)
+    assert sorted(hits) == list(expected.witness[:2])
 
 
 def test_chunk_tables_answer_under_a_small_budget(budget):
     pairs = [(2000, 2001)] + [(m, n) for m in (1990, 2010) for n in range(1995, 2010)]
+    pairs += [(62539, 953433), (400, 10**5), (7, 90), (1291, 19365)]
     full = {pair: exact_balance(*pair) for pair in pairs}
     assert sum(not v.balanced for v in full.values()) >= 5
-    # every verdict and every witness reads a chunk table of L = 610
-    # positions (72 and 352 candidate keys) inside 5000 entries, where the
-    # witness's cover F_{k+2} = 6765 and its q' = 10946 would not fit
-    budget(5000)
-    for pair, verdict in full.items():
-        assert exact_balance(*pair) == verdict, pair
-
-
-def _ratio_split_answers(mu: int, nu: int) -> bool:
-    """Whether the former split, sorted event keys iff 16*mu < mu + nu,
-    answered (mu, nu), mu >= 1, under the budget in force: the keys take 2*mu
-    entries (on q <= F_48, as every pair here has), the cover table its
-    entries."""
-    if 16 * mu < mu + nu:
-        return 2 * mu <= limits.BUDGET
-    return _cover(mu, nu)[4] <= limits.BUDGET
-
-
-def test_size_split_answers_wherever_the_ratio_split_did(budget):
-    rng = random.Random(29)
-    pairs = [(62539, 953433), (400, 10**5), (7, 90), (2000, 2001)]
-    pairs += [(rng.randint(1, 3000), rng.randint(1, 3000)) for _ in range(20)]
-    pairs += [(rng.randint(1, 3000), rng.randint(1, 10**5)) for _ in range(20)]
-    pairs += [(rng.randint(1, 70_000), rng.randint(900_000, 10**6)) for _ in range(20)]
-    # every size where the former split sent a pair to the table and the size
-    # split to the sorted keys, at its least mu, with the least budget its
-    # table answers in
-    moved = {}
-    for size in range(2, 20_657):
-        mu = -(-size // 16)
-        entries = _cover(mu, size - mu)[4]
-        if 2 * mu < entries:
-            moved[mu, size - mu] = entries
-    assert len(moved) > 10_000 and max(moved) == (1291, 19365)
-    pairs += rng.sample(sorted(moved), 200)
-    full = {pair: exact_balance(*pair) for pair in pairs}
-
-    answered = {}
-    for limit in (1000, 5000, 10**5):
+    # every verdict and every witness walks one period of T, with no table:
+    # the same answers under every budget, where a chunk table of L = 610
+    # positions, or the sorted keys, once had to fit
+    for limit in (1, 1000, 5000):
         budget(limit)
-        for (m, n), verdict in full.items():
-            former = _ratio_split_answers(min(m, n), max(m, n))
-            try:
-                assert exact_balance(m, n) == verdict, (m, n, limit)
-            except BudgetExceeded:
-                assert not former, (m, n, limit)
-                continue
-            answered[m, n, limit] = former
-    assert answered[400, 10**5, 1000]
-    # its cover table holds 28,657 entries, its sorted keys 125,078
-    assert answered[62539, 953433, 10**5] is False
-    assert sum(not former for former in answered.values()) >= 3  # now answered
-    # each moved verdict against the digit rule, seeded ones with witnesses
-    # off the cover table, at the least budget that holds it
-    for (mu, nu), entries in moved.items():
-        budget(entries)
-        assert is_balanced(mu, nu) == zeck_characterization(mu, nu), (mu, nu)
-        if (mu, nu) in full:
-            assert exact_balance(mu, nu) == full[mu, nu], (mu, nu)
-    # and none past 20,656: the entries depend on m + n only through q = F_K
-    # and whether m + n = F_{K-1} (see _cover), so the least size of each
-    # class, for every q whose chunk fits the largest budget, decides it
-    for K in range(4, 67):
-        for size in {fibonacci(K - 1), fibonacci(K - 1) + 1} - {fibonacci(K)}:
-            mu = -(-size // 16)
-            assert size <= 20_656 or 2 * mu >= _cover(1, size - 1)[4], size
+        for pair, verdict in full.items():
+            assert exact_balance(*pair) == verdict, (pair, limit)
+            assert is_balanced(*pair) == verdict.balanced, (pair, limit)
 
 
 def test_scalar_t_builds_no_table():
@@ -769,31 +695,27 @@ def _product_keys(start: int, stop: int, p: int, q: int) -> np.ndarray:
 
 
 def test_dense_and_sparse_sweeps_agree(budget):
-    # the sorted event keys and the cover table give the same extremes and
-    # first hits, so exact_balance gives the same verdict when the cover
-    # table passes the budget; and the count the keys read is one period of
-    # T_q, scanned in i order
+    # the sorted event keys and the period walk give the same extremes and
+    # first hits on the cover convergent, and the count the keys read is one
+    # period of T_q, scanned in i order, whose extremes the walk gives on the
+    # pair's own convergent too
     rng = random.Random(27)
     pairs = [(1, 1), (1, 500), (4, 4), (30, 2000), (700, 900), (987, 1597)]
     pairs += [tuple(sorted((rng.randint(1, 300), rng.randint(1, 3000)))) for _ in range(40)]
     default = limits.BUDGET
     for mu, nu in pairs:
-        p, q, L, cover, entries = _cover(mu, nu)
-        table = _table_extremes(mu, nu, p, q, L, cover, True)
-        assert _event_extremes(mu, nu, p, q, True) == table, (mu, nu)
-        verdict = exact_balance(mu, nu)
-        if 2 * mu < entries:
-            budget(2 * mu)  # the sorted keys fit, the cover table does not
-            assert exact_balance(mu, nu) == verdict, (mu, nu)
-            budget(default)
+        low, i_low, high, i_high = _extremes(mu, nu)
+        hits = [i_low, i_high] if high - low >= 2 else None
+        assert _event_extremes(mu, nu, *_cover(mu, nu), True) == (low, high, hits), (mu, nu)
         # the count at every y from the sorted event keys: key(0) = 0 is the
         # smallest, and c holds from each key to the next
         p, q = _convergent(mu + nu)
+        assert _period_walk(mu, nu, p, q)[::2] == (low, high), (mu, nu)
         keys = np.concatenate([_product_keys(0, mu, p, q), _product_keys(nu, nu + mu, p, q)])
         order = np.argsort(keys)
         after = np.cumsum(np.where(order < mu, -1, 1))
         expected = after[np.searchsorted(keys[order], np.arange(q), side="right") - 1]
-        assert (-expected.max(), -expected.min()) == table[:2], (mu, nu)
+        assert (-expected.max(), -expected.min()) == (low, high), (mu, nu)
         # one period of T_q is T_q(i) - t0 = -c((key(-i) - 1) mod q) (_extremes)
         period = -expected[(_product_keys(0, q, q - p, q) - 1) % q]
         for chunk in (97, default):  # many small chunks, then geometric ones
@@ -848,9 +770,9 @@ def test_witness_scan_holds_keys_in_int64_past_2_31(budget):
 
 
 def test_witness_scan_builds_keys_as_its_chunks_grow(budget, monkeypatch):
-    # (300, 10**9 + 7) under a budget below its cover table reads its witness
-    # (0, 352) off its sorted event keys, and builds the block's 300 keys and
-    # no more
+    # (300, 10**9 + 7) reads its witness (0, 352) off the period walk and
+    # builds no keys; the sorted event keys, which gave it under a budget
+    # below the former cover table, build the block's 300 and no more
     built = []
 
     def recorded(L, p, q):
@@ -860,7 +782,10 @@ def test_witness_scan_builds_keys_as_its_chunks_grow(budget, monkeypatch):
     monkeypatch.setattr(fib_balance, "_doubled_keys", recorded)
     monkeypatch.setattr(oracles, "_doubled_keys", recorded)
     budget(10**6)
-    assert exact_balance(300, 10**9 + 7).witness[:2] == (0, 352)
+    verdict = exact_balance(300, 10**9 + 7)
+    assert verdict.witness[:2] == (0, 352) and built == []
+    _check_witness(300, 10**9 + 7, verdict)
+    assert _event_extremes(300, 10**9 + 7, *_cover(300, 10**9 + 7), True)[2] == [0, 352]
     assert built == [300]
     # each chunk of the in-order scan longer than the last builds its keys,
     # up to the budget
@@ -896,7 +821,7 @@ def test_witness_search_adds_no_memory_to_the_verdict():
 
 def test_dense_sweep_keeps_nothing_of_size_q():
     # q = F_35 = 9,227,465: one int32 array over Z_q would take 35 MB, and the
-    # verdict reads chunks of L = F_26 = 121,393 positions
+    # verdict walks one period of T with at most five pieces at a time
     m, n = 4 * 10**6, 4 * 10**6 + 1
     for call in (is_balanced, exact_balance):
         tracemalloc.start()
@@ -908,71 +833,39 @@ def test_dense_sweep_keeps_nothing_of_size_q():
         assert peak < 4 << 20, (call.__name__, peak)
 
 
-def _period(mu: int, nu: int) -> tuple[int, int, tuple[int, int]]:
-    """p, q and the (min, max) of one period of T_q - T(0), read by the
-    witness scan."""
-    p, q = _convergent(mu + nu)
+def _scan_period(mu: int, nu: int, p: int, q: int) -> tuple[int, int, int, int]:
+    """(low, i_low, high, i_high) of T_q - T(0) over one period, read in i
+    order by the witness scan."""
     t = np.concatenate([t for _, t in t_scan(mu, nu, p, q, q)])
-    return p, q, (int(t.min()), int(t.max()))
+    i_low, i_high = int(t.argmin()), int(t.argmax())
+    return int(t[i_low]), i_low, int(t[i_high]), i_high
 
 
-def test_period_extremes_match_the_scan_at_forced_chunk_lengths():
-    # the three shortest Fibonacci L whose edit arcs fit on Z_q (the most
-    # chunks, and delta of both signs), the chunk-length rule's L, and q
-    seen = set()
+def test_period_walk_matches_the_scan_to_90():
+    # every pair, on its own convergent q > mu + nu and on the cover
+    # convergent: the walk's extremes and first hits are the in-order
+    # scan's over one period, and on the cover convergent the first hits
+    # lie below the cover, where T_q' = T
     for mu in range(1, 90):
         for nu in range(mu, 90):
-            p, q, expected = _period(mu, nu)
-            for L in set(_fitting_lengths(p, q, q)[:3] + [_chunk_length(q), q]):
-                chunks, delta = -(-q // L), L * p % q
-                got = _table_extremes(mu, nu, p, q, L, q, False)[:2]
-                assert got == expected, (mu, nu, L)
-                seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
-                if q % L:
-                    seen.add("partial last chunk")
-    assert seen == {"one chunk", "forward", "backward", "partial last chunk"}
+            p, q = _convergent(mu + nu - 1)
+            cover = 2 * q - p
+            for p, q in (_convergent(mu + nu), _cover(mu, nu)):
+                got = _period_walk(mu, nu, p, q)
+                assert got == _scan_period(mu, nu, p, q), (mu, nu, q)
+            assert max(got[1], got[3]) < cover, (mu, nu)
 
 
-@settings(max_examples=150)
-@given(a=st.integers(1, 3 * 10**5), b=st.integers(1, 3 * 10**5))
+@settings(max_examples=60)
+@given(a=st.integers(1, 10**5), b=st.integers(1, 10**5))
 def test_period_extremes_match_the_scan(a, b):
     mu, nu = min(a, b), max(a, b)
-    p, q, expected = _period(mu, nu)
-    assert _table_extremes(mu, nu, p, q, _chunk_length(q), q, False)[:2] == expected, (mu, nu)
-
-
-def test_chunk_length_keeps_the_edit_arcs_on_the_circle():
-    # every q = F_K, p = F_{K-2}, whose chunk fits the largest budget (see _cover)
-    fibs = [fibonacci(k) for k in range(70)]
-    assert _chunk_length(fibs[66]) <= MAX_BUDGET < _chunk_length(fibs[67])
-    for K in range(2, 67):
-        p, q = fibs[K - 2], fibs[K]
-        L = _chunk_length(q)
-        assert L in fibs and L <= q and (L == q or L**3 >= 8 * q * q), q
-        assert L == q or fibs[fibs.index(L) - 1] ** 3 < 8 * q * q, q  # the least
-        delta = L * p % q
-        chunks = -(-q // L)
-        assert (chunks - 1) * min(delta, q - delta) < q, q
-        # the cover table on q' over the cover, with this L, for the least
-        # and the greatest m + n whose verdict runs on q (see _cover)
-        for size in (fibs[K - 1], q - 1):
-            if size < 2:
-                continue
-            p1, q1 = _convergent(size - 1)
-            cover = 2 * q1 - p1
-            p1, q1 = _convergent(cover + size)
-            assert cover >= L and q1 == fibs[K + 2] and 2 * q1 < 2**63, size
-            delta = L * p1 % q1
-            assert (-(-cover // L) - 1) * min(delta, q1 - delta) < q1, size
-            entries = _chunk_entries(p1, q1, L, -(-cover // L))
-            assert _cover(1, size - 1) == (p1, q1, L, cover, entries), size
-            # it holds no more entries than a table over one period of T_q,
-            # so no pair that such a table answered raises
-            assert entries <= _chunk_entries(p, q, L, chunks), size
+    p, q = _convergent(mu + nu)
+    assert _period_walk(mu, nu, p, q) == _scan_period(mu, nu, p, q), (mu, nu)
 
 
 def _witness_range(mu: int, nu: int) -> tuple[int, int, int]:
-    """p' and q' of the cover table and its cover F_{k+2} (see _cover)."""
+    """p' and q' of the cover convergent and the cover F_{k+2} (see _cover)."""
     p, q = _convergent(mu + nu - 1)
     cover = 2 * q - p
     return (*_convergent(cover + mu + nu), cover)
@@ -993,85 +886,25 @@ def _scan_hits(mu: int, nu: int, targets: tuple[int, int]) -> list[int]:
     raise AssertionError(f"an extreme of ({mu}, {nu}) is not taken below the cover")
 
 
-def _fitting_lengths(p: int, q: int, stop: int) -> list[int]:
-    """The Fibonacci L <= q whose edit arcs over ceil(stop/L) chunks fit on
-    Z_q, shortest first."""
-    fits = []
-    for L in (fibonacci(r) for r in range(2, 60)):
-        delta = L * p % q
-        if L <= q and (-(-stop // L) - 1) * min(delta, q - delta) < q:
-            fits.append(L)
-    return fits
-
-
-def test_first_hits_match_the_scan_at_forced_chunk_lengths():
-    # the three shortest L that fit (the most chunks, and delta of both
-    # signs), the verdict's L, and L = the cover (one chunk); the reader
-    # gives the extremes, and the first hits of both when they differ by 2
-    seen = set()
-    for mu in range(1, 60):
-        for nu in range(mu, 60):
-            p, q, cover = _witness_range(mu, nu)
-            targets = _period(mu, nu)[2]
-            expected = _scan_hits(mu, nu, targets) if targets[1] - targets[0] >= 2 else None
-            verdict_L = _chunk_length(_convergent(mu + nu)[1])
-            for L in set(_fitting_lengths(p, q, cover)[:3] + [verdict_L, cover]):
-                chunks, delta = -(-cover // L), L * p % q
-                low, high, got = _table_extremes(mu, nu, p, q, L, cover, True)
-                assert (low, high) == targets and got == expected, (mu, nu, L)
-                seen.add("one chunk" if chunks == 1 else "forward" if 2 * delta < q else "backward")
-                if cover % L:
-                    seen.add("partial last chunk")
-                if got is None:
-                    seen.add("balanced")
-                    continue
-                if 0 in got:
-                    seen.add("a hit at i = 0")
-                starts = _chunk_table(mu, nu, p, q, L, chunks)[1]
-                i, j = got
-                g = np.searchsorted(starts, [i % L, j % L], "right")
-                if i // L == j // L and g[0] == g[1]:
-                    seen.add("both hits in one segment")
-    assert seen == {
-        "one chunk",
-        "forward",
-        "backward",
-        "partial last chunk",
-        "balanced",
-        "a hit at i = 0",
-        "both hits in one segment",
-    }
-
-
 @settings(max_examples=40)
-@given(
-    a=st.integers(1, 3 * 10**5),
-    b=st.integers(1, 3 * 10**5),
-    shortest=st.integers(0, 2),
-)
-def test_first_hits_match_the_scan(a, b, shortest):
-    # one of the three shortest L that fit, and the verdict's L
+@given(a=st.integers(1, 10**5), b=st.integers(1, 10**5))
+def test_first_hits_match_the_scan(a, b):
+    # the walk on the cover convergent gives T's extremes, and its first
+    # hits are T's, read in i order up to the cover
     mu, nu = min(a, b), max(a, b)
-    p, q, cover = _witness_range(mu, nu)
-    targets = _period(mu, nu)[2]
-    expected = _scan_hits(mu, nu, targets) if targets[1] - targets[0] >= 2 else None
-    verdict_L = _chunk_length(_convergent(mu + nu)[1])
-    for L in {_fitting_lengths(p, q, cover)[shortest], verdict_L}:
-        got = _table_extremes(mu, nu, p, q, L, cover, True)
-        assert got == (*targets, expected), (mu, nu, L)
+    low, i_low, high, i_high = _extremes(mu, nu)
+    assert (low, high) == _period_walk(mu, nu, *_convergent(mu + nu))[::2], (mu, nu)
+    assert [i_low, i_high] == _scan_hits(mu, nu, (low, high)), (mu, nu)
 
 
 def _cross_check_routes(m: int, n: int) -> None:
-    """exact_balance and the cover table against the chunk table over one
-    period of T_q on its own convergent, q > m + n, and is_balanced, and its
-    witness against the in-order scan over the cover."""
+    """exact_balance against the period walk on the pair's own convergent, q
+    > m + n, and is_balanced, and its witness against the in-order scan over
+    the cover."""
     verdict, mu, nu = exact_balance(m, n), min(m, n), max(m, n)
     low = high = 0
     if mu:
-        p, q = _convergent(mu + nu)
-        low, high, _ = _table_extremes(mu, nu, p, q, _chunk_length(q), q, False)
-        p, q, L, cover, _ = _cover(mu, nu)
-        assert _table_extremes(mu, nu, p, q, L, cover, False)[:2] == (low, high), (m, n)
+        low, _, high, _ = _period_walk(mu, nu, *_convergent(mu + nu))
     t0 = t_value(0, mu, nu)
     assert verdict.value_set == tuple(range(t0 + low, t0 + high + 1)), (m, n)
     assert verdict.balanced == is_balanced(m, n), (m, n)
@@ -1080,10 +913,9 @@ def _cross_check_routes(m: int, n: int) -> None:
 
 
 def test_one_cover_table_matches_the_period_route(budget):
-    # the value set and verdict of the one cover table equal the period
-    # reading's on its own convergent, and the witness the in-order scan's;
-    # the budget holds every cover table here (at most 121,393 entries) and
-    # caps the scan's chunks
+    # the value set and verdict off the walk on the cover convergent equal
+    # the walk's over one period of T_q on the pair's own convergent, and
+    # the witness the in-order scan's; the budget caps the scan's chunks
     budget(1 << 17)
     rng = random.Random(26)
     pairs = [(mu, nu) for mu in range(90) for nu in range(mu, 90)]
@@ -1096,8 +928,8 @@ def test_one_cover_table_matches_the_period_route(budget):
 
 
 def test_dense_pairs_past_q_max_read_the_cover_table():
-    # each cover table's q' passes F_48, where products j*p leave int64; the
-    # witnesses are those of the in-order scan of T up to the cover
+    # each cover convergent q' passes F_48, where products j*p leave int64;
+    # the witnesses are those of the in-order scan of T up to the cover
     m, n = fibonacci(44), fibonacci(45)
     assert _cover(m, n)[1] > fibonacci(48)
     assert exact_balance(m, n).balanced and is_balanced(m, n) and zeck_characterization(m, n)
@@ -1118,8 +950,8 @@ def test_dense_pairs_past_q_max_read_the_cover_table():
         (777, fibonacci(42), fibonacci(44)),  # 2q < 2^31: int32
         (777, fibonacci(43), fibonacci(45)),  # 2q >= 2^31: int64
         (4097, fibonacci(46), fibonacci(48)),
-        (777, fibonacci(58), fibonacci(60)),  # past F_48, as the cover tables reach
-        (777, fibonacci(90), fibonacci(92)),  # the last q below 2**63, as the sorted keys reach
+        (777, fibonacci(58), fibonacci(60)),  # past F_48, as the sorted-key oracle reaches
+        (777, fibonacci(90), fibonacci(92)),  # the last q below 2**63
         (5000, 12345, 99991),
     ],
 )
@@ -1143,17 +975,18 @@ def test_doubled_keys_raise_past_int64():
 
 
 def _readers_agree(mu: int, nu: int) -> None:
-    """The sorted event keys and the cover table, on the cover convergent,
+    """The sorted event keys and the period walk, on the cover convergent,
     give the same extremes, and the same first hits when asked for."""
-    p, q, L, cover, _ = _cover(mu, nu)
+    low, i_low, high, i_high = _extremes(mu, nu)
+    hits = [i_low, i_high] if high - low >= 2 else None
     for witness in (True, False):
-        got = _event_extremes(mu, nu, p, q, witness)
-        assert got == _table_extremes(mu, nu, p, q, L, cover, witness), (mu, nu, witness)
+        got = _event_extremes(mu, nu, *_cover(mu, nu), witness)
+        assert got == (low, high, hits if witness else None), (mu, nu, witness)
 
 
 def test_sorted_keys_match_the_cover_table():
-    # pairs whose cover tables fit the default budget, so exact_balance
-    # reads them there; far_sparse_pairs reach q' = F_50
+    # the far-sparse pairs reach q' = F_50; the others once read their
+    # cover tables under the default budget
     for mu, nu in far_sparse_pairs() + [(50, 10**6 + 7), (700, 3 * 10**6), (400, 10**5)]:
         _readers_agree(mu, nu)
 
@@ -1167,18 +1000,16 @@ def test_sorted_keys_match_the_cover_table_on_sparse_pairs(data):
 
 
 def test_sparse_pairs_past_every_cover_table():
-    # past F_49 every cover table passes the default budget, so these read
-    # their sorted event keys; their verdicts are the digit rule's and
-    # their witnesses re-check by t_value (test_golden pins them)
+    # past F_49, where every former cover table passed the default budget:
+    # the walk gives the sorted keys' value sets and first hits, the
+    # verdicts are the digit rule's and the witnesses re-check by t_value
+    # (test_golden pins them)
     pairs = past_cover_pairs()
     assert min(m + n for m, n in pairs) > fibonacci(49)
-    assert all(_cover(m, n)[4] > limits.BUDGET for m, n in pairs)
     for m, n in pairs:
+        _readers_agree(m, n)
         verdict = exact_balance(m, n)
-        assert not verdict.balanced and not zeck_characterization(m, n), (m, n)
-        i, j, ti, tj = verdict.witness
-        assert (t_value(i, m, n), t_value(j, m, n)) == (ti, tj), (m, n)
-        assert {ti, tj} == {verdict.value_set[0], verdict.value_set[-1]}, (m, n)
+        _check_witness(m, n, verdict)
         assert not is_balanced(m, n) and is_balanced(m, n - 1) == arc_balanced(m, n - 1)
 
 

@@ -341,30 +341,38 @@ def test_set_budget_applies_to_shared_words():
 
 def test_one_budget_caps_words_and_tables():
     from rectbal import limits
-    from rectbal.fib_balance import is_balanced
+    from rectbal.fib_balance import balance_table, is_balanced
 
     tm = word(SequenceKind.THUE_MORSE)
     tm.ensure(5000)  # built past the budget below
     old = limits.BUDGET
     try:
         limits.set_budget(1000)
-        for call in (lambda: tm.ensure(1001), lambda: is_balanced(5000, 6000)):
+        for call in (lambda: tm.ensure(1001), lambda: balance_table(100)):
             with pytest.raises(BudgetExceeded, match="budget is 1000"):
                 call()
+        # the exact verdict builds no table: it answers under any budget
+        assert not is_balanced(5000, 6000)
     finally:
         limits.set_budget(old)
     assert limits.BUDGET == old
     tm.ensure(1001)
+    assert balance_table(100).shape == (101, 101)
     assert not is_balanced(5000, 6000)
 
 
 def test_budget_checks_share_one_message(budget):
-    from rectbal.fib_balance import balance_table, delta_block_scan, diverse_identities_check, is_balanced
+    from rectbal.fib_balance import (
+        balance_table,
+        delta_block_scan,
+        diverse_identities_check,
+        row_value_bounds,
+    )
 
     budget(1000)
     for call, size, what in [
         (lambda: Word(SequenceKind.FIBONACCI).ensure(1001), 1001, "symbols"),
-        (lambda: is_balanced(5000, 6000), 1597, "table entries"),  # L = F_17
+        (lambda: row_value_bounds(30, 1000), 1597, "table entries"),  # q = F_17
         (lambda: balance_table(40), 41 * 41, "table entries"),
         (lambda: diverse_identities_check(2), 399 + 610, "symbols"),  # j1 + F_15
         # the whole scan's symbols, before its first 1024-position chunk
