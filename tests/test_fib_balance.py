@@ -856,6 +856,26 @@ def test_period_walk_matches_the_scan_to_90():
             assert max(got[1], got[3]) < cover, (mu, nu)
 
 
+def test_period_extremes_match_the_scan_at_forced_chunk_lengths(budget):
+    # the budget forces the scan's chunk lengths: one chunk over the
+    # period, or many with a partial last one; the walk's extremes and first
+    # hits are the scan's wherever its chunks end
+    seen = set()
+    for size in (3, 50):
+        budget(size)
+        for mu in range(1, 90):
+            for nu in range(mu, 90):
+                p, q = _convergent(mu + nu)
+                got = _period_walk(mu, nu, p, q)
+                assert got == _scan_period(mu, nu, p, q), (mu, nu, size)
+                seen.add("one chunk" if q <= size else "many chunks")
+                if q > size and q % size:
+                    seen.add("partial last chunk")
+                if max(got[1], got[3]) >= size:
+                    seen.add("an extreme past the first chunk")
+    assert seen == {"one chunk", "many chunks", "partial last chunk", "an extreme past the first chunk"}
+
+
 @settings(max_examples=60)
 @given(a=st.integers(1, 10**5), b=st.integers(1, 10**5))
 def test_period_extremes_match_the_scan(a, b):
@@ -895,6 +915,29 @@ def test_first_hits_match_the_scan(a, b):
     low, i_low, high, i_high = _extremes(mu, nu)
     assert (low, high) == _period_walk(mu, nu, *_convergent(mu + nu))[::2], (mu, nu)
     assert [i_low, i_high] == _scan_hits(mu, nu, (low, high)), (mu, nu)
+
+
+def test_first_hits_match_the_scan_at_forced_chunk_lengths(budget):
+    # the budget forces the scan's chunk lengths up to the cover; the walk
+    # on the cover convergent gives T's extremes and their first hits, read
+    # in i order across the scan's chunk ends
+    seen = set()
+    for size in (2, 21):
+        budget(size)
+        for mu in range(1, 60):
+            for nu in range(mu, 60):
+                low, i_low, high, i_high = _extremes(mu, nu)
+                assert (low, high) == _period_walk(mu, nu, *_convergent(mu + nu))[::2], (mu, nu)
+                assert [i_low, i_high] == _scan_hits(mu, nu, (low, high)), (mu, nu, size)
+                if high - low < 2:
+                    seen.add("balanced")
+                if 0 in (i_low, i_high):
+                    seen.add("a hit at i = 0")
+                if i_low // size == i_high // size:
+                    seen.add("both hits in one chunk")
+                else:
+                    seen.add("hits in two chunks")
+    assert seen == {"balanced", "a hit at i = 0", "both hits in one chunk", "hits in two chunks"}
 
 
 def _cross_check_routes(m: int, n: int) -> None:
